@@ -1,0 +1,228 @@
+"""Star-generating digraph recognition and related structural predicates.
+
+A weakly connected digraph is star-generating when it has a source, every
+prey of every source has exactly two predators, no two sources share a
+prey, and every non-source vertex has exactly one prey and exactly two
+predators of which exactly one is a source.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any
+
+from .digraph import Digraph, bits, induced_subdigraph, sources, weak_components
+
+Witness = dict[str, Any]
+
+
+@dataclass(frozen=True)
+class Verdict:
+    holds: bool
+    witness: Witness | None = None
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+
+@dataclass(frozen=True)
+class ClassificationReport:
+    """Per-condition verdicts; false verdicts carry a concrete witness.
+
+    ``min_outdegree_one`` is reported alongside the defining conditions
+    because the non-source prey requirement presupposes that prey exist.
+    """
+
+    min_outdegree_one: Verdict
+    weakly_connected: Verdict
+    s1: Verdict
+    s2: Verdict
+    s3: Verdict
+
+    @property
+    def star_generating(self) -> bool:
+        return bool(
+            self.min_outdegree_one
+            and self.weakly_connected
+            and self.s1
+            and self.s2
+            and self.s3
+        )
+
+    def to_dict(self) -> dict[str, Any]:
+        witnesses = {}
+        for name in ("min_outdegree_one", "weakly_connected", "s1", "s2", "s3"):
+            verdict: Verdict = getattr(self, name)
+            if verdict.witness is not None:
+                witnesses[name] = verdict.witness
+        return {
+            "min_outdegree_one": self.min_outdegree_one.holds,
+            "weakly_connected": self.weakly_connected.holds,
+            "s1": self.s1.holds,
+            "s2": self.s2.holds,
+            "s3": self.s3.holds,
+            "star_generating": self.star_generating,
+            "witnesses": witnesses,
+        }
+
+
+def classify_star_generating(d: Digraph) -> ClassificationReport:
+    """Check weak connectivity and the three defining source/prey conditions.
+
+    Violations are verdicts with witnesses, never errors.  Witnesses are
+    the first violation in vertex order.
+    """
+    out_rows = d.out_rows
+    in_rows = d.in_rows
+    n = d.n
+
+    outdeg = Verdict(True)
+    for v in range(n):
+        if not out_rows[v]:
+            outdeg = Verdict(False, {"vertex": v, "problem": "no prey"})
+            break
+
+    comps = weak_components(d)
+    if len(comps) == 1:
+        connected = Verdict(True)
+    else:
+        connected = Verdict(
+            False,
+            {
+                "components": len(comps),
+                "separated": [min(comps[0]), min(comps[1])],
+            },
+        )
+
+    src = sources(d)
+
+    # each source's prey must have exactly two predators; a source must exist
+    if not src:
+        s1 = Verdict(False, {"problem": "no source"})
+    else:
+        s1 = Verdict(True)
+        for v in sorted(src):
+            for w in bits(out_rows[v]):
+                deg = in_rows[w].bit_count()
+                if deg != 2:
+                    s1 = Verdict(
+                        False,
+                        {"source": v, "prey": w, "predators": sorted(bits(in_rows[w]))},
+                    )
+                    break
+            if not s1:
+                break
+
+    # no two sources share a prey
+    s2 = Verdict(True)
+    src_sorted = sorted(src)
+    for i, a in enumerate(src_sorted):
+        for b in src_sorted[i + 1 :]:
+            common = out_rows[a] & out_rows[b]
+            if common:
+                prey = (common & -common).bit_length() - 1
+                s2 = Verdict(False, {"sources": [a, b], "common_prey": prey})
+                break
+        if not s2:
+            break
+
+    # non-source vertices: one prey, two predators, exactly one a source
+    s3 = Verdict(True)
+    for u in range(n):
+        if u in src:
+            continue
+        if out_rows[u].bit_count() != 1:
+            s3 = Verdict(False, {"vertex": u, "prey": sorted(bits(out_rows[u]))})
+            break
+        preds = in_rows[u]
+        if preds.bit_count() != 2:
+            s3 = Verdict(False, {"vertex": u, "predators": sorted(bits(preds))})
+            break
+        source_preds = [p for p in bits(preds) if p in src]
+        if len(source_preds) != 1:
+            s3 = Verdict(
+                False,
+                {
+                    "vertex": u,
+                    "predators": sorted(bits(preds)),
+                    "source_predators": source_preds,
+                },
+            )
+            break
+
+    return ClassificationReport(outdeg, connected, s1, s2, s3)
+
+
+def _relabel_witness(witness: Witness | None, old_of: list[int]) -> Witness | None:
+    if witness is None:
+        return None
+    out: Witness = {}
+    for key, value in witness.items():
+        if key in ("problem", "components"):
+            out[key] = value
+        elif isinstance(value, int):
+            out[key] = old_of[value]
+        else:
+            out[key] = [old_of[v] for v in value]
+    return out
+
+
+def classify_components(d: Digraph) -> list[tuple[frozenset[int], ClassificationReport]]:
+    """Classify each weak component separately, witnesses in original labels."""
+    results = []
+    for comp in weak_components(d):
+        sub, old_of = induced_subdigraph(d, comp)
+        report = classify_star_generating(sub)
+        relabeled = ClassificationReport(
+            *(
+                Verdict(v.holds, _relabel_witness(v.witness, old_of))
+                for v in (
+                    report.min_outdegree_one,
+                    report.weakly_connected,
+                    report.s1,
+                    report.s2,
+                    report.s3,
+                )
+            )
+        )
+        results.append((comp, relabeled))
+    return results
+
+
+def is_disjoint_cycle_union(d: Digraph) -> tuple[bool, list[tuple[int, ...]] | None]:
+    """True iff every vertex has exactly one prey and one predator.
+
+    On success also returns the cycle decomposition, cycles ordered by
+    smallest member and each starting at its smallest vertex; loops are
+    cycles of length 1.
+    """
+    out_rows = d.out_rows
+    in_rows = d.in_rows
+    for v in range(d.n):
+        if out_rows[v].bit_count() != 1 or in_rows[v].bit_count() != 1:
+            return False, None
+    cycles = []
+    seen = set()
+    for start in range(d.n):
+        if start in seen:
+            continue
+        cycle = []
+        v = start
+        while v not in seen:
+            seen.add(v)
+            cycle.append(v)
+            v = out_rows[v].bit_length() - 1
+        cycles.append(tuple(cycle))
+    return True, cycles
+
+
+def check_no_common_prey_functional(d: Digraph) -> bool:
+    """True iff every vertex has exactly one prey and no two vertices share one."""
+    if any(row.bit_count() != 1 for row in d.out_rows):
+        return False
+    union = 0
+    for row in d.out_rows:
+        if union & row:
+            return False
+        union |= row
+    return True

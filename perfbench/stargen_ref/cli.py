@@ -1,0 +1,282 @@
+"""Command-line interface: compute competition graphs, classify digraphs,
+enumerate and generate constructions, and drive the claim verifier.
+
+Exit codes: 0 success / verified, 1 usage or input error, 2 verification
+found counterexamples.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+
+from . import classify as _classify
+from . import competition as _competition
+from . import digraph as _digraph
+from . import generate as _generate
+from . import verify as _verify
+from .digraph import InputError
+
+
+def _write_output(text: str, path: str | None) -> None:
+    """Write to stdout, or atomically (temp + rename) to ``path``."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stargen-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _read_digraph(path: str) -> _digraph.Digraph:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return _digraph.parse_edge_list(handle.read())
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def _parse_m_spec(spec: str) -> list[int]:
+    """Parse '3', '2,3,5', or '1..6' into a list of m values."""
+    values: list[int] = []
+    for part in spec.split(","):
+        part = part.strip()
+        if ".." in part:
+            lo, hi = part.split("..", 1)
+            values.extend(range(int(lo), int(hi) + 1))
+        else:
+            values.append(int(part))
+    if not values:
+        raise InputError(f"empty m specification {spec!r}")
+    return values
+
+
+def _cmd_compete(args) -> int:
+    d = _read_digraph(args.input)
+    if args.m < 1:
+        raise InputError(f"m must be positive, got {args.m}")
+    g = _competition.competition_graph(d, args.m)
+    tf, triangle = _competition.is_triangle_free(g)
+    sd = _competition.star_decomposition(g, _digraph.sources(d))
+    notes = [f"# triangle-free: {'yes' if tf else f'no, triangle {sorted(triangle)}'}"]
+    if sd:
+        stars = ", ".join(f"{s.center}->{sorted(s.leaves)}" for s in sd.stars)
+        notes.append(f"# star decomposition: {stars}")
+    else:
+        notes.append(
+            f"# star decomposition: failed on component "
+            f"{sorted(sd.component)} ({sd.reason})"
+        )
+    if args.format == "dot":
+        body = _competition.graph_to_dot(g)
+        text = body + "".join(f"// {line[2:]}\n" for line in notes)
+    else:
+        text = _competition.format_graph_edge_list(g) + "\n".join(notes) + "\n"
+    _write_output(text, args.output)
+    return 0
+
+
+def _cmd_classify(args) -> int:
+    d = _read_digraph(args.input)
+    report = _classify.classify_star_generating(d)
+    data = report.to_dict()
+    if args.json:
+        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    else:
+        lines = []
+        for name in ("min_outdegree_one", "weakly_connected", "s1", "s2", "s3"):
+            verdict = "ok" if data[name] else f"violated {data['witnesses'][name]}"
+            lines.append(f"{name}: {verdict}")
+        lines.append(f"star_generating: {'yes' if data['star_generating'] else 'no'}")
+        text = "\n".join(lines) + "\n"
+    _write_output(text, args.output)
+    return 0
+
+
+def _render_digraphs(named: list[tuple[str, _digraph.Digraph]], fmt: str) -> str:
+    chunks = []
+    for name, d in named:
+        if fmt == "dot":
+            chunks.append(_digraph.to_dot(d, name=name.replace("-", "_")))
+        else:
+            chunks.append(f"# {name}\n" + _digraph.format_edge_list(d))
+    return "\n".join(chunks)
+
+
+def _cmd_enumerate(args) -> int:
+    if args.n < 2:
+        raise InputError(f"order must be at least 2, got {args.n}")
+    if args.count_only:
+        count = sum(1 for _ in _generate.partitions(args.n - 1))
+        _write_output(f"{count}\n", args.output)
+        return 0
+    named = []
+    for parts in _generate.partitions(args.n - 1):
+        name = "partition_" + "_".join(map(str, parts))
+        named.append((name, _generate.star_generating_from_partition(parts)))
+    _write_output(_render_digraphs(named, args.format), args.output)
+    return 0
+
+
+def _cmd_generate(args) -> int:
+    if (args.partition is None) == (args.lemma_kl is None):
+        raise InputError("choose exactly one of --partition or --lemma-kl")
+    if args.partition is not None:
+        try:
+            parts = tuple(int(p) for p in args.partition.split(","))
+        except ValueError:
+            raise InputError(f"cannot parse partition {args.partition!r}") from None
+        d = _generate.star_generating_from_partition(parts)
+        name = "partition_" + "_".join(map(str, parts))
+    else:
+        k, l = args.lemma_kl
+        d = _generate.lemma_kl_digraph(k, l)
+        name = f"kl_{k}_{l}"
+    _write_output(_render_digraphs([(name, d)], args.format), args.output)
+    return 0
+
+
+def _cmd_figures(args) -> int:
+    figures = _generate.figure_digraphs()
+    labels = _generate.figure_labels()
+    if args.name is not None:
+        if args.name not in figures:
+            raise InputError(
+                f"unknown figure {args.name!r}; choose from {sorted(figures)}"
+            )
+        selected = [args.name]
+    else:
+        selected = sorted(figures)
+    chunks = []
+    for name in selected:
+        if args.format == "dot":
+            chunks.append(_digraph.to_dot(figures[name], labels=labels[name], name=name))
+        else:
+            label_note = ", ".join(f"{v}={s}" for v, s in labels[name].items())
+            chunks.append(
+                f"# {name} ({label_note})\n" + _digraph.format_edge_list(figures[name])
+            )
+    _write_output("\n".join(chunks), args.output)
+    return 0
+
+
+def _cmd_verify(args) -> int:
+    claim_ids = args.claim
+    for cid in claim_ids:
+        if cid not in _verify.CATALOG:
+            raise InputError(f"unknown claim {cid!r}; choose from {sorted(_verify.CATALOG)}")
+    if args.n_max >= 5 and not args.large:
+        raise InputError(
+            f"n_max={args.n_max} scans {_generate.digraph_space_size(args.n_max)} "
+            f"digraphs per order; pass --large to confirm"
+        )
+    m_values = _parse_m_spec(args.m) if args.m else []
+    reports = _verify.verify_claims(
+        claim_ids,
+        args.n_max,
+        m_values,
+        mode=args.mode,
+        seed=args.seed,
+        sample_count=args.count,
+        workers=args.workers,
+    )
+    if args.report:
+        _verify.write_report_lines(reports, args.report)
+    failed = False
+    for rep in reports:
+        status = "verified" if rep.verified else f"{len(rep.counterexamples)} counterexamples"
+        print(
+            f"{rep.claim_id}: {status} "
+            f"({rep.digraphs_examined} digraphs, {rep.hypothesis_hits} hypothesis hits, "
+            f"{rep.elapsed:.1f}s)"
+        )
+        for entry in rep.counterexamples[:10]:
+            print(f"  counterexample: {json.dumps(entry, sort_keys=True)}")
+        if rep.boundary_instances:
+            print(f"  boundary instances below the m range: {len(rep.boundary_instances)}")
+        failed = failed or not rep.verified
+    return 2 if failed else 0
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="stargen",
+        description="m-step competition graphs, star-generating digraphs, "
+        "and exhaustive desk-scale verification",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("compete", help="compute the m-step competition graph of a digraph file")
+    p.add_argument("--input", required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--format", choices=("edges", "dot"), default="edges")
+    p.add_argument("--output")
+    p.set_defaults(func=_cmd_compete)
+
+    p = sub.add_parser("classify", help="report the star-generating conditions for a digraph file")
+    p.add_argument("--input", required=True)
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--output")
+    p.set_defaults(func=_cmd_classify)
+
+    p = sub.add_parser("enumerate", help="single-source star-generating digraphs of order n")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--count-only", action="store_true")
+    p.add_argument("--format", choices=("edges", "dot"), default="edges")
+    p.add_argument("--output")
+    p.set_defaults(func=_cmd_enumerate)
+
+    p = sub.add_parser("generate", help="emit a partition-based or (k,l) construction")
+    p.add_argument("--partition", help="comma-separated nonincreasing parts, e.g. 2,1")
+    p.add_argument("--lemma-kl", nargs=2, type=int, metavar=("K", "L"))
+    p.add_argument("--format", choices=("edges", "dot"), default="edges")
+    p.add_argument("--output")
+    p.set_defaults(func=_cmd_generate)
+
+    p = sub.add_parser("verify", help="run catalog claims over bounded digraph spaces")
+    p.add_argument("--claim", action="append", required=True)
+    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--m", help="m values, e.g. '1..6' or '2,3,5'")
+    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--count", type=int, help="sample size for sampled mode")
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--large", action="store_true", help="allow n_max >= 5")
+    p.add_argument("--report", help="append JSON-lines reports to this file")
+    p.set_defaults(func=_cmd_verify)
+
+    p = sub.add_parser("figures", help="dump the built-in worked-example digraphs")
+    p.add_argument("--name")
+    p.add_argument("--format", choices=("edges", "dot"), default="edges")
+    p.add_argument("--output")
+    p.set_defaults(func=_cmd_figures)
+
+    return parser
+
+
+def run(argv: list[str] | None = None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def main() -> None:
+    sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

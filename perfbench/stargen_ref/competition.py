@@ -1,0 +1,202 @@
+"""Undirected graphs and m-step competition graph machinery."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Iterator
+
+from .digraph import (
+    Digraph,
+    InputError,
+    _component_masks,
+    _row_power,
+    bits,
+)
+
+
+class Graph:
+    """Immutable simple graph on 0..n-1; ``rows[v]`` is the bitmask of neighbors."""
+
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: Iterable[int]):
+        self.n = n
+        self.rows = tuple(rows)
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        for u in range(self.n):
+            for v in bits(self.rows[u] >> (u + 1) << (u + 1)):
+                yield (u, v)
+
+    def edge_count(self) -> int:
+        return sum(row.bit_count() for row in self.rows) // 2
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return bool(self.rows[u] >> v & 1)
+
+    def degree(self, v: int) -> int:
+        return self.rows[v].bit_count()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
+
+    def __repr__(self) -> str:
+        return f"Graph({self.n}, edges={sorted(self.edges())})"
+
+
+def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    if n < 1:
+        raise InputError(f"vertex count must be positive, got {n}")
+    rows = [0] * n
+    for pair in edges:
+        u, v = pair
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"edge {(u, v)} out of range for n={n}")
+        if u == v:
+            raise InputError(f"self-edge {(u, v)} not allowed")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, rows)
+
+
+def competition_graph(d: Digraph, m: int) -> Graph:
+    """Graph joining distinct u, v iff they share an m-step common prey in d."""
+    if m < 1:
+        raise InputError(f"step count must be positive, got {m}")
+    prey = d.out_rows if m == 1 else _row_power(d.out_rows, m)
+    n = d.n
+    rows = [0] * n
+    for u in range(n):
+        pu = prey[u]
+        if not pu:
+            continue
+        for v in range(u + 1, n):
+            if pu & prey[v]:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, rows)
+
+
+def is_triangle_free(g: Graph) -> tuple[bool, tuple[int, int, int] | None]:
+    """(True, None) if no triangle exists, else (False, first triangle (x, y, z))."""
+    rows = g.rows
+    for x in range(g.n):
+        rx = rows[x] >> (x + 1) << (x + 1)
+        for y in bits(rx):
+            common = rx & rows[y] >> (y + 1) << (y + 1)
+            if common:
+                z = (common & -common).bit_length() - 1
+                return False, (x, y, z)
+    return True, None
+
+
+def components(g: Graph) -> list[frozenset[int]]:
+    """Connected components, ordered by smallest member."""
+    return [frozenset(bits(c)) for c in _component_masks(g.n, g.rows)]
+
+
+@dataclass(frozen=True)
+class Star:
+    center: int
+    leaves: frozenset[int]
+
+
+@dataclass(frozen=True)
+class StarDecomposition:
+    """Partition of a graph into nontrivial stars with prescribed centers."""
+
+    stars: tuple[Star, ...]
+
+    def __bool__(self) -> bool:
+        return True
+
+
+@dataclass(frozen=True)
+class StarDecompositionFailure:
+    component: frozenset[int]
+    reason: str  # "trivial" | "not_a_star" | "center_not_in_sources"
+
+    def __bool__(self) -> bool:
+        return False
+
+
+def star_decomposition(
+    g: Graph, source_set: frozenset[int]
+) -> StarDecomposition | StarDecompositionFailure:
+    """Decompose g into nontrivial stars whose centers lie in source_set.
+
+    Succeeds iff every component is a star K_{1,t} with t >= 1 and admits a
+    center in source_set.  Components of three or more vertices force the
+    center (the unique vertex of degree >= 2); for two-vertex components the
+    lower-indexed endpoint belonging to source_set is chosen.
+    """
+    stars = []
+    for comp_mask in _component_masks(g.n, g.rows):
+        members = list(bits(comp_mask))
+        if len(members) == 1:
+            return StarDecompositionFailure(frozenset(members), "trivial")
+        if len(members) == 2:
+            candidates = [v for v in members if v in source_set]
+            if not candidates:
+                return StarDecompositionFailure(frozenset(members), "center_not_in_sources")
+            center = candidates[0]
+        else:
+            hubs = [v for v in members if g.rows[v].bit_count() >= 2]
+            if len(hubs) != 1 or g.rows[hubs[0]] != comp_mask & ~(1 << hubs[0]):
+                return StarDecompositionFailure(frozenset(members), "not_a_star")
+            center = hubs[0]
+            if center not in source_set:
+                return StarDecompositionFailure(frozenset(members), "center_not_in_sources")
+        leaves = frozenset(v for v in members if v != center)
+        stars.append(Star(center, leaves))
+    return StarDecomposition(tuple(stars))
+
+
+# --- text formats ---------------------------------------------------------
+
+
+def parse_graph_edge_list(text: str) -> Graph:
+    """Parse the undirected edge-list format (mirrors the digraph format)."""
+    n = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        try:
+            if n is None:
+                if len(fields) != 1:
+                    raise ValueError
+                n = int(fields[0])
+            else:
+                if len(fields) != 2:
+                    raise ValueError
+                edges.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise InputError(f"line {lineno}: cannot parse {raw!r}") from None
+    if n is None:
+        raise InputError("empty graph file")
+    return graph_from_edges(n, edges)
+
+
+def format_graph_edge_list(g: Graph) -> str:
+    lines = [str(g.n)]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def graph_to_dot(g: Graph, labels: dict[int, str] | None = None, name: str = "G") -> str:
+    def fmt(v: int) -> str:
+        return f'"{labels[v]}"' if labels else str(v)
+
+    lines = [f"graph {name} {{"]
+    for v in range(g.n):
+        lines.append(f"  {fmt(v)};")
+    for u, v in g.edges():
+        lines.append(f"  {fmt(u)} -- {fmt(v)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -1,0 +1,279 @@
+"""Labeled digraphs on vertices 0..n-1 with bitset adjacency rows.
+
+Out-neighborhoods are stored as Python ints used as bitmasks (bit j of
+row i set iff the arc (i, j) exists), so set algebra on neighborhoods is
+single int operations and boolean matrix products stay cheap for the
+small orders this toolkit works at.  Loops are allowed; parallel arcs are
+not representable.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable, Iterator
+
+
+class InputError(ValueError):
+    """Malformed caller input (bad vertex index, bad file, bad option)."""
+
+
+def bits(mask: int) -> Iterator[int]:
+    """Yield the set bit positions of ``mask`` in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def bitset(members: Iterable[int]) -> int:
+    m = 0
+    for v in members:
+        m |= 1 << v
+    return m
+
+
+class Digraph:
+    """Immutable digraph; vertices are 0..n-1.
+
+    ``out_rows[i]`` is the bitmask of out-neighbors of i.  Instances are
+    never mutated after construction, so they are safe to share across
+    threads; the in-row transpose is materialized on first use.
+    """
+
+    __slots__ = ("n", "out_rows", "_in_rows")
+
+    def __init__(self, n: int, out_rows: Iterable[int]):
+        self.n = n
+        self.out_rows = tuple(out_rows)
+        self._in_rows: tuple[int, ...] | None = None
+
+    @property
+    def in_rows(self) -> tuple[int, ...]:
+        if self._in_rows is None:
+            rows = [0] * self.n
+            for u, row in enumerate(self.out_rows):
+                bit = 1 << u
+                for v in bits(row):
+                    rows[v] |= bit
+            self._in_rows = tuple(rows)
+        return self._in_rows
+
+    def vertices(self) -> range:
+        return range(self.n)
+
+    def arcs(self) -> Iterator[tuple[int, int]]:
+        for u, row in enumerate(self.out_rows):
+            for v in bits(row):
+                yield (u, v)
+
+    def arc_count(self) -> int:
+        return sum(row.bit_count() for row in self.out_rows)
+
+    def has_arc(self, u: int, v: int) -> bool:
+        return bool(self.out_rows[u] >> v & 1)
+
+    def out_neighbors(self, v: int) -> frozenset[int]:
+        return frozenset(bits(self.out_rows[v]))
+
+    def in_neighbors(self, v: int) -> frozenset[int]:
+        return frozenset(bits(self.in_rows[v]))
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, Digraph)
+            and self.n == other.n
+            and self.out_rows == other.out_rows
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.out_rows))
+
+    def __repr__(self) -> str:
+        return f"Digraph({self.n}, arcs={sorted(self.arcs())})"
+
+
+def from_arc_list(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
+    """Build a digraph from ordered vertex pairs; duplicates collapse."""
+    if n < 1:
+        raise InputError(f"vertex count must be positive, got {n}")
+    rows = [0] * n
+    for pair in arcs:
+        u, v = pair
+        if not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"arc {(u, v)} out of range for n={n}")
+        rows[u] |= 1 << v
+    return Digraph(n, rows)
+
+
+def has_min_outdegree_one(d: Digraph) -> bool:
+    """True iff every vertex has at least one prey."""
+    return all(row for row in d.out_rows)
+
+
+def _row_product(a_rows, b_rows) -> list[int]:
+    """Boolean relational product: bit (i,k) set iff some j links i->j->k."""
+    out = []
+    for row in a_rows:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= b_rows[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
+def _row_power(rows, m: int) -> list[int]:
+    # exponentiation by squaring; m >= 1
+    result = None
+    sq = list(rows)
+    while True:
+        if m & 1:
+            result = sq if result is None else _row_product(result, sq)
+        m >>= 1
+        if not m:
+            return result
+        sq = _row_product(sq, sq)
+
+
+def compose(a: Digraph, b: Digraph) -> Digraph:
+    """Relational product: arc (u, v) iff some w has (u, w) in a and (w, v) in b."""
+    if a.n != b.n:
+        raise InputError(f"vertex counts differ: {a.n} != {b.n}")
+    return Digraph(a.n, _row_product(a.out_rows, b.out_rows))
+
+
+def m_step_digraph(d: Digraph, m: int) -> Digraph:
+    """Digraph with arc (u, v) iff a directed walk of length exactly m runs u to v.
+
+    Uses exponentiation by squaring, so m may be arbitrarily large.
+    """
+    if m < 1:
+        raise InputError(f"step count must be positive, got {m}")
+    if m == 1:
+        return d
+    return Digraph(d.n, _row_power(d.out_rows, m))
+
+
+def step_neighbors(d: Digraph, v: int, m: int, direction: str = "prey") -> frozenset[int]:
+    """Vertices reached from v (prey) or reaching v (predator) by length-m walks.
+
+    m = 0 gives {v} (the empty walk).
+    """
+    if not 0 <= v < d.n:
+        raise InputError(f"vertex {v} out of range for n={d.n}")
+    if m < 0:
+        raise InputError(f"step count must be nonnegative, got {m}")
+    if direction == "prey":
+        rows = d.out_rows
+    elif direction == "predator":
+        rows = d.in_rows
+    else:
+        raise InputError(f"direction must be 'prey' or 'predator', got {direction!r}")
+    if m == 0:
+        return frozenset((v,))
+    return frozenset(bits(_row_power(rows, m)[v]))
+
+
+def sources(d: Digraph) -> frozenset[int]:
+    """All vertices of indegree 0."""
+    in_rows = d.in_rows
+    return frozenset(v for v in range(d.n) if not in_rows[v])
+
+
+def _component_masks(n: int, sym_rows) -> list[int]:
+    # grow each component as a bitmask fixpoint; ascending lowest-unseen
+    # start vertex gives the smallest-member ordering for free
+    comps = []
+    seen = 0
+    full = (1 << n) - 1
+    while seen != full:
+        start = (~seen & full) & -(~seen & full)
+        comp = start
+        frontier = start
+        while frontier:
+            grown = 0
+            while frontier:
+                low = frontier & -frontier
+                grown |= sym_rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grown & ~comp
+            comp |= grown
+        comps.append(comp)
+        seen |= comp
+    return comps
+
+
+def weak_components(d: Digraph) -> list[frozenset[int]]:
+    """Connected components of the underlying graph, ordered by smallest member."""
+    in_rows = d.in_rows
+    sym = [d.out_rows[v] | in_rows[v] for v in range(d.n)]
+    return [frozenset(bits(c)) for c in _component_masks(d.n, sym)]
+
+
+def induced_subdigraph(d: Digraph, keep: Iterable[int]) -> tuple[Digraph, list[int]]:
+    """Subdigraph induced on ``keep``, plus the new-index -> old-vertex map."""
+    old = sorted(set(keep))
+    for v in old:
+        if not 0 <= v < d.n:
+            raise InputError(f"vertex {v} out of range for n={d.n}")
+    new_of = {o: i for i, o in enumerate(old)}
+    rows = []
+    for o in old:
+        acc = 0
+        for w in bits(d.out_rows[o]):
+            if w in new_of:
+                acc |= 1 << new_of[w]
+        rows.append(acc)
+    return Digraph(len(old), rows), old
+
+
+# --- text formats ---------------------------------------------------------
+
+
+def parse_edge_list(text: str) -> Digraph:
+    """Parse the edge-list format: first line n, then one 'u v' arc per line.
+
+    Blank lines and '#' comments are ignored.
+    """
+    n = None
+    arcs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        try:
+            if n is None:
+                if len(fields) != 1:
+                    raise ValueError
+                n = int(fields[0])
+            else:
+                if len(fields) != 2:
+                    raise ValueError
+                arcs.append((int(fields[0]), int(fields[1])))
+        except ValueError:
+            raise InputError(f"line {lineno}: cannot parse {raw!r}") from None
+    if n is None:
+        raise InputError("empty digraph file")
+    return from_arc_list(n, arcs)
+
+
+def format_edge_list(d: Digraph) -> str:
+    lines = [str(d.n)]
+    lines.extend(f"{u} {v}" for u, v in d.arcs())
+    return "\n".join(lines) + "\n"
+
+
+def to_dot(d: Digraph, labels: dict[int, str] | None = None, name: str = "D") -> str:
+    """Render as Graphviz DOT; loops are drawn like any other arc."""
+
+    def fmt(v: int) -> str:
+        return f'"{labels[v]}"' if labels else str(v)
+
+    lines = [f"digraph {name} {{"]
+    for v in range(d.n):
+        lines.append(f"  {fmt(v)};")
+    for u, v in d.arcs():
+        lines.append(f"  {fmt(u)} -> {fmt(v)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

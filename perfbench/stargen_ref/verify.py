@@ -1,0 +1,837 @@
+"""Exhaustive and sampled verification of the catalog of structural claims
+about m-step competition graphs over bounded digraph spaces.
+
+Every claim is split into directed sub-checks with their own minimum m
+(biconditionals are never merged, since the two directions hold on
+different m ranges).  Hypothesis and conclusion predicates are composed
+from the public operations of the other modules; a per-digraph context
+only memoizes their results.
+"""
+
+from __future__ import annotations
+
+import json
+import multiprocessing
+import random
+import time
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable
+
+from . import classify as _classify
+from . import competition as _competition
+from . import digraph as _digraph
+from . import generate as _generate
+from .digraph import Digraph, InputError
+
+
+class ClaimContext:
+    """Memo of public-operation results for one digraph under scrutiny."""
+
+    __slots__ = (
+        "d",
+        "_powers",
+        "_graphs",
+        "_tf",
+        "_comps",
+        "_sources",
+        "_weak",
+        "_report",
+        "_all_weak_sg",
+        "_every_weak_src",
+        "_subs",
+    )
+
+    def __init__(self, d: Digraph):
+        self.d = d
+        self._powers = {1: d}
+        self._graphs = {}
+        self._tf = {}
+        self._comps = {}
+        self._sources = None
+        self._weak = None
+        self._report = None
+        self._all_weak_sg = None
+        self._every_weak_src = None
+        self._subs = None
+
+    def power(self, m: int) -> Digraph:
+        p = self._powers.get(m)
+        if p is None:
+            # compose two cached powers when the exponents add up
+            for a in sorted(self._powers, reverse=True):
+                if a < m and (m - a) in self._powers:
+                    p = _digraph.compose(self._powers[a], self._powers[m - a])
+                    break
+            else:
+                p = _digraph.m_step_digraph(self.d, m)
+            self._powers[m] = p
+        return p
+
+    def graph(self, m: int) -> _competition.Graph:
+        g = self._graphs.get(m)
+        if g is None:
+            # C^m(D) equals the ordinary competition graph of D^m
+            g = _competition.competition_graph(self.power(m), 1)
+            self._graphs[m] = g
+        return g
+
+    def triangle_free(self, m: int) -> bool:
+        tf = self._tf.get(m)
+        if tf is None:
+            tf = _competition.is_triangle_free(self.graph(m))[0]
+            self._tf[m] = tf
+        return tf
+
+    def components(self, m: int) -> list[frozenset[int]]:
+        c = self._comps.get(m)
+        if c is None:
+            c = _competition.components(self.graph(m))
+            self._comps[m] = c
+        return c
+
+    def n_components(self, m: int) -> int:
+        return len(self.components(m))
+
+    @property
+    def sources(self) -> frozenset[int]:
+        if self._sources is None:
+            self._sources = _digraph.sources(self.d)
+        return self._sources
+
+    @property
+    def weak(self) -> list[frozenset[int]]:
+        if self._weak is None:
+            self._weak = _digraph.weak_components(self.d)
+        return self._weak
+
+    @property
+    def weakly_connected(self) -> bool:
+        return len(self.weak) == 1
+
+    @property
+    def report(self) -> _classify.ClassificationReport:
+        if self._report is None:
+            self._report = _classify.classify_star_generating(self.d)
+        return self._report
+
+    @property
+    def all_weak_star_generating(self) -> bool:
+        if self._all_weak_sg is None:
+            if self.weakly_connected:
+                self._all_weak_sg = self.report.star_generating
+            else:
+                self._all_weak_sg = all(
+                    rep.star_generating for _, rep in _classify.classify_components(self.d)
+                )
+        return self._all_weak_sg
+
+    @property
+    def every_weak_component_has_source(self) -> bool:
+        if self._every_weak_src is None:
+            src = self.sources
+            if not src:
+                self._every_weak_src = False
+            else:
+                self._every_weak_src = all(not comp.isdisjoint(src) for comp in self.weak)
+        return self._every_weak_src
+
+    def every_cm_component_meets_sources(self, m: int) -> bool:
+        src = self.sources
+        return all(not comp.isdisjoint(src) for comp in self.components(m))
+
+    def star_decomposition(self, m: int):
+        return _competition.star_decomposition(self.graph(m), self.sources)
+
+    def subdigraphs(self) -> list[tuple["ClaimContext", list[int]]]:
+        """Deterministic subdigraph selection for monotonicity checks:
+        every one-arc deletion that keeps all outdegrees >= 1, plus each
+        induced weak component when there are several.
+        """
+        if self._subs is None:
+            subs = []
+            for u, row in enumerate(self.d.out_rows):
+                if row.bit_count() < 2:
+                    continue
+                for v in _digraph.bits(row):
+                    rows = list(self.d.out_rows)
+                    rows[u] = row & ~(1 << v)
+                    subs.append((ClaimContext(Digraph(self.d.n, rows)), list(range(self.d.n))))
+            if not self.weakly_connected:
+                for comp in self.weak:
+                    sub, old_of = _digraph.induced_subdigraph(self.d, comp)
+                    subs.append((ClaimContext(sub), old_of))
+            self._subs = subs
+        return self._subs
+
+
+# --- hypothesis / conclusion predicates -----------------------------------
+# Each conclusion returns (holds, detail); details only describe failures.
+
+
+def _h_always(ctx: ClaimContext, m: int) -> bool:
+    return True
+
+
+def _c_prey_monotone(ctx: ClaimContext, m: int):
+    g, g_next = ctx.graph(m), ctx.graph(m + 1)
+    for v in range(g.n):
+        extra = g.rows[v] & ~g_next.rows[v]
+        if extra:
+            u = (extra & -extra).bit_length() - 1
+            return False, (
+                f"vertices {min(u, v)} and {max(u, v)} share a {m}-step prey "
+                f"but no {m + 1}-step prey"
+            )
+    return True, None
+
+
+def _h_triangle_free(ctx: ClaimContext, m: int) -> bool:
+    return ctx.triangle_free(m)
+
+
+def _c_predator_bound(ctx: ClaimContext, m: int):
+    for i in range(1, m + 1):
+        rows = ctx.power(i).in_rows
+        for u in range(ctx.d.n):
+            count = rows[u].bit_count()
+            if count > 2:
+                return False, f"vertex {u} has {count} {i}-step predators"
+    return True, None
+
+
+def _h_wc_source_tf(ctx: ClaimContext, m: int) -> bool:
+    return ctx.weakly_connected and bool(ctx.sources) and ctx.triangle_free(m)
+
+
+def _c_source_component_bound(ctx: ClaimContext, m: int):
+    k = len(ctx.sources)
+    l = ctx.n_components(m)
+    if l < k:
+        return False, f"{k} sources but only {l} components"
+    if l == k:
+        pred = ctx.power(m).in_rows
+        non_sources = [u for u in range(ctx.d.n) if u not in ctx.sources]
+        for u in non_sources:
+            count = pred[u].bit_count()
+            if count != 2:
+                return False, f"l = k but vertex {u} has {count} m-step predators"
+        for u in non_sources:
+            for v in range(ctx.d.n):
+                if v != u and (pred[u] & pred[v]).bit_count() > 1:
+                    return False, (
+                        f"l = k but vertices {u} and {v} share "
+                        f"{(pred[u] & pred[v]).bit_count()} m-step predators"
+                    )
+    return True, None
+
+
+def _h_wc_tf_k_eq_l(ctx: ClaimContext, m: int) -> bool:
+    return (
+        ctx.weakly_connected
+        and ctx.triangle_free(m)
+        and len(ctx.sources) == ctx.n_components(m)
+    )
+
+
+def _c_pendant(ctx: ClaimContext, m: int):
+    out = ctx.d.out_rows
+    cg = ctx.graph(m)
+    for v in sorted(ctx.sources):
+        for u in range(ctx.d.n):
+            if u == v or not out[u] & out[v]:
+                continue
+            if out[u].bit_count() != 1:
+                return False, f"vertex {u} shares prey with source {v} but has several prey"
+            if cg.rows[u] != 1 << v:
+                return False, (
+                    f"vertex {u} shares prey with source {v} but its "
+                    f"competition neighbors are not exactly {{{v}}}"
+                )
+    return True, None
+
+
+def _c_star_components_and_sg(ctx: ClaimContext, m: int):
+    sd = ctx.star_decomposition(m)
+    if not sd:
+        return False, f"component {sorted(sd.component)}: {sd.reason}"
+    if not ctx.report.star_generating:
+        return False, "digraph is not star-generating"
+    return True, None
+
+
+def _h_functional_no_common_prey(ctx: ClaimContext, m: int) -> bool:
+    return _classify.check_no_common_prey_functional(ctx.d)
+
+
+def _c_cycle_union(ctx: ClaimContext, m: int):
+    ok, _ = _classify.is_disjoint_cycle_union(ctx.d)
+    return ok, None if ok else "not a vertex-disjoint union of directed cycles"
+
+
+def _h_star_generating(ctx: ClaimContext, m: int) -> bool:
+    return ctx.report.star_generating
+
+
+def _c_minus_sources_cycle_union(ctx: ClaimContext, m: int):
+    keep = [v for v in range(ctx.d.n) if v not in ctx.sources]
+    sub, _ = _digraph.induced_subdigraph(ctx.d, keep)
+    ok, _ = _classify.is_disjoint_cycle_union(sub)
+    return ok, None if ok else "removing the sources does not leave disjoint cycles"
+
+
+def _c_k_star_decomposition(ctx: ClaimContext, m: int):
+    sd = ctx.star_decomposition(m)
+    if not sd:
+        return False, f"component {sorted(sd.component)}: {sd.reason}"
+    if len(sd.stars) != len(ctx.sources):
+        return False, f"{len(sd.stars)} stars but {len(ctx.sources)} sources"
+    return True, None
+
+
+def _c_subgraph_monotone(ctx: ClaimContext, m: int):
+    g = ctx.graph(m)
+    for sub_ctx, old_of in ctx.subdigraphs():
+        gs = sub_ctx.graph(m)
+        for a, b in gs.edges():
+            if not g.has_edge(old_of[a], old_of[b]):
+                return False, (
+                    f"edge {{{old_of[a]}, {old_of[b]}}} of a subdigraph's "
+                    f"{m}-step competition graph is missing from the host's"
+                )
+    return True, None
+
+
+def _h_weak_sources_tf(ctx: ClaimContext, m: int) -> bool:
+    return ctx.every_weak_component_has_source and ctx.triangle_free(m)
+
+
+def _c_at_most_components(ctx: ClaimContext, m: int):
+    k, l = len(ctx.sources), ctx.n_components(m)
+    return (k <= l), None if k <= l else f"{k} sources but {l} components"
+
+
+def _h_weak_all_sg(ctx: ClaimContext, m: int) -> bool:
+    return ctx.every_weak_component_has_source and ctx.all_weak_star_generating
+
+
+def _c_tf_and_k_eq_l(ctx: ClaimContext, m: int):
+    if not ctx.triangle_free(m):
+        return False, "competition graph has a triangle"
+    k, l = len(ctx.sources), ctx.n_components(m)
+    return (k == l), None if k == l else f"{k} sources but {l} components"
+
+
+def _h_weak_tf_k_eq_l(ctx: ClaimContext, m: int) -> bool:
+    return (
+        ctx.every_weak_component_has_source
+        and ctx.triangle_free(m)
+        and len(ctx.sources) == ctx.n_components(m)
+    )
+
+
+def _c_all_weak_sg(ctx: ClaimContext, m: int):
+    ok = ctx.all_weak_star_generating
+    return ok, None if ok else "some weak component is not star-generating"
+
+
+def _h_weak_tf_comps_meet_sources(ctx: ClaimContext, m: int) -> bool:
+    return (
+        ctx.every_weak_component_has_source
+        and ctx.triangle_free(m)
+        and ctx.every_cm_component_meets_sources(m)
+    )
+
+
+def _c_k_eq_l(ctx: ClaimContext, m: int):
+    k, l = len(ctx.sources), ctx.n_components(m)
+    return (k == l), None if k == l else f"{k} sources but {l} components"
+
+
+def _c_comps_meet_sources(ctx: ClaimContext, m: int):
+    ok = ctx.every_cm_component_meets_sources(m)
+    return ok, None if ok else "some component avoids every source"
+
+
+def _h_weak_star_decomposition(ctx: ClaimContext, m: int) -> bool:
+    return ctx.every_weak_component_has_source and bool(ctx.star_decomposition(m))
+
+
+def _c_star_decomposition_ok(ctx: ClaimContext, m: int):
+    sd = ctx.star_decomposition(m)
+    if not sd:
+        return False, f"component {sorted(sd.component)}: {sd.reason}"
+    return True, None
+
+
+def _h_single_source_sg(ctx: ClaimContext, m: int) -> bool:
+    return len(ctx.sources) == 1 and ctx.report.star_generating
+
+
+def _c_connected_tf(ctx: ClaimContext, m: int):
+    if ctx.n_components(m) != 1:
+        return False, f"competition graph has {ctx.n_components(m)} components"
+    if not ctx.triangle_free(m):
+        return False, "competition graph has a triangle"
+    return True, None
+
+
+def _h_source_connected_tf(ctx: ClaimContext, m: int) -> bool:
+    return bool(ctx.sources) and ctx.n_components(m) == 1 and ctx.triangle_free(m)
+
+
+def _c_single_source_sg(ctx: ClaimContext, m: int):
+    if not ctx.report.star_generating:
+        return False, "digraph is not star-generating"
+    if len(ctx.sources) != 1:
+        return False, f"digraph has {len(ctx.sources)} sources"
+    return True, None
+
+
+# --- claim catalog --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Direction:
+    name: str
+    min_m: int | None  # None: m-independent, checked once per digraph
+    hypothesis: Callable[[ClaimContext, int], bool]
+    conclusion: Callable[[ClaimContext, int], tuple[bool, str | None]]
+
+
+@dataclass(frozen=True)
+class Claim:
+    id: str
+    kind: str  # "digraph" | "grid" | "census"
+    directions: tuple[Direction, ...] = ()
+
+    @property
+    def min_m(self) -> int | None:
+        mins = [d.min_m for d in self.directions if d.min_m is not None]
+        return min(mins) if mins else None
+
+
+CATALOG: dict[str, Claim] = {
+    c.id: c
+    for c in (
+        Claim(
+            "prop_2_1",
+            "digraph",
+            (Direction("forward", 1, _h_always, _c_prey_monotone),),
+        ),
+        Claim("lemma_2_2", "grid"),
+        Claim(
+            "prop_2_3",
+            "digraph",
+            (Direction("forward", 1, _h_triangle_free, _c_predator_bound),),
+        ),
+        Claim(
+            "lemma_2_4",
+            "digraph",
+            (Direction("forward", 1, _h_wc_source_tf, _c_source_component_bound),),
+        ),
+        Claim(
+            "prop_2_5",
+            "digraph",
+            (Direction("forward", 2, _h_wc_tf_k_eq_l, _c_pendant),),
+        ),
+        Claim(
+            "lemma_2_6",
+            "digraph",
+            (Direction("forward", None, _h_functional_no_common_prey, _c_cycle_union),),
+        ),
+        Claim(
+            "thm_2_7",
+            "digraph",
+            (Direction("forward", 2, _h_wc_tf_k_eq_l, _c_star_components_and_sg),),
+        ),
+        Claim(
+            "lemma_3_1",
+            "digraph",
+            (Direction("forward", None, _h_star_generating, _c_minus_sources_cycle_union),),
+        ),
+        Claim("thm_3_2", "census"),
+        Claim(
+            "prop_3_3",
+            "digraph",
+            (Direction("forward", 1, _h_star_generating, _c_k_star_decomposition),),
+        ),
+        Claim(
+            "lemma_3_4",
+            "digraph",
+            (Direction("forward", 1, _h_always, _c_subgraph_monotone),),
+        ),
+        Claim(
+            "lemma_3_5",
+            "digraph",
+            (Direction("forward", 2, _h_weak_sources_tf, _c_at_most_components),),
+        ),
+        Claim(
+            "lemma_3_6",
+            "digraph",
+            (
+                Direction("only_if", 1, _h_weak_all_sg, _c_tf_and_k_eq_l),
+                Direction("if", 2, _h_weak_tf_k_eq_l, _c_all_weak_sg),
+            ),
+        ),
+        Claim(
+            "prop_3_7",
+            "digraph",
+            (
+                Direction("only_if", 1, _h_weak_tf_comps_meet_sources, _c_k_eq_l),
+                Direction("if", 2, _h_weak_tf_k_eq_l, _c_comps_meet_sources),
+            ),
+        ),
+        Claim(
+            "cor_3_8",
+            "digraph",
+            (Direction("forward", 2, _h_weak_tf_comps_meet_sources, _c_all_weak_sg),),
+        ),
+        Claim(
+            "thm_1_2",
+            "digraph",
+            (
+                Direction("only_if", 1, _h_weak_all_sg, _c_star_decomposition_ok),
+                Direction("if", 2, _h_weak_star_decomposition, _c_all_weak_sg),
+            ),
+        ),
+        Claim(
+            "thm_1_3",
+            "digraph",
+            (
+                Direction("if", 1, _h_single_source_sg, _c_connected_tf),
+                Direction("only_if", 2, _h_source_connected_tf, _c_single_source_sg),
+            ),
+        ),
+    )
+}
+
+
+def valid_m_values(claim_id: str, candidates: Iterable[int]) -> frozenset[int]:
+    """The subset of ``candidates`` some direction of the claim accepts."""
+    claim = _lookup(claim_id)
+    if claim.min_m is None:
+        return frozenset()
+    return frozenset(m for m in candidates if m >= claim.min_m)
+
+
+def _lookup(claim_id: str) -> Claim:
+    try:
+        return CATALOG[claim_id]
+    except KeyError:
+        raise InputError(f"unknown claim id {claim_id!r}") from None
+
+
+# --- reports --------------------------------------------------------------
+
+
+@dataclass
+class VerificationReport:
+    claim_id: str
+    mode: str
+    n_max: int
+    m_values: tuple[int, ...]
+    digraphs_examined: int = 0
+    hypothesis_hits: int = 0
+    counterexamples: list[dict] = field(default_factory=list)
+    boundary_instances: list[dict] = field(default_factory=list)
+    elapsed: float = 0.0
+
+    @property
+    def verified(self) -> bool:
+        return not self.counterexamples
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "claim": self.claim_id,
+            "mode": self.mode,
+            "n_max": self.n_max,
+            "m_values": list(self.m_values),
+            "digraphs_examined": self.digraphs_examined,
+            "hypothesis_hits": self.hypothesis_hits,
+            "counterexamples": self.counterexamples,
+            "boundary_instances": self.boundary_instances,
+            "elapsed": self.elapsed,
+            "verified": self.verified,
+        }
+
+    def to_json_line(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+
+def _entry(claim_id: str, direction: str, d: Digraph, m: int | None, detail: str | None) -> dict:
+    return {
+        "claim": claim_id,
+        "direction": direction,
+        "n": d.n,
+        "arcs": sorted(d.arcs()),
+        "m": m,
+        "detail": detail,
+    }
+
+
+def _entry_sort_key(entry: dict):
+    return (entry["n"], entry["arcs"], entry["m"] if entry["m"] is not None else 0, entry["direction"])
+
+
+# --- scanning -------------------------------------------------------------
+
+
+def _check_digraph(d: Digraph, claim_ids, m_list, acc) -> None:
+    """Evaluate every requested claim on one digraph, updating accumulators."""
+    ctx = ClaimContext(d)
+    for cid in claim_ids:
+        hits, cexs, bounds = acc[cid]
+        for direction in CATALOG[cid].directions:
+            if direction.min_m is None:
+                if direction.hypothesis(ctx, 0):
+                    hits[0] += 1
+                    ok, detail = direction.conclusion(ctx, 0)
+                    if not ok:
+                        cexs.append(_entry(cid, direction.name, d, None, detail))
+                continue
+            for m in m_list:
+                if m >= direction.min_m:
+                    if direction.hypothesis(ctx, m):
+                        hits[0] += 1
+                        ok, detail = direction.conclusion(ctx, m)
+                        if not ok:
+                            cexs.append(_entry(cid, direction.name, d, m, detail))
+                elif direction.hypothesis(ctx, m):
+                    # below the direction's m range: record, never fail
+                    ok, detail = direction.conclusion(ctx, m)
+                    if not ok:
+                        bounds.append(_entry(cid, direction.name, d, m, detail))
+
+
+def _scan_job(args) -> tuple[int, dict]:
+    claim_ids, m_list, job = args
+    acc = {cid: ([0], [], []) for cid in claim_ids}
+    examined = 0
+    kind, payload = job
+    if kind == "range":
+        n, start, stop = payload
+        stream = _generate.all_digraphs(n, start=start, stop=stop)
+    else:  # "draws": explicit (n, index) pairs
+        stream = (_generate.digraph_at(n, idx) for n, idx in payload)
+    for d in stream:
+        examined += 1
+        _check_digraph(d, claim_ids, m_list, acc)
+    return examined, acc
+
+
+def _range_jobs(n_max: int, chunk: int) -> list[tuple[str, tuple]]:
+    jobs = []
+    for n in range(1, n_max + 1):
+        total = _generate.digraph_space_size(n)
+        for start in range(0, total, chunk):
+            jobs.append(("range", (n, start, min(start + chunk, total))))
+    return jobs
+
+
+def _verify_grid(m_list, n_max: int, report: VerificationReport) -> None:
+    bound = n_max if n_max >= 1 else 5
+    ms = m_list or list(range(1, 11))
+    for k in range(1, bound + 1):
+        for l in range(1, bound + 1):
+            d = _generate.lemma_kl_digraph(k, l)
+            ctx = ClaimContext(d)
+            report.digraphs_examined += 1
+            problems = []
+            if len(ctx.sources) != k:
+                problems.append((None, f"expected {k} sources, found {len(ctx.sources)}"))
+            if not ctx.weakly_connected:
+                problems.append((None, "construction is not weakly connected"))
+            for m in ms:
+                report.hypothesis_hits += 1
+                l_found = ctx.n_components(m)
+                if l_found != l:
+                    problems.append((m, f"expected {l} components, found {l_found}"))
+            for m, detail in problems:
+                entry = _entry("lemma_2_2", "construction", d, m, detail)
+                entry.update({"k": k, "l": l})
+                report.counterexamples.append(entry)
+
+
+def _census_check(n: int) -> tuple[bool, str | None, int]:
+    """Count isomorphism classes of single-source star-generating digraphs
+    of order n by brute force and compare against the enumerator.
+    """
+    expected = sum(1 for _ in _generate.partitions(n - 1))
+    found = set()
+    examined = 0
+    for d in _generate.all_digraphs(n):
+        examined += 1
+        if len(_digraph.sources(d)) != 1:
+            continue
+        if _classify.classify_star_generating(d).star_generating:
+            found.add(_generate.canonical_form(d))
+    reps = {
+        _generate.canonical_form(d)
+        for d in _generate.enumerate_single_source_star_generating(n)
+    }
+    if len(found) != expected:
+        return False, f"order {n}: {len(found)} classes, expected {expected}", examined
+    if reps != found:
+        return False, f"order {n}: enumerated representatives do not cover the classes", examined
+    return True, None, examined
+
+
+def _verify_census(n_max: int, report: VerificationReport) -> None:
+    if n_max < 2:
+        raise InputError("thm_3_2 needs n_max >= 2")
+    for n in range(2, n_max + 1):
+        report.hypothesis_hits += 1
+        ok, detail, examined = _census_check(n)
+        report.digraphs_examined += examined
+        if not ok:
+            report.counterexamples.append(
+                {"claim": "thm_3_2", "direction": "count", "n": n, "arcs": None, "m": None, "detail": detail}
+            )
+
+
+def verify_claims(
+    claim_ids: Iterable[str],
+    n_max: int,
+    m_set: Iterable[int],
+    mode: str = "exhaustive",
+    seed: int | None = None,
+    sample_count: int | None = None,
+    workers: int = 1,
+) -> list[VerificationReport]:
+    """Run several claims in one pass over the digraph space.
+
+    Returns one report per claim, in the order given.  With ``workers > 1``
+    the space is split into contiguous index ranges; merged results do not
+    depend on the worker count.
+    """
+    claim_ids = list(dict.fromkeys(claim_ids))
+    claims = [_lookup(cid) for cid in claim_ids]
+    m_list = sorted(set(m_set))
+    if any(m < 1 for m in m_list):
+        raise InputError("m values must be positive")
+    for claim in claims:
+        if claim.kind != "digraph" or claim.min_m is None:
+            continue
+        below = [m for m in m_list if m < claim.min_m]
+        if below:
+            raise InputError(
+                f"claim {claim.id} requires m >= {claim.min_m}; got {below}"
+            )
+    started = time.perf_counter()
+    reports = {
+        cid: VerificationReport(cid, mode, n_max, tuple(m_list)) for cid in claim_ids
+    }
+
+    special = [c for c in claims if c.kind != "digraph"]
+    scan_ids = [c.id for c in claims if c.kind == "digraph"]
+    for claim in special:
+        if claim.kind == "grid":
+            _verify_grid(m_list, n_max, reports[claim.id])
+        else:
+            _verify_census(n_max, reports[claim.id])
+
+    if scan_ids:
+        if n_max < 1:
+            raise InputError(f"n_max must be positive, got {n_max}")
+        if not m_list and any(CATALOG[cid].min_m is not None for cid in scan_ids):
+            raise InputError("m_set is empty but some requested claim depends on m")
+        if mode == "exhaustive":
+            chunk = 200_000
+            jobs = _range_jobs(n_max, chunk)
+        elif mode == "sampled":
+            if sample_count is None:
+                raise InputError("sampled mode needs a sample count")
+            rng = random.Random(seed)
+            draws = []
+            for _ in range(sample_count):
+                n = rng.randint(2, max(2, n_max))
+                draws.append((n, rng.randrange(_generate.digraph_space_size(n))))
+            chunk = 50_000
+            jobs = [
+                ("draws", draws[i : i + chunk]) for i in range(0, len(draws), chunk)
+            ]
+        else:
+            raise InputError(f"unknown mode {mode!r}")
+
+        job_args = [(scan_ids, m_list, job) for job in jobs]
+        if workers > 1 and len(jobs) > 1:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                partials = pool.map(_scan_job, job_args)
+        else:
+            partials = [_scan_job(a) for a in job_args]
+
+        for examined, acc in partials:
+            for cid in scan_ids:
+                hits, cexs, bounds = acc[cid]
+                rep = reports[cid]
+                rep.digraphs_examined += examined
+                rep.hypothesis_hits += hits[0]
+                rep.counterexamples.extend(cexs)
+                rep.boundary_instances.extend(bounds)
+        for cid in scan_ids:
+            reports[cid].counterexamples.sort(key=_entry_sort_key)
+            reports[cid].boundary_instances.sort(key=_entry_sort_key)
+
+    elapsed = time.perf_counter() - started
+    for rep in reports.values():
+        rep.elapsed = elapsed
+    return [reports[cid] for cid in claim_ids]
+
+
+def verify_claim(
+    claim_id: str,
+    n_max: int,
+    m_set: Iterable[int],
+    mode: str = "exhaustive",
+    seed: int | None = None,
+    sample_count: int | None = None,
+    workers: int = 1,
+) -> VerificationReport:
+    """Run one claim over the bounded digraph space; see ``verify_claims``."""
+    return verify_claims([claim_id], n_max, m_set, mode, seed, sample_count, workers)[0]
+
+
+def replay_counterexample(entry: dict) -> bool:
+    """Re-evaluate a report entry from its serialized digraph.
+
+    True iff the hypothesis still holds and the conclusion still fails.
+    """
+    try:
+        claim = _lookup(entry["claim"])
+        direction_name = entry["direction"]
+        m = entry["m"]
+    except (KeyError, TypeError):
+        raise InputError(f"malformed counterexample entry: {entry!r}") from None
+
+    if claim.kind == "census":
+        ok, _, _ = _census_check(entry["n"])
+        return not ok
+    if claim.kind == "grid":
+        try:
+            k, l = entry["k"], entry["l"]
+        except KeyError:
+            raise InputError(f"malformed lemma_2_2 entry: {entry!r}") from None
+        ctx = ClaimContext(_generate.lemma_kl_digraph(k, l))
+        if m is None:
+            return len(ctx.sources) != k or not ctx.weakly_connected
+        return ctx.n_components(m) != l
+
+    directions = {dd.name: dd for dd in claim.directions}
+    try:
+        direction = directions[direction_name]
+        d = _digraph.from_arc_list(entry["n"], [tuple(a) for a in entry["arcs"]])
+    except (KeyError, TypeError, ValueError):
+        raise InputError(f"malformed counterexample entry: {entry!r}") from None
+    ctx = ClaimContext(d)
+    m_eval = 0 if m is None else m
+    if not direction.hypothesis(ctx, m_eval):
+        return False
+    ok, _ = direction.conclusion(ctx, m_eval)
+    return not ok
+
+
+def write_report_lines(reports: Iterable[VerificationReport], path: str) -> None:
+    """Append one JSON line per report to ``path``."""
+    with open(path, "a", encoding="utf-8") as handle:
+        for rep in reports:
+            handle.write(rep.to_json_line() + "\n")
