@@ -51,11 +51,14 @@ def _parse_m_spec(spec: str) -> list[int]:
     values: list[int] = []
     for part in spec.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            values.extend(range(int(lo), int(hi) + 1))
-        else:
-            values.append(int(part))
+        try:
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                values.extend(range(int(lo), int(hi) + 1))
+            else:
+                values.append(int(part))
+        except ValueError:
+            raise InputError(f"cannot parse m value {part!r} in {spec!r}") from None
     if not values:
         raise InputError(f"empty m specification {spec!r}")
     return values

@@ -9,6 +9,9 @@ from .digraph import (
     Digraph,
     InputError,
     _component_masks,
+    _dot,
+    _format_pairs,
+    _parse_pairs,
     _row_power,
     bits,
 )
@@ -160,43 +163,12 @@ def star_decomposition(
 
 def parse_graph_edge_list(text: str) -> Graph:
     """Parse the undirected edge-list format (mirrors the digraph format)."""
-    n = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        try:
-            if n is None:
-                if len(fields) != 1:
-                    raise ValueError
-                n = int(fields[0])
-            else:
-                if len(fields) != 2:
-                    raise ValueError
-                edges.append((int(fields[0]), int(fields[1])))
-        except ValueError:
-            raise InputError(f"line {lineno}: cannot parse {raw!r}") from None
-    if n is None:
-        raise InputError("empty graph file")
-    return graph_from_edges(n, edges)
+    return graph_from_edges(*_parse_pairs(text, "graph"))
 
 
 def format_graph_edge_list(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return _format_pairs(g.n, g.edges())
 
 
 def graph_to_dot(g: Graph, labels: dict[int, str] | None = None, name: str = "G") -> str:
-    def fmt(v: int) -> str:
-        return f'"{labels[v]}"' if labels else str(v)
-
-    lines = [f"graph {name} {{"]
-    for v in range(g.n):
-        lines.append(f"  {fmt(v)};")
-    for u, v in g.edges():
-        lines.append(f"  {fmt(u)} -- {fmt(v)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("graph", "--", g.n, g.edges(), labels, name)

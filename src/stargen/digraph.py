@@ -228,15 +228,16 @@ def induced_subdigraph(d: Digraph, keep: Iterable[int]) -> tuple[Digraph, list[i
 
 
 # --- text formats ---------------------------------------------------------
+# Digraphs and undirected graphs share one text format and one DOT layout;
+# they differ only in the pair iterator, the DOT keyword and edge operator.
 
 
-def parse_edge_list(text: str) -> Digraph:
-    """Parse the edge-list format: first line n, then one 'u v' arc per line.
-
-    Blank lines and '#' comments are ignored.
+def _parse_pairs(text: str, noun: str) -> tuple[int, list[tuple[int, int]]]:
+    """Parse the edge-list format into (n, pairs): first line n, then one
+    'u v' pair per line.  Blank lines and '#' comments are ignored.
     """
     n = None
-    arcs = []
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -250,30 +251,45 @@ def parse_edge_list(text: str) -> Digraph:
             else:
                 if len(fields) != 2:
                     raise ValueError
-                arcs.append((int(fields[0]), int(fields[1])))
+                pairs.append((int(fields[0]), int(fields[1])))
         except ValueError:
             raise InputError(f"line {lineno}: cannot parse {raw!r}") from None
     if n is None:
-        raise InputError("empty digraph file")
-    return from_arc_list(n, arcs)
+        raise InputError(f"empty {noun} file")
+    return n, pairs
+
+
+def _format_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> str:
+    lines = [str(n)]
+    lines.extend(f"{u} {v}" for u, v in pairs)
+    return "\n".join(lines) + "\n"
+
+
+def _dot(keyword: str, op: str, n: int, pairs, labels: dict[int, str] | None, name: str) -> str:
+    def fmt(v: int) -> str:
+        return f'"{labels[v]}"' if labels else str(v)
+
+    lines = [f"{keyword} {name} {{"]
+    for v in range(n):
+        lines.append(f"  {fmt(v)};")
+    for u, v in pairs:
+        lines.append(f"  {fmt(u)} {op} {fmt(v)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_edge_list(text: str) -> Digraph:
+    """Parse the edge-list format: first line n, then one 'u v' arc per line.
+
+    Blank lines and '#' comments are ignored.
+    """
+    return from_arc_list(*_parse_pairs(text, "digraph"))
 
 
 def format_edge_list(d: Digraph) -> str:
-    lines = [str(d.n)]
-    lines.extend(f"{u} {v}" for u, v in d.arcs())
-    return "\n".join(lines) + "\n"
+    return _format_pairs(d.n, d.arcs())
 
 
 def to_dot(d: Digraph, labels: dict[int, str] | None = None, name: str = "D") -> str:
     """Render as Graphviz DOT; loops are drawn like any other arc."""
-
-    def fmt(v: int) -> str:
-        return f'"{labels[v]}"' if labels else str(v)
-
-    lines = [f"digraph {name} {{"]
-    for v in range(d.n):
-        lines.append(f"  {fmt(v)};")
-    for u, v in d.arcs():
-        lines.append(f"  {fmt(u)} -> {fmt(v)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("digraph", "->", d.n, d.arcs(), labels, name)

@@ -3,9 +3,10 @@ about m-step competition graphs over bounded digraph spaces.
 
 Every claim is split into directed sub-checks with their own minimum m
 (biconditionals are never merged, since the two directions hold on
-different m ranges).  Hypothesis and conclusion predicates are composed
-from the public operations of the other modules; a per-digraph context
-only memoizes their results.
+different m ranges).  Each direction is written as ``hypothesis ⇒
+conclusion atoms`` over one set of named atoms, which are composed from
+the public operations of the other modules; a per-digraph context only
+memoizes their results.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from . import classify as _classify
 from . import competition as _competition
@@ -164,227 +165,159 @@ class ClaimContext:
         return self._subs
 
 
-# --- hypothesis / conclusion predicates -----------------------------------
-# Each conclusion returns (holds, detail); details only describe failures.
+# --- atoms ----------------------------------------------------------------
+# Every claim direction is an implication between about a dozen properties
+# of D and C^m(D).  An atom names one of them: ``test`` decides it and
+# ``why`` formats the failure detail, called only after ``test`` failed.
 
 
-def _h_always(ctx: ClaimContext, m: int) -> bool:
-    return True
+class Atom(NamedTuple):
+    """A property of (D, m); atoms used only in hypotheses need no ``why``."""
+
+    test: Callable[[ClaimContext, int], bool]
+    why: Callable[[ClaimContext, int], str] | None = None
 
 
-def _c_prey_monotone(ctx: ClaimContext, m: int):
-    g, g_next = ctx.graph(m), ctx.graph(m + 1)
+def _witness(find: Callable[[ClaimContext, int], str | None]) -> Atom:
+    """Atom whose detail names a witness: ``find`` returns it, or None if the property holds."""
+    return Atom(lambda c, m: find(c, m) is None, find)
+
+
+def _prey_monotone(c: ClaimContext, m: int) -> str | None:
+    g, g_next = c.graph(m), c.graph(m + 1)
     for v in range(g.n):
         extra = g.rows[v] & ~g_next.rows[v]
         if extra:
             u = (extra & -extra).bit_length() - 1
-            return False, (
+            return (
                 f"vertices {min(u, v)} and {max(u, v)} share a {m}-step prey "
                 f"but no {m + 1}-step prey"
             )
-    return True, None
+    return None
 
 
-def _h_triangle_free(ctx: ClaimContext, m: int) -> bool:
-    return ctx.triangle_free(m)
-
-
-def _c_predator_bound(ctx: ClaimContext, m: int):
+def _predator_bound(c: ClaimContext, m: int) -> str | None:
     for i in range(1, m + 1):
-        rows = ctx.power(i).in_rows
-        for u in range(ctx.d.n):
+        rows = c.power(i).in_rows
+        for u in range(c.d.n):
             count = rows[u].bit_count()
             if count > 2:
-                return False, f"vertex {u} has {count} {i}-step predators"
-    return True, None
+                return f"vertex {u} has {count} {i}-step predators"
+    return None
 
 
-def _h_wc_source_tf(ctx: ClaimContext, m: int) -> bool:
-    return ctx.weakly_connected and bool(ctx.sources) and ctx.triangle_free(m)
+def _predators_when_k_eq_l(c: ClaimContext, m: int) -> str | None:
+    if len(c.sources) != c.n_components(m):
+        return None
+    pred = c.power(m).in_rows
+    non_sources = [u for u in range(c.d.n) if u not in c.sources]
+    for u in non_sources:
+        count = pred[u].bit_count()
+        if count != 2:
+            return f"l = k but vertex {u} has {count} m-step predators"
+    for u in non_sources:
+        for v in range(c.d.n):
+            if v != u and (pred[u] & pred[v]).bit_count() > 1:
+                return (
+                    f"l = k but vertices {u} and {v} share "
+                    f"{(pred[u] & pred[v]).bit_count()} m-step predators"
+                )
+    return None
 
 
-def _c_source_component_bound(ctx: ClaimContext, m: int):
-    k = len(ctx.sources)
-    l = ctx.n_components(m)
-    if l < k:
-        return False, f"{k} sources but only {l} components"
-    if l == k:
-        pred = ctx.power(m).in_rows
-        non_sources = [u for u in range(ctx.d.n) if u not in ctx.sources]
-        for u in non_sources:
-            count = pred[u].bit_count()
-            if count != 2:
-                return False, f"l = k but vertex {u} has {count} m-step predators"
-        for u in non_sources:
-            for v in range(ctx.d.n):
-                if v != u and (pred[u] & pred[v]).bit_count() > 1:
-                    return False, (
-                        f"l = k but vertices {u} and {v} share "
-                        f"{(pred[u] & pred[v]).bit_count()} m-step predators"
-                    )
-    return True, None
-
-
-def _h_wc_tf_k_eq_l(ctx: ClaimContext, m: int) -> bool:
-    return (
-        ctx.weakly_connected
-        and ctx.triangle_free(m)
-        and len(ctx.sources) == ctx.n_components(m)
-    )
-
-
-def _c_pendant(ctx: ClaimContext, m: int):
-    out = ctx.d.out_rows
-    cg = ctx.graph(m)
-    for v in sorted(ctx.sources):
-        for u in range(ctx.d.n):
+def _pendant(c: ClaimContext, m: int) -> str | None:
+    out = c.d.out_rows
+    cg = c.graph(m)
+    for v in sorted(c.sources):
+        for u in range(c.d.n):
             if u == v or not out[u] & out[v]:
                 continue
             if out[u].bit_count() != 1:
-                return False, f"vertex {u} shares prey with source {v} but has several prey"
+                return f"vertex {u} shares prey with source {v} but has several prey"
             if cg.rows[u] != 1 << v:
-                return False, (
+                return (
                     f"vertex {u} shares prey with source {v} but its "
                     f"competition neighbors are not exactly {{{v}}}"
                 )
-    return True, None
+    return None
 
 
-def _c_star_components_and_sg(ctx: ClaimContext, m: int):
-    sd = ctx.star_decomposition(m)
-    if not sd:
-        return False, f"component {sorted(sd.component)}: {sd.reason}"
-    if not ctx.report.star_generating:
-        return False, "digraph is not star-generating"
-    return True, None
-
-
-def _h_functional_no_common_prey(ctx: ClaimContext, m: int) -> bool:
-    return _classify.check_no_common_prey_functional(ctx.d)
-
-
-def _c_cycle_union(ctx: ClaimContext, m: int):
-    ok, _ = _classify.is_disjoint_cycle_union(ctx.d)
-    return ok, None if ok else "not a vertex-disjoint union of directed cycles"
-
-
-def _h_star_generating(ctx: ClaimContext, m: int) -> bool:
-    return ctx.report.star_generating
-
-
-def _c_minus_sources_cycle_union(ctx: ClaimContext, m: int):
-    keep = [v for v in range(ctx.d.n) if v not in ctx.sources]
-    sub, _ = _digraph.induced_subdigraph(ctx.d, keep)
-    ok, _ = _classify.is_disjoint_cycle_union(sub)
-    return ok, None if ok else "removing the sources does not leave disjoint cycles"
-
-
-def _c_k_star_decomposition(ctx: ClaimContext, m: int):
-    sd = ctx.star_decomposition(m)
-    if not sd:
-        return False, f"component {sorted(sd.component)}: {sd.reason}"
-    if len(sd.stars) != len(ctx.sources):
-        return False, f"{len(sd.stars)} stars but {len(ctx.sources)} sources"
-    return True, None
-
-
-def _c_subgraph_monotone(ctx: ClaimContext, m: int):
-    g = ctx.graph(m)
-    for sub_ctx, old_of in ctx.subdigraphs():
+def _sub_monotone(c: ClaimContext, m: int) -> str | None:
+    g = c.graph(m)
+    for sub_ctx, old_of in c.subdigraphs():
         gs = sub_ctx.graph(m)
         for a, b in gs.edges():
             if not g.has_edge(old_of[a], old_of[b]):
-                return False, (
+                return (
                     f"edge {{{old_of[a]}, {old_of[b]}}} of a subdigraph's "
                     f"{m}-step competition graph is missing from the host's"
                 )
-    return True, None
+    return None
 
 
-def _h_weak_sources_tf(ctx: ClaimContext, m: int) -> bool:
-    return ctx.every_weak_component_has_source and ctx.triangle_free(m)
+def _non_sources_cycle_union(c: ClaimContext, m: int) -> bool:
+    keep = [v for v in range(c.d.n) if v not in c.sources]
+    sub, _ = _digraph.induced_subdigraph(c.d, keep)
+    return _classify.is_disjoint_cycle_union(sub)[0]
 
 
-def _c_at_most_components(ctx: ClaimContext, m: int):
-    k, l = len(ctx.sources), ctx.n_components(m)
-    return (k <= l), None if k <= l else f"{k} sources but {l} components"
+def _k_vs_l(c: ClaimContext, m: int) -> str:
+    return f"{len(c.sources)} sources but {c.n_components(m)} components"
 
 
-def _h_weak_all_sg(ctx: ClaimContext, m: int) -> bool:
-    return ctx.every_weak_component_has_source and ctx.all_weak_star_generating
+def _star_failure(c: ClaimContext, m: int) -> str:
+    sd = c.star_decomposition(m)
+    return f"component {sorted(sd.component)}: {sd.reason}"
 
 
-def _c_tf_and_k_eq_l(ctx: ClaimContext, m: int):
-    if not ctx.triangle_free(m):
-        return False, "competition graph has a triangle"
-    k, l = len(ctx.sources), ctx.n_components(m)
-    return (k == l), None if k == l else f"{k} sources but {l} components"
+# properties of D; m is ignored
+WEAKLY_CONNECTED = Atom(lambda c, m: c.weakly_connected)
+HAS_SOURCE = Atom(lambda c, m: bool(c.sources))
+WEAK_SOURCES = Atom(lambda c, m: c.every_weak_component_has_source)
+NO_COMMON_PREY = Atom(lambda c, m: _classify.check_no_common_prey_functional(c.d))
+ONE_SOURCE = Atom(
+    lambda c, m: len(c.sources) == 1, lambda c, m: f"digraph has {len(c.sources)} sources"
+)
+SG = Atom(lambda c, m: c.report.star_generating, lambda c, m: "digraph is not star-generating")
+ALL_WEAK_SG = Atom(
+    lambda c, m: c.all_weak_star_generating,
+    lambda c, m: "some weak component is not star-generating",
+)
+CYCLE_UNION = Atom(
+    lambda c, m: _classify.is_disjoint_cycle_union(c.d)[0],
+    lambda c, m: "not a vertex-disjoint union of directed cycles",
+)
+NON_SOURCES_CYCLE_UNION = Atom(
+    _non_sources_cycle_union,
+    lambda c, m: "removing the sources does not leave disjoint cycles",
+)
 
-
-def _h_weak_tf_k_eq_l(ctx: ClaimContext, m: int) -> bool:
-    return (
-        ctx.every_weak_component_has_source
-        and ctx.triangle_free(m)
-        and len(ctx.sources) == ctx.n_components(m)
-    )
-
-
-def _c_all_weak_sg(ctx: ClaimContext, m: int):
-    ok = ctx.all_weak_star_generating
-    return ok, None if ok else "some weak component is not star-generating"
-
-
-def _h_weak_tf_comps_meet_sources(ctx: ClaimContext, m: int) -> bool:
-    return (
-        ctx.every_weak_component_has_source
-        and ctx.triangle_free(m)
-        and ctx.every_cm_component_meets_sources(m)
-    )
-
-
-def _c_k_eq_l(ctx: ClaimContext, m: int):
-    k, l = len(ctx.sources), ctx.n_components(m)
-    return (k == l), None if k == l else f"{k} sources but {l} components"
-
-
-def _c_comps_meet_sources(ctx: ClaimContext, m: int):
-    ok = ctx.every_cm_component_meets_sources(m)
-    return ok, None if ok else "some component avoids every source"
-
-
-def _h_weak_star_decomposition(ctx: ClaimContext, m: int) -> bool:
-    return ctx.every_weak_component_has_source and bool(ctx.star_decomposition(m))
-
-
-def _c_star_decomposition_ok(ctx: ClaimContext, m: int):
-    sd = ctx.star_decomposition(m)
-    if not sd:
-        return False, f"component {sorted(sd.component)}: {sd.reason}"
-    return True, None
-
-
-def _h_single_source_sg(ctx: ClaimContext, m: int) -> bool:
-    return len(ctx.sources) == 1 and ctx.report.star_generating
-
-
-def _c_connected_tf(ctx: ClaimContext, m: int):
-    if ctx.n_components(m) != 1:
-        return False, f"competition graph has {ctx.n_components(m)} components"
-    if not ctx.triangle_free(m):
-        return False, "competition graph has a triangle"
-    return True, None
-
-
-def _h_source_connected_tf(ctx: ClaimContext, m: int) -> bool:
-    return bool(ctx.sources) and ctx.n_components(m) == 1 and ctx.triangle_free(m)
-
-
-def _c_single_source_sg(ctx: ClaimContext, m: int):
-    if not ctx.report.star_generating:
-        return False, "digraph is not star-generating"
-    if len(ctx.sources) != 1:
-        return False, f"digraph has {len(ctx.sources)} sources"
-    return True, None
+# properties of C^m(D), k = |sources of D|, l = |components of C^m(D)|
+TF = Atom(ClaimContext.triangle_free, lambda c, m: "competition graph has a triangle")
+CONNECTED = Atom(
+    lambda c, m: c.n_components(m) == 1,
+    lambda c, m: f"competition graph has {c.n_components(m)} components",
+)
+K_EQ_L = Atom(lambda c, m: len(c.sources) == c.n_components(m), _k_vs_l)
+K_LE_L = Atom(lambda c, m: len(c.sources) <= c.n_components(m), _k_vs_l)
+ENOUGH_COMPONENTS = Atom(
+    K_LE_L.test,
+    lambda c, m: f"{len(c.sources)} sources but only {c.n_components(m)} components",
+)
+COMPS_MEET_SOURCES = Atom(
+    ClaimContext.every_cm_component_meets_sources,
+    lambda c, m: "some component avoids every source",
+)
+STAR_OK = Atom(lambda c, m: bool(c.star_decomposition(m)), _star_failure)
+K_STARS = Atom(
+    lambda c, m: len(c.star_decomposition(m).stars) == len(c.sources),
+    lambda c, m: f"{len(c.star_decomposition(m).stars)} stars but {len(c.sources)} sources",
+)
+PREY_MONOTONE = _witness(_prey_monotone)
+PRED_BOUND = _witness(_predator_bound)
+PREDATORS_WHEN_K_EQ_L = _witness(_predators_when_k_eq_l)
+PENDANT = _witness(_pendant)
+SUB_MONOTONE = _witness(_sub_monotone)
 
 
 # --- claim catalog --------------------------------------------------------
@@ -396,6 +329,25 @@ class Direction:
     min_m: int | None  # None: m-independent, checked once per digraph
     hypothesis: Callable[[ClaimContext, int], bool]
     conclusion: Callable[[ClaimContext, int], tuple[bool, str | None]]
+
+
+def _implies(name: str, min_m: int | None, hypothesis, *conclusion: Atom) -> Direction:
+    """The direction ``hypothesis ⇒ conclusion[0] ∧ conclusion[1] ∧ …``.
+
+    ``hypothesis`` is one inline conjunction of atom tests: a loop over a
+    tuple of atoms would run for every digraph and m of a scan.  A failed
+    conclusion reports the ``why`` of its first failing atom.
+    """
+    if any(atom.why is None for atom in conclusion):
+        raise ValueError(f"direction {name!r}: every conclusion atom needs a why")
+
+    def conclude(c: ClaimContext, m: int) -> tuple[bool, str | None]:
+        for test, why in conclusion:
+            if not test(c, m):
+                return False, why(c, m)
+        return True, None
+
+    return Direction(name, min_m, hypothesis, conclude)
 
 
 @dataclass(frozen=True)
@@ -413,95 +365,100 @@ class Claim:
 CATALOG: dict[str, Claim] = {
     c.id: c
     for c in (
-        Claim(
-            "prop_2_1",
-            "digraph",
-            (Direction("forward", 1, _h_always, _c_prey_monotone),),
-        ),
+        Claim("prop_2_1", "digraph", (_implies("forward", 1, lambda c, m: True, PREY_MONOTONE),)),
         Claim("lemma_2_2", "grid"),
-        Claim(
-            "prop_2_3",
-            "digraph",
-            (Direction("forward", 1, _h_triangle_free, _c_predator_bound),),
-        ),
-        Claim(
-            "lemma_2_4",
-            "digraph",
-            (Direction("forward", 1, _h_wc_source_tf, _c_source_component_bound),),
-        ),
-        Claim(
-            "prop_2_5",
-            "digraph",
-            (Direction("forward", 2, _h_wc_tf_k_eq_l, _c_pendant),),
-        ),
-        Claim(
-            "lemma_2_6",
-            "digraph",
-            (Direction("forward", None, _h_functional_no_common_prey, _c_cycle_union),),
-        ),
-        Claim(
-            "thm_2_7",
-            "digraph",
-            (Direction("forward", 2, _h_wc_tf_k_eq_l, _c_star_components_and_sg),),
-        ),
-        Claim(
-            "lemma_3_1",
-            "digraph",
-            (Direction("forward", None, _h_star_generating, _c_minus_sources_cycle_union),),
-        ),
+        Claim("prop_2_3", "digraph", (_implies("forward", 1, TF.test, PRED_BOUND),)),
+        Claim("lemma_2_4", "digraph", (
+            _implies(
+                "forward", 1,
+                lambda c, m: WEAKLY_CONNECTED.test(c, m) and HAS_SOURCE.test(c, m)
+                and TF.test(c, m),
+                ENOUGH_COMPONENTS, PREDATORS_WHEN_K_EQ_L,
+            ),
+        )),
+        Claim("prop_2_5", "digraph", (
+            _implies(
+                "forward", 2,
+                lambda c, m: WEAKLY_CONNECTED.test(c, m) and TF.test(c, m) and K_EQ_L.test(c, m),
+                PENDANT,
+            ),
+        )),
+        Claim("lemma_2_6", "digraph", (
+            _implies("forward", None, NO_COMMON_PREY.test, CYCLE_UNION),
+        )),
+        Claim("thm_2_7", "digraph", (
+            _implies(
+                "forward", 2,
+                lambda c, m: WEAKLY_CONNECTED.test(c, m) and TF.test(c, m) and K_EQ_L.test(c, m),
+                STAR_OK, SG,
+            ),
+        )),
+        Claim("lemma_3_1", "digraph", (
+            _implies("forward", None, SG.test, NON_SOURCES_CYCLE_UNION),
+        )),
         Claim("thm_3_2", "census"),
-        Claim(
-            "prop_3_3",
-            "digraph",
-            (Direction("forward", 1, _h_star_generating, _c_k_star_decomposition),),
-        ),
-        Claim(
-            "lemma_3_4",
-            "digraph",
-            (Direction("forward", 1, _h_always, _c_subgraph_monotone),),
-        ),
-        Claim(
-            "lemma_3_5",
-            "digraph",
-            (Direction("forward", 2, _h_weak_sources_tf, _c_at_most_components),),
-        ),
-        Claim(
-            "lemma_3_6",
-            "digraph",
-            (
-                Direction("only_if", 1, _h_weak_all_sg, _c_tf_and_k_eq_l),
-                Direction("if", 2, _h_weak_tf_k_eq_l, _c_all_weak_sg),
+        Claim("prop_3_3", "digraph", (_implies("forward", 1, SG.test, STAR_OK, K_STARS),)),
+        Claim("lemma_3_4", "digraph", (_implies("forward", 1, lambda c, m: True, SUB_MONOTONE),)),
+        Claim("lemma_3_5", "digraph", (
+            _implies("forward", 2, lambda c, m: WEAK_SOURCES.test(c, m) and TF.test(c, m), K_LE_L),
+        )),
+        Claim("lemma_3_6", "digraph", (
+            _implies(
+                "only_if", 1,
+                lambda c, m: WEAK_SOURCES.test(c, m) and ALL_WEAK_SG.test(c, m),
+                TF, K_EQ_L,
             ),
-        ),
-        Claim(
-            "prop_3_7",
-            "digraph",
-            (
-                Direction("only_if", 1, _h_weak_tf_comps_meet_sources, _c_k_eq_l),
-                Direction("if", 2, _h_weak_tf_k_eq_l, _c_comps_meet_sources),
+            _implies(
+                "if", 2,
+                lambda c, m: WEAK_SOURCES.test(c, m) and TF.test(c, m) and K_EQ_L.test(c, m),
+                ALL_WEAK_SG,
             ),
-        ),
-        Claim(
-            "cor_3_8",
-            "digraph",
-            (Direction("forward", 2, _h_weak_tf_comps_meet_sources, _c_all_weak_sg),),
-        ),
-        Claim(
-            "thm_1_2",
-            "digraph",
-            (
-                Direction("only_if", 1, _h_weak_all_sg, _c_star_decomposition_ok),
-                Direction("if", 2, _h_weak_star_decomposition, _c_all_weak_sg),
+        )),
+        Claim("prop_3_7", "digraph", (
+            _implies(
+                "only_if", 1,
+                lambda c, m: WEAK_SOURCES.test(c, m) and TF.test(c, m)
+                and COMPS_MEET_SOURCES.test(c, m),
+                K_EQ_L,
             ),
-        ),
-        Claim(
-            "thm_1_3",
-            "digraph",
-            (
-                Direction("if", 1, _h_single_source_sg, _c_connected_tf),
-                Direction("only_if", 2, _h_source_connected_tf, _c_single_source_sg),
+            _implies(
+                "if", 2,
+                lambda c, m: WEAK_SOURCES.test(c, m) and TF.test(c, m) and K_EQ_L.test(c, m),
+                COMPS_MEET_SOURCES,
             ),
-        ),
+        )),
+        Claim("cor_3_8", "digraph", (
+            _implies(
+                "forward", 2,
+                lambda c, m: WEAK_SOURCES.test(c, m) and TF.test(c, m)
+                and COMPS_MEET_SOURCES.test(c, m),
+                ALL_WEAK_SG,
+            ),
+        )),
+        Claim("thm_1_2", "digraph", (
+            _implies(
+                "only_if", 1,
+                lambda c, m: WEAK_SOURCES.test(c, m) and ALL_WEAK_SG.test(c, m),
+                STAR_OK,
+            ),
+            _implies(
+                "if", 2,
+                lambda c, m: WEAK_SOURCES.test(c, m) and STAR_OK.test(c, m),
+                ALL_WEAK_SG,
+            ),
+        )),
+        Claim("thm_1_3", "digraph", (
+            _implies(
+                "if", 1,
+                lambda c, m: ONE_SOURCE.test(c, m) and SG.test(c, m),
+                CONNECTED, TF,
+            ),
+            _implies(
+                "only_if", 2,
+                lambda c, m: HAS_SOURCE.test(c, m) and CONNECTED.test(c, m) and TF.test(c, m),
+                SG, ONE_SOURCE,
+            ),
+        )),
     )
 }
 
@@ -577,30 +534,25 @@ def _entry_sort_key(entry: dict):
 
 
 def _check_digraph(d: Digraph, claim_ids, m_list, acc) -> None:
-    """Evaluate every requested claim on one digraph, updating accumulators."""
+    """Evaluate every requested claim on one digraph, updating accumulators.
+
+    An m-independent direction is evaluated once, at m = 0, and recorded
+    with m None.  A failure below a direction's m range is a boundary
+    instance: recorded, never a counterexample.
+    """
     ctx = ClaimContext(d)
     for cid in claim_ids:
         hits, cexs, bounds = acc[cid]
         for direction in CATALOG[cid].directions:
-            if direction.min_m is None:
-                if direction.hypothesis(ctx, 0):
-                    hits[0] += 1
-                    ok, detail = direction.conclusion(ctx, 0)
-                    if not ok:
-                        cexs.append(_entry(cid, direction.name, d, None, detail))
-                continue
-            for m in m_list:
-                if m >= direction.min_m:
-                    if direction.hypothesis(ctx, m):
-                        hits[0] += 1
-                        ok, detail = direction.conclusion(ctx, m)
-                        if not ok:
-                            cexs.append(_entry(cid, direction.name, d, m, detail))
-                elif direction.hypothesis(ctx, m):
-                    # below the direction's m range: record, never fail
+            min_m = direction.min_m
+            for m in m_list if min_m is not None else (0,):
+                if direction.hypothesis(ctx, m):
+                    in_range = min_m is None or m >= min_m
+                    hits[0] += in_range
                     ok, detail = direction.conclusion(ctx, m)
                     if not ok:
-                        bounds.append(_entry(cid, direction.name, d, m, detail))
+                        entry = _entry(cid, direction.name, d, m or None, detail)
+                        (cexs if in_range else bounds).append(entry)
 
 
 def _scan_job(args) -> tuple[int, dict]:
@@ -702,8 +654,12 @@ def verify_claims(
 
     Returns one report per claim, in the order given.  With ``workers > 1``
     the space is split into contiguous index ranges; merged results do not
-    depend on the worker count.
+    depend on the worker count.  Sampled mode draws each digraph's order
+    uniformly from 2..n_max (1 when n_max is 1), not in proportion to the
+    size of each order's space, then an index uniformly within that order.
     """
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
     claim_ids = list(dict.fromkeys(claim_ids))
     claims = [_lookup(cid) for cid in claim_ids]
     m_list = sorted(set(m_set))
@@ -744,7 +700,7 @@ def verify_claims(
             rng = random.Random(seed)
             draws = []
             for _ in range(sample_count):
-                n = rng.randint(2, max(2, n_max))
+                n = rng.randint(min(2, n_max), n_max)
                 draws.append((n, rng.randrange(_generate.digraph_space_size(n))))
             chunk = 50_000
             jobs = [

@@ -159,6 +159,18 @@ class TestVerify:
         assert run(["verify", "--claim", "prop_2_1", "--n-max", "2", "--m", "4"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("spec, part", [("abc", "'abc'"), ("1,,2", "''")])
+    def test_unparsable_m_spec(self, capsys, spec, part):
+        assert run(["verify", "--claim", "prop_2_1", "--n-max", "2", "--m", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse m value " + part)
+        assert len(err.splitlines()) == 1
+
+    def test_workers_below_one(self, capsys):
+        argv = ["verify", "--claim", "prop_2_1", "--n-max", "2", "--m", "1", "--workers", "0"]
+        assert run(argv) == 1
+        assert "workers must be at least 1" in capsys.readouterr().err
+
     def test_m_below_claim_range(self, capsys):
         assert run(["verify", "--claim", "prop_2_5", "--n-max", "3", "--m", "1..3"]) == 1
         assert "requires m >= 2" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+import oracles
 from stargen import (
     CATALOG,
     InputError,
@@ -11,7 +13,8 @@ from stargen import (
     verify_claim,
     verify_claims,
 )
-from stargen.verify import Claim, Direction
+from stargen.generate import all_digraphs
+from stargen.verify import CONNECTED, K_EQ_L, TF, Claim, ClaimContext, Direction
 
 ALL_IDS = sorted(CATALOG)
 
@@ -109,6 +112,11 @@ class TestErrors:
         with pytest.raises(InputError):
             verify_claim("prop_2_1", 3, [0, 1])
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(InputError, match="workers must be at least 1"):
+            verify_claim("prop_2_1", 3, [1], workers=workers)
+
 
 class TestSampledMode:
     def test_seed_reproducible(self):
@@ -125,6 +133,18 @@ class TestSampledMode:
         b = verify_claim("prop_2_1", 3, [1], workers=4, **kwargs)
         assert a.hypothesis_hits == b.hypothesis_hits
         assert a.counterexamples == b.counterexamples
+
+    def test_n_max_one_draws_order_one(self, monkeypatch):
+        failing = Claim(
+            "bogus_failing",
+            "digraph",
+            (Direction("forward", 1, _always, lambda ctx, m: (False, "forced failure")),),
+        )
+        monkeypatch.setitem(CATALOG, "bogus_failing", failing)
+        report = verify_claim("bogus_failing", 1, [1], mode="sampled", seed=3, sample_count=20)
+        assert report.n_max == 1
+        assert len(report.counterexamples) == 20
+        assert all(entry["n"] == 1 for entry in report.counterexamples)
 
 
 class TestBoundaryInstances:
@@ -234,3 +254,51 @@ class TestCounterexampleMachinery:
         lines = path.read_text().splitlines()
         assert len(lines) == 4
         assert all(json.loads(line)["verified"] for line in lines)
+
+
+class TestPinnedBoundaries:
+    def test_boundary_details_n4(self):
+        # what a correct catalog emits below each direction's m range at n <= 4
+        reports = verify_claims(["lemma_3_6", "prop_3_7", "thm_1_2", "thm_1_3"], 4, range(1, 7))
+        found = {
+            rep.claim_id: Counter(
+                (e["direction"], e["m"], e["detail"]) for e in rep.boundary_instances
+            )
+            for rep in reports
+        }
+        assert all(rep.verified for rep in reports)
+        assert found == {
+            "lemma_3_6": {("if", 1, "some weak component is not star-generating"): 384},
+            "prop_3_7": {("if", 1, "some component avoids every source"): 12},
+            "thm_1_2": {},
+            "thm_1_3": {("only_if", 1, "digraph is not star-generating"): 372},
+        }
+
+
+def _oracle_component_count(n, edges):
+    parent = list(range(n))
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for e in edges:
+        a, b = tuple(e)
+        parent[root(a)] = root(b)
+    return len({root(v) for v in range(n)})
+
+
+class TestAtomsAgainstOracles:
+    def test_tf_k_eq_l_connected(self):
+        for n in range(1, 4):
+            for d in all_digraphs(n):
+                arcs = list(d.arcs())
+                k = n - len({v for _, v in arcs})
+                ctx = ClaimContext(d)
+                for m in range(1, 5):
+                    edges = oracles.competition_edges(n, arcs, m)
+                    l = _oracle_component_count(n, edges)
+                    assert TF.test(ctx, m) is not oracles.has_triangle(edges, n), (d, m)
+                    assert K_EQ_L.test(ctx, m) is (k == l), (d, m)
+                    assert CONNECTED.test(ctx, m) is (l == 1), (d, m)
