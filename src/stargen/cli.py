@@ -46,19 +46,24 @@ def _read_digraph(path: str) -> _digraph.Digraph:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+# Most m values one --m may list: each one is a pass over every digraph,
+# and a range is expanded into a list before the scan starts.
+MAX_M_VALUES = 1000
+
+
 def _parse_m_spec(spec: str) -> list[int]:
     """Parse '3', '2,3,5', or '1..6' into a list of m values."""
     values: list[int] = []
     for part in spec.split(","):
         part = part.strip()
         try:
-            if ".." in part:
-                lo, hi = part.split("..", 1)
-                values.extend(range(int(lo), int(hi) + 1))
-            else:
-                values.append(int(part))
+            lo, hi = part.split("..", 1) if ".." in part else (part, part)
+            lo, hi = int(lo), int(hi)
         except ValueError:
             raise InputError(f"cannot parse m value {part!r} in {spec!r}") from None
+        if len(values) + hi - lo + 1 > MAX_M_VALUES:
+            raise InputError(f"m specification {spec!r} lists more than {MAX_M_VALUES} values")
+        values.extend(range(lo, hi + 1))
     if not values:
         raise InputError(f"empty m specification {spec!r}")
     return values

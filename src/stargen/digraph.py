@@ -34,7 +34,8 @@ def bitset(members: Iterable[int]) -> int:
 class Digraph:
     """Immutable digraph; vertices are 0..n-1.
 
-    ``out_rows[i]`` is the bitmask of out-neighbors of i.  Instances are
+    ``out_rows[i]`` is the bitmask of out-neighbors of i; ``InputError`` is
+    raised unless there are n rows, each in [0, 2**n).  Instances are
     never mutated after construction, so they are safe to share across
     threads; the in-row transpose is materialized on first use.
     """
@@ -42,8 +43,13 @@ class Digraph:
     __slots__ = ("n", "out_rows", "_in_rows")
 
     def __init__(self, n: int, out_rows: Iterable[int]):
+        rows = tuple(out_rows)
+        if len(rows) != n:
+            raise InputError(f"expected {n} out-rows, got {len(rows)}")
+        if rows and (min(rows) < 0 or max(rows) >> n):
+            raise InputError(f"out-rows must lie in [0, 2**{n}), got {min(rows)}..{max(rows)}")
         self.n = n
-        self.out_rows = tuple(out_rows)
+        self.out_rows = rows
         self._in_rows: tuple[int, ...] | None = None
 
     @property
@@ -231,6 +237,11 @@ def induced_subdigraph(d: Digraph, keep: Iterable[int]) -> tuple[Digraph, list[i
 # Digraphs and undirected graphs share one text format and one DOT layout;
 # they differ only in the pair iterator, the DOT keyword and edge operator.
 
+# Largest vertex count a text file may declare.  Every pass over bitset rows
+# is at least quadratic in n, and the header alone would otherwise size the
+# row list, so a stray header like 1000000000 exhausts memory.
+MAX_TEXT_ORDER = 1024
+
 
 def _parse_pairs(text: str, noun: str) -> tuple[int, list[tuple[int, int]]]:
     """Parse the edge-list format into (n, pairs): first line n, then one
@@ -256,6 +267,8 @@ def _parse_pairs(text: str, noun: str) -> tuple[int, list[tuple[int, int]]]:
             raise InputError(f"line {lineno}: cannot parse {raw!r}") from None
     if n is None:
         raise InputError(f"empty {noun} file")
+    if n > MAX_TEXT_ORDER:
+        raise InputError(f"vertex count {n} exceeds the limit of {MAX_TEXT_ORDER}")
     return n, pairs
 
 

@@ -6,7 +6,8 @@ Every claim is split into directed sub-checks with their own minimum m
 different m ranges).  Each direction is written as ``hypothesis ⇒
 conclusion atoms`` over one set of named atoms, which are composed from
 the public operations of the other modules; a per-digraph context only
-memoizes their results.
+memoizes their results.  The subdigraph check alone works on out-rows
+directly, so no context is built per subdigraph.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class ClaimContext:
         self._report = None
         self._all_weak_sg = None
         self._every_weak_src = None
-        self._subs = None
+        self._subs = None  # m -> prey rows of every subdigraph; 1 holds the subdigraphs
 
     def power(self, m: int) -> Digraph:
         p = self._powers.get(m)
@@ -143,26 +144,42 @@ class ClaimContext:
     def star_decomposition(self, m: int):
         return _competition.star_decomposition(self.graph(m), self.sources)
 
-    def subdigraphs(self) -> list[tuple["ClaimContext", list[int]]]:
-        """Deterministic subdigraph selection for monotonicity checks:
-        every one-arc deletion that keeps all outdegrees >= 1, plus each
-        induced weak component when there are several.
+    def subdigraphs(self) -> list[list[int]]:
+        """Deterministic subdigraph selection for monotonicity checks.
+
+        Each subdigraph is a list of out-rows on this digraph's labels, in
+        this order: every one-arc deletion (u, v) that keeps all outdegrees
+        >= 1, by (u, v); then, when there are several weak components, each
+        component with every row outside it zeroed.
         """
         if self._subs is None:
+            host = self.d.out_rows
             subs = []
-            for u, row in enumerate(self.d.out_rows):
+            for u, row in enumerate(host):
                 if row.bit_count() < 2:
                     continue
                 for v in _digraph.bits(row):
-                    rows = list(self.d.out_rows)
+                    rows = list(host)
                     rows[u] = row & ~(1 << v)
-                    subs.append((ClaimContext(Digraph(self.d.n, rows)), list(range(self.d.n))))
+                    subs.append(rows)
             if not self.weakly_connected:
                 for comp in self.weak:
-                    sub, old_of = _digraph.induced_subdigraph(self.d, comp)
-                    subs.append((ClaimContext(sub), old_of))
-            self._subs = subs
-        return self._subs
+                    subs.append([row if u in comp else 0 for u, row in enumerate(host)])
+            self._subs = {1: subs}
+        return self._subs[1]
+
+    def sub_powers(self, m: int) -> list[list[int]]:
+        """The m-step prey rows of every subdigraph, in ``subdigraphs`` order."""
+        subs = self.subdigraphs()
+        powers = self._subs.get(m)
+        if powers is None:
+            prev = self._subs.get(m - 1)
+            if prev is not None:
+                powers = [_digraph._row_product(p, s) for p, s in zip(prev, subs)]
+            else:
+                powers = [_digraph._row_power(s, m) for s in subs]
+            self._subs[m] = powers
+        return powers
 
 
 # --- atoms ----------------------------------------------------------------
@@ -243,13 +260,18 @@ def _pendant(c: ClaimContext, m: int) -> str | None:
 
 
 def _sub_monotone(c: ClaimContext, m: int) -> str | None:
-    g = c.graph(m)
-    for sub_ctx, old_of in c.subdigraphs():
-        gs = sub_ctx.graph(m)
-        for a, b in gs.edges():
-            if not g.has_edge(old_of[a], old_of[b]):
+    # a subdigraph's edge is missing from the host's C^m iff it joins a
+    # host non-edge, so only those pairs are tested, in lexicographic order
+    g = c.graph(m).rows
+    n = c.d.n
+    missing = [(u, v) for u in range(n) for v in range(u + 1, n) if not g[u] >> v & 1]
+    if not missing:
+        return None
+    for prey in c.sub_powers(m):
+        for u, v in missing:
+            if prey[u] & prey[v]:
                 return (
-                    f"edge {{{old_of[a]}, {old_of[b]}}} of a subdigraph's "
+                    f"edge {{{u}, {v}}} of a subdigraph's "
                     f"{m}-step competition graph is missing from the host's"
                 )
     return None

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stargen import figure_digraphs, from_arc_list, parse_edge_list
-from stargen.cli import run
-from stargen.digraph import format_edge_list
+from stargen.cli import MAX_M_VALUES, run
+from stargen.digraph import MAX_TEXT_ORDER, format_edge_list
 
 
 @pytest.fixture
@@ -62,6 +68,14 @@ class TestCompete:
     def test_missing_input(self, capsys):
         assert run(["compete", "--input", "/nonexistent/d.txt", "--m", "1"]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_header_over_the_order_limit(self, tmp_path, capsys):
+        # the header used to size the row list: a MemoryError traceback
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000\n0 1\n")
+        assert run(["compete", "--input", str(path), "--m", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: vertex count 1000000000 exceeds the limit of {MAX_TEXT_ORDER}\n"
 
 
 class TestClassify:
@@ -166,6 +180,15 @@ class TestVerify:
         assert err.startswith("error: cannot parse m value " + part)
         assert len(err.splitlines()) == 1
 
+    def test_m_range_over_the_limit(self, capsys):
+        # the range used to be expanded whole: a MemoryError traceback
+        argv = ["verify", "--claim", "prop_2_1", "--n-max", "2", "--m", "1..1000000000000"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: m specification '1..1000000000000' lists more than {MAX_M_VALUES} values\n"
+        )
+
     def test_workers_below_one(self, capsys):
         argv = ["verify", "--claim", "prop_2_1", "--n-max", "2", "--m", "1", "--workers", "0"]
         assert run(argv) == 1
@@ -247,3 +270,70 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "counterexamples" in out
         assert "forced failure" in out
+
+
+def _run_quietly(argv):
+    """Exit code and stderr of one in-process CLI run; argparse exits with 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+# small orders keep each run fast; the rest are rejected or over the limit
+_HEADERS = st.sampled_from([-1, 0, 1, 2, 3, 5, MAX_TEXT_ORDER + 1, 10**9])
+_PAIR_LINE = st.one_of(
+    st.tuples(st.integers(-1, 5), st.integers(-1, 5)).map(lambda p: f"{p[0]} {p[1]}"),
+    st.text(alphabet="0123456789 -x#", max_size=6),
+)
+_EDGE_LIST_TEXT = st.one_of(
+    st.builds(
+        lambda header, lines: "\n".join([str(header), *lines]) + "\n",
+        _HEADERS,
+        st.lists(_PAIR_LINE, max_size=8),
+    ),
+    st.text(alphabet="0123456789 -\n#x", max_size=24),
+)
+_M_BOUND = st.sampled_from(["-1", "0", "1", "2", "3", "7", "1000000000000"])
+_M_SPEC = st.one_of(
+    _M_BOUND,
+    st.builds(lambda lo, hi: f"{lo}..{hi}", _M_BOUND, _M_BOUND),
+    st.lists(_M_BOUND, min_size=1, max_size=3).map(",".join),
+    st.text(alphabet="0123456789.,- ", max_size=5),
+)
+_FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestFuzz:
+    """Arbitrary input files and --m strings end in exit 0, 1 or 2, never a traceback."""
+
+    @_FUZZ
+    @given(text=_EDGE_LIST_TEXT, m=st.sampled_from(["0", "1", "3", str(2**60), "x"]))
+    def test_compete_and_classify_files(self, text, m):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.txt"
+            path.write_text(text)
+            for argv in (
+                ["compete", "--input", str(path), "--m", m],
+                ["classify", "--input", str(path), "--json"],
+            ):
+                code, err = _run_quietly(argv)
+                assert code in (0, 1, 2), (argv, text)
+                assert "Traceback" not in err
+
+    # prop_2_3 is left out: its predator bound computes every power up to m,
+    # so m = 1000000000000 would not finish
+    @_FUZZ
+    @given(
+        spec=_M_SPEC,
+        claim=st.sampled_from(["prop_2_1", "lemma_3_4", "thm_1_3"]),
+        n_max=st.integers(-1, 2),
+    )
+    def test_verify_m_specs(self, spec, claim, n_max):
+        argv = ["verify", "--claim", claim, "--n-max", str(n_max), "--m", spec]
+        code, err = _run_quietly(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err

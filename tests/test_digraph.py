@@ -44,6 +44,25 @@ class TestFromArcList:
             from_arc_list(0, [])
 
 
+class TestRowValidation:
+    @pytest.mark.parametrize(
+        "n, rows, message",
+        [
+            (2, [0b100, 1], r"out-rows must lie in \[0, 2\*\*2\)"),
+            (3, [1], "expected 3 out-rows, got 1"),
+            (2, [-1, 1], r"out-rows must lie in \[0, 2\*\*2\)"),
+        ],
+    )
+    def test_malformed_rows_rejected(self, n, rows, message):
+        # a row bit at or above n used to surface as an IndexError deep in classify
+        with pytest.raises(InputError, match=message):
+            Digraph(n, rows)
+
+    def test_full_rows_accepted(self):
+        assert Digraph(2, [0b11, 0b11]).arc_count() == 4
+        assert Digraph(0, []).n == 0
+
+
 class TestMinOutdegree:
     def test_examples(self):
         assert has_min_outdegree_one(FIGS["fig1_D1"])
@@ -227,3 +246,10 @@ class TestEdgeListFormat:
             parse_edge_list("3\n0 x\n")
         with pytest.raises(InputError):
             parse_edge_list("")
+
+    def test_header_over_the_order_limit(self):
+        from stargen.digraph import MAX_TEXT_ORDER, parse_edge_list
+
+        parse_edge_list(f"{MAX_TEXT_ORDER}\n0 1\n")
+        with pytest.raises(InputError, match="vertex count 1000000000 exceeds"):
+            parse_edge_list("# big\n1000000000\n0 1\n")

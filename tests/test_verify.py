@@ -13,8 +13,18 @@ from stargen import (
     verify_claim,
     verify_claims,
 )
+from stargen import Digraph, m_step_digraph
+from stargen.competition import Graph
 from stargen.generate import all_digraphs
-from stargen.verify import CONNECTED, K_EQ_L, TF, Claim, ClaimContext, Direction
+from stargen.verify import (
+    CONNECTED,
+    K_EQ_L,
+    SUB_MONOTONE,
+    TF,
+    Claim,
+    ClaimContext,
+    Direction,
+)
 
 ALL_IDS = sorted(CATALOG)
 
@@ -302,3 +312,93 @@ class TestAtomsAgainstOracles:
                     assert TF.test(ctx, m) is not oracles.has_triangle(edges, n), (d, m)
                     assert K_EQ_L.test(ctx, m) is (k == l), (d, m)
                     assert CONNECTED.test(ctx, m) is (l == 1), (d, m)
+
+
+def _oracle_weak_components(n, arcs):
+    comps = [{v} for v in range(n)]
+    for u, v in arcs:
+        a = next(c for c in comps if u in c)
+        b = next(c for c in comps if v in c)
+        if a is not b:
+            a |= b
+            comps.remove(b)
+    return sorted(comps, key=min)
+
+
+def _oracle_subdigraph_arcs(n, arcs):
+    """Arc lists of the documented subdigraphs, in order: one-arc deletions
+    by (u, v) that keep every outdegree >= 1, then the weak components
+    when there are several.
+    """
+    outdegree = Counter(u for u, _ in arcs)
+    subs = [[a for a in arcs if a != (u, v)] for u, v in sorted(arcs) if outdegree[u] >= 2]
+    comps = _oracle_weak_components(n, arcs)
+    if len(comps) > 1:
+        subs.extend([a for a in arcs if a[0] in comp] for comp in comps)
+    return subs
+
+
+def _missing_edge(a, b, m):
+    return f"edge {{{a}, {b}}} of a subdigraph's {m}-step competition graph is missing from the host's"
+
+
+class TestSubMonotone:
+    def test_forced_empty_host_names_first_subdigraph_edge(self):
+        # with the host's C^m emptied through the memo, every edge of every
+        # subdigraph's C^m is missing: the witness is the first edge of the
+        # first subdigraph that has one
+        failures = 0
+        for n in range(1, 4):
+            for d in all_digraphs(n):
+                arcs = sorted(d.arcs())
+                ctx = ClaimContext(d)
+                for m in range(1, 5):
+                    ctx._graphs[m] = Graph(n, [0] * n)
+                    expected = None
+                    for sub in _oracle_subdigraph_arcs(n, arcs):
+                        edges = oracles.competition_edges(n, sub, m)
+                        if edges:
+                            expected = _missing_edge(*min(sorted(e) for e in edges), m)
+                            break
+                    assert SUB_MONOTONE.test(ctx, m) is (expected is None), (arcs, m)
+                    if expected is not None:
+                        failures += 1
+                        assert SUB_MONOTONE.why(ctx, m) == expected, (arcs, m)
+        assert failures == 1308
+
+    def test_disconnected_host_subdigraph_rows(self):
+        # weak components {0, 1} and {2, 3}; only vertex 0 has two prey
+        d = Digraph(4, [0b0011, 0b0001, 0b1000, 0b1000])
+        assert ClaimContext(d).subdigraphs() == [
+            [0b0010, 0b0001, 0b1000, 0b1000],
+            [0b0001, 0b0001, 0b1000, 0b1000],
+            [0b0011, 0b0001, 0, 0],
+            [0, 0, 0b1000, 0b1000],
+        ]
+
+    def test_component_subdigraph_is_the_witness(self):
+        # no vertex has two prey, so only the components {0} and {1, 2} are checked
+        d = Digraph(3, [0b001, 0b010, 0b010])
+        ctx = ClaimContext(d)
+        assert ctx.subdigraphs() == [[0b001, 0, 0], [0, 0b010, 0b010]]
+        assert SUB_MONOTONE.test(ctx, 1)
+        ctx._graphs[1] = Graph(3, [0, 0, 0])
+        assert SUB_MONOTONE.why(ctx, 1) == _missing_edge(1, 2, 1)
+
+    def test_sub_powers_match_m_step_digraph(self):
+        # stepping from m - 1 and squaring from scratch give the same rows
+        for d in list(all_digraphs(3))[::7]:
+            ctx = ClaimContext(d)
+            for m in (3, 1, 2, 4, 9):
+                expected = [
+                    list(m_step_digraph(Digraph(d.n, rows), m).out_rows)
+                    for rows in ctx.subdigraphs()
+                ]
+                assert ctx.sub_powers(m) == expected, (d, m)
+
+    def test_lemma_3_4_report_n4(self):
+        report = verify_claim("lemma_3_4", 4, range(1, 7))
+        assert report.digraphs_examined == 50978
+        assert report.hypothesis_hits == 305868
+        assert report.counterexamples == []
+        assert report.boundary_instances == []
