@@ -1,0 +1,479 @@
+"""Bit-sliced evaluation of claim atoms over batches of the digraph stream.
+
+A *plane* is a Python int whose bit b stands for the digraph at stream
+index ``start + b`` (the bitslice technique of Biham, *A fast new DES
+implementation in software*, FSE 1997).  The n x n arc planes of a batch
+hold its adjacency matrices, so one boolean matrix product of planes is
+one product for every digraph of the batch, and a property of (D, m)
+becomes one plane whose set bits are the digraphs that have it.
+
+Batches are aligned to ``(2**n - 1)**t`` indices, ``t`` the most trailing
+out-rows that keep a batch within ``CAP_BITS``.  The trailing t rows run
+through every value inside a batch, the same way in every batch, so their
+arc planes are built once per scanned range; the leading rows are constant
+in a batch, so their arc planes are all zeros or all ones.
+
+``PlaneContext`` mirrors ``verify.ClaimContext``: it memoizes powers,
+competition graphs, sources, closures and degree counters for one batch,
+and the atoms of the claim catalog read their ``plane`` from it.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+# most digraphs (bits) one batch may hold
+CAP_BITS = 1 << 18
+
+
+def trailing_rows(n: int) -> int:
+    """The number t of out-rows that vary inside a batch of order n."""
+    base = 2**n - 1
+    t = 1
+    while t < n and base ** (t + 1) <= CAP_BITS:
+        t += 1
+    return t
+
+
+def batch_size(n: int) -> int:
+    """Stream indices per batch of order n."""
+    return (2**n - 1) ** trailing_rows(n)
+
+
+def _trailing_arcs(n: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Arc planes of the last t out-rows, the same in every batch of order n.
+
+    Row ``n - 1 - p`` holds digit ``(b // base**p) % base`` at bit b, and
+    its value is that digit plus one, as in ``generate.digraph_at``.
+    """
+    base = 2**n - 1
+    rows = []
+    for p in range(t - 1, -1, -1):
+        run = base**p
+        period = run * base
+        # the period's pattern repeats base**(t-p-1) times; the repunit
+        # multiplier copies it without carries, since pattern < 2**period
+        copies = base ** (t - p - 1)
+        repunit = ((1 << period * copies) - 1) // ((1 << period) - 1)
+        block = (1 << run) - 1
+        row = []
+        for w in range(n):
+            pattern = 0
+            for digit in range(base):
+                if (digit + 1) >> w & 1:
+                    pattern |= block << digit * run
+            row.append(pattern * repunit)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def batches(n: int, start: int, stop: int) -> Iterator[PlaneContext]:
+    """One ``PlaneContext`` per batch of order n meeting indices [start, stop)."""
+    base = 2**n - 1
+    t = trailing_rows(n)
+    size = base**t
+    full = (1 << size) - 1
+    trailing = _trailing_arcs(n, t)
+    for first in range(start - start % size, stop, size):
+        lo, hi = max(start, first) - first, min(stop, first + size) - first
+        valid = ((1 << hi) - 1) ^ ((1 << lo) - 1)
+        leading = []
+        rest = first // size
+        for _ in range(n - t):
+            rest, digit = divmod(rest, base)
+            leading.append(tuple(full if (digit + 1) >> w & 1 else 0 for w in range(n)))
+        yield PlaneContext(n, first, full, valid, tuple(leading[::-1]) + trailing)
+
+
+# --- plane arithmetic ------------------------------------------------------
+
+
+def _product(a, b) -> tuple[tuple[int, ...], ...]:
+    """Boolean matrix product of two n x n matrices of planes."""
+    out = []
+    for row in a:
+        acc = [0] * len(row)
+        for x, brow in zip(row, b):
+            if x:
+                for k, y in enumerate(brow):
+                    acc[k] |= x & y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def _power(a, m: int):
+    # exponentiation by squaring; m >= 1
+    result = None
+    sq = a
+    while True:
+        if m & 1:
+            result = sq if result is None else _product(result, sq)
+        m >>= 1
+        if not m:
+            return result
+        sq = _product(sq, sq)
+
+
+def _at_least(planes, top: int, full: int) -> list[int]:
+    """Saturating bit-sliced counter: item j is set where at least j of
+    ``planes`` are, for j = 0..top.
+    """
+    ge = [full] + [0] * top
+    for x in planes:
+        for j in range(top, 0, -1):
+            ge[j] |= ge[j - 1] & x
+    return ge
+
+
+def _exactly(ge: list[int]) -> list[int]:
+    """Exact counts from an unsaturated ``_at_least`` counter."""
+    return [a ^ b for a, b in zip(ge, ge[1:])] + [ge[-1]]
+
+
+def _closure(adj, full: int) -> list[list[int]]:
+    """Reflexive-transitive closure of a symmetric matrix of planes (Warshall)."""
+    n = len(adj)
+    r = [list(row) for row in adj]
+    for v in range(n):
+        r[v][v] = full
+    for k in range(n):
+        rk = r[k]
+        for ri in r:
+            x = ri[k]
+            if x:
+                for j in range(n):
+                    ri[j] |= x & rk[j]
+    return r
+
+
+def _minima(r, full: int) -> list[int]:
+    """Planes of 'v is the smallest vertex of its component' from a closure."""
+    return [full ^ _any(r[u][v] for u in range(v)) for v in range(len(r))]
+
+
+def _any(planes) -> int:
+    acc = 0
+    for x in planes:
+        acc |= x
+    return acc
+
+
+def _all(planes, full: int) -> int:
+    acc = full
+    for x in planes:
+        acc &= x
+    return acc
+
+
+# --- the per-batch memo ----------------------------------------------------
+
+
+class PlaneContext:
+    """Memo of bit planes for one batch of the digraph stream.
+
+    Bit b of every plane is the digraph at index ``start + b``; ``valid``
+    marks the bits inside the scanned range.  Methods mirror
+    ``verify.ClaimContext``, return planes masked to ``full``, and take m
+    even for properties of D alone.  A scan evaluates m in increasing order
+    and calls ``release`` after each, so only the planes of about two
+    consecutive m are held at a time.
+    """
+
+    __slots__ = (
+        "n",
+        "start",
+        "full",
+        "valid",
+        "arcs",
+        "in_degrees",
+        "sources",
+        "source_count",
+        "_powers",
+        "_graphs",
+        "_cm",
+        "_stars",
+        "_weak",
+        "_local_sg",
+        "_pred",
+    )
+
+    def __init__(self, n: int, start: int, full: int, valid: int, arcs):
+        self.n = n
+        self.start = start
+        self.full = full
+        self.valid = valid
+        self.arcs = arcs
+        self.in_degrees = self._in_counts(arcs)
+        self.sources = [full ^ ge[1] for ge in self.in_degrees]
+        # item j: the plane of digraphs with exactly j sources
+        self.source_count = _exactly(_at_least(self.sources, n, full))
+        self._powers = {1: arcs}
+        self._graphs = {}
+        self._cm = {}  # m -> (connected, exact counts of l, components meet sources)
+        self._stars = {}
+        self._weak = None  # (weakly connected, every weak component has a source)
+        self._local_sg = None
+        # predator bound: [item i: in-degrees <= 2 in D^1..D^i, anchor power, repeated]
+        self._pred = None
+
+    def release(self, m: int) -> None:
+        """Drop the planes that only steps at m or below read."""
+        for memo in (self._graphs, self._cm, self._stars):
+            for key in [key for key in memo if key <= m]:
+                del memo[key]
+        for key in [key for key in self._powers if 1 < key <= m]:
+            del self._powers[key]
+
+    # -- D and its powers
+
+    def power(self, m: int):
+        p = self._powers.get(m)
+        if p is None:
+            prev = self._powers.get(m - 1)
+            p = _product(prev, self.arcs) if prev is not None else _power(self.arcs, m)
+            self._powers[m] = p
+        return p
+
+    def _in_counts(self, power) -> list[list[int]]:
+        # per vertex, its in-degree counter saturated at 3
+        return [_at_least(col, 3, self.full) for col in zip(*power)]
+
+    def _out_degree_one(self, keep=None) -> list[int]:
+        # planes of 'exactly one prey' (among ``keep`` when given) per vertex
+        full = self.full
+        out = []
+        for row in self.arcs:
+            ge = _at_least(row if keep is None else (x & k for x, k in zip(row, keep)), 2, full)
+            out.append(ge[1] ^ ge[2])
+        return out
+
+    def one_source(self, m: int = 0) -> int:
+        return self.source_count[1]
+
+    # -- C^m(D)
+
+    def graph(self, m: int) -> list[list[int]]:
+        """Edge planes of C^m(D), as a symmetric matrix with a zero diagonal."""
+        g = self._graphs.get(m)
+        if g is None:
+            prey = self.power(m)
+            n = self.n
+            g = [[0] * n for _ in range(n)]
+            for u in range(n):
+                for v in range(u + 1, n):
+                    e = 0
+                    for x, y in zip(prey[u], prey[v]):
+                        e |= x & y
+                    g[u][v] = g[v][u] = e
+            self._graphs[m] = g
+        return g
+
+    def triangle_free(self, m: int) -> int:
+        g = self.graph(m)
+        n = self.n
+        tri = 0
+        for u in range(n):
+            for v in range(u + 1, n):
+                uv = g[u][v]
+                if uv:
+                    for w in range(v + 1, n):
+                        tri |= uv & g[u][w] & g[v][w]
+        return self.full ^ tri
+
+    def _components(self, m: int):
+        c = self._cm.get(m)
+        if c is None:
+            r = _closure(self.graph(m), self.full)
+            l = _exactly(_at_least(_minima(r, self.full), self.n, self.full))
+            c = (_all(r[0], self.full), l, self._components_meet_sources(r))
+            self._cm[m] = c
+        return c
+
+    def connected(self, m: int) -> int:
+        return self._components(m)[0]
+
+    def k_eq_l(self, m: int) -> int:
+        return _any(a & b for a, b in zip(self.source_count, self._components(m)[1]))
+
+    def k_le_l(self, m: int) -> int:
+        # l >= j for the j = k of each digraph: suffix unions of the exact counts
+        l_ge, acc = [], 0
+        for plane in reversed(self._components(m)[1]):
+            acc |= plane
+            l_ge.append(acc)
+        return _any(a & b for a, b in zip(self.source_count, reversed(l_ge)))
+
+    def every_cm_component_meets_sources(self, m: int) -> int:
+        return self._components(m)[2]
+
+    def star_ok(self, m: int) -> int:
+        """Every component of C^m is a nontrivial star with a center among the sources.
+
+        A component is a nontrivial star iff it has no isolated vertex and
+        no edge joins two vertices of degree >= 2; its center is then the
+        one vertex of degree >= 2, or either end of a single edge.
+        """
+        ok = self._stars.get(m)
+        if ok is None:
+            g = self.graph(m)
+            src = self.sources
+            full = self.full
+            deg = [_at_least(row, 2, full) for row in g]
+            bad = 0
+            for v in range(self.n):
+                bad |= (full ^ deg[v][1]) | (deg[v][2] & ~src[v])
+                for u in range(v):
+                    e = g[u][v]
+                    if e:
+                        hubs, leaves = deg[u][2] & deg[v][2], ~(deg[u][2] | deg[v][2])
+                        bad |= e & (hubs | leaves & ~(src[u] | src[v]))
+            ok = self._stars[m] = full & ~bad
+        return ok
+
+    def k_stars(self, m: int) -> int:
+        # a star decomposition has one star per component of C^m
+        return self.star_ok(m) & self.k_eq_l(m)
+
+    # -- properties of D
+
+    def _components_meet_sources(self, r) -> int:
+        src = self.sources
+        bad = 0
+        for v, first in enumerate(_minima(r, self.full)):
+            bad |= first & ~_any(x & s for x, s in zip(r[v], src))
+        return self.full & ~bad
+
+    def _weak_components(self):
+        if self._weak is None:
+            a = self.arcs
+            n = self.n
+            r = _closure([[a[u][v] | a[v][u] for v in range(n)] for u in range(n)], self.full)
+            self._weak = (_all(r[0], self.full), self._components_meet_sources(r))
+        return self._weak
+
+    def weakly_connected(self, m: int = 0) -> int:
+        return self._weak_components()[0]
+
+    def has_source(self, m: int = 0) -> int:
+        return _any(self.sources)
+
+    def every_weak_component_has_source(self, m: int = 0) -> int:
+        return self._weak_components()[1]
+
+    def all_weak_star_generating(self, m: int = 0) -> int:
+        """Every weak component is star-generating on its own.
+
+        No arc leaves a weak component, so its sources, prey and
+        predators are those of D: S1 (less 'a source exists', checked per
+        component), S2 and S3 are conditions on single vertices of D.
+        """
+        if self._local_sg is None:
+            full = self.full
+            src = self.sources
+            in_eq2 = [ge[2] & ~ge[3] for ge in self.in_degrees]
+            out_eq1 = self._out_degree_one()
+            bad = 0
+            for w, col in enumerate(zip(*self.arcs)):
+                by_src = _at_least((x & s for x, s in zip(col, src)), 2, full)
+                bad |= (
+                    (full ^ _any(self.arcs[w]))  # no prey
+                    | by_src[2]  # S2: two sources share prey w
+                    | by_src[1] & ~in_eq2[w]  # S1: prey w of a source
+                    | ~src[w] & ~(out_eq1[w] & in_eq2[w] & by_src[1] & ~by_src[2])  # S3
+                )
+            self._local_sg = full & ~bad & self.every_weak_component_has_source()
+        return self._local_sg
+
+    def star_generating(self, m: int = 0) -> int:
+        return self.all_weak_star_generating() & self.weakly_connected()
+
+    def cycle_union(self, m: int = 0) -> int:
+        in_eq1 = [ge[1] & ~ge[2] for ge in self.in_degrees]
+        return _all(self._out_degree_one() + in_eq1, self.full)
+
+    def no_common_prey(self, m: int = 0) -> int:
+        in_le1 = [self.full ^ ge[2] for ge in self.in_degrees]
+        return _all(self._out_degree_one() + in_le1, self.full)
+
+    def non_sources_cycle_union(self, m: int = 0) -> int:
+        """Deleting the sources leaves a vertex-disjoint union of cycles."""
+        full = self.full
+        kept = [full ^ s for s in self.sources]
+        out_eq1 = self._out_degree_one(kept)
+        bad = 0
+        for u, col in enumerate(zip(*self.arcs)):
+            ge = _at_least((x & k for x, k in zip(col, kept)), 2, full)
+            bad |= kept[u] & ~(out_eq1[u] & ge[1] & ~ge[2])
+        return full & ~bad
+
+    # -- witness atoms
+
+    def prey_monotone(self, m: int) -> int:
+        g, g_next = self.graph(m), self.graph(m + 1)
+        bad = 0
+        for u in range(self.n):
+            for v in range(u + 1, self.n):
+                bad |= g[u][v] & ~g_next[u][v]
+        return self.full & ~bad
+
+    def predator_bound(self, m: int) -> int:
+        """In-degrees stay <= 2 in D^1..D^m.
+
+        Powers are eventually periodic, so once a digraph's D^i equals an
+        earlier power, later powers add no new in-degrees, and the loop
+        stops when that holds for the whole batch.  D^i is compared with
+        the anchor D^(2^k), 2^k < i <= 2^(k+1), as in Brent's cycle
+        detection: a digraph whose powers repeat from D^a on, with period
+        p, matches by i = 2 max(a, p), and only one earlier power is kept.
+        """
+        if self._pred is None:
+            self._pred = [[self.full], None, 0]
+        ok, anchor, repeated = self._pred
+        full = self.full
+        while len(ok) <= m and repeated != full:
+            i = len(ok)
+            p = self.power(i)
+            if anchor is not None:
+                same = full
+                for x, y in zip(sum(p, ()), anchor):
+                    same &= ~(x ^ y)
+                    if not same:
+                        break
+                repeated |= same
+            if not i & (i - 1):
+                anchor = sum(p, ())
+            ok.append(ok[-1] & ~_any(ge[3] for ge in self._in_counts(p)))
+        self._pred[1:] = anchor, repeated
+        return ok[min(m, len(ok) - 1)]
+
+    def predators_when_k_eq_l(self, m: int) -> int:
+        """When k = l, every non-source has two m-step predators and shares
+        at most one with any other vertex.
+        """
+        full = self.full
+        src = self.sources
+        power = self.power(m)
+        pred = list(zip(*power))
+        bad = 0
+        for u, ge in enumerate(self._in_counts(power)):
+            bad |= ~src[u] & ~(ge[2] & ~ge[3])
+            for v in range(u + 1, self.n):
+                shared = _at_least((x & y for x, y in zip(pred[u], pred[v])), 2, full)
+                bad |= shared[2] & ~(src[u] & src[v])
+        return full & ~(bad & self.k_eq_l(m))
+
+    def pendant(self, m: int) -> int:
+        """A vertex sharing prey with a source has one prey, and that source
+        is its only neighbor in C^m.
+        """
+        g1, g = self.graph(1), self.graph(m)
+        src = self.sources
+        out_eq1 = self._out_degree_one()
+        n = self.n
+        bad = 0
+        for u in range(n):
+            for v in range(n):
+                if u != v:
+                    only_v = g[u][v] & ~_any(g[u][x] for x in range(n) if x != v)
+                    bad |= src[v] & g1[u][v] & ~(out_eq1[u] & only_v)
+        return self.full & ~bad

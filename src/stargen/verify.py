@@ -8,6 +8,12 @@ conclusion atoms`` over one set of named atoms, which are composed from
 the public operations of the other modules; a per-digraph context only
 memoizes their results.  The subdigraph check alone works on out-rows
 directly, so no context is built per subdigraph.
+
+An exhaustive scan evaluates each direction whose atoms all have a bit
+plane form on whole batches of the stream at once (``bitslice``), and
+replays only the digraphs it flags on a ``ClaimContext``, which writes
+their failure details; every other direction, sampled scans and replays
+run on ``ClaimContext`` alone.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, NamedTuple
 
+from . import bitslice as _bitslice
 from . import classify as _classify
 from . import competition as _competition
 from . import digraph as _digraph
@@ -40,6 +47,7 @@ class ClaimContext:
         "_report",
         "_all_weak_sg",
         "_every_weak_src",
+        "_stars",
         "_subs",
     )
 
@@ -54,6 +62,7 @@ class ClaimContext:
         self._report = None
         self._all_weak_sg = None
         self._every_weak_src = None
+        self._stars = {}
         self._subs = None  # m -> prey rows of every subdigraph; 1 holds the subdigraphs
 
     def power(self, m: int) -> Digraph:
@@ -142,7 +151,11 @@ class ClaimContext:
         return all(not comp.isdisjoint(src) for comp in self.components(m))
 
     def star_decomposition(self, m: int):
-        return _competition.star_decomposition(self.graph(m), self.sources)
+        sd = self._stars.get(m)
+        if sd is None:
+            sd = _competition.star_decomposition(self.graph(m), self.sources)
+            self._stars[m] = sd
+        return sd
 
     def subdigraphs(self) -> list[list[int]]:
         """Deterministic subdigraph selection for monotonicity checks.
@@ -184,20 +197,25 @@ class ClaimContext:
 
 # --- atoms ----------------------------------------------------------------
 # Every claim direction is an implication between about a dozen properties
-# of D and C^m(D).  An atom names one of them: ``test`` decides it and
-# ``why`` formats the failure detail, called only after ``test`` failed.
+# of D and C^m(D).  An atom names one of them: ``test`` decides it on a
+# ``ClaimContext``, ``why`` formats the failure detail, called only after
+# ``test`` failed, and ``plane`` decides it for a whole batch of digraphs
+# on a ``bitslice.PlaneContext``.
 
 
 class Atom(NamedTuple):
-    """A property of (D, m); atoms used only in hypotheses need no ``why``."""
+    """A property of (D, m); atoms used only in hypotheses need no ``why``,
+    and an atom without a ``plane`` keeps its directions on the scalar path.
+    """
 
     test: Callable[[ClaimContext, int], bool]
     why: Callable[[ClaimContext, int], str] | None = None
+    plane: Callable[[_bitslice.PlaneContext, int], int] | None = None
 
 
-def _witness(find: Callable[[ClaimContext, int], str | None]) -> Atom:
+def _witness(find: Callable[[ClaimContext, int], str | None], plane=None) -> Atom:
     """Atom whose detail names a witness: ``find`` returns it, or None if the property holds."""
-    return Atom(lambda c, m: find(c, m) is None, find)
+    return Atom(lambda c, m: find(c, m) is None, find, plane)
 
 
 def _prey_monotone(c: ClaimContext, m: int) -> str | None:
@@ -214,10 +232,14 @@ def _prey_monotone(c: ClaimContext, m: int) -> str | None:
 
 
 def _predator_bound(c: ClaimContext, m: int) -> str | None:
+    seen = set()
     for i in range(1, m + 1):
-        rows = c.power(i).in_rows
-        for u in range(c.d.n):
-            count = rows[u].bit_count()
+        p = c.power(i)
+        if p.out_rows in seen:
+            break  # powers are eventually periodic: no new in-rows from here on
+        seen.add(p.out_rows)
+        for u, row in enumerate(p.in_rows):
+            count = row.bit_count()
             if count > 2:
                 return f"vertex {u} has {count} {i}-step predators"
     return None
@@ -292,53 +314,78 @@ def _star_failure(c: ClaimContext, m: int) -> str:
     return f"component {sorted(sd.component)}: {sd.reason}"
 
 
+def _k_stars(c: ClaimContext, m: int) -> str | None:
+    sd = c.star_decomposition(m)
+    if not sd:
+        return _star_failure(c, m)
+    if len(sd.stars) != len(c.sources):
+        return f"{len(sd.stars)} stars but {len(c.sources)} sources"
+    return None
+
+
 # properties of D; m is ignored
-WEAKLY_CONNECTED = Atom(lambda c, m: c.weakly_connected)
-HAS_SOURCE = Atom(lambda c, m: bool(c.sources))
-WEAK_SOURCES = Atom(lambda c, m: c.every_weak_component_has_source)
-NO_COMMON_PREY = Atom(lambda c, m: _classify.check_no_common_prey_functional(c.d))
-ONE_SOURCE = Atom(
-    lambda c, m: len(c.sources) == 1, lambda c, m: f"digraph has {len(c.sources)} sources"
+_PC = _bitslice.PlaneContext
+WEAKLY_CONNECTED = Atom(lambda c, m: c.weakly_connected, None, _PC.weakly_connected)
+HAS_SOURCE = Atom(lambda c, m: bool(c.sources), None, _PC.has_source)
+WEAK_SOURCES = Atom(
+    lambda c, m: c.every_weak_component_has_source, None, _PC.every_weak_component_has_source
 )
-SG = Atom(lambda c, m: c.report.star_generating, lambda c, m: "digraph is not star-generating")
+NO_COMMON_PREY = Atom(
+    lambda c, m: _classify.check_no_common_prey_functional(c.d), None, _PC.no_common_prey
+)
+ONE_SOURCE = Atom(
+    lambda c, m: len(c.sources) == 1,
+    lambda c, m: f"digraph has {len(c.sources)} sources",
+    _PC.one_source,
+)
+SG = Atom(
+    lambda c, m: c.report.star_generating,
+    lambda c, m: "digraph is not star-generating",
+    _PC.star_generating,
+)
 ALL_WEAK_SG = Atom(
     lambda c, m: c.all_weak_star_generating,
     lambda c, m: "some weak component is not star-generating",
+    _PC.all_weak_star_generating,
 )
 CYCLE_UNION = Atom(
     lambda c, m: _classify.is_disjoint_cycle_union(c.d)[0],
     lambda c, m: "not a vertex-disjoint union of directed cycles",
+    _PC.cycle_union,
 )
 NON_SOURCES_CYCLE_UNION = Atom(
     _non_sources_cycle_union,
     lambda c, m: "removing the sources does not leave disjoint cycles",
+    _PC.non_sources_cycle_union,
 )
 
 # properties of C^m(D), k = |sources of D|, l = |components of C^m(D)|
-TF = Atom(ClaimContext.triangle_free, lambda c, m: "competition graph has a triangle")
+TF = Atom(
+    ClaimContext.triangle_free, lambda c, m: "competition graph has a triangle", _PC.triangle_free
+)
 CONNECTED = Atom(
     lambda c, m: c.n_components(m) == 1,
     lambda c, m: f"competition graph has {c.n_components(m)} components",
+    _PC.connected,
 )
-K_EQ_L = Atom(lambda c, m: len(c.sources) == c.n_components(m), _k_vs_l)
-K_LE_L = Atom(lambda c, m: len(c.sources) <= c.n_components(m), _k_vs_l)
+K_EQ_L = Atom(lambda c, m: len(c.sources) == c.n_components(m), _k_vs_l, _PC.k_eq_l)
+K_LE_L = Atom(lambda c, m: len(c.sources) <= c.n_components(m), _k_vs_l, _PC.k_le_l)
 ENOUGH_COMPONENTS = Atom(
     K_LE_L.test,
     lambda c, m: f"{len(c.sources)} sources but only {c.n_components(m)} components",
+    _PC.k_le_l,
 )
 COMPS_MEET_SOURCES = Atom(
     ClaimContext.every_cm_component_meets_sources,
     lambda c, m: "some component avoids every source",
+    _PC.every_cm_component_meets_sources,
 )
-STAR_OK = Atom(lambda c, m: bool(c.star_decomposition(m)), _star_failure)
-K_STARS = Atom(
-    lambda c, m: len(c.star_decomposition(m).stars) == len(c.sources),
-    lambda c, m: f"{len(c.star_decomposition(m).stars)} stars but {len(c.sources)} sources",
-)
-PREY_MONOTONE = _witness(_prey_monotone)
-PRED_BOUND = _witness(_predator_bound)
-PREDATORS_WHEN_K_EQ_L = _witness(_predators_when_k_eq_l)
-PENDANT = _witness(_pendant)
+STAR_OK = Atom(lambda c, m: bool(c.star_decomposition(m)), _star_failure, _PC.star_ok)
+K_STARS = _witness(_k_stars, _PC.k_stars)
+PREY_MONOTONE = _witness(_prey_monotone, _PC.prey_monotone)
+PRED_BOUND = _witness(_predator_bound, _PC.predator_bound)
+PREDATORS_WHEN_K_EQ_L = _witness(_predators_when_k_eq_l, _PC.predators_when_k_eq_l)
+PENDANT = _witness(_pendant, _PC.pendant)
 SUB_MONOTONE = _witness(_sub_monotone)
 
 
@@ -351,25 +398,40 @@ class Direction:
     min_m: int | None  # None: m-independent, checked once per digraph
     hypothesis: Callable[[ClaimContext, int], bool]
     conclusion: Callable[[ClaimContext, int], tuple[bool, str | None]]
+    # the atoms of ``hypothesis`` and ``conclusion``, when they are atom conjunctions
+    atoms: tuple[tuple[Atom, ...], tuple[Atom, ...]] | None = None
+
+    @property
+    def planed(self) -> bool:
+        """True when every atom has a plane form, so exhaustive scans run on bit planes."""
+        return self.atoms is not None and all(
+            atom.plane is not None for part in self.atoms for atom in part
+        )
 
 
-def _implies(name: str, min_m: int | None, hypothesis, *conclusion: Atom) -> Direction:
-    """The direction ``hypothesis ⇒ conclusion[0] ∧ conclusion[1] ∧ …``.
+def _implies(
+    name: str, min_m: int | None, hypothesis: tuple[Atom, ...], *conclusion: Atom
+) -> Direction:
+    """The direction ``hypothesis[0] ∧ hypothesis[1] ∧ … ⇒ conclusion[0] ∧ …``.
 
-    ``hypothesis`` is one inline conjunction of atom tests: a loop over a
-    tuple of atoms would run for every digraph and m of a scan.  A failed
-    conclusion reports the ``why`` of its first failing atom.
+    A failed conclusion reports the ``why`` of its first failing atom.
     """
     if any(atom.why is None for atom in conclusion):
         raise ValueError(f"direction {name!r}: every conclusion atom needs a why")
 
+    def suppose(c: ClaimContext, m: int) -> bool:
+        for atom in hypothesis:
+            if not atom.test(c, m):
+                return False
+        return True
+
     def conclude(c: ClaimContext, m: int) -> tuple[bool, str | None]:
-        for test, why in conclusion:
-            if not test(c, m):
-                return False, why(c, m)
+        for atom in conclusion:
+            if not atom.test(c, m):
+                return False, atom.why(c, m)
         return True, None
 
-    return Direction(name, min_m, hypothesis, conclude)
+    return Direction(name, min_m, suppose, conclude, (hypothesis, conclusion))
 
 
 @dataclass(frozen=True)
@@ -387,99 +449,51 @@ class Claim:
 CATALOG: dict[str, Claim] = {
     c.id: c
     for c in (
-        Claim("prop_2_1", "digraph", (_implies("forward", 1, lambda c, m: True, PREY_MONOTONE),)),
+        Claim("prop_2_1", "digraph", (_implies("forward", 1, (), PREY_MONOTONE),)),
         Claim("lemma_2_2", "grid"),
-        Claim("prop_2_3", "digraph", (_implies("forward", 1, TF.test, PRED_BOUND),)),
+        Claim("prop_2_3", "digraph", (_implies("forward", 1, (TF,), PRED_BOUND),)),
         Claim("lemma_2_4", "digraph", (
             _implies(
-                "forward", 1,
-                lambda c, m: WEAKLY_CONNECTED.test(c, m) and HAS_SOURCE.test(c, m)
-                and TF.test(c, m),
+                "forward", 1, (WEAKLY_CONNECTED, HAS_SOURCE, TF),
                 ENOUGH_COMPONENTS, PREDATORS_WHEN_K_EQ_L,
             ),
         )),
         Claim("prop_2_5", "digraph", (
-            _implies(
-                "forward", 2,
-                lambda c, m: WEAKLY_CONNECTED.test(c, m) and TF.test(c, m) and K_EQ_L.test(c, m),
-                PENDANT,
-            ),
+            _implies("forward", 2, (WEAKLY_CONNECTED, TF, K_EQ_L), PENDANT),
         )),
         Claim("lemma_2_6", "digraph", (
-            _implies("forward", None, NO_COMMON_PREY.test, CYCLE_UNION),
+            _implies("forward", None, (NO_COMMON_PREY,), CYCLE_UNION),
         )),
         Claim("thm_2_7", "digraph", (
-            _implies(
-                "forward", 2,
-                lambda c, m: WEAKLY_CONNECTED.test(c, m) and TF.test(c, m) and K_EQ_L.test(c, m),
-                STAR_OK, SG,
-            ),
+            _implies("forward", 2, (WEAKLY_CONNECTED, TF, K_EQ_L), STAR_OK, SG),
         )),
         Claim("lemma_3_1", "digraph", (
-            _implies("forward", None, SG.test, NON_SOURCES_CYCLE_UNION),
+            _implies("forward", None, (SG,), NON_SOURCES_CYCLE_UNION),
         )),
         Claim("thm_3_2", "census"),
-        Claim("prop_3_3", "digraph", (_implies("forward", 1, SG.test, STAR_OK, K_STARS),)),
-        Claim("lemma_3_4", "digraph", (_implies("forward", 1, lambda c, m: True, SUB_MONOTONE),)),
+        Claim("prop_3_3", "digraph", (_implies("forward", 1, (SG,), STAR_OK, K_STARS),)),
+        Claim("lemma_3_4", "digraph", (_implies("forward", 1, (), SUB_MONOTONE),)),
         Claim("lemma_3_5", "digraph", (
-            _implies("forward", 2, lambda c, m: WEAK_SOURCES.test(c, m) and TF.test(c, m), K_LE_L),
+            _implies("forward", 2, (WEAK_SOURCES, TF), K_LE_L),
         )),
         Claim("lemma_3_6", "digraph", (
-            _implies(
-                "only_if", 1,
-                lambda c, m: WEAK_SOURCES.test(c, m) and ALL_WEAK_SG.test(c, m),
-                TF, K_EQ_L,
-            ),
-            _implies(
-                "if", 2,
-                lambda c, m: WEAK_SOURCES.test(c, m) and TF.test(c, m) and K_EQ_L.test(c, m),
-                ALL_WEAK_SG,
-            ),
+            _implies("only_if", 1, (WEAK_SOURCES, ALL_WEAK_SG), TF, K_EQ_L),
+            _implies("if", 2, (WEAK_SOURCES, TF, K_EQ_L), ALL_WEAK_SG),
         )),
         Claim("prop_3_7", "digraph", (
-            _implies(
-                "only_if", 1,
-                lambda c, m: WEAK_SOURCES.test(c, m) and TF.test(c, m)
-                and COMPS_MEET_SOURCES.test(c, m),
-                K_EQ_L,
-            ),
-            _implies(
-                "if", 2,
-                lambda c, m: WEAK_SOURCES.test(c, m) and TF.test(c, m) and K_EQ_L.test(c, m),
-                COMPS_MEET_SOURCES,
-            ),
+            _implies("only_if", 1, (WEAK_SOURCES, TF, COMPS_MEET_SOURCES), K_EQ_L),
+            _implies("if", 2, (WEAK_SOURCES, TF, K_EQ_L), COMPS_MEET_SOURCES),
         )),
         Claim("cor_3_8", "digraph", (
-            _implies(
-                "forward", 2,
-                lambda c, m: WEAK_SOURCES.test(c, m) and TF.test(c, m)
-                and COMPS_MEET_SOURCES.test(c, m),
-                ALL_WEAK_SG,
-            ),
+            _implies("forward", 2, (WEAK_SOURCES, TF, COMPS_MEET_SOURCES), ALL_WEAK_SG),
         )),
         Claim("thm_1_2", "digraph", (
-            _implies(
-                "only_if", 1,
-                lambda c, m: WEAK_SOURCES.test(c, m) and ALL_WEAK_SG.test(c, m),
-                STAR_OK,
-            ),
-            _implies(
-                "if", 2,
-                lambda c, m: WEAK_SOURCES.test(c, m) and STAR_OK.test(c, m),
-                ALL_WEAK_SG,
-            ),
+            _implies("only_if", 1, (WEAK_SOURCES, ALL_WEAK_SG), STAR_OK),
+            _implies("if", 2, (WEAK_SOURCES, STAR_OK), ALL_WEAK_SG),
         )),
         Claim("thm_1_3", "digraph", (
-            _implies(
-                "if", 1,
-                lambda c, m: ONE_SOURCE.test(c, m) and SG.test(c, m),
-                CONNECTED, TF,
-            ),
-            _implies(
-                "only_if", 2,
-                lambda c, m: HAS_SOURCE.test(c, m) and CONNECTED.test(c, m) and TF.test(c, m),
-                SG, ONE_SOURCE,
-            ),
+            _implies("if", 1, (ONE_SOURCE, SG), CONNECTED, TF),
+            _implies("only_if", 2, (HAS_SOURCE, CONNECTED, TF), SG, ONE_SOURCE),
         )),
     )
 }
@@ -510,14 +524,22 @@ class VerificationReport:
     n_max: int
     m_values: tuple[int, ...]
     digraphs_examined: int = 0
-    hypothesis_hits: int = 0
+    hypothesis_hits: int = 0  # summed over hits_by_direction inside each direction's m range
     counterexamples: list[dict] = field(default_factory=list)
     boundary_instances: list[dict] = field(default_factory=list)
     elapsed: float = 0.0
+    # direction -> m (None when m-independent) -> hypothesis hits, below the m range too
+    hits_by_direction: dict[str, dict[int | None, int]] = field(default_factory=dict)
 
     @property
     def verified(self) -> bool:
         return not self.counterexamples
+
+    def add_hits(self, direction: str, m: int | None, count: int, in_range: bool = True) -> None:
+        by_m = self.hits_by_direction.setdefault(direction, {})
+        by_m[m] = by_m.get(m, 0) + count
+        if in_range:
+            self.hypothesis_hits += count
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -527,6 +549,10 @@ class VerificationReport:
             "m_values": list(self.m_values),
             "digraphs_examined": self.digraphs_examined,
             "hypothesis_hits": self.hypothesis_hits,
+            "hits_by_direction": {
+                name: {"null" if m is None else str(m): count for m, count in by_m.items()}
+                for name, by_m in self.hits_by_direction.items()
+            },
             "counterexamples": self.counterexamples,
             "boundary_instances": self.boundary_instances,
             "elapsed": self.elapsed,
@@ -555,50 +581,116 @@ def _entry_sort_key(entry: dict):
 # --- scanning -------------------------------------------------------------
 
 
-def _check_digraph(d: Digraph, claim_ids, m_list, acc) -> None:
-    """Evaluate every requested claim on one digraph, updating accumulators.
+def _plan(claim_ids, m_list) -> list[tuple[str, Direction, list[tuple[int, tuple, bool]]]]:
+    """(claim id, direction, steps) for every direction of the claims.
 
-    An m-independent direction is evaluated once, at m = 0, and recorded
-    with m None.  A failure below a direction's m range is a boundary
-    instance: recorded, never a counterexample.
+    A step is (m, hits key, in range).  An m-independent direction has one
+    step, at m = 0, recorded with m None.  A failure below a direction's m
+    range is a boundary instance: recorded, never a counterexample.
     """
-    ctx = ClaimContext(d)
+    plan = []
     for cid in claim_ids:
-        hits, cexs, bounds = acc[cid]
         for direction in CATALOG[cid].directions:
             min_m = direction.min_m
-            for m in m_list if min_m is not None else (0,):
-                if direction.hypothesis(ctx, m):
-                    in_range = min_m is None or m >= min_m
-                    hits[0] += in_range
-                    ok, detail = direction.conclusion(ctx, m)
-                    if not ok:
-                        entry = _entry(cid, direction.name, d, m or None, detail)
-                        (cexs if in_range else bounds).append(entry)
+            if min_m is None:
+                steps = [(0, (direction.name, None), True)]
+            else:
+                steps = [(m, (direction.name, m), m >= min_m) for m in m_list]
+            plan.append((cid, direction, steps))
+    return plan
+
+
+def _check_digraph(d: Digraph, plan, acc) -> None:
+    """Evaluate every planned direction on one digraph, updating accumulators."""
+    ctx = ClaimContext(d)
+    for cid, direction, steps in plan:
+        hits, cexs, bounds = acc[cid]
+        for m, key, in_range in steps:
+            if direction.hypothesis(ctx, m):
+                hits[key] += 1
+                ok, detail = direction.conclusion(ctx, m)
+                if not ok:
+                    (cexs if in_range else bounds).append(_entry(cid, key[0], d, key[1], detail))
+
+
+def _check_batch(p: _bitslice.PlaneContext, plan, acc) -> None:
+    """Evaluate planed directions on a batch of digraphs at once.
+
+    Hits are popcounts of hypothesis planes.  Each digraph whose
+    hypothesis holds but conclusion fails is replayed on a
+    ``ClaimContext``, which writes the failure detail and must agree.
+    Steps run by increasing m, releasing each m's planes after it.
+    """
+    rounds = {}
+    for cid, direction, steps in plan:
+        for m, key, in_range in steps:
+            rounds.setdefault(m, []).append((cid, direction, key, in_range))
+    for m in sorted(rounds):
+        for cid, direction, key, in_range in rounds[m]:
+            hits, cexs, bounds = acc[cid]
+            hypothesis, conclusion = direction.atoms
+            held = p.valid
+            for atom in hypothesis:
+                if not held:
+                    break
+                held &= atom.plane(p, m)
+            hits[key] += held.bit_count()
+            ok = held
+            for atom in conclusion:
+                if not ok:
+                    break
+                ok &= atom.plane(p, m)
+            for b in _digraph.bits(held & ~ok):
+                ctx = ClaimContext(_generate.digraph_at(p.n, p.start + b))
+                scalar_ok, detail = (
+                    direction.conclusion(ctx, m) if direction.hypothesis(ctx, m) else (True, None)
+                )
+                if scalar_ok:
+                    raise RuntimeError(
+                        f"{cid} {key[0]} at m={m}: bit planes flag {ctx.d!r}, ClaimContext does not"
+                    )
+                (cexs if in_range else bounds).append(_entry(cid, key[0], ctx.d, key[1], detail))
+        p.release(m)
 
 
 def _scan_job(args) -> tuple[int, dict]:
+    """Scan one job: an index range ("range") or explicit (n, index) pairs ("draws").
+
+    A range runs its planed directions on bit planes and the rest on one
+    ``ClaimContext`` per digraph; draws run every direction on contexts.
+    """
     claim_ids, m_list, job = args
-    acc = {cid: ([0], [], []) for cid in claim_ids}
-    examined = 0
+    plan = _plan(claim_ids, m_list)
+    acc = {cid: ({}, [], []) for cid in claim_ids}
+    for cid, _, steps in plan:
+        acc[cid][0].update((key, 0) for _, key, _ in steps)
     kind, payload = job
     if kind == "range":
         n, start, stop = payload
-        stream = _generate.all_digraphs(n, start=start, stop=stop)
-    else:  # "draws": explicit (n, index) pairs
+        planed = [entry for entry in plan if entry[1].planed]
+        plan = [entry for entry in plan if not entry[1].planed]
+        if planed:
+            for batch in _bitslice.batches(n, start, stop):
+                _check_batch(batch, planed, acc)
+        stream = _generate.all_digraphs(n, start=start, stop=stop) if plan else ()
+        examined = stop - start
+    else:
         stream = (_generate.digraph_at(n, idx) for n, idx in payload)
+        examined = len(payload)
     for d in stream:
-        examined += 1
-        _check_digraph(d, claim_ids, m_list, acc)
+        _check_digraph(d, plan, acc)
     return examined, acc
 
 
 def _range_jobs(n_max: int, chunk: int) -> list[tuple[str, tuple]]:
+    # about ``chunk`` indices per job, in whole bit-plane batches
     jobs = []
     for n in range(1, n_max + 1):
         total = _generate.digraph_space_size(n)
-        for start in range(0, total, chunk):
-            jobs.append(("range", (n, start, min(start + chunk, total))))
+        size = _bitslice.batch_size(n)
+        step = size * max(1, chunk // size)
+        for start in range(0, total, step):
+            jobs.append(("range", (n, start, min(start + step, total))))
     return jobs
 
 
@@ -616,7 +708,7 @@ def _verify_grid(m_list, n_max: int, report: VerificationReport) -> None:
             if not ctx.weakly_connected:
                 problems.append((None, "construction is not weakly connected"))
             for m in ms:
-                report.hypothesis_hits += 1
+                report.add_hits("construction", m, 1)
                 l_found = ctx.n_components(m)
                 if l_found != l:
                     problems.append((m, f"expected {l} components, found {l_found}"))
@@ -654,7 +746,7 @@ def _verify_census(n_max: int, report: VerificationReport) -> None:
     if n_max < 2:
         raise InputError("thm_3_2 needs n_max >= 2")
     for n in range(2, n_max + 1):
-        report.hypothesis_hits += 1
+        report.add_hits("count", None, 1)
         ok, detail, examined = _census_check(n)
         report.digraphs_examined += examined
         if not ok:
@@ -714,8 +806,7 @@ def verify_claims(
         if not m_list and any(CATALOG[cid].min_m is not None for cid in scan_ids):
             raise InputError("m_set is empty but some requested claim depends on m")
         if mode == "exhaustive":
-            chunk = 200_000
-            jobs = _range_jobs(n_max, chunk)
+            jobs = _range_jobs(n_max, 200_000)
         elif mode == "sampled":
             if sample_count is None:
                 raise InputError("sampled mode needs a sample count")
@@ -741,9 +832,11 @@ def verify_claims(
         for examined, acc in partials:
             for cid in scan_ids:
                 hits, cexs, bounds = acc[cid]
+                min_m = {d.name: d.min_m for d in CATALOG[cid].directions}
                 rep = reports[cid]
                 rep.digraphs_examined += examined
-                rep.hypothesis_hits += hits[0]
+                for (name, m), count in hits.items():
+                    rep.add_hits(name, m, count, m is None or m >= min_m[name])
                 rep.counterexamples.extend(cexs)
                 rep.boundary_instances.extend(bounds)
         for cid in scan_ids:

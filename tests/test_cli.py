@@ -189,6 +189,12 @@ class TestVerify:
             f"error: m specification '1..1000000000000' lists more than {MAX_M_VALUES} values\n"
         )
 
+    def test_predator_bound_at_huge_m(self, capsys):
+        # the bound used to build every power up to m and never finished
+        argv = ["verify", "--claim", "prop_2_3", "--n-max", "2", "--m", "100000000"]
+        assert run(argv) == 0
+        assert "prop_2_3: verified" in capsys.readouterr().out
+
     def test_workers_below_one(self, capsys):
         argv = ["verify", "--claim", "prop_2_1", "--n-max", "2", "--m", "1", "--workers", "0"]
         assert run(argv) == 1

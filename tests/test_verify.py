@@ -19,6 +19,9 @@ from stargen.generate import all_digraphs
 from stargen.verify import (
     CONNECTED,
     K_EQ_L,
+    K_STARS,
+    PRED_BOUND,
+    STAR_OK,
     SUB_MONOTONE,
     TF,
     Claim,
@@ -402,3 +405,50 @@ class TestSubMonotone:
         assert report.hypothesis_hits == 305868
         assert report.counterexamples == []
         assert report.boundary_instances == []
+
+
+class TestContextMemo:
+    def test_star_decomposition_is_memoized(self):
+        ctx = ClaimContext(figure_digraphs()["fig2_D2"])
+        for m in (1, 2, 5):
+            assert ctx.star_decomposition(m) is ctx.star_decomposition(m)
+        assert ctx.star_decomposition(2) is not ctx.star_decomposition(5)
+
+    def test_k_stars_without_a_star_decomposition(self):
+        # C^2 of the boundary digraph is a triangle: no stars to count
+        ctx = ClaimContext(figure_digraphs()["fig4_D"])
+        assert not K_STARS.test(ctx, 2)
+        assert K_STARS.why(ctx, 2) == STAR_OK.why(ctx, 2) == "component [0, 1, 2]: not_a_star"
+
+    def test_predator_bound_stops_once_powers_repeat(self):
+        # D^i is eventually periodic, so at most a handful of powers are
+        # built at n <= 3 however large m is
+        for n in range(1, 4):
+            for d in all_digraphs(n):
+                ctx = ClaimContext(d)
+                expected = PRED_BOUND.test(ClaimContext(d), 12)
+                assert PRED_BOUND.test(ctx, 200) is expected, d
+                assert len(ctx._powers) <= 8, d
+
+    def test_predator_bound_detail_unchanged(self):
+        # vertex 1 gets a third predator only at step 2
+        ctx = ClaimContext(Digraph(3, [0b010, 0b011, 0b001]))
+        assert PRED_BOUND.why(ctx, 10**9) == "vertex 1 has 3 2-step predators"
+
+
+class TestHitsByDirection:
+    def test_report_line_carries_hits_per_direction_and_m(self):
+        report = verify_claim("thm_1_3", 3, [1, 2])
+        data = json.loads(report.to_json_line())
+        assert data["hits_by_direction"] == {
+            "if": {"1": 8, "2": 8},
+            "only_if": {"1": 20, "2": 8},
+        }
+        # only_if starts at m = 2, so its m = 1 hits are not counted
+        assert data["hypothesis_hits"] == 8 + 8 + 8
+
+    def test_grid_and_census(self):
+        grid = verify_claim("lemma_2_2", 2, [1, 3])
+        assert grid.hits_by_direction == {"construction": {1: 4, 3: 4}}
+        census = verify_claim("thm_3_2", 3, [])
+        assert census.hits_by_direction == {"count": {None: 2}}
