@@ -196,7 +196,6 @@ def _cmd_verify(args) -> int:
         mode=args.mode,
         seed=args.seed,
         sample_count=args.count,
-        workers=args.workers,
     )
     if args.report:
         _verify.write_report_lines(reports, args.report)
@@ -258,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int, help="sample size for sampled mode")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--large", action="store_true", help="allow n_max >= 5")
     p.add_argument("--report", help="append JSON-lines reports to this file")
     p.set_defaults(func=_cmd_verify)

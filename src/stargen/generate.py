@@ -102,8 +102,8 @@ def all_digraphs(
     """Stream every labeled digraph on n vertices with all outdegrees >= 1.
 
     Out-row tuples count lexicographically, each digraph appearing exactly
-    once; ``start``/``stop`` select a contiguous index range so the space
-    splits cleanly across workers.
+    once; ``start``/``stop`` select a contiguous index range, so a scan
+    can cover the space in independent pieces.
     """
     if n < 1:
         raise InputError(f"vertex count must be positive, got {n}")

@@ -3,23 +3,22 @@ about m-step competition graphs over bounded digraph spaces.
 
 Every claim is split into directed sub-checks with their own minimum m
 (biconditionals are never merged, since the two directions hold on
-different m ranges).  Each direction is written as ``hypothesis ⇒
+different m ranges).  Each direction is ``hypothesis atoms ⇒
 conclusion atoms`` over one set of named atoms, which are composed from
 the public operations of the other modules; a per-digraph context only
 memoizes their results.  The subdigraph check alone works on out-rows
 directly, so no context is built per subdigraph.
 
-An exhaustive scan evaluates each direction whose atoms all have a bit
-plane form on whole batches of the stream at once (``bitslice``), and
-replays only the digraphs it flags on a ``ClaimContext``, which writes
-their failure details; every other direction, sampled scans and replays
-run on ``ClaimContext`` alone.
+Scans run in one process.  An exhaustive scan evaluates each direction
+whose atoms all have a bit plane form on whole batches of the stream at
+once (``bitslice``), and replays only the digraphs it flags on a
+``ClaimContext``, which writes their failure details; every other
+direction, sampled scans and replays run on ``ClaimContext`` alone.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
@@ -68,11 +67,10 @@ class ClaimContext:
     def power(self, m: int) -> Digraph:
         p = self._powers.get(m)
         if p is None:
-            # compose two cached powers when the exponents add up
-            for a in sorted(self._powers, reverse=True):
-                if a < m and (m - a) in self._powers:
-                    p = _digraph.compose(self._powers[a], self._powers[m - a])
-                    break
+            # step from D^(m-1) when it is cached, else square from scratch
+            prev = self._powers.get(m - 1)
+            if prev is not None:
+                p = _digraph.compose(prev, self.d)
             else:
                 p = _digraph.m_step_digraph(self.d, m)
             self._powers[m] = p
@@ -394,44 +392,41 @@ SUB_MONOTONE = _witness(_sub_monotone)
 
 @dataclass(frozen=True)
 class Direction:
+    """The direction ``hypothesis[0] ∧ hypothesis[1] ∧ … ⇒ conclusion[0] ∧ …``."""
+
     name: str
     min_m: int | None  # None: m-independent, checked once per digraph
-    hypothesis: Callable[[ClaimContext, int], bool]
-    conclusion: Callable[[ClaimContext, int], tuple[bool, str | None]]
-    # the atoms of ``hypothesis`` and ``conclusion``, when they are atom conjunctions
-    atoms: tuple[tuple[Atom, ...], tuple[Atom, ...]] | None = None
+    hypothesis: tuple[Atom, ...]
+    conclusion: tuple[Atom, ...]
 
     @property
     def planed(self) -> bool:
         """True when every atom has a plane form, so exhaustive scans run on bit planes."""
-        return self.atoms is not None and all(
-            atom.plane is not None for part in self.atoms for atom in part
-        )
+        return all(atom.plane is not None for atom in self.hypothesis + self.conclusion)
+
+    # plain loops, not all(): the scalar path calls these once per digraph and m
+    def holds(self, c: ClaimContext, m: int) -> bool:
+        """True when every hypothesis atom holds."""
+        for atom in self.hypothesis:
+            if not atom.test(c, m):
+                return False
+        return True
+
+    def failure(self, c: ClaimContext, m: int) -> str | None:
+        """The ``why`` of the first failing conclusion atom, or None if all hold."""
+        for atom in self.conclusion:
+            if not atom.test(c, m):
+                return atom.why(c, m)
+        return None
 
 
 def _implies(
     name: str, min_m: int | None, hypothesis: tuple[Atom, ...], *conclusion: Atom
 ) -> Direction:
-    """The direction ``hypothesis[0] ∧ hypothesis[1] ∧ … ⇒ conclusion[0] ∧ …``.
-
-    A failed conclusion reports the ``why`` of its first failing atom.
-    """
+    """The direction ``hypothesis ⇒ conclusion``; every conclusion atom needs a ``why``."""
     if any(atom.why is None for atom in conclusion):
         raise ValueError(f"direction {name!r}: every conclusion atom needs a why")
-
-    def suppose(c: ClaimContext, m: int) -> bool:
-        for atom in hypothesis:
-            if not atom.test(c, m):
-                return False
-        return True
-
-    def conclude(c: ClaimContext, m: int) -> tuple[bool, str | None]:
-        for atom in conclusion:
-            if not atom.test(c, m):
-                return False, atom.why(c, m)
-        return True, None
-
-    return Direction(name, min_m, suppose, conclude, (hypothesis, conclusion))
+    return Direction(name, min_m, hypothesis, conclusion)
 
 
 @dataclass(frozen=True)
@@ -600,16 +595,24 @@ def _plan(claim_ids, m_list) -> list[tuple[str, Direction, list[tuple[int, tuple
     return plan
 
 
+def _accumulators(claim_ids, plan) -> dict[str, tuple[dict, list, list]]:
+    """claim id -> (hits by (direction, m), counterexamples, boundary instances)."""
+    acc = {cid: ({}, [], []) for cid in claim_ids}
+    for cid, _, steps in plan:
+        acc[cid][0].update((key, 0) for _, key, _ in steps)
+    return acc
+
+
 def _check_digraph(d: Digraph, plan, acc) -> None:
     """Evaluate every planned direction on one digraph, updating accumulators."""
     ctx = ClaimContext(d)
     for cid, direction, steps in plan:
         hits, cexs, bounds = acc[cid]
         for m, key, in_range in steps:
-            if direction.hypothesis(ctx, m):
+            if direction.holds(ctx, m):
                 hits[key] += 1
-                ok, detail = direction.conclusion(ctx, m)
-                if not ok:
+                detail = direction.failure(ctx, m)
+                if detail is not None:
                     (cexs if in_range else bounds).append(_entry(cid, key[0], d, key[1], detail))
 
 
@@ -628,24 +631,21 @@ def _check_batch(p: _bitslice.PlaneContext, plan, acc) -> None:
     for m in sorted(rounds):
         for cid, direction, key, in_range in rounds[m]:
             hits, cexs, bounds = acc[cid]
-            hypothesis, conclusion = direction.atoms
             held = p.valid
-            for atom in hypothesis:
+            for atom in direction.hypothesis:
                 if not held:
                     break
                 held &= atom.plane(p, m)
             hits[key] += held.bit_count()
             ok = held
-            for atom in conclusion:
+            for atom in direction.conclusion:
                 if not ok:
                     break
                 ok &= atom.plane(p, m)
             for b in _digraph.bits(held & ~ok):
                 ctx = ClaimContext(_generate.digraph_at(p.n, p.start + b))
-                scalar_ok, detail = (
-                    direction.conclusion(ctx, m) if direction.hypothesis(ctx, m) else (True, None)
-                )
-                if scalar_ok:
+                detail = direction.failure(ctx, m) if direction.holds(ctx, m) else None
+                if detail is None:
                     raise RuntimeError(
                         f"{cid} {key[0]} at m={m}: bit planes flag {ctx.d!r}, ClaimContext does not"
                     )
@@ -653,45 +653,18 @@ def _check_batch(p: _bitslice.PlaneContext, plan, acc) -> None:
         p.release(m)
 
 
-def _scan_job(args) -> tuple[int, dict]:
-    """Scan one job: an index range ("range") or explicit (n, index) pairs ("draws").
-
-    A range runs its planed directions on bit planes and the rest on one
-    ``ClaimContext`` per digraph; draws run every direction on contexts.
+def _scan_range(plan, acc, n: int, start: int, stop: int) -> None:
+    """Scan the order-n indices [start, stop): planed directions on bit
+    planes, the rest on one ``ClaimContext`` per digraph.
     """
-    claim_ids, m_list, job = args
-    plan = _plan(claim_ids, m_list)
-    acc = {cid: ({}, [], []) for cid in claim_ids}
-    for cid, _, steps in plan:
-        acc[cid][0].update((key, 0) for _, key, _ in steps)
-    kind, payload = job
-    if kind == "range":
-        n, start, stop = payload
-        planed = [entry for entry in plan if entry[1].planed]
-        plan = [entry for entry in plan if not entry[1].planed]
-        if planed:
-            for batch in _bitslice.batches(n, start, stop):
-                _check_batch(batch, planed, acc)
-        stream = _generate.all_digraphs(n, start=start, stop=stop) if plan else ()
-        examined = stop - start
-    else:
-        stream = (_generate.digraph_at(n, idx) for n, idx in payload)
-        examined = len(payload)
-    for d in stream:
-        _check_digraph(d, plan, acc)
-    return examined, acc
-
-
-def _range_jobs(n_max: int, chunk: int) -> list[tuple[str, tuple]]:
-    # about ``chunk`` indices per job, in whole bit-plane batches
-    jobs = []
-    for n in range(1, n_max + 1):
-        total = _generate.digraph_space_size(n)
-        size = _bitslice.batch_size(n)
-        step = size * max(1, chunk // size)
-        for start in range(0, total, step):
-            jobs.append(("range", (n, start, min(start + step, total))))
-    return jobs
+    planed = [entry for entry in plan if entry[1].planed]
+    scalar = [entry for entry in plan if not entry[1].planed]
+    if planed:
+        for batch in _bitslice.batches(n, start, stop):
+            _check_batch(batch, planed, acc)
+    if scalar:
+        for d in _generate.all_digraphs(n, start=start, stop=stop):
+            _check_digraph(d, scalar, acc)
 
 
 def _verify_grid(m_list, n_max: int, report: VerificationReport) -> None:
@@ -762,18 +735,14 @@ def verify_claims(
     mode: str = "exhaustive",
     seed: int | None = None,
     sample_count: int | None = None,
-    workers: int = 1,
 ) -> list[VerificationReport]:
     """Run several claims in one pass over the digraph space.
 
-    Returns one report per claim, in the order given.  With ``workers > 1``
-    the space is split into contiguous index ranges; merged results do not
-    depend on the worker count.  Sampled mode draws each digraph's order
-    uniformly from 2..n_max (1 when n_max is 1), not in proportion to the
-    size of each order's space, then an index uniformly within that order.
+    Returns one report per claim, in the order given.  Sampled mode draws
+    each digraph's order uniformly from 2..n_max (1 when n_max is 1), not
+    in proportion to the size of each order's space, then an index
+    uniformly within that order.
     """
-    if workers < 1:
-        raise InputError(f"workers must be at least 1, got {workers}")
     claim_ids = list(dict.fromkeys(claim_ids))
     claims = [_lookup(cid) for cid in claim_ids]
     m_list = sorted(set(m_set))
@@ -805,43 +774,36 @@ def verify_claims(
             raise InputError(f"n_max must be positive, got {n_max}")
         if not m_list and any(CATALOG[cid].min_m is not None for cid in scan_ids):
             raise InputError("m_set is empty but some requested claim depends on m")
+        plan = _plan(scan_ids, m_list)
+        acc = _accumulators(scan_ids, plan)
         if mode == "exhaustive":
-            jobs = _range_jobs(n_max, 200_000)
+            orders = range(1, n_max + 1)
+            for n in orders:
+                _scan_range(plan, acc, n, 0, _generate.digraph_space_size(n))
+            examined = sum(map(_generate.digraph_space_size, orders))
         elif mode == "sampled":
             if sample_count is None:
                 raise InputError("sampled mode needs a sample count")
+            if sample_count < 1:
+                raise InputError(f"sample count must be at least 1, got {sample_count}")
             rng = random.Random(seed)
-            draws = []
             for _ in range(sample_count):
                 n = rng.randint(min(2, n_max), n_max)
-                draws.append((n, rng.randrange(_generate.digraph_space_size(n))))
-            chunk = 50_000
-            jobs = [
-                ("draws", draws[i : i + chunk]) for i in range(0, len(draws), chunk)
-            ]
+                d = _generate.digraph_at(n, rng.randrange(_generate.digraph_space_size(n)))
+                _check_digraph(d, plan, acc)
+            examined = sample_count
         else:
             raise InputError(f"unknown mode {mode!r}")
 
-        job_args = [(scan_ids, m_list, job) for job in jobs]
-        if workers > 1 and len(jobs) > 1:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                partials = pool.map(_scan_job, job_args)
-        else:
-            partials = [_scan_job(a) for a in job_args]
-
-        for examined, acc in partials:
-            for cid in scan_ids:
-                hits, cexs, bounds = acc[cid]
-                min_m = {d.name: d.min_m for d in CATALOG[cid].directions}
-                rep = reports[cid]
-                rep.digraphs_examined += examined
-                for (name, m), count in hits.items():
-                    rep.add_hits(name, m, count, m is None or m >= min_m[name])
-                rep.counterexamples.extend(cexs)
-                rep.boundary_instances.extend(bounds)
+        for cid, _, steps in plan:
+            for _, key, in_range in steps:
+                reports[cid].add_hits(*key, acc[cid][0][key], in_range)
         for cid in scan_ids:
-            reports[cid].counterexamples.sort(key=_entry_sort_key)
-            reports[cid].boundary_instances.sort(key=_entry_sort_key)
+            _, cexs, bounds = acc[cid]
+            rep = reports[cid]
+            rep.digraphs_examined = examined
+            rep.counterexamples = sorted(cexs, key=_entry_sort_key)
+            rep.boundary_instances = sorted(bounds, key=_entry_sort_key)
 
     elapsed = time.perf_counter() - started
     for rep in reports.values():
@@ -856,10 +818,9 @@ def verify_claim(
     mode: str = "exhaustive",
     seed: int | None = None,
     sample_count: int | None = None,
-    workers: int = 1,
 ) -> VerificationReport:
     """Run one claim over the bounded digraph space; see ``verify_claims``."""
-    return verify_claims([claim_id], n_max, m_set, mode, seed, sample_count, workers)[0]
+    return verify_claims([claim_id], n_max, m_set, mode, seed, sample_count)[0]
 
 
 def replay_counterexample(entry: dict) -> bool:
@@ -871,17 +832,18 @@ def replay_counterexample(entry: dict) -> bool:
         claim = _lookup(entry["claim"])
         direction_name = entry["direction"]
         m = entry["m"]
+        # the grid reads k and l, the others n; each must be an int (not a bool)
+        ints = [entry[key] for key in (("k", "l") if claim.kind == "grid" else ("n",))]
     except (KeyError, TypeError):
         raise InputError(f"malformed counterexample entry: {entry!r}") from None
+    if any(type(v) is not int for v in ints) or not (m is None or type(m) is int):
+        raise InputError(f"malformed counterexample entry: {entry!r}")
 
     if claim.kind == "census":
         ok, _, _ = _census_check(entry["n"])
         return not ok
     if claim.kind == "grid":
-        try:
-            k, l = entry["k"], entry["l"]
-        except KeyError:
-            raise InputError(f"malformed lemma_2_2 entry: {entry!r}") from None
+        k, l = ints
         ctx = ClaimContext(_generate.lemma_kl_digraph(k, l))
         if m is None:
             return len(ctx.sources) != k or not ctx.weakly_connected
@@ -895,10 +857,7 @@ def replay_counterexample(entry: dict) -> bool:
         raise InputError(f"malformed counterexample entry: {entry!r}") from None
     ctx = ClaimContext(d)
     m_eval = 0 if m is None else m
-    if not direction.hypothesis(ctx, m_eval):
-        return False
-    ok, _ = direction.conclusion(ctx, m_eval)
-    return not ok
+    return direction.holds(ctx, m_eval) and direction.failure(ctx, m_eval) is not None
 
 
 def write_report_lines(reports: Iterable[VerificationReport], path: str) -> None:

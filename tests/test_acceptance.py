@@ -114,7 +114,7 @@ def test_exhaustive_catalog_n4(scoreboard):
 
         seen = set()
         for m_set, claim_ids in sorted(groups.items()):
-            for rep in verify_claims(claim_ids, 4, m_set, workers=1):
+            for rep in verify_claims(claim_ids, 4, m_set):
                 assert rep.verified, rep.to_dict()
                 assert rep.hypothesis_hits > 0, rep.claim_id
                 if CATALOG[rep.claim_id].kind == "digraph":
@@ -134,7 +134,6 @@ def test_exhaustive_stretch_n5(scoreboard):
             ["thm_1_2", "thm_1_3", "prop_2_3", "lemma_3_5"],
             5,
             {2, 3, 5},
-            workers=8,
         )
         for rep in reports:
             assert rep.verified, rep.to_dict()

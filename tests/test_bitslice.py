@@ -7,7 +7,7 @@ import pytest
 from stargen import CATALOG, replay_counterexample, verify_claim, verify_claims
 from stargen import bitslice, verify
 from stargen.generate import digraph_at, digraph_space_size
-from stargen.verify import CONNECTED, Atom, Claim, ClaimContext, Direction, _implies
+from stargen.verify import CONNECTED, Atom, Claim, ClaimContext, _implies
 
 PLANED_ATOMS = {
     name: atom
@@ -29,13 +29,21 @@ def _sorted_acc(acc):
     }
 
 
+def _scalar_acc(claim_ids, m_list, draws):
+    """Accumulators of every direction run on one ClaimContext per (n, index)."""
+    plan = verify._plan(claim_ids, m_list)
+    acc = verify._accumulators(claim_ids, plan)
+    for n, i in draws:
+        verify._check_digraph(digraph_at(n, i), plan, acc)
+    return acc
+
+
 def _both_paths(claim_ids, m_list, n, start, stop):
     """(engine, scalar) accumulators of one index range."""
-    examined, planes = verify._scan_job((claim_ids, m_list, ("range", (n, start, stop))))
-    assert examined == stop - start
-    draws = [(n, i) for i in range(start, stop)]
-    examined, scalar = verify._scan_job((claim_ids, m_list, ("draws", draws)))
-    assert examined == stop - start
+    plan = verify._plan(claim_ids, m_list)
+    planes = verify._accumulators(claim_ids, plan)
+    verify._scan_range(plan, planes, n, start, stop)
+    scalar = _scalar_acc(claim_ids, m_list, [(n, i) for i in range(start, stop)])
     return _sorted_acc(planes), _sorted_acc(scalar)
 
 
@@ -91,7 +99,6 @@ class TestAtomPlanes:
             cid for cid, c in CATALOG.items() if c.kind == "digraph" and cid != "lemma_3_4"
         )
         assert not CATALOG["lemma_3_4"].directions[0].planed
-        assert not Direction("raw", 1, lambda c, m: True, lambda c, m: (True, None)).planed
 
 
 class TestSameReports:
@@ -116,7 +123,7 @@ class TestSameReports:
         claim_ids = ["thm_1_3", "lemma_2_6", "prop_3_7"]
         reports = verify_claims(claim_ids, 4, range(2, 5))
         draws = [(n, i) for n in range(1, 5) for i in range(digraph_space_size(n))]
-        _, scalar = verify._scan_job((claim_ids, [2, 3, 4], ("draws", draws)))
+        scalar = _scalar_acc(claim_ids, [2, 3, 4], draws)
         for rep in reports:
             hits = scalar[rep.claim_id][0]
             assert rep.hits_by_direction == {

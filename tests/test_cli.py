@@ -195,10 +195,15 @@ class TestVerify:
         assert run(argv) == 0
         assert "prop_2_3: verified" in capsys.readouterr().out
 
-    def test_workers_below_one(self, capsys):
-        argv = ["verify", "--claim", "prop_2_1", "--n-max", "2", "--m", "1", "--workers", "0"]
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_sample_count_below_one(self, count, capsys):
+        # a sampled scan of nothing used to print "verified (0 digraphs, ...)"
+        argv = ["verify", "--claim", "prop_2_1", "--n-max", "3", "--m", "1"]
+        argv += ["--mode", "sampled", "--count", count, "--seed", "1"]
         assert run(argv) == 1
-        assert "workers must be at least 1" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err == f"error: sample count must be at least 1, got {count}\n"
+        assert captured.out == ""
 
     def test_m_below_claim_range(self, capsys):
         assert run(["verify", "--claim", "prop_2_5", "--n-max", "3", "--m", "1..3"]) == 1
@@ -258,18 +263,14 @@ class TestVerify:
 
     def test_counterexamples_exit_two(self, capsys, monkeypatch):
         import stargen.verify as verify_mod
-        from stargen.verify import Claim, Direction
+        from stargen.verify import Atom, Claim, _implies
 
-        def always(ctx, m):
-            return True
-
-        def never(ctx, m):
-            return False, "forced failure"
-
+        # no plane, so the scan runs it on the scalar path
+        never = Atom(lambda ctx, m: False, lambda ctx, m: "forced failure")
         monkeypatch.setitem(
             verify_mod.CATALOG,
             "bogus",
-            Claim("bogus", "digraph", (Direction("forward", 1, always, never),)),
+            Claim("bogus", "digraph", (_implies("forward", 1, (), never),)),
         )
         code = run(["verify", "--claim", "bogus", "--n-max", "2", "--m", "1"])
         assert code == 2
@@ -330,12 +331,10 @@ class TestFuzz:
                 assert code in (0, 1, 2), (argv, text)
                 assert "Traceback" not in err
 
-    # prop_2_3 is left out: its predator bound computes every power up to m,
-    # so m = 1000000000000 would not finish
     @_FUZZ
     @given(
         spec=_M_SPEC,
-        claim=st.sampled_from(["prop_2_1", "lemma_3_4", "thm_1_3"]),
+        claim=st.sampled_from(["prop_2_1", "prop_2_3", "lemma_3_4", "thm_1_3"]),
         n_max=st.integers(-1, 2),
     )
     def test_verify_m_specs(self, spec, claim, n_max):

@@ -24,9 +24,10 @@ from stargen.verify import (
     STAR_OK,
     SUB_MONOTONE,
     TF,
+    Atom,
     Claim,
     ClaimContext,
-    Direction,
+    _implies,
 )
 
 ALL_IDS = sorted(CATALOG)
@@ -99,14 +100,6 @@ class TestVerifyClaims:
             assert b.counterexamples == s.counterexamples
             assert b.boundary_instances == s.boundary_instances
 
-    def test_worker_count_does_not_change_results(self):
-        one = verify_claim("thm_1_3", 3, [1, 2, 3], workers=1)
-        many = verify_claim("thm_1_3", 3, [1, 2, 3], workers=3)
-        assert one.to_dict()["counterexamples"] == many.to_dict()["counterexamples"]
-        assert one.hypothesis_hits == many.hypothesis_hits
-        assert one.digraphs_examined == many.digraphs_examined
-        assert one.boundary_instances == many.boundary_instances
-
 
 class TestErrors:
     def test_unknown_claim(self):
@@ -125,10 +118,11 @@ class TestErrors:
         with pytest.raises(InputError):
             verify_claim("prop_2_1", 3, [0, 1])
 
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_workers_below_one_rejected(self, workers):
-        with pytest.raises(InputError, match="workers must be at least 1"):
-            verify_claim("prop_2_1", 3, [1], workers=workers)
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_sample_count_below_one_rejected(self, count):
+        # a sampled scan of nothing used to report the claim verified
+        with pytest.raises(InputError, match="sample count must be at least 1"):
+            verify_claim("prop_2_1", 3, [1], mode="sampled", seed=1, sample_count=count)
 
 
 class TestSampledMode:
@@ -140,18 +134,11 @@ class TestSampledMode:
         assert a.hypothesis_hits == b.hypothesis_hits
         assert a.digraphs_examined == b.digraphs_examined == 300
 
-    def test_independent_of_workers(self):
-        kwargs = dict(mode="sampled", seed=7, sample_count=120_000)
-        a = verify_claim("prop_2_1", 3, [1], workers=1, **kwargs)
-        b = verify_claim("prop_2_1", 3, [1], workers=4, **kwargs)
-        assert a.hypothesis_hits == b.hypothesis_hits
-        assert a.counterexamples == b.counterexamples
-
     def test_n_max_one_draws_order_one(self, monkeypatch):
         failing = Claim(
             "bogus_failing",
             "digraph",
-            (Direction("forward", 1, _always, lambda ctx, m: (False, "forced failure")),),
+            (_implies("forward", 1, (), _FORCED_FAILURE),),
         )
         monkeypatch.setitem(CATALOG, "bogus_failing", failing)
         report = verify_claim("bogus_failing", 1, [1], mode="sampled", seed=3, sample_count=20)
@@ -210,6 +197,17 @@ class TestReplay:
             replay_counterexample({"claim": "thm_1_3"})
         with pytest.raises(InputError):
             replay_counterexample({"claim": "nope", "direction": "if", "m": 2})
+        # each used to escape as a KeyError or TypeError
+        arcs = [[0, 0]]
+        for entry in (
+            {"claim": "thm_3_2", "direction": "count", "m": None},
+            {"claim": "thm_3_2", "direction": "count", "n": "x", "m": None},
+            {"claim": "lemma_2_2", "direction": "construction", "k": "x", "l": 1, "m": 1},
+            {"claim": "lemma_2_2", "direction": "construction", "k": 1, "l": 1, "m": "3"},
+            {"claim": "prop_2_1", "direction": "forward", "n": 1, "arcs": arcs, "m": "2"},
+        ):
+            with pytest.raises(InputError, match="malformed"):
+                replay_counterexample(entry)
 
     def test_grid_entry(self):
         entry = {
@@ -225,13 +223,9 @@ class TestReplay:
         assert replay_counterexample(entry) is False  # the construction is sound
 
 
-def _always(ctx, m):
-    return True
-
-
-def _never_connected(ctx, m):
-    ok = ctx.n_components(m) == 1
-    return ok, None if ok else "not connected"
+# atoms without a plane, so their directions run on the scalar path
+_FORCED_FAILURE = Atom(lambda ctx, m: False, lambda ctx, m: "forced failure")
+_CONNECTED_SCALAR = Atom(lambda ctx, m: ctx.n_components(m) == 1, lambda ctx, m: "not connected")
 
 
 class TestCounterexampleMachinery:
@@ -239,7 +233,7 @@ class TestCounterexampleMachinery:
         bogus = Claim(
             "bogus_connected",
             "digraph",
-            (Direction("forward", 1, _always, _never_connected),),
+            (_implies("forward", 1, (), _CONNECTED_SCALAR),),
         )
         monkeypatch.setitem(CATALOG, "bogus_connected", bogus)
         report = verify_claim("bogus_connected", 2, [1])
