@@ -15,7 +15,9 @@ in a batch, so their arc planes are all zeros or all ones.
 
 ``PlaneContext`` mirrors ``verify.ClaimContext``: it memoizes powers,
 competition graphs, sources, closures and degree counters for one batch,
-and the atoms of the claim catalog read their ``plane`` from it.
+and every atom of the claim catalog reads its ``plane`` from it.  The
+subdigraph check (Lemma 3.4) derives each subdigraph's arc planes from the
+batch's and powers them one subdigraph at a time, keeping none.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ class PlaneContext:
         self._graphs = {}
         self._cm = {}  # m -> (connected, exact counts of l, components meet sources)
         self._stars = {}
-        self._weak = None  # (weakly connected, every weak component has a source)
+        self._weak = None
         self._local_sg = None
         # predator bound: [item i: in-degrees <= 2 in D^1..D^i, anchor power, repeated]
         self._pred = None
@@ -344,11 +346,12 @@ class PlaneContext:
         return self.full & ~bad
 
     def _weak_components(self):
+        # (weakly connected, every weak component has a source, closure)
         if self._weak is None:
             a = self.arcs
             n = self.n
             r = _closure([[a[u][v] | a[v][u] for v in range(n)] for u in range(n)], self.full)
-            self._weak = (_all(r[0], self.full), self._components_meet_sources(r))
+            self._weak = (_all(r[0], self.full), self._components_meet_sources(r), r)
         return self._weak
 
     def weakly_connected(self, m: int = 0) -> int:
@@ -477,3 +480,51 @@ class PlaneContext:
                     only_v = g[u][v] & ~_any(g[u][x] for x in range(n) if x != v)
                     bad |= src[v] & g1[u][v] & ~(out_eq1[u] & only_v)
         return self.full & ~bad
+
+    def _subdigraphs(self):
+        """(mask, arc planes) of each subdigraph of ``verify.ClaimContext.subdigraphs``.
+
+        The mask marks the digraphs that have the subdigraph: D - uv where
+        u has another prey, and, where D is not weakly connected, the weak
+        component of each root r with every arc outside it dropped.  A
+        component with several roots is yielded once per root.
+        """
+        a = self.arcs
+        full = self.full
+        for u, row in enumerate(a):
+            several = _at_least(row, 2, full)[2]
+            for v, x in enumerate(row):
+                if x & several:
+                    yield x & several, a[:u] + (row[:v] + (0,) + row[v + 1 :],) + a[u + 1 :]
+        split = full ^ self.weakly_connected()
+        if split:
+            r = self._weak_components()[2]
+            for root in range(self.n):
+                yield split, tuple(tuple(x & r[u][root] for x in row) for u, row in enumerate(a))
+
+    def sub_monotone(self, m: int) -> int:
+        """Every edge of a subdigraph's C^m is an edge of C^m(D).
+
+        Each subdigraph is built and powered on its own, and none of its
+        planes is kept, so the memory held is that of one power sequence.
+        Only digraphs whose C^m misses some pair are tested.
+        """
+        g = self.graph(m)
+        full = self.full
+        n = self.n
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        todo = full & ~_all((g[x][y] for x, y in pairs), full)
+        bad = 0
+        for mask, sub in self._subdigraphs():
+            mask &= todo & ~bad
+            if not mask:
+                continue
+            prey = _power(sub, m)
+            for x, y in pairs:
+                miss = mask & ~g[x][y]
+                if miss:
+                    e = 0
+                    for s, t in zip(prey[x], prey[y]):
+                        e |= s & t
+                    bad |= miss & e
+        return full & ~bad

@@ -6,14 +6,14 @@ Every claim is split into directed sub-checks with their own minimum m
 different m ranges).  Each direction is ``hypothesis atoms ⇒
 conclusion atoms`` over one set of named atoms, which are composed from
 the public operations of the other modules; a per-digraph context only
-memoizes their results.  The subdigraph check alone works on out-rows
-directly, so no context is built per subdigraph.
+memoizes their results.  Every atom also has a bit plane form.
 
-Scans run in one process.  An exhaustive scan evaluates each direction
-whose atoms all have a bit plane form on whole batches of the stream at
-once (``bitslice``), and replays only the digraphs it flags on a
-``ClaimContext``, which writes their failure details; every other
-direction, sampled scans and replays run on ``ClaimContext`` alone.
+Scans run in one process.  An exhaustive scan, the ``thm_3_2`` census
+included, evaluates every direction on whole batches of the stream at
+once (``bitslice``) and builds a digraph only for the bits it flags,
+which are replayed on a ``ClaimContext`` that writes their failure
+details and must agree.  Sampled scans and replays run on
+``ClaimContext`` alone, and so serve as the scalar reference.
 """
 
 from __future__ import annotations
@@ -202,16 +202,16 @@ class ClaimContext:
 
 
 class Atom(NamedTuple):
-    """A property of (D, m); atoms used only in hypotheses need no ``why``,
-    and an atom without a ``plane`` keeps its directions on the scalar path.
+    """A property of (D, m); atoms used only in hypotheses need no ``why``
+    (None), and every atom of a direction needs a ``plane``.
     """
 
     test: Callable[[ClaimContext, int], bool]
-    why: Callable[[ClaimContext, int], str] | None = None
-    plane: Callable[[_bitslice.PlaneContext, int], int] | None = None
+    why: Callable[[ClaimContext, int], str] | None
+    plane: Callable[[_bitslice.PlaneContext, int], int] | None
 
 
-def _witness(find: Callable[[ClaimContext, int], str | None], plane=None) -> Atom:
+def _witness(find: Callable[[ClaimContext, int], str | None], plane) -> Atom:
     """Atom whose detail names a witness: ``find`` returns it, or None if the property holds."""
     return Atom(lambda c, m: find(c, m) is None, find, plane)
 
@@ -384,7 +384,7 @@ PREY_MONOTONE = _witness(_prey_monotone, _PC.prey_monotone)
 PRED_BOUND = _witness(_predator_bound, _PC.predator_bound)
 PREDATORS_WHEN_K_EQ_L = _witness(_predators_when_k_eq_l, _PC.predators_when_k_eq_l)
 PENDANT = _witness(_pendant, _PC.pendant)
-SUB_MONOTONE = _witness(_sub_monotone)
+SUB_MONOTONE = _witness(_sub_monotone, _PC.sub_monotone)
 
 
 # --- claim catalog --------------------------------------------------------
@@ -398,11 +398,6 @@ class Direction:
     min_m: int | None  # None: m-independent, checked once per digraph
     hypothesis: tuple[Atom, ...]
     conclusion: tuple[Atom, ...]
-
-    @property
-    def planed(self) -> bool:
-        """True when every atom has a plane form, so exhaustive scans run on bit planes."""
-        return all(atom.plane is not None for atom in self.hypothesis + self.conclusion)
 
     # plain loops, not all(): the scalar path calls these once per digraph and m
     def holds(self, c: ClaimContext, m: int) -> bool:
@@ -423,9 +418,13 @@ class Direction:
 def _implies(
     name: str, min_m: int | None, hypothesis: tuple[Atom, ...], *conclusion: Atom
 ) -> Direction:
-    """The direction ``hypothesis ⇒ conclusion``; every conclusion atom needs a ``why``."""
+    """The direction ``hypothesis ⇒ conclusion``; every conclusion atom
+    needs a ``why``, and every atom a ``plane``.
+    """
     if any(atom.why is None for atom in conclusion):
         raise ValueError(f"direction {name!r}: every conclusion atom needs a why")
+    if any(atom.plane is None for atom in hypothesis + conclusion):
+        raise ValueError(f"direction {name!r}: every atom needs a plane")
     return Direction(name, min_m, hypothesis, conclusion)
 
 
@@ -617,7 +616,7 @@ def _check_digraph(d: Digraph, plan, acc) -> None:
 
 
 def _check_batch(p: _bitslice.PlaneContext, plan, acc) -> None:
-    """Evaluate planed directions on a batch of digraphs at once.
+    """Evaluate every planned direction on a batch of digraphs at once.
 
     Hits are popcounts of hypothesis planes.  Each digraph whose
     hypothesis holds but conclusion fails is replayed on a
@@ -654,17 +653,9 @@ def _check_batch(p: _bitslice.PlaneContext, plan, acc) -> None:
 
 
 def _scan_range(plan, acc, n: int, start: int, stop: int) -> None:
-    """Scan the order-n indices [start, stop): planed directions on bit
-    planes, the rest on one ``ClaimContext`` per digraph.
-    """
-    planed = [entry for entry in plan if entry[1].planed]
-    scalar = [entry for entry in plan if not entry[1].planed]
-    if planed:
-        for batch in _bitslice.batches(n, start, stop):
-            _check_batch(batch, planed, acc)
-    if scalar:
-        for d in _generate.all_digraphs(n, start=start, stop=stop):
-            _check_digraph(d, scalar, acc)
+    """Scan the order-n indices [start, stop) on bit planes."""
+    for batch in _bitslice.batches(n, start, stop):
+        _check_batch(batch, plan, acc)
 
 
 def _verify_grid(m_list, n_max: int, report: VerificationReport) -> None:
@@ -694,15 +685,22 @@ def _verify_grid(m_list, n_max: int, report: VerificationReport) -> None:
 def _census_check(n: int) -> tuple[bool, str | None, int]:
     """Count isomorphism classes of single-source star-generating digraphs
     of order n by brute force and compare against the enumerator.
+
+    The brute force runs on bit planes.  Each digraph they flag is rebuilt
+    and must pass the scalar checks, and only those reach ``canonical_form``.
     """
     expected = sum(1 for _ in _generate.partitions(n - 1))
     found = set()
     examined = 0
-    for d in _generate.all_digraphs(n):
-        examined += 1
-        if len(_digraph.sources(d)) != 1:
-            continue
-        if _classify.classify_star_generating(d).star_generating:
+    for p in _bitslice.batches(n, 0, _generate.digraph_space_size(n)):
+        examined += p.valid.bit_count()
+        for b in _digraph.bits(p.valid & p.one_source() & p.star_generating()):
+            d = _generate.digraph_at(n, p.start + b)
+            sg = _classify.classify_star_generating(d).star_generating
+            if len(_digraph.sources(d)) != 1 or not sg:
+                raise RuntimeError(
+                    f"thm_3_2 order {n}: bit planes flag {d!r}, the scalar checks do not"
+                )
             found.add(_generate.canonical_form(d))
     reps = {
         _generate.canonical_form(d)
@@ -838,6 +836,12 @@ def replay_counterexample(entry: dict) -> bool:
         raise InputError(f"malformed counterexample entry: {entry!r}") from None
     if any(type(v) is not int for v in ints) or not (m is None or type(m) is int):
         raise InputError(f"malformed counterexample entry: {entry!r}")
+    # the (k, l) construction has k + l + 1 vertices
+    order = ints[0] + ints[1] + 1 if claim.kind == "grid" else ints[0]
+    if order > _digraph.MAX_TEXT_ORDER:
+        raise InputError(
+            f"counterexample order {order} exceeds the limit of {_digraph.MAX_TEXT_ORDER}"
+        )
 
     if claim.kind == "census":
         ok, _, _ = _census_check(entry["n"])

@@ -1,24 +1,18 @@
 """The bit-plane engine against the scalar ClaimContext path it must reproduce."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from stargen import CATALOG, replay_counterexample, verify_claim, verify_claims
-from stargen import bitslice, verify
+from stargen import bitslice, generate, verify
+from stargen.competition import Graph
 from stargen.generate import digraph_at, digraph_space_size
-from stargen.verify import CONNECTED, Atom, Claim, ClaimContext, _implies
+from stargen.verify import CONNECTED, SUB_MONOTONE, TF, Atom, Claim, ClaimContext, _implies
 
-PLANED_ATOMS = {
-    name: atom
-    for name, atom in vars(verify).items()
-    if isinstance(atom, Atom) and atom.plane is not None
-}
-PLANED_CLAIMS = sorted(
-    cid
-    for cid, claim in CATALOG.items()
-    if claim.kind == "digraph" and all(d.planed for d in claim.directions)
-)
+ATOMS = {name: atom for name, atom in vars(verify).items() if isinstance(atom, Atom)}
+PLANED_CLAIMS = sorted(cid for cid, claim in CATALOG.items() if claim.kind == "digraph")
 
 
 def _sorted_acc(acc):
@@ -82,23 +76,43 @@ class TestAtomPlanes:
             (p,) = bitslice.batches(n, 0, total)
             contexts = [ClaimContext(digraph_at(n, i)) for i in range(total)]
             for m in (1, 2, 3, 4, 5, 2**60):
-                for name, atom in PLANED_ATOMS.items():
+                for name, atom in ATOMS.items():
                     plane = atom.plane(p, m)
                     assert 0 <= plane <= p.full, (name, n, m)
                     for b, ctx in enumerate(contexts):
                         assert bool(plane >> b & 1) is atom.test(ctx, m), (name, ctx.d, m)
 
-    def test_only_sub_monotone_is_scalar(self):
-        scalar = {
-            name
-            for name, atom in vars(verify).items()
-            if isinstance(atom, Atom) and atom.plane is None
-        }
-        assert scalar == {"SUB_MONOTONE"}
-        assert PLANED_CLAIMS == sorted(
-            cid for cid, c in CATALOG.items() if c.kind == "digraph" and cid != "lemma_3_4"
-        )
-        assert not CATALOG["lemma_3_4"].directions[0].planed
+    def test_sub_monotone_plane_on_forced_failures(self):
+        # natural data never fails Lemma 3.4, so the host's C^m is emptied
+        # through both memos: every subdigraph edge is then missing from it
+        failures = 0
+        for n in range(1, 4):
+            total = digraph_space_size(n)
+            (p,) = bitslice.batches(n, 0, total)
+            for m in (1, 2, 3, 4, 5, 2**60):
+                p._graphs[m] = [[0] * n for _ in range(n)]
+                plane = SUB_MONOTONE.plane(p, m)
+                for b in range(total):
+                    ctx = ClaimContext(digraph_at(n, b))
+                    ctx._graphs[m] = Graph(n, [0] * n)
+                    holds = SUB_MONOTONE.test(ctx, m)
+                    assert bool(plane >> b & 1) is holds, (ctx.d, m)
+                    if m <= 4 and not holds:
+                        failures += 1
+        assert failures == 1308
+
+    def test_every_catalog_atom_has_a_plane(self):
+        assert all(atom.plane is not None for atom in ATOMS.values())
+        for claim in CATALOG.values():
+            for d in claim.directions:
+                assert all(atom.plane is not None for atom in d.hypothesis + d.conclusion)
+
+    def test_implies_rejects_an_atom_without_a_plane(self):
+        scalar = Atom(TF.test, TF.why, None)
+        with pytest.raises(ValueError, match="needs a plane"):
+            _implies("forward", 1, (), scalar)
+        with pytest.raises(ValueError, match="needs a plane"):
+            _implies("forward", 1, (scalar,), TF)
 
 
 class TestSameReports:
@@ -143,7 +157,6 @@ class TestSameReports:
 class TestFalseClaim:
     def test_identical_replayable_counterexamples(self, monkeypatch):
         bogus = Claim("bogus_planed", "digraph", (_implies("forward", 1, (), CONNECTED),))
-        assert bogus.directions[0].planed
         monkeypatch.setitem(CATALOG, "bogus_planed", bogus)
         failures = 0
         for n in range(1, 4):
@@ -162,3 +175,26 @@ class TestFalseClaim:
         monkeypatch.setitem(CATALOG, "bogus_lying", lying_claim)
         with pytest.raises(RuntimeError, match="bit planes flag"):
             verify_claim("bogus_lying", 2, [1])
+
+    def test_census_plane_the_scalar_checks_contradict_raises(self, monkeypatch):
+        monkeypatch.setattr(bitslice.PlaneContext, "star_generating", lambda p, m=0: p.full)
+        with pytest.raises(RuntimeError, match="bit planes flag"):
+            verify_claim("thm_3_2", 3, [])
+
+
+class TestOrderFive:
+    def test_sub_monotone_and_census_n5(self, monkeypatch):
+        # the census rebuilds only the digraphs its planes flag: the n!
+        # labelings of the one-source star-generating digraphs
+        rebuilt = Counter()
+
+        def counting_digraph_at(n, index):
+            rebuilt[n] += 1
+            return digraph_at(n, index)
+
+        monkeypatch.setattr(generate, "digraph_at", counting_digraph_at)
+        lemma, census = verify_claims(["lemma_3_4", "thm_3_2"], 5, [2])
+        assert lemma.verified and census.verified
+        assert lemma.digraphs_examined == lemma.hypothesis_hits == 28_680_129
+        assert census.digraphs_examined == 28_680_128
+        assert rebuilt == {2: 2, 3: 6, 4: 24, 5: 120}

@@ -265,8 +265,7 @@ class TestVerify:
         import stargen.verify as verify_mod
         from stargen.verify import Atom, Claim, _implies
 
-        # no plane, so the scan runs it on the scalar path
-        never = Atom(lambda ctx, m: False, lambda ctx, m: "forced failure")
+        never = Atom(lambda ctx, m: False, lambda ctx, m: "forced failure", lambda p, m: 0)
         monkeypatch.setitem(
             verify_mod.CATALOG,
             "bogus",

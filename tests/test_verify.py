@@ -15,6 +15,7 @@ from stargen import (
 )
 from stargen import Digraph, m_step_digraph
 from stargen.competition import Graph
+from stargen.digraph import MAX_TEXT_ORDER
 from stargen.generate import all_digraphs
 from stargen.verify import (
     CONNECTED,
@@ -209,6 +210,21 @@ class TestReplay:
             with pytest.raises(InputError, match="malformed"):
                 replay_counterexample(entry)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            # used to escape as an OverflowError from the row list
+            dict(claim="prop_2_1", direction="forward", n=10**19, arcs=[], m=1),
+            dict(claim="prop_2_1", direction="forward", n=MAX_TEXT_ORDER + 1, arcs=[], m=1),
+            # used to build an arc list of k pairs
+            dict(claim="lemma_2_2", direction="construction", k=10**19, l=1, m=1),
+            dict(claim="lemma_2_2", direction="construction", k=1, l=MAX_TEXT_ORDER, m=1),
+        ],
+    )
+    def test_order_over_the_limit(self, entry):
+        with pytest.raises(InputError, match="exceeds the limit"):
+            replay_counterexample(entry)
+
     def test_grid_entry(self):
         entry = {
             "claim": "lemma_2_2",
@@ -223,9 +239,10 @@ class TestReplay:
         assert replay_counterexample(entry) is False  # the construction is sound
 
 
-# atoms without a plane, so their directions run on the scalar path
-_FORCED_FAILURE = Atom(lambda ctx, m: False, lambda ctx, m: "forced failure")
-_CONNECTED_SCALAR = Atom(lambda ctx, m: ctx.n_components(m) == 1, lambda ctx, m: "not connected")
+_FORCED_FAILURE = Atom(lambda ctx, m: False, lambda ctx, m: "forced failure", lambda p, m: 0)
+_CONNECTED_SCALAR = Atom(
+    lambda ctx, m: ctx.n_components(m) == 1, lambda ctx, m: "not connected", CONNECTED.plane
+)
 
 
 class TestCounterexampleMachinery:
