@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from . import digraph as _digraph
+
 # most digraphs (bits) one batch may hold
 CAP_BITS = 1 << 18
 
@@ -104,16 +106,7 @@ def _product(a, b) -> tuple[tuple[int, ...], ...]:
 
 
 def _power(a, m: int):
-    # exponentiation by squaring; m >= 1
-    result = None
-    sq = a
-    while True:
-        if m & 1:
-            result = sq if result is None else _product(result, sq)
-        m >>= 1
-        if not m:
-            return result
-        sq = _product(sq, sq)
+    return _digraph._power(a, m, _product)
 
 
 def _at_least(planes, top: int, full: int) -> list[int]:

@@ -16,7 +16,7 @@ from .digraph import Digraph, bits, induced_subdigraph, sources, weak_components
 Witness = dict[str, Any]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     holds: bool
     witness: Witness | None = None
@@ -25,7 +25,7 @@ class Verdict:
         return self.holds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassificationReport:
     """Per-condition verdicts; false verdicts carry a concrete witness.
 

@@ -14,17 +14,27 @@ from .digraph import (
     _parse_pairs,
     _row_power,
     bits,
+    bitset,
 )
 
 
 class Graph:
-    """Immutable simple graph on 0..n-1; ``rows[v]`` is the bitmask of neighbors."""
+    """Immutable simple graph on 0..n-1; ``rows[v]`` is the bitmask of neighbors.
 
-    __slots__ = ("n", "rows")
+    The components are found on first use and kept, like ``Digraph.in_rows``.
+    """
+
+    __slots__ = ("n", "rows", "_comps")
 
     def __init__(self, n: int, rows: Iterable[int]):
         self.n = n
         self.rows = tuple(rows)
+        self._comps: tuple[frozenset[int], ...] | None = None
+
+    def _components(self) -> tuple[frozenset[int], ...]:
+        if self._comps is None:
+            self._comps = tuple(frozenset(bits(c)) for c in _component_masks(self.n, self.rows))
+        return self._comps
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -98,16 +108,16 @@ def is_triangle_free(g: Graph) -> tuple[bool, tuple[int, int, int] | None]:
 
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components, ordered by smallest member."""
-    return [frozenset(bits(c)) for c in _component_masks(g.n, g.rows)]
+    return list(g._components())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Star:
     center: int
     leaves: frozenset[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StarDecomposition:
     """Partition of a graph into nontrivial stars with prescribed centers."""
 
@@ -117,7 +127,7 @@ class StarDecomposition:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StarDecompositionFailure:
     component: frozenset[int]
     reason: str  # "trivial" | "not_a_star" | "center_not_in_sources"
@@ -137,22 +147,22 @@ def star_decomposition(
     lower-indexed endpoint belonging to source_set is chosen.
     """
     stars = []
-    for comp_mask in _component_masks(g.n, g.rows):
-        members = list(bits(comp_mask))
+    for comp in g._components():
+        members = sorted(comp)
         if len(members) == 1:
-            return StarDecompositionFailure(frozenset(members), "trivial")
+            return StarDecompositionFailure(comp, "trivial")
         if len(members) == 2:
             candidates = [v for v in members if v in source_set]
             if not candidates:
-                return StarDecompositionFailure(frozenset(members), "center_not_in_sources")
+                return StarDecompositionFailure(comp, "center_not_in_sources")
             center = candidates[0]
         else:
             hubs = [v for v in members if g.rows[v].bit_count() >= 2]
-            if len(hubs) != 1 or g.rows[hubs[0]] != comp_mask & ~(1 << hubs[0]):
-                return StarDecompositionFailure(frozenset(members), "not_a_star")
+            if len(hubs) != 1 or g.rows[hubs[0]] != bitset(members) ^ 1 << hubs[0]:
+                return StarDecompositionFailure(comp, "not_a_star")
             center = hubs[0]
             if center not in source_set:
-                return StarDecompositionFailure(frozenset(members), "center_not_in_sources")
+                return StarDecompositionFailure(comp, "center_not_in_sources")
         leaves = frozenset(v for v in members if v != center)
         stars.append(Star(center, leaves))
     return StarDecomposition(tuple(stars))

@@ -128,17 +128,32 @@ def _row_product(a_rows, b_rows) -> list[int]:
     return out
 
 
-def _row_power(rows, m: int) -> list[int]:
-    # exponentiation by squaring; m >= 1
+def _power(x, m: int, product):
+    """x**m under an associative ``product``, by squaring; m >= 1.
+
+    Powers of a boolean matrix are eventually periodic, so its squares
+    S_t = x**(2**t) repeat after a few steps.  Every square is kept in a
+    list, and the first S_k equal (``==``) to an earlier S_j ends the
+    squaring: then x**(i + 2**k - 2**j) = x**i for every i >= 2**j, so m is
+    reduced below 2**k, where the kept squares suffice.
+    """
+    squares = [x]
+    while m >> len(squares):
+        sq = product(squares[-1], squares[-1])
+        if sq in squares:
+            low = 1 << squares.index(sq)
+            m = low + (m - low) % ((1 << len(squares)) - low)
+        else:
+            squares.append(sq)
     result = None
-    sq = list(rows)
-    while True:
-        if m & 1:
-            result = sq if result is None else _row_product(result, sq)
-        m >>= 1
-        if not m:
-            return result
-        sq = _row_product(sq, sq)
+    for t, sq in enumerate(squares):
+        if m >> t & 1:
+            result = sq if result is None else product(result, sq)
+    return result
+
+
+def _row_power(rows, m: int) -> list[int]:
+    return _power(list(rows), m, _row_product)
 
 
 def compose(a: Digraph, b: Digraph) -> Digraph:
@@ -151,7 +166,8 @@ def compose(a: Digraph, b: Digraph) -> Digraph:
 def m_step_digraph(d: Digraph, m: int) -> Digraph:
     """Digraph with arc (u, v) iff a directed walk of length exactly m runs u to v.
 
-    Uses exponentiation by squaring, so m may be arbitrarily large.
+    Uses exponentiation by squaring, which stops at the first repeated
+    square, so m may be arbitrarily large.
     """
     if m < 1:
         raise InputError(f"step count must be positive, got {m}")

@@ -17,6 +17,7 @@ from stargen import (
     is_disjoint_cycle_union,
     sources,
 )
+from stargen.classify import Verdict
 
 FIGS = figure_digraphs()
 
@@ -70,6 +71,23 @@ class TestClassify:
             "witnesses",
         }
         json.dumps(data)  # must be serializable as-is
+
+
+class TestResultValues:
+    def test_verdict_and_report_have_no_dict(self):
+        report = classify_star_generating(FIGS["fig1_D2"])
+        assert not hasattr(report, "__dict__")
+        assert not hasattr(report.s1, "__dict__")
+        assert report == classify_star_generating(FIGS["fig1_D2"])
+        assert hash(report) == hash(classify_star_generating(FIGS["fig1_D2"]))
+
+    def test_verdicts_compare_and_hash_as_values(self):
+        assert Verdict(True) == Verdict(True, None) and hash(Verdict(True)) == hash(Verdict(True))
+        assert Verdict(False, {"problem": "no source"}) == Verdict(False, {"problem": "no source"})
+        assert Verdict(True) != Verdict(False)
+        assert bool(Verdict(True)) and not Verdict(False)
+        with pytest.raises(TypeError):
+            hash(Verdict(False, {"problem": "no source"}))  # the witness is a dict
 
 
 def _witness_violates(d, name, witness):

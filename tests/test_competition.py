@@ -6,6 +6,9 @@ import oracles
 from conftest import digraphs
 from stargen import (
     Digraph,
+    Star,
+    StarDecomposition,
+    StarDecompositionFailure,
     all_digraphs,
     competition_graph,
     components,
@@ -188,6 +191,38 @@ class TestStarDecomposition:
             (0, {1, 2}),
             (3, {4}),
         ]
+
+
+class TestSharedResults:
+    def test_failure_reuses_the_component_set(self):
+        g = graph_from_edges(4, [(0, 1), (1, 2), (0, 2)])
+        comps = components(g)
+        sd = star_decomposition(g, frozenset({0}))
+        assert not sd and sd.reason == "not_a_star"
+        assert sd.component is comps[0]
+        assert components(g)[1] is comps[1]
+
+    def test_returned_list_is_fresh(self):
+        g = graph_from_edges(3, [(0, 1)])
+        first = components(g)
+        first.clear()
+        assert components(g) == [frozenset({0, 1}), frozenset({2})]
+
+    def test_results_have_no_dict_and_compare_as_values(self):
+        star = Star(0, frozenset({1}))
+        failure = StarDecompositionFailure(frozenset({2}), "trivial")
+        decomposition = StarDecomposition((star,))
+        for value, twin in (
+            (star, Star(0, frozenset({1}))),
+            (failure, StarDecompositionFailure(frozenset({2}), "trivial")),
+            (decomposition, StarDecomposition((Star(0, frozenset({1})),))),
+        ):
+            assert not hasattr(value, "__dict__")
+            assert value == twin and hash(value) == hash(twin)
+        assert decomposition and not failure
+        assert star != Star(1, frozenset({0}))
+        with pytest.raises(AttributeError):
+            star.center = 2
 
 
 class TestGraphFormats:

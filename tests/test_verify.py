@@ -225,6 +225,12 @@ class TestReplay:
         with pytest.raises(InputError, match="exceeds the limit"):
             replay_counterexample(entry)
 
+    def test_census_order_over_the_replay_limit(self):
+        # used to scan all (2**7 - 1)**7 digraphs
+        entry = {"claim": "thm_3_2", "direction": "count", "n": 7, "m": None}
+        with pytest.raises(InputError, match=r"\(2\*\*7 - 1\)\*\*7 digraphs"):
+            replay_counterexample(entry)
+
     def test_grid_entry(self):
         entry = {
             "claim": "lemma_2_2",
