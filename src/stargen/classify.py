@@ -11,7 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .digraph import Digraph, bits, induced_subdigraph, sources, weak_components
+from .digraph import (
+    Digraph,
+    _component_masks,
+    bits,
+    induced_subdigraph,
+    weak_components,
+)
 
 Witness = dict[str, Any]
 
@@ -66,6 +72,10 @@ class ClassificationReport:
         }
 
 
+# every verdict that holds is this one; verdicts are immutable
+_HOLDS = Verdict(True)
+
+
 def classify_star_generating(d: Digraph) -> ClassificationReport:
     """Check weak connectivity and the three defining source/prey conditions.
 
@@ -76,46 +86,49 @@ def classify_star_generating(d: Digraph) -> ClassificationReport:
     in_rows = d.in_rows
     n = d.n
 
-    outdeg = Verdict(True)
+    outdeg = _HOLDS
     for v in range(n):
         if not out_rows[v]:
             outdeg = Verdict(False, {"vertex": v, "problem": "no prey"})
             break
 
-    comps = weak_components(d)
+    comps = _component_masks(n, [out_rows[v] | in_rows[v] for v in range(n)])
     if len(comps) == 1:
-        connected = Verdict(True)
+        connected = _HOLDS
     else:
+        # masks come ordered by lowest member, so their low bits are the minima
         connected = Verdict(
             False,
             {
                 "components": len(comps),
-                "separated": [min(comps[0]), min(comps[1])],
+                "separated": [(c & -c).bit_length() - 1 for c in comps[:2]],
             },
         )
 
-    src = sources(d)
+    src = 0  # bitmask of the sources
+    for v in range(n):
+        if not in_rows[v]:
+            src |= 1 << v
+    src_sorted = list(bits(src))
 
     # each source's prey must have exactly two predators; a source must exist
     if not src:
         s1 = Verdict(False, {"problem": "no source"})
     else:
-        s1 = Verdict(True)
-        for v in sorted(src):
+        s1 = _HOLDS
+        for v in src_sorted:
             for w in bits(out_rows[v]):
-                deg = in_rows[w].bit_count()
-                if deg != 2:
+                if in_rows[w].bit_count() != 2:
                     s1 = Verdict(
                         False,
-                        {"source": v, "prey": w, "predators": sorted(bits(in_rows[w]))},
+                        {"source": v, "prey": w, "predators": list(bits(in_rows[w]))},
                     )
                     break
             if not s1:
                 break
 
     # no two sources share a prey
-    s2 = Verdict(True)
-    src_sorted = sorted(src)
+    s2 = _HOLDS
     for i, a in enumerate(src_sorted):
         for b in src_sorted[i + 1 :]:
             common = out_rows[a] & out_rows[b]
@@ -127,25 +140,24 @@ def classify_star_generating(d: Digraph) -> ClassificationReport:
             break
 
     # non-source vertices: one prey, two predators, exactly one a source
-    s3 = Verdict(True)
+    s3 = _HOLDS
     for u in range(n):
-        if u in src:
+        if src >> u & 1:
             continue
         if out_rows[u].bit_count() != 1:
-            s3 = Verdict(False, {"vertex": u, "prey": sorted(bits(out_rows[u]))})
+            s3 = Verdict(False, {"vertex": u, "prey": list(bits(out_rows[u]))})
             break
         preds = in_rows[u]
         if preds.bit_count() != 2:
-            s3 = Verdict(False, {"vertex": u, "predators": sorted(bits(preds))})
+            s3 = Verdict(False, {"vertex": u, "predators": list(bits(preds))})
             break
-        source_preds = [p for p in bits(preds) if p in src]
-        if len(source_preds) != 1:
+        if (preds & src).bit_count() != 1:
             s3 = Verdict(
                 False,
                 {
                     "vertex": u,
-                    "predators": sorted(bits(preds)),
-                    "source_predators": source_preds,
+                    "predators": list(bits(preds)),
+                    "source_predators": list(bits(preds & src)),
                 },
             )
             break

@@ -14,26 +14,43 @@ from .digraph import (
     _parse_pairs,
     _row_power,
     bits,
-    bitset,
 )
+
+
+# One-vertex component sets of the low vertices, shared by every graph:
+# isolated vertices are the commonest component, and frozensets are immutable.
+_SINGLETONS = tuple(frozenset((v,)) for v in range(64))
 
 
 class Graph:
     """Immutable simple graph on 0..n-1; ``rows[v]`` is the bitmask of neighbors.
 
+    ``InputError`` is raised unless there are n rows, each in [0, 2**n).
+    Rows must also be symmetric and loop-free; that is the caller's
+    contract, not checked here (``graph_from_edges`` builds checked rows).
     The components are found on first use and kept, like ``Digraph.in_rows``.
     """
 
     __slots__ = ("n", "rows", "_comps")
 
     def __init__(self, n: int, rows: Iterable[int]):
+        rows = tuple(rows)
+        if len(rows) != n:
+            raise InputError(f"expected {n} rows, got {len(rows)}")
+        if rows and (min(rows) < 0 or max(rows) >> n):
+            raise InputError(f"rows must lie in [0, 2**{n}), got {min(rows)}..{max(rows)}")
         self.n = n
-        self.rows = tuple(rows)
+        self.rows = rows
         self._comps: tuple[frozenset[int], ...] | None = None
 
     def _components(self) -> tuple[frozenset[int], ...]:
         if self._comps is None:
-            self._comps = tuple(frozenset(bits(c)) for c in _component_masks(self.n, self.rows))
+            self._comps = tuple(
+                frozenset(bits(c))
+                if c & (c - 1) or c >> len(_SINGLETONS)
+                else _SINGLETONS[c.bit_length() - 1]
+                for c in _component_masks(self.n, self.rows)
+            )
         return self._comps
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -76,33 +93,45 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def competition_graph(d: Digraph, m: int) -> Graph:
-    """Graph joining distinct u, v iff they share an m-step common prey in d."""
+    """Graph joining distinct u, v iff they share an m-step common prey in d.
+
+    A competition graph is the union of the cliques on the predator sets
+    of its prey (Dutton and Brigham, 1983), and the m-step predator rows
+    are the rows of (D^T)^m = (D^m)^T.  So each distinct predator set with
+    two or more members is filled in as a clique, which costs work in
+    proportion to those sets rather than to all pairs of vertices.
+    """
     if m < 1:
         raise InputError(f"step count must be positive, got {m}")
-    prey = d.out_rows if m == 1 else _row_power(d.out_rows, m)
-    n = d.n
-    rows = [0] * n
-    for u in range(n):
-        pu = prey[u]
-        if not pu:
-            continue
-        for v in range(u + 1, n):
-            if pu & prey[v]:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-    return Graph(n, rows)
+    pred = d.in_rows if m == 1 else _row_power(d.in_rows, m)
+    rows = [0] * d.n
+    for clique in set(pred):
+        if clique & (clique - 1):
+            rest = clique
+            while rest:
+                low = rest & -rest
+                rows[low.bit_length() - 1] |= clique ^ low
+                rest ^= low
+    return Graph(d.n, rows)
 
 
 def is_triangle_free(g: Graph) -> tuple[bool, tuple[int, int, int] | None]:
-    """(True, None) if no triangle exists, else (False, first triangle (x, y, z))."""
+    """(True, None) if no triangle exists, else (False, first triangle (x, y, z)).
+
+    For the first x and then the first y > x with a common neighbor above
+    x, that neighbor z exceeds y: a common neighbor z < y would have been
+    tried as y earlier and found y.
+    """
     rows = g.rows
     for x in range(g.n):
         rx = rows[x] >> (x + 1) << (x + 1)
-        for y in bits(rx):
-            common = rx & rows[y] >> (y + 1) << (y + 1)
+        rest = rx
+        while rest:
+            low = rest & -rest
+            common = rx & rows[low.bit_length() - 1]
             if common:
-                z = (common & -common).bit_length() - 1
-                return False, (x, y, z)
+                return False, (x, low.bit_length() - 1, (common & -common).bit_length() - 1)
+            rest ^= low
     return True, None
 
 
@@ -146,25 +175,26 @@ def star_decomposition(
     center (the unique vertex of degree >= 2); for two-vertex components the
     lower-indexed endpoint belonging to source_set is chosen.
     """
+    rows = g.rows
     stars = []
     for comp in g._components():
-        members = sorted(comp)
-        if len(members) == 1:
+        size = len(comp)
+        if size == 1:
             return StarDecompositionFailure(comp, "trivial")
-        if len(members) == 2:
-            candidates = [v for v in members if v in source_set]
+        if size == 2:
+            candidates = [v for v in sorted(comp) if v in source_set]
             if not candidates:
                 return StarDecompositionFailure(comp, "center_not_in_sources")
             center = candidates[0]
         else:
-            hubs = [v for v in members if g.rows[v].bit_count() >= 2]
-            if len(hubs) != 1 or g.rows[hubs[0]] != bitset(members) ^ 1 << hubs[0]:
+            # the hub of a star on `size` vertices is adjacent to all the others
+            hubs = [v for v in comp if rows[v].bit_count() >= 2]
+            if len(hubs) != 1 or rows[hubs[0]].bit_count() != size - 1:
                 return StarDecompositionFailure(comp, "not_a_star")
             center = hubs[0]
             if center not in source_set:
                 return StarDecompositionFailure(comp, "center_not_in_sources")
-        leaves = frozenset(v for v in members if v != center)
-        stars.append(Star(center, leaves))
+        stars.append(Star(center, comp - {center}))
     return StarDecomposition(tuple(stars))
 
 

@@ -615,8 +615,10 @@ def _check_batch(p: _bitslice.PlaneContext, plan, acc) -> None:
     Hits are popcounts of hypothesis planes.  Each digraph whose
     hypothesis holds but conclusion fails is replayed on a
     ``ClaimContext``, which writes the failure detail and must agree.
-    Steps run by increasing m, releasing each m's planes after it.
+    A digraph flagged more than once shares one context across directions
+    and m.  Steps run by increasing m, releasing each m's planes after it.
     """
+    replays = {}  # batch bit -> its ClaimContext
     rounds = {}
     for cid, direction, steps in plan:
         for m, key, in_range in steps:
@@ -636,7 +638,9 @@ def _check_batch(p: _bitslice.PlaneContext, plan, acc) -> None:
                     break
                 ok &= atom.plane(p, m)
             for b in _digraph.bits(held & ~ok):
-                ctx = ClaimContext(_generate.digraph_at(p.n, p.start + b))
+                ctx = replays.get(b)
+                if ctx is None:
+                    ctx = replays[b] = ClaimContext(_generate.digraph_at(p.n, p.start + b))
                 detail = direction.failure(ctx, m) if direction.holds(ctx, m) else None
                 if detail is None:
                     raise RuntimeError(

@@ -73,6 +73,17 @@ class TestClassify:
         json.dumps(data)  # must be serializable as-is
 
 
+class TestConnectivityWitness:
+    def test_three_components_pin_the_first_two_minima(self):
+        # weak components {0, 1, 4}, {2, 6}, {3, 5}
+        d = from_arc_list(7, [(0, 1), (1, 4), (4, 0), (2, 6), (6, 2), (3, 5), (5, 5)])
+        verdict = classify_star_generating(d).weakly_connected
+        assert verdict == Verdict(False, {"components": 3, "separated": [0, 2]})
+
+    def test_connected_has_no_witness(self):
+        assert classify_star_generating(FIGS["fig1_D2"]).weakly_connected == Verdict(True)
+
+
 class TestResultValues:
     def test_verdict_and_report_have_no_dict(self):
         report = classify_star_generating(FIGS["fig1_D2"])

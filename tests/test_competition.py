@@ -1,3 +1,6 @@
+import random
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +15,9 @@ from stargen import (
     all_digraphs,
     competition_graph,
     components,
+    InputError,
     figure_digraphs,
+    from_arc_list,
     graph_from_edges,
     is_triangle_free,
     lemma_kl_digraph,
@@ -20,6 +25,7 @@ from stargen import (
     star_decomposition,
     weak_components,
 )
+from stargen.competition import _SINGLETONS, Graph
 
 FIGS = figure_digraphs()
 
@@ -237,3 +243,117 @@ class TestGraphFormats:
 
         with pytest.raises(InputError):
             graph_from_edges(2, [(1, 1)])
+
+
+def _all_graphs(n):
+    """Every labeled simple graph on n vertices, as (edge set, Graph)."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        edges = {frozenset(p) for i, p in enumerate(pairs) if mask >> i & 1}
+        yield edges, graph_from_edges(n, [tuple(e) for e in edges])
+
+
+def _brute_components(n, edges):
+    """Components by repeated merging of edge-linked sets, ordered by minimum."""
+    comps = [{v} for v in range(n)]
+    for e in edges:
+        a, b = (next(c for c in comps if v in c) for v in e)
+        if a is not b:
+            a |= b
+            comps.remove(b)
+    return sorted((frozenset(c) for c in comps), key=min)
+
+
+def _brute_star_decomposition(n, edges, source_set):
+    stars = []
+    for comp in _brute_components(n, edges):
+        inner = [e for e in edges if e <= comp]
+        if len(comp) == 1:
+            return StarDecompositionFailure(comp, "trivial")
+        hubs = [v for v in sorted(comp) if sum(v in e for e in inner) == len(comp) - 1]
+        if len(inner) != len(comp) - 1 or not hubs:
+            return StarDecompositionFailure(comp, "not_a_star")
+        centers = [v for v in hubs if v in source_set]
+        if not centers:
+            return StarDecompositionFailure(comp, "center_not_in_sources")
+        stars.append(Star(centers[0], comp - {centers[0]}))
+    return StarDecomposition(tuple(stars))
+
+
+class TestCliqueFill:
+    """competition_graph fills predator cliques; the oracle intersects prey sets."""
+
+    def test_every_digraph_up_to_order_three(self):
+        for n in range(1, 4):
+            for rows in product(range(1 << n), repeat=n):
+                d = Digraph(n, rows)
+                arcs = list(d.arcs())
+                for m in (1, 2, 3, 4, 5, 6, 2**60):
+                    expected = oracles.competition_edges(n, arcs, m)
+                    assert competition_graph(d, m) == graph_from_edges(
+                        n, [tuple(e) for e in expected]
+                    ), (d, m)
+
+    def test_seeded_random_digraphs_up_to_order_twelve(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            density = rng.random()
+            arcs = [(u, v) for u in range(n) for v in range(n) if rng.random() < density]
+            d = from_arc_list(n, arcs)
+            for m in (1, 2, 3, n, 2**60):
+                expected = oracles.competition_edges(n, arcs, m)
+                assert competition_graph(d, m) == graph_from_edges(
+                    n, [tuple(e) for e in expected]
+                ), (d, m)
+
+
+class TestBruteForceKernels:
+    def test_triangle_witness_is_the_first_of_a_brute_force_search(self):
+        for n in range(1, 7):
+            for edges, g in _all_graphs(n):
+                first = next(
+                    (
+                        t
+                        for t in combinations(range(n), 3)
+                        if all(frozenset(p) in edges for p in combinations(t, 2))
+                    ),
+                    None,
+                )
+                assert is_triangle_free(g) == (first is None, first), g
+
+    def test_star_decomposition_on_every_graph_and_source_set(self):
+        for n in range(1, 6):
+            for edges, g in _all_graphs(n):
+                assert components(g) == _brute_components(n, edges)
+                for mask in range(1 << n):
+                    source_set = frozenset(v for v in range(n) if mask >> v & 1)
+                    got = star_decomposition(g, source_set)
+                    assert got == _brute_star_decomposition(n, edges, source_set), (
+                        g,
+                        source_set,
+                    )
+
+
+class TestGraphRows:
+    @pytest.mark.parametrize(
+        "n, rows",
+        [(2, [0b100, 0]), (2, [0, -1]), (2, [0]), (2, [0, 0, 0]), (0, [1])],
+    )
+    def test_malformed_rows_rejected(self, n, rows):
+        with pytest.raises(InputError):
+            Graph(n, rows)
+
+    def test_full_rows_accepted(self):
+        g = Graph(3, [0b110, 0b101, 0b011])
+        assert components(g) == [frozenset({0, 1, 2})]
+
+    def test_singleton_components_are_shared(self):
+        a = components(graph_from_edges(4, [(1, 2)]))
+        b = components(graph_from_edges(5, [(2, 4)]))
+        assert a[0] is b[0] and a[2] is b[3] == frozenset({3})
+
+    def test_singletons_beyond_the_table_are_still_sets(self):
+        n = len(_SINGLETONS) + 3
+        comps = components(Graph(n, [0] * n))
+        assert comps == [frozenset({v}) for v in range(n)]

@@ -469,3 +469,21 @@ class TestHitsByDirection:
         assert grid.hits_by_direction == {"construction": {1: 4, 3: 4}}
         census = verify_claim("thm_3_2", 3, [])
         assert census.hits_by_direction == {"count": {None: 2}}
+
+
+class TestSharedReplays:
+    def test_one_context_per_flagged_digraph(self, monkeypatch):
+        # at m = 1 these three claims flag the same 384 digraphs twice over
+        created = []
+        init = ClaimContext.__init__
+
+        def counting_init(self, d):
+            created.append(d)
+            init(self, d)
+
+        monkeypatch.setattr(ClaimContext, "__init__", counting_init)
+        reports = verify_claims(["lemma_3_6", "thm_1_3", "prop_3_7"], 4, [1])
+        entries = [e for r in reports for e in r.counterexamples + r.boundary_instances]
+        distinct = {(e["n"], tuple(map(tuple, e["arcs"]))) for e in entries}
+        assert len(entries) == 768 and len(distinct) == 384
+        assert len(created) == len(set(created)) == 384
