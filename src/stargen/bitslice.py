@@ -1,17 +1,17 @@
-"""Bit-sliced evaluation of claim atoms over batches of the digraph stream.
+"""Bit-sliced evaluation of claim atoms over batches of digraphs.
 
 A *plane* is a Python int whose bit b stands for the digraph at stream
-index ``start + b`` (the bitslice technique of Biham, *A fast new DES
+index ``indices[b]`` (the bitslice technique of Biham, *A fast new DES
 implementation in software*, FSE 1997).  The n x n arc planes of a batch
 hold its adjacency matrices, so one boolean matrix product of planes is
 one product for every digraph of the batch, and a property of (D, m)
 becomes one plane whose set bits are the digraphs that have it.
 
-Batches are aligned to ``(2**n - 1)**t`` indices, ``t`` the most trailing
-out-rows that keep a batch within ``CAP_BITS``.  The trailing t rows run
-through every value inside a batch, the same way in every batch, so their
-arc planes are built once per scanned range; the leading rows are constant
-in a batch, so their arc planes are all zeros or all ones.
+Exhaustive scans run on ``batches`` of ``(2**n - 1)**t`` consecutive
+indices, t the most trailing out-rows that keep a batch within
+``CAP_BITS``; their arc planes are built once per call, and the leading
+rows, constant in a batch, are all-zero or all-one planes.  Sampled scans
+run on ``draws``, batches of any indices of one order, repeats included.
 
 ``PlaneContext`` mirrors ``verify.ClaimContext``: it memoizes powers,
 competition graphs, sources, closures and degree counters for one batch,
@@ -22,7 +22,7 @@ batch's and powers them one subdigraph at a time, keeping none.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import digraph as _digraph
 
@@ -71,22 +71,39 @@ def _trailing_arcs(n: int, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def batches(n: int, start: int, stop: int) -> Iterator[PlaneContext]:
-    """One ``PlaneContext`` per batch of order n meeting indices [start, stop)."""
+def batches(n: int, first: int = 0, stop: int | None = None) -> Iterator[PlaneContext]:
+    """One ``PlaneContext`` per batch of order n, batches [first, stop), to the last by default."""
     base = 2**n - 1
     t = trailing_rows(n)
     size = base**t
     full = (1 << size) - 1
     trailing = _trailing_arcs(n, t)
-    for first in range(start - start % size, stop, size):
-        lo, hi = max(start, first) - first, min(stop, first + size) - first
-        valid = ((1 << hi) - 1) ^ ((1 << lo) - 1)
-        leading = []
-        rest = first // size
+    count = base ** (n - t)
+    for k in range(first, count if stop is None else min(stop, count)):
+        leading, rest = [], k
         for _ in range(n - t):
             rest, digit = divmod(rest, base)
-            leading.append(tuple(full if (digit + 1) >> w & 1 else 0 for w in range(n)))
-        yield PlaneContext(n, first, full, valid, tuple(leading[::-1]) + trailing)
+            leading.insert(0, tuple(full if (digit + 1) >> w & 1 else 0 for w in range(n)))
+        yield PlaneContext(n, range(k * size, (k + 1) * size), tuple(leading) + trailing)
+
+
+def draws(n: int, indices: Sequence[int]) -> PlaneContext:
+    """The batch whose bit b is the order-n digraph at stream index ``indices[b]``."""
+    # draw b's out-rows, decoded as in generate.digraph_at, are field b of one
+    # binary string, which arc plane (u, w) reads with stride n*n
+    base, width = 2**n - 1, n * n
+    fields = []
+    for index in reversed(indices):
+        packed = 0
+        for v in range(n - 1, -1, -1):
+            index, digit = divmod(index, base)
+            packed |= digit + 1 << v * n
+        fields.append(format(packed, f"0{width}b"))
+    text = "".join(fields)
+    arcs = tuple(
+        tuple(int(text[width - 1 - u * n - w :: width], 2) for w in range(n)) for u in range(n)
+    )
+    return PlaneContext(n, indices, arcs)
 
 
 # --- plane arithmetic ------------------------------------------------------
@@ -164,21 +181,20 @@ def _all(planes, full: int) -> int:
 
 
 class PlaneContext:
-    """Memo of bit planes for one batch of the digraph stream.
+    """Memo of bit planes for one batch of digraphs of order n.
 
-    Bit b of every plane is the digraph at index ``start + b``; ``valid``
-    marks the bits inside the scanned range.  Methods mirror
-    ``verify.ClaimContext``, return planes masked to ``full``, and take m
-    even for properties of D alone.  A scan evaluates m in increasing order
-    and calls ``release`` after each, so only the planes of about two
-    consecutive m are held at a time.
+    Bit b of every plane is the digraph at stream index ``indices[b]``: a
+    ``range`` for a batch of the stream, a list for a batch of draws.
+    Methods mirror ``verify.ClaimContext``, return planes masked to
+    ``full``, and take m even for properties of D alone.  A scan evaluates
+    m in increasing order and calls ``release`` after each, so only the
+    planes of about two consecutive m are held at a time.
     """
 
     __slots__ = (
         "n",
-        "start",
+        "indices",
         "full",
-        "valid",
         "arcs",
         "in_degrees",
         "sources",
@@ -192,11 +208,10 @@ class PlaneContext:
         "_pred",
     )
 
-    def __init__(self, n: int, start: int, full: int, valid: int, arcs):
+    def __init__(self, n: int, indices: Sequence[int], arcs):
         self.n = n
-        self.start = start
-        self.full = full
-        self.valid = valid
+        self.indices = indices
+        self.full = full = (1 << len(indices)) - 1
         self.arcs = arcs
         self.in_degrees = self._in_counts(arcs)
         self.sources = [full ^ ge[1] for ge in self.in_degrees]

@@ -61,6 +61,8 @@ def _parse_m_spec(spec: str) -> list[int]:
             lo, hi = int(lo), int(hi)
         except ValueError:
             raise InputError(f"cannot parse m value {part!r} in {spec!r}") from None
+        if lo > hi:
+            raise InputError(f"cannot parse m value {part!r} in {spec!r}: the range descends")
         if len(values) + hi - lo + 1 > MAX_M_VALUES:
             raise InputError(f"m specification {spec!r} lists more than {MAX_M_VALUES} values")
         values.extend(range(lo, hi + 1))
@@ -183,9 +185,11 @@ def _cmd_verify(args) -> int:
     for cid in claim_ids:
         if cid not in _verify.CATALOG:
             raise InputError(f"unknown claim {cid!r}; choose from {sorted(_verify.CATALOG)}")
-    if args.n_max >= 5 and not args.large:
+    # exhaustive scans, and the thm_3_2 census in either mode, scan whole orders
+    whole_orders = args.mode == "exhaustive" or "thm_3_2" in claim_ids
+    if args.n_max >= 5 and whole_orders and not args.large:
         raise InputError(
-            f"n_max={args.n_max} scans {_generate.digraph_space_size(args.n_max)} "
+            f"n_max={args.n_max} scans (2**{args.n_max} - 1)**{args.n_max} "
             f"digraphs per order; pass --large to confirm"
         )
     m_values = _parse_m_spec(args.m) if args.m else []
@@ -257,7 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int, help="sample size for sampled mode")
-    p.add_argument("--large", action="store_true", help="allow n_max >= 5")
+    p.add_argument(
+        "--large", action="store_true", help="allow n_max >= 5 for exhaustive scans and thm_3_2"
+    )
     p.add_argument("--report", help="append JSON-lines reports to this file")
     p.set_defaults(func=_cmd_verify)
 

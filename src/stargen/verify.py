@@ -8,12 +8,12 @@ conclusion atoms`` over one set of named atoms, which are composed from
 the public operations of the other modules; a per-digraph context only
 memoizes their results.  Every atom also has a bit plane form.
 
-Scans run in one process.  An exhaustive scan, the ``thm_3_2`` census
-included, evaluates every direction on whole batches of the stream at
-once (``bitslice``) and builds a digraph only for the bits it flags,
-which are replayed on a ``ClaimContext`` that writes their failure
-details and must agree.  Sampled scans and replays run on
-``ClaimContext`` alone, and so serve as the scalar reference.
+Scans run in one process.  Exhaustive and sampled scans, and the
+``thm_3_2`` census, evaluate every direction on batches of the stream or
+of seeded draws at once (``bitslice``) and build a digraph only for the
+bits they flag, which are replayed on a ``ClaimContext`` that writes the
+failure details and must agree.  ``ClaimContext`` also runs the grid and
+replays, and is the reference the tests check every plane against.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class ClaimContext:
         self._all_weak_sg = None
         self._every_weak_src = None
         self._stars = {}
-        self._subs = None  # m -> prey rows of every subdigraph; 1 holds the subdigraphs
+        self._subs = None
 
     def power(self, m: int) -> Digraph:
         p = self._powers.get(m)
@@ -170,21 +170,12 @@ class ClaimContext:
             if not self.weakly_connected:
                 for comp in self.weak:
                     subs.append([row if u in comp else 0 for u, row in enumerate(host)])
-            self._subs = {1: subs}
-        return self._subs[1]
+            self._subs = subs
+        return self._subs
 
     def sub_powers(self, m: int) -> list[list[int]]:
         """The m-step prey rows of every subdigraph, in ``subdigraphs`` order."""
-        subs = self.subdigraphs()
-        powers = self._subs.get(m)
-        if powers is None:
-            prev = self._subs.get(m - 1)
-            if prev is not None:
-                powers = [_digraph._row_product(p, s) for p, s in zip(prev, subs)]
-            else:
-                powers = [_digraph._row_power(s, m) for s in subs]
-            self._subs[m] = powers
-        return powers
+        return [_digraph._row_power(s, m) for s in self.subdigraphs()]
 
 
 # --- atoms ----------------------------------------------------------------
@@ -393,7 +384,7 @@ class Direction:
     hypothesis: tuple[Atom, ...]
     conclusion: tuple[Atom, ...]
 
-    # plain loops, not all(): the scalar path calls these once per digraph and m
+    # plain loops, not all(): replays call these once per flagged digraph and m
     def holds(self, c: ClaimContext, m: int) -> bool:
         """True when every hypothesis atom holds."""
         for atom in self.hypothesis:
@@ -596,19 +587,6 @@ def _accumulators(claim_ids, plan) -> dict[str, tuple[dict, list, list]]:
     return acc
 
 
-def _check_digraph(d: Digraph, plan, acc) -> None:
-    """Evaluate every planned direction on one digraph, updating accumulators."""
-    ctx = ClaimContext(d)
-    for cid, direction, steps in plan:
-        hits, cexs, bounds = acc[cid]
-        for m, key, in_range in steps:
-            if direction.holds(ctx, m):
-                hits[key] += 1
-                detail = direction.failure(ctx, m)
-                if detail is not None:
-                    (cexs if in_range else bounds).append(_entry(cid, key[0], d, key[1], detail))
-
-
 def _check_batch(p: _bitslice.PlaneContext, plan, acc) -> None:
     """Evaluate every planned direction on a batch of digraphs at once.
 
@@ -626,7 +604,7 @@ def _check_batch(p: _bitslice.PlaneContext, plan, acc) -> None:
     for m in sorted(rounds):
         for cid, direction, key, in_range in rounds[m]:
             hits, cexs, bounds = acc[cid]
-            held = p.valid
+            held = p.full
             for atom in direction.hypothesis:
                 if not held:
                     break
@@ -640,7 +618,7 @@ def _check_batch(p: _bitslice.PlaneContext, plan, acc) -> None:
             for b in _digraph.bits(held & ~ok):
                 ctx = replays.get(b)
                 if ctx is None:
-                    ctx = replays[b] = ClaimContext(_generate.digraph_at(p.n, p.start + b))
+                    ctx = replays[b] = ClaimContext(_generate.digraph_at(p.n, p.indices[b]))
                 detail = direction.failure(ctx, m) if direction.holds(ctx, m) else None
                 if detail is None:
                     raise RuntimeError(
@@ -650,10 +628,20 @@ def _check_batch(p: _bitslice.PlaneContext, plan, acc) -> None:
         p.release(m)
 
 
-def _scan_range(plan, acc, n: int, start: int, stop: int) -> None:
-    """Scan the order-n indices [start, stop) on bit planes."""
-    for batch in _bitslice.batches(n, start, stop):
-        _check_batch(batch, plan, acc)
+def _sampled_batches(n_max: int, seed: int | None, count: int):
+    """Seeded draws of (order, index), one order per batch: each batch is
+    yielded at ``CAP_BITS`` draws, the remainders at the end.
+    """
+    rng = random.Random(seed)
+    pending: dict[int, list[int]] = {}
+    for _ in range(count):
+        n = rng.randint(min(2, n_max), n_max)
+        indices = pending.setdefault(n, [])
+        indices.append(rng.randrange(_generate.digraph_space_size(n)))
+        if len(indices) == _bitslice.CAP_BITS:
+            yield _bitslice.draws(n, pending.pop(n))
+    for n, indices in pending.items():
+        yield _bitslice.draws(n, indices)
 
 
 def _verify_grid(m_list, n_max: int, report: VerificationReport) -> None:
@@ -695,10 +683,10 @@ def _census_check(n: int) -> tuple[bool, str | None, int]:
     expected = sum(1 for _ in _generate.partitions(n - 1))
     found = set()
     examined = 0
-    for p in _bitslice.batches(n, 0, _generate.digraph_space_size(n)):
-        examined += p.valid.bit_count()
-        for b in _digraph.bits(p.valid & p.one_source() & p.star_generating()):
-            d = _generate.digraph_at(n, p.start + b)
+    for p in _bitslice.batches(n):
+        examined += len(p.indices)
+        for b in _digraph.bits(p.one_source() & p.star_generating()):
+            d = _generate.digraph_at(n, p.indices[b])
             sg = _classify.classify_star_generating(d).star_generating
             if len(_digraph.sources(d)) != 1 or not sg:
                 raise RuntimeError(
@@ -746,6 +734,8 @@ def verify_claims(
     """
     claim_ids = list(dict.fromkeys(claim_ids))
     claims = [_lookup(cid) for cid in claim_ids]
+    if mode not in ("exhaustive", "sampled"):
+        raise InputError(f"unknown mode {mode!r}")
     m_list = sorted(set(m_set))
     if any(m < 1 for m in m_list):
         raise InputError("m values must be positive")
@@ -775,26 +765,20 @@ def verify_claims(
             raise InputError(f"n_max must be positive, got {n_max}")
         if not m_list and any(CATALOG[cid].min_m is not None for cid in scan_ids):
             raise InputError("m_set is empty but some requested claim depends on m")
+        if mode == "exhaustive":
+            contexts = (p for n in range(1, n_max + 1) for p in _bitslice.batches(n))
+        else:
+            if sample_count is None or sample_count < 1:
+                raise InputError(f"sample count must be at least 1, got {sample_count}")
+            if n_max > _digraph.MAX_TEXT_ORDER:  # a draw builds (2**n - 1)**n
+                raise InputError(f"sampled n_max {n_max} exceeds {_digraph.MAX_TEXT_ORDER}")
+            contexts = _sampled_batches(n_max, seed, sample_count)
         plan = _plan(scan_ids, m_list)
         acc = _accumulators(scan_ids, plan)
-        if mode == "exhaustive":
-            orders = range(1, n_max + 1)
-            for n in orders:
-                _scan_range(plan, acc, n, 0, _generate.digraph_space_size(n))
-            examined = sum(map(_generate.digraph_space_size, orders))
-        elif mode == "sampled":
-            if sample_count is None:
-                raise InputError("sampled mode needs a sample count")
-            if sample_count < 1:
-                raise InputError(f"sample count must be at least 1, got {sample_count}")
-            rng = random.Random(seed)
-            for _ in range(sample_count):
-                n = rng.randint(min(2, n_max), n_max)
-                d = _generate.digraph_at(n, rng.randrange(_generate.digraph_space_size(n)))
-                _check_digraph(d, plan, acc)
-            examined = sample_count
-        else:
-            raise InputError(f"unknown mode {mode!r}")
+        examined = 0
+        for p in contexts:
+            _check_batch(p, plan, acc)
+            examined += len(p.indices)
 
         for cid, _, steps in plan:
             for _, key, in_range in steps:

@@ -13,6 +13,8 @@ from stargen.verify import CONNECTED, SUB_MONOTONE, TF, Atom, Claim, ClaimContex
 
 ATOMS = {name: atom for name, atom in vars(verify).items() if isinstance(atom, Atom)}
 PLANED_CLAIMS = sorted(cid for cid, claim in CATALOG.items() if claim.kind == "digraph")
+# the claims that accept m = 1, where directions with min m 2 leave boundary instances
+LOW_M_CLAIMS = [cid for cid in PLANED_CLAIMS if (CATALOG[cid].min_m or 1) <= 1]
 
 
 def _sorted_acc(acc):
@@ -23,22 +25,52 @@ def _sorted_acc(acc):
     }
 
 
+def _check_digraph(d, plan, acc):
+    """The scalar reference: every planned direction on one ClaimContext."""
+    ctx = ClaimContext(d)
+    for cid, direction, steps in plan:
+        hits, cexs, bounds = acc[cid]
+        for m, key, in_range in steps:
+            if direction.holds(ctx, m):
+                hits[key] += 1
+                detail = direction.failure(ctx, m)
+                if detail is not None:
+                    entry = verify._entry(cid, key[0], d, key[1], detail)
+                    (cexs if in_range else bounds).append(entry)
+
+
 def _scalar_acc(claim_ids, m_list, draws):
     """Accumulators of every direction run on one ClaimContext per (n, index)."""
     plan = verify._plan(claim_ids, m_list)
     acc = verify._accumulators(claim_ids, plan)
     for n, i in draws:
-        verify._check_digraph(digraph_at(n, i), plan, acc)
+        _check_digraph(digraph_at(n, i), plan, acc)
     return acc
 
 
-def _both_paths(claim_ids, m_list, n, start, stop):
-    """(engine, scalar) accumulators of one index range."""
+def _both_paths(claim_ids, m_list, contexts):
+    """(engine, scalar) accumulators of the digraphs of some batches."""
     plan = verify._plan(claim_ids, m_list)
     planes = verify._accumulators(claim_ids, plan)
-    verify._scan_range(plan, planes, n, start, stop)
-    scalar = _scalar_acc(claim_ids, m_list, [(n, i) for i in range(start, stop)])
+    for p in contexts:
+        verify._check_batch(p, plan, planes)
+    scalar = _scalar_acc(claim_ids, m_list, [(p.n, i) for p in contexts for i in p.indices])
     return _sorted_acc(planes), _sorted_acc(scalar)
+
+
+def _sampled_draws(n_max, seed, count):
+    """The (order, index) pairs of a sampled scan, drawn as ``verify_claims`` draws them."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(count):
+        n = rng.randint(min(2, n_max), n_max)
+        pairs.append((n, rng.randrange(digraph_space_size(n))))
+    return pairs
+
+
+def _decode(p, b):
+    """The out-rows of bit b of a batch, read from its arc planes."""
+    return tuple(sum((p.arcs[u][w] >> b & 1) << w for w in range(p.n)) for u in range(p.n))
 
 
 class TestBatches:
@@ -53,27 +85,28 @@ class TestBatches:
         rng = random.Random(n)
         total = digraph_space_size(n)
         size = bitslice.batch_size(n)
-        for _ in range(3):
-            start = rng.randrange(total)
-            stop = min(total, start + rng.randrange(1, 2 * size))
-            batches = list(bitslice.batches(n, start, stop))
-            assert sum(p.valid.bit_count() for p in batches) == stop - start
-            for p in batches:
-                assert p.start % size == 0
-                for b in rng.sample(range(size), min(size, 40)):
-                    rows = digraph_at(n, p.start + b).out_rows
-                    got = tuple(
-                        sum((p.arcs[u][w] >> b & 1) << w for w in range(n)) for u in range(n)
-                    )
-                    assert got == rows
-                    assert bool(p.valid >> b & 1) is (start <= p.start + b < stop)
+        count = total // size
+        for k in {0, count - 1} | {rng.randrange(count) for _ in range(2)}:
+            (p,) = bitslice.batches(n, k, k + 1)
+            assert p.indices == range(k * size, (k + 1) * size)
+            assert p.full == (1 << size) - 1
+            for b in rng.sample(range(size), min(size, 40)):
+                assert _decode(p, b) == digraph_at(n, p.indices[b]).out_rows
+        assert list(bitslice.batches(n, count, count + 5)) == []
+        # a batch of draws keeps every draw, repeats included, as its own bit
+        indices = [rng.randrange(total) for _ in range(30)]
+        indices += indices[:7] + [0, total - 1]
+        p = bitslice.draws(n, indices)
+        assert p.full == (1 << len(indices)) - 1
+        for b, index in enumerate(indices):
+            assert _decode(p, b) == digraph_at(n, index).out_rows
 
 
 class TestAtomPlanes:
     def test_every_plane_equals_its_test(self):
         for n in range(1, 4):
             total = digraph_space_size(n)
-            (p,) = bitslice.batches(n, 0, total)
+            (p,) = bitslice.batches(n)
             contexts = [ClaimContext(digraph_at(n, i)) for i in range(total)]
             for m in (1, 2, 3, 4, 5, 2**60):
                 for name, atom in ATOMS.items():
@@ -88,7 +121,7 @@ class TestAtomPlanes:
         failures = 0
         for n in range(1, 4):
             total = digraph_space_size(n)
-            (p,) = bitslice.batches(n, 0, total)
+            (p,) = bitslice.batches(n)
             for m in (1, 2, 3, 4, 5, 2**60):
                 p._graphs[m] = [[0] * n for _ in range(n)]
                 plane = SUB_MONOTONE.plane(p, m)
@@ -121,16 +154,15 @@ class TestSameReports:
         # instances with their details, for every planed claim
         m_list = list(range(1, 8))
         for n in range(1, 5):
-            planes, scalar = _both_paths(PLANED_CLAIMS, m_list, n, 0, digraph_space_size(n))
+            planes, scalar = _both_paths(PLANED_CLAIMS, m_list, list(bitslice.batches(n)))
             assert planes == scalar, n
 
     def test_seeded_sample_n5(self):
-        # a seeded range of 20 000 indices; this one spans two batches
+        # a seeded run of 20 000 consecutive indices, as one batch of draws
         rng = random.Random(20261018)
         start = rng.randrange(digraph_space_size(5) - 20_000)
-        size = bitslice.batch_size(5)
-        assert start // size != (start + 20_000) // size
-        planes, scalar = _both_paths(PLANED_CLAIMS, list(range(1, 8)), 5, start, start + 20_000)
+        p = bitslice.draws(5, range(start, start + 20_000))
+        planes, scalar = _both_paths(PLANED_CLAIMS, list(range(1, 8)), [p])
         assert planes == scalar
 
     def test_hits_by_direction_agree(self):
@@ -154,13 +186,56 @@ class TestSameReports:
         assert reports[1].to_dict()["hits_by_direction"] == {"forward": {"null": 33}}
 
 
+class TestSampledScans:
+    """Sampled reports against the same seeded draws on the scalar reference."""
+
+    def _assert_scalar_reports(self, claim_ids, m_list, n_max, seed, count):
+        kwargs = dict(mode="sampled", seed=seed, sample_count=count)
+        reports = verify_claims(claim_ids, n_max, m_list, **kwargs)
+        scalar = _sorted_acc(_scalar_acc(claim_ids, m_list, _sampled_draws(n_max, seed, count)))
+        for rep in reports:
+            hits, cexs, bounds = scalar[rep.claim_id]
+            assert rep.digraphs_examined == count
+            assert rep.hits_by_direction == {
+                name: {m: c for (d, m), c in hits.items() if d == name} for name, _ in hits
+            }, rep.claim_id
+            assert rep.counterexamples == cexs, rep.claim_id
+            assert rep.boundary_instances == bounds, rep.claim_id
+        return reports
+
+    @pytest.mark.parametrize("n_max, seed, count", [(5, 3, 2000), (7, 5, 500)])
+    def test_every_claim_matches_the_scalar_path(self, monkeypatch, n_max, seed, count):
+        bogus = Claim("bogus_planed", "digraph", (_implies("forward", 1, (), CONNECTED),))
+        monkeypatch.setitem(CATALOG, "bogus_planed", bogus)
+        low_m = LOW_M_CLAIMS + ["bogus_planed"]
+        low = self._assert_scalar_reports(low_m, [1, 2, 3], n_max, seed, count)
+        self._assert_scalar_reports(PLANED_CLAIMS, [2, 3, 2**60], n_max, seed, count)
+        assert low[-1].counterexamples
+        assert any(rep.boundary_instances for rep in low)
+
+    def test_orders_flush_mid_stream(self, monkeypatch):
+        # with room for 16 draws per batch, every order fills batches and
+        # leaves a remainder
+        monkeypatch.setattr(bitslice, "CAP_BITS", 16)
+        sizes = Counter()
+        draws = bitslice.draws
+
+        def counting_draws(n, indices):
+            sizes[n, len(indices) == 16] += 1
+            return draws(n, indices)
+
+        monkeypatch.setattr(bitslice, "draws", counting_draws)
+        self._assert_scalar_reports(LOW_M_CLAIMS, [1, 2], 5, 11, 150)
+        assert {(n, full) for n, full in sizes} == {(n, f) for n in (2, 3, 4, 5) for f in (0, 1)}
+
+
 class TestFalseClaim:
     def test_identical_replayable_counterexamples(self, monkeypatch):
         bogus = Claim("bogus_planed", "digraph", (_implies("forward", 1, (), CONNECTED),))
         monkeypatch.setitem(CATALOG, "bogus_planed", bogus)
         failures = 0
         for n in range(1, 4):
-            planes, scalar = _both_paths(["bogus_planed"], [1, 2], n, 0, digraph_space_size(n))
+            planes, scalar = _both_paths(["bogus_planed"], [1, 2], list(bitslice.batches(n)))
             assert planes == scalar
             failures += len(scalar["bogus_planed"][1])
         report = verify_claim("bogus_planed", 3, [1, 2])

@@ -173,7 +173,9 @@ class TestVerify:
         assert run(["verify", "--claim", "prop_2_1", "--n-max", "2", "--m", "4"]) == 0
         capsys.readouterr()
 
-    @pytest.mark.parametrize("spec, part", [("abc", "'abc'"), ("1,,2", "''")])
+    @pytest.mark.parametrize(
+        "spec, part", [("abc", "'abc'"), ("1,,2", "''"), ("1,6..2", "'6..2'"), ("2..1", "'2..1'")]
+    )
     def test_unparsable_m_spec(self, capsys, spec, part):
         assert run(["verify", "--claim", "prop_2_1", "--n-max", "2", "--m", spec]) == 1
         err = capsys.readouterr().err
@@ -212,6 +214,15 @@ class TestVerify:
     def test_large_guard(self, capsys):
         code = run(["verify", "--claim", "prop_2_1", "--n-max", "5", "--m", "2"])
         assert code == 1
+        assert "--large" in capsys.readouterr().err
+
+    def test_large_guards_only_whole_order_scans(self, capsys):
+        argv = ["verify", "--claim", "thm_1_3", "--n-max", "8", "--m", "2"]
+        assert run(argv + ["--mode", "sampled", "--count", "100", "--seed", "1"]) == 0
+        assert "thm_1_3: verified (100 digraphs" in capsys.readouterr().out
+        # the census scans every order in either mode
+        argv = ["verify", "--claim", "thm_3_2", "--n-max", "5", "--mode", "sampled", "--count", "1"]
+        assert run(argv) == 1
         assert "--large" in capsys.readouterr().err
 
     def test_unknown_claim(self, capsys):

@@ -115,6 +115,16 @@ class TestErrors:
         with pytest.raises(InputError, match="sample count"):
             verify_claim("prop_2_1", 3, [2], mode="sampled", seed=1)
 
+    def test_unknown_mode_rejected(self):
+        # the mode used to be checked only when a digraph claim was scanned
+        with pytest.raises(InputError, match="unknown mode 'bogus'"):
+            verify_claims(["lemma_2_2"], 3, [2], mode="bogus")
+
+    def test_sampled_order_over_the_limit(self):
+        # a draw builds (2**n - 1)**n, so the bound comes before any draw
+        with pytest.raises(InputError, match=f"exceeds {MAX_TEXT_ORDER}"):
+            verify_claim("prop_2_1", MAX_TEXT_ORDER + 1, [1], "sampled", seed=1, sample_count=1)
+
     def test_nonpositive_m_rejected(self):
         with pytest.raises(InputError):
             verify_claim("prop_2_1", 3, [0, 1])
