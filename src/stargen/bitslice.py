@@ -25,6 +25,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from . import digraph as _digraph
+from .generate import _out_rows
 
 # most digraphs (bits) one batch may hold
 CAP_BITS = 1 << 18
@@ -80,24 +81,24 @@ def batches(n: int, first: int = 0, stop: int | None = None) -> Iterator[PlaneCo
     trailing = _trailing_arcs(n, t)
     count = base ** (n - t)
     for k in range(first, count if stop is None else min(stop, count)):
-        leading, rest = [], k
-        for _ in range(n - t):
-            rest, digit = divmod(rest, base)
-            leading.insert(0, tuple(full if (digit + 1) >> w & 1 else 0 for w in range(n)))
-        yield PlaneContext(n, range(k * size, (k + 1) * size), tuple(leading) + trailing)
+        # the leading rows are those of the batch's first digraph
+        leading = tuple(
+            tuple(full if row >> w & 1 else 0 for w in range(n))
+            for row in _out_rows(n, k * size)[: n - t]
+        )
+        yield PlaneContext(n, range(k * size, (k + 1) * size), leading + trailing)
 
 
 def draws(n: int, indices: Sequence[int]) -> PlaneContext:
     """The batch whose bit b is the order-n digraph at stream index ``indices[b]``."""
-    # draw b's out-rows, decoded as in generate.digraph_at, are field b of one
-    # binary string, which arc plane (u, w) reads with stride n*n
-    base, width = 2**n - 1, n * n
+    # draw b's out-rows are field b of one binary string, which arc plane
+    # (u, w) reads with stride n*n
+    width = n * n
     fields = []
     for index in reversed(indices):
         packed = 0
-        for v in range(n - 1, -1, -1):
-            index, digit = divmod(index, base)
-            packed |= digit + 1 << v * n
+        for v, row in enumerate(_out_rows(n, index)):
+            packed |= row << v * n
         fields.append(format(packed, f"0{width}b"))
     text = "".join(fields)
     arcs = tuple(
@@ -188,7 +189,8 @@ class PlaneContext:
     Methods mirror ``verify.ClaimContext``, return planes masked to
     ``full``, and take m even for properties of D alone.  A scan evaluates
     m in increasing order and calls ``release`` after each, so only the
-    planes of about two consecutive m are held at a time.
+    planes of about two consecutive m, and the power the next m steps
+    from, are held at a time.
     """
 
     __slots__ = (
@@ -227,11 +229,13 @@ class PlaneContext:
         self._pred = None
 
     def release(self, m: int) -> None:
-        """Drop the planes that only steps at m or below read."""
+        """Drop the planes that only steps at m or below read, but keep
+        ``power(m)``: the next m steps from it instead of squaring.
+        """
         for memo in (self._graphs, self._cm, self._stars):
             for key in [key for key in memo if key <= m]:
                 del memo[key]
-        for key in [key for key in self._powers if 1 < key <= m]:
+        for key in [key for key in self._powers if 1 < key < m]:
             del self._powers[key]
 
     # -- D and its powers

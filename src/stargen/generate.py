@@ -81,16 +81,23 @@ def digraph_space_size(n: int) -> int:
     return (2**n - 1) ** n
 
 
-def digraph_at(n: int, index: int) -> Digraph:
-    """The index-th digraph of the stream (lexicographic by out-row tuple)."""
+def _out_rows(n: int, index: int) -> list[int]:
+    """Out-rows of the index-th digraph of order n: the base 2**n - 1 digits
+    of index, most significant first, each plus one.
+    """
     base = 2**n - 1
-    if not 0 <= index < base**n:
-        raise InputError(f"index {index} out of range for n={n}")
     rows = [0] * n
     for v in range(n - 1, -1, -1):
         index, digit = divmod(index, base)
         rows[v] = digit + 1
-    return Digraph(n, rows)
+    return rows
+
+
+def digraph_at(n: int, index: int) -> Digraph:
+    """The index-th digraph of the stream (lexicographic by out-row tuple)."""
+    if not 0 <= index < (2**n - 1) ** n:
+        raise InputError(f"index {index} out of range for n={n}")
+    return Digraph(n, _out_rows(n, index))
 
 
 def all_digraphs(
@@ -107,29 +114,15 @@ def all_digraphs(
     """
     if n < 1:
         raise InputError(f"vertex count must be positive, got {n}")
-    top = 2**n - 1
-    total = top**n
+    total = (2**n - 1) ** n
     if stop is None:
         stop = total
     if not 0 <= start <= stop <= total:
         raise InputError(f"bad range [{start}, {stop}) for n={n}")
-    if start == stop:
-        return
-    rows = list(digraph_at(n, start).out_rows)
-    index = start
-    while True:
-        d = Digraph(n, rows)
+    for index in range(start, stop):
+        d = Digraph(n, _out_rows(n, index))
         if filter is None or filter(d):
             yield d
-        index += 1
-        if index == stop:
-            return
-        # odometer increment over rows, least-significant last
-        for v in range(n - 1, -1, -1):
-            if rows[v] < top:
-                rows[v] += 1
-                break
-            rows[v] = 1
 
 
 def canonical_form(d: Digraph) -> tuple[int, tuple[int, ...]]:

@@ -12,8 +12,9 @@ Scans run in one process.  Exhaustive and sampled scans, and the
 ``thm_3_2`` census, evaluate every direction on batches of the stream or
 of seeded draws at once (``bitslice``) and build a digraph only for the
 bits they flag, which are replayed on a ``ClaimContext`` that writes the
-failure details and must agree.  ``ClaimContext`` also runs the grid and
-replays, and is the reference the tests check every plane against.
+failure details and must agree; hits and entries go straight into the
+reports.  ``ClaimContext`` also runs the grid and replays, and is the
+reference the tests check every plane against.
 """
 
 from __future__ import annotations
@@ -560,56 +561,44 @@ def _entry_sort_key(entry: dict):
 # --- scanning -------------------------------------------------------------
 
 
-def _plan(claim_ids, m_list) -> list[tuple[str, Direction, list[tuple[int, tuple, bool]]]]:
-    """(claim id, direction, steps) for every direction of the claims.
+def _rounds(reports, m_list) -> list[tuple[int, list[tuple]]]:
+    """[(m, [(report, direction, hits m, in range), ...]), ...] by increasing m.
 
-    A step is (m, hits key, in range).  An m-independent direction has one
-    step, at m = 0, recorded with m None.  A failure below a direction's m
-    range is a boundary instance: recorded, never a counterexample.
+    An m-independent direction runs once, at m = 0, its hits recorded at m
+    None.  A failure below a direction's m range is a boundary instance, not
+    a counterexample.  Every (direction, m) starts at zero hits, in catalog order.
     """
-    plan = []
-    for cid in claim_ids:
-        for direction in CATALOG[cid].directions:
-            min_m = direction.min_m
-            if min_m is None:
-                steps = [(0, (direction.name, None), True)]
+    rounds = {}
+    for rep in reports:
+        for direction in CATALOG[rep.claim_id].directions:
+            if direction.min_m is None:
+                steps = [(0, None, True)]
             else:
-                steps = [(m, (direction.name, m), m >= min_m) for m in m_list]
-            plan.append((cid, direction, steps))
-    return plan
+                steps = [(m, m, m >= direction.min_m) for m in m_list]
+            for m, hits_m, in_range in steps:
+                rep.add_hits(direction.name, hits_m, 0)
+                rounds.setdefault(m, []).append((rep, direction, hits_m, in_range))
+    return sorted(rounds.items())
 
 
-def _accumulators(claim_ids, plan) -> dict[str, tuple[dict, list, list]]:
-    """claim id -> (hits by (direction, m), counterexamples, boundary instances)."""
-    acc = {cid: ({}, [], []) for cid in claim_ids}
-    for cid, _, steps in plan:
-        acc[cid][0].update((key, 0) for _, key, _ in steps)
-    return acc
+def _check_batch(p: _bitslice.PlaneContext, rounds) -> None:
+    """Evaluate every direction of the rounds on a batch of digraphs at once.
 
-
-def _check_batch(p: _bitslice.PlaneContext, plan, acc) -> None:
-    """Evaluate every planned direction on a batch of digraphs at once.
-
-    Hits are popcounts of hypothesis planes.  Each digraph whose
-    hypothesis holds but conclusion fails is replayed on a
-    ``ClaimContext``, which writes the failure detail and must agree.
-    A digraph flagged more than once shares one context across directions
-    and m.  Steps run by increasing m, releasing each m's planes after it.
+    Hits are popcounts of hypothesis planes, added to the reports.  Each
+    digraph whose hypothesis holds but conclusion fails is replayed on a
+    ``ClaimContext``, which writes the entry's detail and must agree.  A
+    digraph flagged more than once shares one context across directions
+    and m.  Each round's planes are released after it.
     """
     replays = {}  # batch bit -> its ClaimContext
-    rounds = {}
-    for cid, direction, steps in plan:
-        for m, key, in_range in steps:
-            rounds.setdefault(m, []).append((cid, direction, key, in_range))
-    for m in sorted(rounds):
-        for cid, direction, key, in_range in rounds[m]:
-            hits, cexs, bounds = acc[cid]
+    for m, steps in rounds:
+        for rep, direction, hits_m, in_range in steps:
             held = p.full
             for atom in direction.hypothesis:
                 if not held:
                     break
                 held &= atom.plane(p, m)
-            hits[key] += held.bit_count()
+            rep.add_hits(direction.name, hits_m, held.bit_count(), in_range)
             ok = held
             for atom in direction.conclusion:
                 if not ok:
@@ -622,9 +611,11 @@ def _check_batch(p: _bitslice.PlaneContext, plan, acc) -> None:
                 detail = direction.failure(ctx, m) if direction.holds(ctx, m) else None
                 if detail is None:
                     raise RuntimeError(
-                        f"{cid} {key[0]} at m={m}: bit planes flag {ctx.d!r}, ClaimContext does not"
+                        f"{rep.claim_id} {direction.name} at m={m}: "
+                        f"bit planes flag {ctx.d!r}, ClaimContext does not"
                     )
-                (cexs if in_range else bounds).append(_entry(cid, key[0], ctx.d, key[1], detail))
+                entries = rep.counterexamples if in_range else rep.boundary_instances
+                entries.append(_entry(rep.claim_id, direction.name, ctx.d, hits_m, detail))
         p.release(m)
 
 
@@ -705,8 +696,6 @@ def _census_check(n: int) -> tuple[bool, str | None, int]:
 
 
 def _verify_census(n_max: int, report: VerificationReport) -> None:
-    if n_max < 2:
-        raise InputError("thm_3_2 needs n_max >= 2")
     for n in range(2, n_max + 1):
         report.add_hits("count", None, 1)
         ok, detail, examined = _census_check(n)
@@ -727,10 +716,10 @@ def verify_claims(
 ) -> list[VerificationReport]:
     """Run several claims in one pass over the digraph space.
 
-    Returns one report per claim, in the order given.  Sampled mode draws
-    each digraph's order uniformly from 2..n_max (1 when n_max is 1), not
-    in proportion to the size of each order's space, then an index
-    uniformly within that order.
+    Returns one report per claim, in the order given; every input is
+    checked before any claim runs.  Sampled mode draws each digraph's order
+    uniformly from 2..n_max (1 when n_max is 1), not in proportion to the
+    size of each order's space, then an index uniformly within that order.
     """
     claim_ids = list(dict.fromkeys(claim_ids))
     claims = [_lookup(cid) for cid in claim_ids]
@@ -747,13 +736,25 @@ def verify_claims(
             raise InputError(
                 f"claim {claim.id} requires m >= {claim.min_m}; got {below}"
             )
+    special = [c for c in claims if c.kind != "digraph"]
+    scan_ids = [c.id for c in claims if c.kind == "digraph"]
+    if n_max < 2 and any(c.kind == "census" for c in claims):
+        raise InputError("thm_3_2 needs n_max >= 2")
+    if scan_ids:
+        if n_max < 1:
+            raise InputError(f"n_max must be positive, got {n_max}")
+        if not m_list and any(CATALOG[cid].min_m is not None for cid in scan_ids):
+            raise InputError("m_set is empty but some requested claim depends on m")
+        if mode == "sampled":
+            if sample_count is None or sample_count < 1:
+                raise InputError(f"sample count must be at least 1, got {sample_count}")
+            if n_max > _digraph.MAX_TEXT_ORDER:  # a draw builds (2**n - 1)**n
+                raise InputError(f"sampled n_max {n_max} exceeds {_digraph.MAX_TEXT_ORDER}")
+
     started = time.perf_counter()
     reports = {
         cid: VerificationReport(cid, mode, n_max, tuple(m_list)) for cid in claim_ids
     }
-
-    special = [c for c in claims if c.kind != "digraph"]
-    scan_ids = [c.id for c in claims if c.kind == "digraph"]
     for claim in special:
         if claim.kind == "grid":
             _verify_grid(m_list, n_max, reports[claim.id])
@@ -761,34 +762,20 @@ def verify_claims(
             _verify_census(n_max, reports[claim.id])
 
     if scan_ids:
-        if n_max < 1:
-            raise InputError(f"n_max must be positive, got {n_max}")
-        if not m_list and any(CATALOG[cid].min_m is not None for cid in scan_ids):
-            raise InputError("m_set is empty but some requested claim depends on m")
         if mode == "exhaustive":
             contexts = (p for n in range(1, n_max + 1) for p in _bitslice.batches(n))
         else:
-            if sample_count is None or sample_count < 1:
-                raise InputError(f"sample count must be at least 1, got {sample_count}")
-            if n_max > _digraph.MAX_TEXT_ORDER:  # a draw builds (2**n - 1)**n
-                raise InputError(f"sampled n_max {n_max} exceeds {_digraph.MAX_TEXT_ORDER}")
             contexts = _sampled_batches(n_max, seed, sample_count)
-        plan = _plan(scan_ids, m_list)
-        acc = _accumulators(scan_ids, plan)
+        scanned = [reports[cid] for cid in scan_ids]
+        rounds = _rounds(scanned, m_list)
         examined = 0
         for p in contexts:
-            _check_batch(p, plan, acc)
+            _check_batch(p, rounds)
             examined += len(p.indices)
-
-        for cid, _, steps in plan:
-            for _, key, in_range in steps:
-                reports[cid].add_hits(*key, acc[cid][0][key], in_range)
-        for cid in scan_ids:
-            _, cexs, bounds = acc[cid]
-            rep = reports[cid]
+        for rep in scanned:
             rep.digraphs_examined = examined
-            rep.counterexamples = sorted(cexs, key=_entry_sort_key)
-            rep.boundary_instances = sorted(bounds, key=_entry_sort_key)
+            rep.counterexamples.sort(key=_entry_sort_key)
+            rep.boundary_instances.sort(key=_entry_sort_key)
 
     elapsed = time.perf_counter() - started
     for rep in reports.values():

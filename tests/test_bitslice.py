@@ -17,45 +17,58 @@ PLANED_CLAIMS = sorted(cid for cid, claim in CATALOG.items() if claim.kind == "d
 LOW_M_CLAIMS = [cid for cid in PLANED_CLAIMS if (CATALOG[cid].min_m or 1) <= 1]
 
 
-def _sorted_acc(acc):
-    key = verify._entry_sort_key
-    return {
-        cid: (hits, sorted(cexs, key=key), sorted(bounds, key=key))
-        for cid, (hits, cexs, bounds) in acc.items()
-    }
+def _check_digraph(d, rounds, hits):
+    """The scalar reference: every direction of the rounds on one ClaimContext.
 
-
-def _check_digraph(d, plan, acc):
-    """The scalar reference: every planned direction on one ClaimContext."""
+    Hits go to the ``hits`` counter, entries straight into the reports.
+    """
     ctx = ClaimContext(d)
-    for cid, direction, steps in plan:
-        hits, cexs, bounds = acc[cid]
-        for m, key, in_range in steps:
+    for m, steps in rounds:
+        for rep, direction, hits_m, in_range in steps:
             if direction.holds(ctx, m):
-                hits[key] += 1
+                hits[rep.claim_id, direction.name, hits_m, in_range] += 1
                 detail = direction.failure(ctx, m)
                 if detail is not None:
-                    entry = verify._entry(cid, key[0], d, key[1], detail)
-                    (cexs if in_range else bounds).append(entry)
+                    entry = verify._entry(rep.claim_id, direction.name, d, hits_m, detail)
+                    (rep.counterexamples if in_range else rep.boundary_instances).append(entry)
 
 
-def _scalar_acc(claim_ids, m_list, draws):
-    """Accumulators of every direction run on one ClaimContext per (n, index)."""
-    plan = verify._plan(claim_ids, m_list)
-    acc = verify._accumulators(claim_ids, plan)
+def _dicts(reports, examined):
+    """Report dicts as ``verify_claims`` finishes them, elapsed zeroed."""
+    out = []
+    for rep in reports:
+        rep.digraphs_examined = examined
+        rep.counterexamples.sort(key=verify._entry_sort_key)
+        rep.boundary_instances.sort(key=verify._entry_sort_key)
+        out.append(dict(rep.to_dict(), elapsed=0.0))
+    return out
+
+
+def _start(claim_ids, m_list, mode="exhaustive", n_max=0):
+    """Empty reports of the claims and their ``verify._rounds``."""
+    reports = [verify.VerificationReport(cid, mode, n_max, tuple(m_list)) for cid in claim_ids]
+    return reports, verify._rounds(reports, m_list)
+
+
+def _scalar_reports(claim_ids, m_list, draws, mode="exhaustive", n_max=0):
+    """Report dicts of every direction run on one ClaimContext per (n, index)."""
+    reports, rounds = _start(claim_ids, m_list, mode, n_max)
+    hits = Counter()
     for n, i in draws:
-        _check_digraph(digraph_at(n, i), plan, acc)
-    return acc
+        _check_digraph(digraph_at(n, i), rounds, hits)
+    by_id = {rep.claim_id: rep for rep in reports}
+    for (cid, name, m, in_range), count in hits.items():
+        by_id[cid].add_hits(name, m, count, in_range)
+    return _dicts(reports, len(draws))
 
 
 def _both_paths(claim_ids, m_list, contexts):
-    """(engine, scalar) accumulators of the digraphs of some batches."""
-    plan = verify._plan(claim_ids, m_list)
-    planes = verify._accumulators(claim_ids, plan)
+    """(engine, scalar) report dicts of the digraphs of some batches."""
+    reports, rounds = _start(claim_ids, m_list)
     for p in contexts:
-        verify._check_batch(p, plan, planes)
-    scalar = _scalar_acc(claim_ids, m_list, [(p.n, i) for p in contexts for i in p.indices])
-    return _sorted_acc(planes), _sorted_acc(scalar)
+        verify._check_batch(p, rounds)
+    draws = [(p.n, i) for p in contexts for i in p.indices]
+    return _dicts(reports, len(draws)), _scalar_reports(claim_ids, m_list, draws)
 
 
 def _sampled_draws(n_max, seed, count):
@@ -100,6 +113,26 @@ class TestBatches:
         assert p.full == (1 << len(indices)) - 1
         for b, index in enumerate(indices):
             assert _decode(p, b) == digraph_at(n, index).out_rows
+
+    def test_release_keeps_the_power_the_next_m_steps_from(self, monkeypatch):
+        (p,) = bitslice.batches(3)
+        p.power(3)
+        p.release(3)
+        assert sorted(p._powers) == [1, 3]
+        p.power(4)
+        p.release(4)
+        assert sorted(p._powers) == [1, 4]
+        # each m after the first costs one product per batch, at n = 2, 3, 4
+        products = Counter()
+        product = bitslice._product
+
+        def counting_product(a, b):
+            products[len(a)] += 1
+            return product(a, b)
+
+        monkeypatch.setattr(bitslice, "_product", counting_product)
+        verify_claims(["lemma_3_5"], 4, range(2, 7))
+        assert products == {2: 5, 3: 5, 4: 5}
 
 
 class TestAtomPlanes:
@@ -169,14 +202,8 @@ class TestSameReports:
         claim_ids = ["thm_1_3", "lemma_2_6", "prop_3_7"]
         reports = verify_claims(claim_ids, 4, range(2, 5))
         draws = [(n, i) for n in range(1, 5) for i in range(digraph_space_size(n))]
-        scalar = _scalar_acc(claim_ids, [2, 3, 4], draws)
-        for rep in reports:
-            hits = scalar[rep.claim_id][0]
-            assert rep.hits_by_direction == {
-                name: {m: count for (d, m), count in hits.items() if d == name}
-                for name, _ in hits
-            }
-            assert rep.hypothesis_hits == sum(hits.values())
+        scalar = _scalar_reports(claim_ids, [2, 3, 4], draws, n_max=4)
+        assert [dict(rep.to_dict(), elapsed=0.0) for rep in reports] == scalar
         assert reports[0].hits_by_direction == {
             "if": {2: 32, 3: 32, 4: 32},
             "only_if": {2: 32, 3: 32, 4: 32},
@@ -192,15 +219,10 @@ class TestSampledScans:
     def _assert_scalar_reports(self, claim_ids, m_list, n_max, seed, count):
         kwargs = dict(mode="sampled", seed=seed, sample_count=count)
         reports = verify_claims(claim_ids, n_max, m_list, **kwargs)
-        scalar = _sorted_acc(_scalar_acc(claim_ids, m_list, _sampled_draws(n_max, seed, count)))
-        for rep in reports:
-            hits, cexs, bounds = scalar[rep.claim_id]
-            assert rep.digraphs_examined == count
-            assert rep.hits_by_direction == {
-                name: {m: c for (d, m), c in hits.items() if d == name} for name, _ in hits
-            }, rep.claim_id
-            assert rep.counterexamples == cexs, rep.claim_id
-            assert rep.boundary_instances == bounds, rep.claim_id
+        draws = _sampled_draws(n_max, seed, count)
+        scalar = _scalar_reports(claim_ids, m_list, draws, "sampled", n_max)
+        assert all(rep.digraphs_examined == count for rep in reports)
+        assert [dict(rep.to_dict(), elapsed=0.0) for rep in reports] == scalar
         return reports
 
     @pytest.mark.parametrize("n_max, seed, count", [(5, 3, 2000), (7, 5, 500)])
@@ -237,7 +259,7 @@ class TestFalseClaim:
         for n in range(1, 4):
             planes, scalar = _both_paths(["bogus_planed"], [1, 2], list(bitslice.batches(n)))
             assert planes == scalar
-            failures += len(scalar["bogus_planed"][1])
+            failures += len(scalar[0]["counterexamples"])
         report = verify_claim("bogus_planed", 3, [1, 2])
         assert len(report.counterexamples) == failures > 0
         for entry in report.counterexamples:

@@ -13,7 +13,7 @@ from stargen import (
     verify_claim,
     verify_claims,
 )
-from stargen import Digraph, m_step_digraph
+from stargen import Digraph, m_step_digraph, verify
 from stargen.competition import Graph
 from stargen.digraph import MAX_TEXT_ORDER
 from stargen.generate import all_digraphs
@@ -134,6 +134,29 @@ class TestErrors:
         # a sampled scan of nothing used to report the claim verified
         with pytest.raises(InputError, match="sample count must be at least 1"):
             verify_claim("prop_2_1", 3, [1], mode="sampled", seed=1, sample_count=count)
+
+    @pytest.mark.parametrize(
+        "claim_ids, n_max, m_set, kwargs, message",
+        [
+            (["thm_3_2", "prop_2_1"], 5, [], {}, "m_set is empty"),
+            (["lemma_2_2", "thm_3_2"], 1, [1], {}, "thm_3_2 needs n_max >= 2"),
+            (["lemma_2_2", "prop_2_1"], 0, [1], {}, "n_max must be positive"),
+            (["lemma_2_2", "thm_3_2", "prop_2_1"], 3, [1], {"seed": 1}, "sample count"),
+            (["thm_3_2", "prop_2_1"], MAX_TEXT_ORDER + 1, [1], {"sample_count": 1}, "exceeds"),
+        ],
+    )
+    def test_inputs_checked_before_any_claim_runs(
+        self, monkeypatch, claim_ids, n_max, m_set, kwargs, message
+    ):
+        # the grid and the census used to run before the scan's inputs were checked
+        def fail(*args):
+            pytest.fail("a claim ran before every input was checked")
+
+        monkeypatch.setattr(verify, "_census_check", fail)
+        monkeypatch.setattr(verify, "_verify_grid", fail)
+        mode = "sampled" if kwargs else "exhaustive"
+        with pytest.raises(InputError, match=message):
+            verify_claims(claim_ids, n_max, m_set, mode, **kwargs)
 
 
 class TestSampledMode:
@@ -416,7 +439,7 @@ class TestSubMonotone:
         assert SUB_MONOTONE.why(ctx, 1) == _missing_edge(1, 2, 1)
 
     def test_sub_powers_match_m_step_digraph(self):
-        # stepping from m - 1 and squaring from scratch give the same rows
+        # each subdigraph's rows are squared afresh at every m, as in m_step_digraph
         for d in list(all_digraphs(3))[::7]:
             ctx = ClaimContext(d)
             for m in (3, 1, 2, 4, 9):
