@@ -5,13 +5,24 @@ index ``indices[b]`` (the bitslice technique of Biham, *A fast new DES
 implementation in software*, FSE 1997).  The n x n arc planes of a batch
 hold its adjacency matrices, so one boolean matrix product of planes is
 one product for every digraph of the batch, and a property of (D, m)
-becomes one plane whose set bits are the digraphs that have it.
+becomes one plane whose set bits are the digraphs that have it.  Every
+plane is masked to the batch's ``full``, the plane of its bits that are
+digraphs of the stream (every out-row non-empty).
 
-Exhaustive scans run on ``batches`` of ``(2**n - 1)**t`` consecutive
-indices, t the most trailing out-rows that keep a batch within
-``CAP_BITS``; their arc planes are built once per call, and the leading
-rows, constant in a batch, are all-zero or all-one planes.  Sampled scans
-run on ``draws``, batches of any indices of one order, repeats included.
+Exhaustive scans run on two streams, each in batches whose leading
+digits are constant, so their arc planes are all-zero or all-one, and
+whose t trailing digits vary, t the most that keep a batch within
+``CAP_BITS``; the trailing arc planes are built once per call.
+``batches`` counts out-rows, each one of the 2**n - 1 non-empty sets, so
+every bit is a digraph.  ``capped_batches`` counts in-columns, each one of
+the 1 + n + C(n, 2) predator sets of at most two vertices, and ``full``
+leaves out the column tuples that give some vertex no prey; the bits of
+``full`` are the digraphs with every in-degree at most 2, each once, in
+fewer bits than ``batches`` from order 4 on (``capped_stream``).  A
+capped bit's ``indices[b]`` is its index in the stream of ``batches``, so
+every flagged bit is rebuilt with ``generate.digraph_at`` alike.  Sampled
+scans run on ``draws``, batches of any indices of one order, repeats
+included.
 
 ``PlaneContext`` mirrors ``verify.ClaimContext``: it memoizes powers,
 competition graphs, sources, closures and degree counters for one batch,
@@ -22,22 +33,26 @@ batch's and powers them one subdigraph at a time, keeping none.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import digraph as _digraph
-from .generate import _out_rows
+from . import generate as _generate
 
 # most digraphs (bits) one batch may hold
 CAP_BITS = 1 << 18
 
 
-def trailing_rows(n: int) -> int:
-    """The number t of out-rows that vary inside a batch of order n."""
-    base = 2**n - 1
+def _trailing_digits(base: int, n: int) -> int:
+    """The number t of digits that vary inside a batch of n base-``base`` digits."""
     t = 1
     while t < n and base ** (t + 1) <= CAP_BITS:
         t += 1
     return t
+
+
+def trailing_rows(n: int) -> int:
+    """The number t of out-rows that vary inside a batch of order n."""
+    return _trailing_digits(2**n - 1, n)
 
 
 def batch_size(n: int) -> int:
@@ -45,14 +60,16 @@ def batch_size(n: int) -> int:
     return (2**n - 1) ** trailing_rows(n)
 
 
-def _trailing_arcs(n: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """Arc planes of the last t out-rows, the same in every batch of order n.
+def _trailing_planes(values: Sequence[int], n: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Planes of the last t digits of a batch, the same in every batch of
+    one stream and order, each digit picking an n-bit value from ``values``.
 
-    Row ``n - 1 - p`` holds digit ``(b // base**p) % base`` at bit b, and
-    its value is that digit plus one, as in ``generate.digraph_at``.
+    Item i is digit ``p = t - 1 - i`` from the least significant end,
+    ``(b // base**p) % base`` at bit b with base ``len(values)``; its plane w
+    is set where ``values[digit]`` has bit w.
     """
-    base = 2**n - 1
-    rows = []
+    base = len(values)
+    planes = []
     for p in range(t - 1, -1, -1):
         run = base**p
         period = run * base
@@ -61,15 +78,20 @@ def _trailing_arcs(n: int, t: int) -> tuple[tuple[int, ...], ...]:
         copies = base ** (t - p - 1)
         repunit = ((1 << period * copies) - 1) // ((1 << period) - 1)
         block = (1 << run) - 1
-        row = []
+        digit_planes = []
         for w in range(n):
             pattern = 0
-            for digit in range(base):
-                if (digit + 1) >> w & 1:
+            for digit, value in enumerate(values):
+                if value >> w & 1:
                     pattern |= block << digit * run
-            row.append(pattern * repunit)
-        rows.append(tuple(row))
-    return tuple(rows)
+            digit_planes.append(pattern * repunit)
+        planes.append(tuple(digit_planes))
+    return tuple(planes)
+
+
+def _constant(values: Sequence[int], n: int, ones: int) -> tuple[tuple[int, ...], ...]:
+    """Planes of the leading digits: plane w of each is ``ones`` where its value has bit w."""
+    return tuple(tuple(ones if value >> w & 1 else 0 for w in range(n)) for value in values)
 
 
 def batches(n: int, first: int = 0, stop: int | None = None) -> Iterator[PlaneContext]:
@@ -77,16 +99,58 @@ def batches(n: int, first: int = 0, stop: int | None = None) -> Iterator[PlaneCo
     base = 2**n - 1
     t = trailing_rows(n)
     size = base**t
-    full = (1 << size) - 1
-    trailing = _trailing_arcs(n, t)
+    ones = (1 << size) - 1
+    trailing = _trailing_planes(range(1, base + 1), n, t)
     count = base ** (n - t)
     for k in range(first, count if stop is None else min(stop, count)):
         # the leading rows are those of the batch's first digraph
-        leading = tuple(
-            tuple(full if row >> w & 1 else 0 for w in range(n))
-            for row in _out_rows(n, k * size)[: n - t]
-        )
-        yield PlaneContext(n, range(k * size, (k + 1) * size), leading + trailing)
+        leading = _constant(_generate._out_rows(n, k * size)[: n - t], n, ones)
+        yield PlaneContext(n, range(k * size, (k + 1) * size), leading + trailing, ones)
+
+
+class _CappedIndices:
+    """Stream indices of a capped batch's bits, decoded on demand: bit b is
+    the capped stream's ``start + b``.  Only bits of ``full`` decode.
+    """
+
+    __slots__ = ("n", "start", "size")
+
+    def __init__(self, n: int, start: int, size: int):
+        self.n, self.start, self.size = n, start, size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, b: int) -> int:
+        if not 0 <= b < self.size:
+            raise IndexError(b)
+        return _generate._capped_index(self.n, self.start + b)
+
+
+def capped_batches(n: int) -> Iterator[PlaneContext]:
+    """One ``PlaneContext`` per batch of the capped stream of order n: its
+    bits in ``full`` are the digraphs with every in-degree at most 2.
+    """
+    sets = _generate._predator_sets(n)
+    t = _trailing_digits(len(sets), n)
+    size = len(sets) ** t
+    ones = (1 << size) - 1
+    trailing = _trailing_planes(sets, n, t)
+    for k in range(len(sets) ** (n - t)):
+        leading = _constant(_generate._in_columns(n, k * size)[: n - t], n, ones)
+        # the digits are in-columns: arc plane (u, w) is plane u of column w
+        arcs = tuple(zip(*(leading + trailing)))
+        full = _all((_any(row) for row in arcs), ones)
+        yield PlaneContext(n, _CappedIndices(n, k * size, size), arcs, full)
+
+
+def capped_stream(n: int) -> Callable[[int], Iterator[PlaneContext]]:
+    """The batches of order n to scan where every in-degree is at most 2:
+    ``capped_batches`` where it has fewer bits than ``batches``, from order
+    4 on, and ``batches`` below, which holds every such digraph in no more
+    bits (343 of each at order 3).
+    """
+    return capped_batches if len(_generate._predator_sets(n)) < 2**n - 1 else batches
 
 
 def draws(n: int, indices: Sequence[int]) -> PlaneContext:
@@ -97,14 +161,14 @@ def draws(n: int, indices: Sequence[int]) -> PlaneContext:
     fields = []
     for index in reversed(indices):
         packed = 0
-        for v, row in enumerate(_out_rows(n, index)):
+        for v, row in enumerate(_generate._out_rows(n, index)):
             packed |= row << v * n
         fields.append(format(packed, f"0{width}b"))
     text = "".join(fields)
     arcs = tuple(
         tuple(int(text[width - 1 - u * n - w :: width], 2) for w in range(n)) for u in range(n)
     )
-    return PlaneContext(n, indices, arcs)
+    return PlaneContext(n, indices, arcs, (1 << len(indices)) - 1)
 
 
 # --- plane arithmetic ------------------------------------------------------
@@ -161,7 +225,7 @@ def _closure(adj, full: int) -> list[list[int]]:
 
 def _minima(r, full: int) -> list[int]:
     """Planes of 'v is the smallest vertex of its component' from a closure."""
-    return [full ^ _any(r[u][v] for u in range(v)) for v in range(len(r))]
+    return [full & ~_any(r[u][v] for u in range(v)) for v in range(len(r))]
 
 
 def _any(planes) -> int:
@@ -185,12 +249,14 @@ class PlaneContext:
     """Memo of bit planes for one batch of digraphs of order n.
 
     Bit b of every plane is the digraph at stream index ``indices[b]``: a
-    ``range`` for a batch of the stream, a list for a batch of draws.
-    Methods mirror ``verify.ClaimContext``, return planes masked to
-    ``full``, and take m even for properties of D alone.  A scan evaluates
-    m in increasing order and calls ``release`` after each, so only the
-    planes of about two consecutive m, and the power the next m steps
-    from, are held at a time.
+    ``range`` for a batch of the stream, a list for a batch of draws, and
+    decoded on demand for a batch of the capped stream.  ``full`` is the
+    plane of the bits that are digraphs, those whose out-rows in ``arcs``
+    are all non-empty.  Methods mirror ``verify.ClaimContext``, return
+    planes masked to ``full``, and take m even for properties of D alone.
+    A scan evaluates m in increasing order and calls ``release`` after
+    each, so only the planes of about two consecutive m, and the power the
+    next m steps from, are held at a time.
     """
 
     __slots__ = (
@@ -210,10 +276,10 @@ class PlaneContext:
         "_pred",
     )
 
-    def __init__(self, n: int, indices: Sequence[int], arcs):
+    def __init__(self, n: int, indices: Sequence[int], arcs, full: int):
         self.n = n
         self.indices = indices
-        self.full = full = (1 << len(indices)) - 1
+        self.full = full
         self.arcs = arcs
         self.in_degrees = self._in_counts(arcs)
         self.sources = [full ^ ge[1] for ge in self.in_degrees]
@@ -292,7 +358,7 @@ class PlaneContext:
                 if uv:
                     for w in range(v + 1, n):
                         tri |= uv & g[u][w] & g[v][w]
-        return self.full ^ tri
+        return self.full & ~tri
 
     def _components(self, m: int):
         c = self._cm.get(m)
@@ -391,7 +457,7 @@ class PlaneContext:
             for w, col in enumerate(zip(*self.arcs)):
                 by_src = _at_least((x & s for x, s in zip(col, src)), 2, full)
                 bad |= (
-                    (full ^ _any(self.arcs[w]))  # no prey
+                    (full & ~_any(self.arcs[w]))  # no prey
                     | by_src[2]  # S2: two sources share prey w
                     | by_src[1] & ~in_eq2[w]  # S1: prey w of a source
                     | ~src[w] & ~(out_eq1[w] & in_eq2[w] & by_src[1] & ~by_src[2])  # S3

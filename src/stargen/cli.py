@@ -185,13 +185,19 @@ def _cmd_verify(args) -> int:
     for cid in claim_ids:
         if cid not in _verify.CATALOG:
             raise InputError(f"unknown claim {cid!r}; choose from {sorted(_verify.CATALOG)}")
-    # exhaustive scans, and the thm_3_2 census in either mode, scan whole orders
-    whole_orders = args.mode == "exhaustive" or "thm_3_2" in claim_ids
-    if args.n_max >= 5 and whole_orders and not args.large:
-        raise InputError(
-            f"n_max={args.n_max} scans (2**{args.n_max} - 1)**{args.n_max} "
-            f"digraphs per order; pass --large to confirm"
-        )
+    if args.n_max >= 5 and not args.large:
+        # the lemma_2_2 grid is built in either mode
+        if "lemma_2_2" in claim_ids:
+            raise InputError(
+                f"n_max={args.n_max} builds the {args.n_max} x {args.n_max} grid of "
+                f"(k, l) constructions for lemma_2_2; pass --large to confirm"
+            )
+        # exhaustive scans, and the thm_3_2 census in either mode, scan whole orders
+        if args.mode == "exhaustive" or "thm_3_2" in claim_ids:
+            raise InputError(
+                f"n_max={args.n_max} scans (2**{args.n_max} - 1)**{args.n_max} "
+                f"digraphs per order; pass --large to confirm"
+            )
     m_values = _parse_m_spec(args.m) if args.m else []
     reports = _verify.verify_claims(
         claim_ids,
@@ -262,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--count", type=int, help="sample size for sampled mode")
     p.add_argument(
-        "--large", action="store_true", help="allow n_max >= 5 for exhaustive scans and thm_3_2"
+        "--large",
+        action="store_true",
+        help="allow n_max >= 5 for exhaustive scans, thm_3_2 and the lemma_2_2 grid",
     )
     p.add_argument("--report", help="append JSON-lines reports to this file")
     p.set_defaults(func=_cmd_verify)

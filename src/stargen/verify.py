@@ -13,7 +13,14 @@ Scans run in one process.  Exhaustive and sampled scans, and the
 of seeded draws at once (``bitslice``) and build a digraph only for the
 bits they flag, which are replayed on a ``ClaimContext`` that writes the
 failure details and must agree; hits and entries go straight into the
-reports.  ``ClaimContext`` also runs the grid and replays, and is the
+reports.  Every vertex of a scanned digraph has a prey, so three
+predators of one prey make a triangle in every C^m: an atom that forces a
+triangle-free C^m caps in-degree at 2 (``Atom.cap``).  Exhaustive scans
+therefore run every direction with a capped hypothesis, and the census,
+on the digraphs with every in-degree at most 2 (``capped_stream``, from
+order 4 on, where they take fewer bits), and only the directions without
+one on the whole stream; sampled scans draw from the whole space.  Either way a report counts the whole space it
+covers.  ``ClaimContext`` also runs the grid and replays, and is the
 reference the tests check every plane against.
 """
 
@@ -183,18 +190,28 @@ class ClaimContext:
 # Every claim direction is an implication between about a dozen properties
 # of D and C^m(D).  An atom names one of them: ``test`` decides it on a
 # ``ClaimContext``, ``why`` formats the failure detail, called only after
-# ``test`` failed, and ``plane`` decides it for a whole batch of digraphs
-# on a ``bitslice.PlaneContext``.
+# ``test`` failed, ``plane`` decides it for a whole batch of digraphs on a
+# ``bitslice.PlaneContext``, and ``cap`` bounds the in-degrees of D where
+# it holds.
 
 
 class Atom(NamedTuple):
     """A property of (D, m); atoms used only in hypotheses need no ``why``
     (None), and every atom of a direction needs a ``plane``.
+
+    ``cap`` is the largest in-degree of D that any digraph with the
+    property can have, or None.  Every vertex of D has a prey, so three
+    predators of one prey w share an m-step prey, any vertex m - 1 steps on
+    from w, and C^m has a triangle at every m (Proposition 2.3 with i = 1):
+    every property that forces a triangle-free C^m caps in-degree at 2.  A
+    direction whose hypothesis has a capped atom scans only the digraphs
+    with every in-degree at most 2 (``bitslice.capped_stream``).
     """
 
     test: Callable[[ClaimContext, int], bool]
     why: Callable[[ClaimContext, int], str] | None
     plane: Callable[[_bitslice.PlaneContext, int], int] | None
+    cap: int | None = None
 
 
 def _witness(find: Callable[[ClaimContext, int], str | None], plane) -> Atom:
@@ -315,7 +332,10 @@ WEAK_SOURCES = Atom(
     lambda c, m: c.every_weak_component_has_source, None, _PC.every_weak_component_has_source
 )
 NO_COMMON_PREY = Atom(
-    lambda c, m: _classify.check_no_common_prey_functional(c.d), None, _PC.no_common_prey
+    lambda c, m: _classify.check_no_common_prey_functional(c.d),
+    None,
+    _PC.no_common_prey,
+    cap=1,  # no two vertices share a prey
 )
 ONE_SOURCE = Atom(
     lambda c, m: len(c.sources) == 1,
@@ -326,11 +346,13 @@ SG = Atom(
     lambda c, m: c.report.star_generating,
     lambda c, m: "digraph is not star-generating",
     _PC.star_generating,
+    cap=2,  # by S1-S3 a non-source has exactly two predators, a source none
 )
 ALL_WEAK_SG = Atom(
     lambda c, m: c.all_weak_star_generating,
     lambda c, m: "some weak component is not star-generating",
     _PC.all_weak_star_generating,
+    cap=2,  # as for SG, one weak component at a time
 )
 CYCLE_UNION = Atom(
     lambda c, m: _classify.is_disjoint_cycle_union(c.d)[0],
@@ -345,7 +367,10 @@ NON_SOURCES_CYCLE_UNION = Atom(
 
 # properties of C^m(D), k = |sources of D|, l = |components of C^m(D)|
 TF = Atom(
-    ClaimContext.triangle_free, lambda c, m: "competition graph has a triangle", _PC.triangle_free
+    ClaimContext.triangle_free,
+    lambda c, m: "competition graph has a triangle",
+    _PC.triangle_free,
+    cap=2,  # three predators of one prey make a triangle at every m (Atom)
 )
 CONNECTED = Atom(
     lambda c, m: c.n_components(m) == 1,
@@ -364,7 +389,12 @@ COMPS_MEET_SOURCES = Atom(
     lambda c, m: "some component avoids every source",
     _PC.every_cm_component_meets_sources,
 )
-STAR_OK = Atom(lambda c, m: bool(c.star_decomposition(m)), _star_failure, _PC.star_ok)
+STAR_OK = Atom(
+    lambda c, m: bool(c.star_decomposition(m)),
+    _star_failure,
+    _PC.star_ok,
+    cap=2,  # a star forest is triangle-free, so TF's cap holds
+)
 K_STARS = _witness(_k_stars, _PC.k_stars)
 PREY_MONOTONE = _witness(_prey_monotone, _PC.prey_monotone)
 PRED_BOUND = _witness(_predator_bound, _PC.predator_bound)
@@ -384,6 +414,13 @@ class Direction:
     min_m: int | None  # None: m-independent, checked once per digraph
     hypothesis: tuple[Atom, ...]
     conclusion: tuple[Atom, ...]
+
+    @property
+    def cap(self) -> int | None:
+        """The largest in-degree of D on which the hypothesis can hold: the
+        smallest cap among its atoms, None when none has one.
+        """
+        return min((a.cap for a in self.hypothesis if a.cap is not None), default=None)
 
     # plain loops, not all(): replays call these once per flagged digraph and m
     def holds(self, c: ClaimContext, m: int) -> bool:
@@ -405,13 +442,17 @@ def _implies(
     name: str, min_m: int | None, hypothesis: tuple[Atom, ...], *conclusion: Atom
 ) -> Direction:
     """The direction ``hypothesis ⇒ conclusion``; every conclusion atom
-    needs a ``why``, and every atom a ``plane``.
+    needs a ``why``, every atom a ``plane``, and a cap must be at most 2,
+    the in-degrees the capped stream holds.
     """
     if any(atom.why is None for atom in conclusion):
         raise ValueError(f"direction {name!r}: every conclusion atom needs a why")
     if any(atom.plane is None for atom in hypothesis + conclusion):
         raise ValueError(f"direction {name!r}: every atom needs a plane")
-    return Direction(name, min_m, hypothesis, conclusion)
+    direction = Direction(name, min_m, hypothesis, conclusion)
+    if direction.cap is not None and direction.cap > 2:
+        raise ValueError(f"direction {name!r}: the capped stream holds in-degrees up to 2")
+    return direction
 
 
 @dataclass(frozen=True)
@@ -581,6 +622,25 @@ def _rounds(reports, m_list) -> list[tuple[int, list[tuple]]]:
     return sorted(rounds.items())
 
 
+def _streams(rounds, n: int) -> dict[Callable, list[tuple[int, list[tuple]]]]:
+    """The rounds each exhaustive stream runs at order n, keyed by its batch
+    generator.
+
+    A direction whose hypothesis caps in-degree has no hit above its cap,
+    so it runs on ``capped_stream(n)``, which from order 4 on holds only
+    the digraphs with every in-degree at most 2; the rest run on
+    ``batches``.  Below order 4 both are ``batches`` and share its planes.
+    A stream no direction needs is left out.
+    """
+    capped = _bitslice.capped_stream(n)
+    streams = {}
+    for m, steps in rounds:
+        for step in steps:
+            stream = _bitslice.batches if step[1].cap is None else capped
+            streams.setdefault(stream, {}).setdefault(m, []).append(step)
+    return {stream: list(by_m.items()) for stream, by_m in streams.items()}
+
+
 def _check_batch(p: _bitslice.PlaneContext, rounds) -> None:
     """Evaluate every direction of the rounds on a batch of digraphs at once.
 
@@ -659,23 +719,22 @@ def _verify_grid(m_list, n_max: int, report: VerificationReport) -> None:
                 report.counterexamples.append(entry)
 
 
-# Largest census order a replay rescans: order 5 takes about half a second,
-# order 6 scans 63**6 digraphs.
+# Largest census order a replay rescans: on the capped stream order 5 takes
+# about 0.1 s and order 6 about 5 s.
 CENSUS_REPLAY_ORDER = 5
 
 
-def _census_check(n: int) -> tuple[bool, str | None, int]:
+def _census_check(n: int) -> tuple[bool, str | None]:
     """Count isomorphism classes of single-source star-generating digraphs
     of order n by brute force and compare against the enumerator.
 
-    The brute force runs on bit planes.  Each digraph they flag is rebuilt
-    and must pass the scalar checks, and only those reach ``canonical_form``.
+    The brute force runs on bit planes of ``capped_stream(n)``, since SG
+    caps in-degree at 2.  Each digraph they flag is rebuilt and must pass the
+    scalar checks, and only those reach ``canonical_form``.
     """
     expected = sum(1 for _ in _generate.partitions(n - 1))
     found = set()
-    examined = 0
-    for p in _bitslice.batches(n):
-        examined += len(p.indices)
+    for p in _bitslice.capped_stream(n)(n):
         for b in _digraph.bits(p.one_source() & p.star_generating()):
             d = _generate.digraph_at(n, p.indices[b])
             sg = _classify.classify_star_generating(d).star_generating
@@ -689,17 +748,17 @@ def _census_check(n: int) -> tuple[bool, str | None, int]:
         for d in _generate.enumerate_single_source_star_generating(n)
     }
     if len(found) != expected:
-        return False, f"order {n}: {len(found)} classes, expected {expected}", examined
+        return False, f"order {n}: {len(found)} classes, expected {expected}"
     if reps != found:
-        return False, f"order {n}: enumerated representatives do not cover the classes", examined
-    return True, None, examined
+        return False, f"order {n}: enumerated representatives do not cover the classes"
+    return True, None
 
 
 def _verify_census(n_max: int, report: VerificationReport) -> None:
     for n in range(2, n_max + 1):
         report.add_hits("count", None, 1)
-        ok, detail, examined = _census_check(n)
-        report.digraphs_examined += examined
+        ok, detail = _census_check(n)
+        report.digraphs_examined += _generate.digraph_space_size(n)
         if not ok:
             report.counterexamples.append(
                 {"claim": "thm_3_2", "direction": "count", "n": n, "arcs": None, "m": None, "detail": detail}
@@ -762,16 +821,19 @@ def verify_claims(
             _verify_census(n_max, reports[claim.id])
 
     if scan_ids:
-        if mode == "exhaustive":
-            contexts = (p for n in range(1, n_max + 1) for p in _bitslice.batches(n))
-        else:
-            contexts = _sampled_batches(n_max, seed, sample_count)
         scanned = [reports[cid] for cid in scan_ids]
         rounds = _rounds(scanned, m_list)
-        examined = 0
-        for p in contexts:
-            _check_batch(p, rounds)
-            examined += len(p.indices)
+        if mode == "exhaustive":
+            # a verdict covers the whole space, whichever stream ran
+            examined = sum(_generate.digraph_space_size(n) for n in range(1, n_max + 1))
+            for n in range(1, n_max + 1):
+                for stream, stream_rounds in _streams(rounds, n).items():
+                    for p in stream(n):
+                        _check_batch(p, stream_rounds)
+        else:
+            examined = sample_count
+            for p in _sampled_batches(n_max, seed, sample_count):
+                _check_batch(p, rounds)
         for rep in scanned:
             rep.digraphs_examined = examined
             rep.counterexamples.sort(key=_entry_sort_key)
@@ -823,7 +885,7 @@ def replay_counterexample(entry: dict) -> bool:
                 f"census order {order} scans (2**{order} - 1)**{order} digraphs; "
                 f"replays go up to order {CENSUS_REPLAY_ORDER}"
             )
-        ok, _, _ = _census_check(order)
+        ok, _ = _census_check(order)
         return not ok
     if claim.kind == "grid":
         k, l = ints

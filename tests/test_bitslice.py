@@ -2,12 +2,14 @@
 
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
 from stargen import CATALOG, replay_counterexample, verify_claim, verify_claims
 from stargen import bitslice, generate, verify
 from stargen.competition import Graph
+from stargen.digraph import InputError, bits
 from stargen.generate import digraph_at, digraph_space_size
 from stargen.verify import CONNECTED, SUB_MONOTONE, TF, Atom, Claim, ClaimContext, _implies
 
@@ -135,18 +137,121 @@ class TestBatches:
         assert products == {2: 5, 3: 5, 4: 5}
 
 
+def _above(p, cap):
+    """The plane of a batch's digraphs with some in-degree above ``cap``."""
+    return bitslice._any(ge[cap + 1] for ge in p.in_degrees)
+
+
+CAPPED_ATOMS = {name: atom for name, atom in ATOMS.items() if atom.cap is not None}
+
+
+class TestCappedStream:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_full_bits_are_the_capped_digraphs_once(self, n):
+        seen = []
+        for p in bitslice.capped_batches(n):
+            for b in range(len(p.indices)):
+                if p.full >> b & 1:
+                    seen.append(p.indices[b])
+                    assert _decode(p, b) == digraph_at(n, seen[-1]).out_rows
+                else:
+                    assert not all(_decode(p, b))  # some vertex has no prey
+                    with pytest.raises(InputError, match="without prey"):
+                        p.indices[b]
+        capped = [
+            i
+            for i in range(digraph_space_size(n))
+            if max(row.bit_count() for row in digraph_at(n, i).in_rows) <= 2
+        ]
+        assert sorted(seen) == capped
+        assert len(seen) == [1, 9, 174, 6510][n - 1]
+
+    def test_counts_by_inclusion_exclusion(self):
+        # tuples of predator sets of size <= 2, signed over the k vertices
+        # that some of them leave without prey
+        counts = [sum(p.full.bit_count() for p in bitslice.capped_batches(n)) for n in range(1, 7)]
+        expected = [
+            sum((-1) ** k * comb(n, k) * (1 + n - k + comb(n - k, 2)) ** n for k in range(n + 1))
+            for n in range(1, 7)
+        ]
+        assert counts == expected
+        assert counts[1:] == [9, 174, 6510, 401_310, 36_998_100]
+
+    def test_every_plane_lies_within_full(self):
+        for n in range(1, 5):
+            for p in bitslice.capped_batches(n):
+                for m in (1, 2, 3, 2**60):
+                    for name, atom in ATOMS.items():
+                        assert atom.plane(p, m) & ~p.full == 0, (name, n, m)
+
+    def test_caps(self):
+        caps = {name: atom.cap for name, atom in CAPPED_ATOMS.items()}
+        assert caps == {"NO_COMMON_PREY": 1, "SG": 2, "ALL_WEAK_SG": 2, "TF": 2, "STAR_OK": 2}
+        uncapped = [
+            (cid, d.name) for cid, claim in CATALOG.items() for d in claim.directions if d.cap is None
+        ]
+        assert uncapped == [("prop_2_1", "forward"), ("lemma_3_4", "forward")]
+        assert CATALOG["lemma_2_6"].directions[0].cap == 1
+
+    def test_cap_gate(self):
+        # no digraph above an atom's cap has the atom, over the whole stream
+        for n in range(1, 6):
+            for p in bitslice.batches(n):
+                above = {atom.cap: _above(p, atom.cap) for atom in CAPPED_ATOMS.values()}
+                for m in range(1, 7):
+                    for name, atom in CAPPED_ATOMS.items():
+                        assert atom.plane(p, m) & above[atom.cap] == 0, (name, n, m)
+                    p.release(m)
+
+    def test_implies_rejects_a_cap_the_stream_does_not_hold(self):
+        loose = Atom(TF.test, TF.why, TF.plane, 3)
+        with pytest.raises(ValueError, match="in-degrees up to 2"):
+            _implies("forward", 1, (loose,), CONNECTED)
+        assert _implies("forward", 1, (loose, TF), CONNECTED).cap == 2
+
+    def test_capped_reports_equal_full_stream_reports(self):
+        # the engine on the full stream, every direction on every digraph
+        m_list = [1, 2, 3]
+        reports, rounds = _start(LOW_M_CLAIMS, m_list, n_max=4)
+        for n in range(1, 5):
+            for p in bitslice.batches(n):
+                verify._check_batch(p, rounds)
+        full = _dicts(reports, sum(digraph_space_size(n) for n in range(1, 5)))
+        capped = verify_claims(LOW_M_CLAIMS, 4, m_list)
+        assert [dict(rep.to_dict(), elapsed=0.0) for rep in capped] == full
+
+    def test_each_order_scans_only_the_streams_it_needs(self, monkeypatch):
+        # below order 4 the capped stream is no smaller, so capped
+        # directions share the whole stream's batches there
+        calls = []
+        for name in ("batches", "capped_batches"):
+            stream = getattr(bitslice, name)
+            monkeypatch.setattr(
+                bitslice, name, lambda n, name=name, stream=stream: calls.append((name, n)) or stream(n)
+            )
+        whole = [("batches", n) for n in (1, 2, 3)]
+        for claim_ids, expected in [
+            (["thm_1_3", "lemma_2_6"], whole + [("capped_batches", 4)]),
+            (["prop_2_1"], whole + [("batches", 4)]),
+            (["prop_2_1", "thm_1_3"], whole + [("batches", 4), ("capped_batches", 4)]),
+        ]:
+            calls.clear()
+            assert all(rep.verified for rep in verify_claims(claim_ids, 4, [1, 2]))
+            assert calls == expected, claim_ids
+
+
 class TestAtomPlanes:
     def test_every_plane_equals_its_test(self):
-        for n in range(1, 4):
-            total = digraph_space_size(n)
-            (p,) = bitslice.batches(n)
-            contexts = [ClaimContext(digraph_at(n, i)) for i in range(total)]
-            for m in (1, 2, 3, 4, 5, 2**60):
-                for name, atom in ATOMS.items():
-                    plane = atom.plane(p, m)
-                    assert 0 <= plane <= p.full, (name, n, m)
-                    for b, ctx in enumerate(contexts):
-                        assert bool(plane >> b & 1) is atom.test(ctx, m), (name, ctx.d, m)
+        for stream in (bitslice.batches, bitslice.capped_batches):
+            for n in range(1, 4):
+                (p,) = stream(n)
+                contexts = {b: ClaimContext(digraph_at(n, p.indices[b])) for b in bits(p.full)}
+                for m in (1, 2, 3, 4, 5, 2**60):
+                    for name, atom in ATOMS.items():
+                        plane = atom.plane(p, m)
+                        assert plane & ~p.full == 0, (name, n, m)
+                        for b, ctx in contexts.items():
+                            assert bool(plane >> b & 1) is atom.test(ctx, m), (name, ctx.d, m)
 
     def test_sub_monotone_plane_on_forced_failures(self):
         # natural data never fails Lemma 3.4, so the host's C^m is emptied

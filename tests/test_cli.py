@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stargen import figure_digraphs, from_arc_list, parse_edge_list
+from stargen import figure_digraphs, from_arc_list, parse_edge_list, verify
 from stargen.cli import MAX_M_VALUES, run
 from stargen.digraph import MAX_TEXT_ORDER, format_edge_list
 
@@ -224,6 +224,20 @@ class TestVerify:
         argv = ["verify", "--claim", "thm_3_2", "--n-max", "5", "--mode", "sampled", "--count", "1"]
         assert run(argv) == 1
         assert "--large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_large_guards_the_grid(self, mode, monkeypatch, capsys):
+        # the lemma_2_2 grid builds n_max**2 constructions in either mode;
+        # at n_max 300 it used to run for minutes
+        def unreachable(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(verify, "_verify_grid", unreachable)
+        argv = ["verify", "--claim", "lemma_2_2", "--n-max", "300", "--m", "1"]
+        assert run(argv + ["--mode", mode, "--count", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "300 x 300 grid of (k, l) constructions" in err and "--large" in err
+        assert "digraphs per order" not in err
 
     def test_unknown_claim(self, capsys):
         assert run(["verify", "--claim", "thm_9_9", "--n-max", "3", "--m", "2"]) == 1
