@@ -1,28 +1,27 @@
 """Bit-sliced evaluation of claim atoms over batches of digraphs.
 
-A *plane* is a Python int whose bit b stands for the digraph at stream
-index ``indices[b]`` (the bitslice technique of Biham, *A fast new DES
-implementation in software*, FSE 1997).  The n x n arc planes of a batch
-hold its adjacency matrices, so one boolean matrix product of planes is
-one product for every digraph of the batch, and a property of (D, m)
-becomes one plane whose set bits are the digraphs that have it.  Every
-plane is masked to the batch's ``full``, the plane of its bits that are
-digraphs of the stream (every out-row non-empty).
+A *plane* is a Python int whose bit b stands for one digraph of a batch
+(the bitslice technique of Biham, *A fast new DES implementation in
+software*, FSE 1997).  The n x n arc planes of a batch hold its adjacency
+matrices, so one boolean matrix product of planes is one product for
+every digraph of the batch, and a property of (D, m) becomes one plane
+whose set bits are the digraphs that have it.  Every plane is masked to
+the batch's ``full``, the plane of its bits that are digraphs (every
+out-row non-empty), and ``PlaneContext.digraph(b)`` reads bit b's
+digraph back from the arc planes.
 
-Exhaustive scans run on two streams, each in batches whose leading
-digits are constant, so their arc planes are all-zero or all-one, and
-whose t trailing digits vary, t the most that keep a batch within
-``CAP_BITS``; the trailing arc planes are built once per call.
-``batches`` counts out-rows, each one of the 2**n - 1 non-empty sets, so
-every bit is a digraph.  ``capped_batches`` counts in-columns, each one of
-the 1 + n + C(n, 2) predator sets of at most two vertices, and ``full``
-leaves out the column tuples that give some vertex no prey; the bits of
-``full`` are the digraphs with every in-degree at most 2, each once, in
-fewer bits than ``batches`` from order 4 on (``capped_stream``).  A
-capped bit's ``indices[b]`` is its index in the stream of ``batches``, so
-every flagged bit is rebuilt with ``generate.digraph_at`` alike.  Sampled
-scans run on ``draws``, batches of any indices of one order, repeats
-included.
+Exhaustive scans run on two streams of n-digit tuples, built by one
+constructor, in batches whose leading digits are constant, so their arc
+planes are all-zero or all-one, and whose t trailing digits vary, t the
+most that keep a batch within ``CAP_BITS``; the trailing arc planes are
+built once per call.  ``batches`` counts out-rows, each one of the
+2**n - 1 non-empty sets, so every bit is a digraph.  ``capped_batches``
+counts in-columns, each one of the 1 + n + C(n, 2) predator sets of at
+most two vertices, and ``full`` leaves out the column tuples that give
+some vertex no prey; the bits of ``full`` are the digraphs with every
+in-degree at most 2, each once, in fewer bits than ``batches`` from order
+4 on (``capped_stream``).  Sampled scans run on ``draws``, batches of any
+stream indices of one order, repeats included.
 
 ``PlaneContext`` mirrors ``verify.ClaimContext``: it memoizes powers,
 competition graphs, sources, closures and degree counters for one batch,
@@ -48,16 +47,6 @@ def _trailing_digits(base: int, n: int) -> int:
     while t < n and base ** (t + 1) <= CAP_BITS:
         t += 1
     return t
-
-
-def trailing_rows(n: int) -> int:
-    """The number t of out-rows that vary inside a batch of order n."""
-    return _trailing_digits(2**n - 1, n)
-
-
-def batch_size(n: int) -> int:
-    """Stream indices per batch of order n."""
-    return (2**n - 1) ** trailing_rows(n)
 
 
 def _trailing_planes(values: Sequence[int], n: int, t: int) -> tuple[tuple[int, ...], ...]:
@@ -89,59 +78,50 @@ def _trailing_planes(values: Sequence[int], n: int, t: int) -> tuple[tuple[int, 
     return tuple(planes)
 
 
-def _constant(values: Sequence[int], n: int, ones: int) -> tuple[tuple[int, ...], ...]:
-    """Planes of the leading digits: plane w of each is ``ones`` where its value has bit w."""
-    return tuple(tuple(ones if value >> w & 1 else 0 for w in range(n)) for value in values)
+def _predator_sets(n: int) -> list[int]:
+    """The 1 + n + C(n, 2) sets of at most two vertices, as masks: the
+    digit values of the capped stream's in-columns.
+    """
+    pairs = [1 << u | 1 << v for u in range(n) for v in range(u + 1, n)]
+    return [0] + [1 << u for u in range(n)] + pairs
+
+
+def _stream(
+    n: int, values: Sequence[int], columns: bool, first: int = 0, stop: int | None = None
+) -> Iterator[PlaneContext]:
+    """One ``PlaneContext`` per batch, batches [first, stop), of the tuples
+    of n digits of order n, each digit picking an n-bit value from
+    ``values``: an out-row, or an in-column where ``columns``.
+    """
+    base = len(values)
+    t = _trailing_digits(base, n)
+    size = base**t
+    ones = (1 << size) - 1
+    trailing = _trailing_planes(values, n, t)
+    count = base ** (n - t)
+    for k in range(first, count if stop is None else min(stop, count)):
+        # the leading digits are those of k: plane w of each is all-one
+        # where its value has bit w
+        leading, rest = [], k
+        for _ in range(n - t):
+            rest, digit = divmod(rest, base)
+            leading.append(tuple(ones if values[digit] >> w & 1 else 0 for w in range(n)))
+        arcs = tuple(reversed(leading)) + trailing
+        if columns:  # arc plane (u, w) is plane u of column w
+            arcs = tuple(zip(*arcs))
+        yield PlaneContext(n, arcs, _all((_any(row) for row in arcs), ones))
 
 
 def batches(n: int, first: int = 0, stop: int | None = None) -> Iterator[PlaneContext]:
     """One ``PlaneContext`` per batch of order n, batches [first, stop), to the last by default."""
-    base = 2**n - 1
-    t = trailing_rows(n)
-    size = base**t
-    ones = (1 << size) - 1
-    trailing = _trailing_planes(range(1, base + 1), n, t)
-    count = base ** (n - t)
-    for k in range(first, count if stop is None else min(stop, count)):
-        # the leading rows are those of the batch's first digraph
-        leading = _constant(_generate._out_rows(n, k * size)[: n - t], n, ones)
-        yield PlaneContext(n, range(k * size, (k + 1) * size), leading + trailing, ones)
-
-
-class _CappedIndices:
-    """Stream indices of a capped batch's bits, decoded on demand: bit b is
-    the capped stream's ``start + b``.  Only bits of ``full`` decode.
-    """
-
-    __slots__ = ("n", "start", "size")
-
-    def __init__(self, n: int, start: int, size: int):
-        self.n, self.start, self.size = n, start, size
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, b: int) -> int:
-        if not 0 <= b < self.size:
-            raise IndexError(b)
-        return _generate._capped_index(self.n, self.start + b)
+    return _stream(n, range(1, 2**n), False, first, stop)
 
 
 def capped_batches(n: int) -> Iterator[PlaneContext]:
     """One ``PlaneContext`` per batch of the capped stream of order n: its
     bits in ``full`` are the digraphs with every in-degree at most 2.
     """
-    sets = _generate._predator_sets(n)
-    t = _trailing_digits(len(sets), n)
-    size = len(sets) ** t
-    ones = (1 << size) - 1
-    trailing = _trailing_planes(sets, n, t)
-    for k in range(len(sets) ** (n - t)):
-        leading = _constant(_generate._in_columns(n, k * size)[: n - t], n, ones)
-        # the digits are in-columns: arc plane (u, w) is plane u of column w
-        arcs = tuple(zip(*(leading + trailing)))
-        full = _all((_any(row) for row in arcs), ones)
-        yield PlaneContext(n, _CappedIndices(n, k * size, size), arcs, full)
+    return _stream(n, _predator_sets(n), True)
 
 
 def capped_stream(n: int) -> Callable[[int], Iterator[PlaneContext]]:
@@ -150,7 +130,7 @@ def capped_stream(n: int) -> Callable[[int], Iterator[PlaneContext]]:
     4 on, and ``batches`` below, which holds every such digraph in no more
     bits (343 of each at order 3).
     """
-    return capped_batches if len(_generate._predator_sets(n)) < 2**n - 1 else batches
+    return capped_batches if len(_predator_sets(n)) < 2**n - 1 else batches
 
 
 def draws(n: int, indices: Sequence[int]) -> PlaneContext:
@@ -168,7 +148,7 @@ def draws(n: int, indices: Sequence[int]) -> PlaneContext:
     arcs = tuple(
         tuple(int(text[width - 1 - u * n - w :: width], 2) for w in range(n)) for u in range(n)
     )
-    return PlaneContext(n, indices, arcs, (1 << len(indices)) - 1)
+    return PlaneContext(n, arcs, (1 << len(indices)) - 1)
 
 
 # --- plane arithmetic ------------------------------------------------------
@@ -248,20 +228,17 @@ def _all(planes, full: int) -> int:
 class PlaneContext:
     """Memo of bit planes for one batch of digraphs of order n.
 
-    Bit b of every plane is the digraph at stream index ``indices[b]``: a
-    ``range`` for a batch of the stream, a list for a batch of draws, and
-    decoded on demand for a batch of the capped stream.  ``full`` is the
-    plane of the bits that are digraphs, those whose out-rows in ``arcs``
-    are all non-empty.  Methods mirror ``verify.ClaimContext``, return
-    planes masked to ``full``, and take m even for properties of D alone.
-    A scan evaluates m in increasing order and calls ``release`` after
-    each, so only the planes of about two consecutive m, and the power the
-    next m steps from, are held at a time.
+    Bit b of every plane is one digraph, which ``digraph(b)`` rebuilds
+    from ``arcs``.  ``full`` is the plane of the bits that are digraphs,
+    those whose out-rows in ``arcs`` are all non-empty.  Methods mirror
+    ``verify.ClaimContext``, return planes masked to ``full``, and take m
+    even for properties of D alone.  A scan evaluates m in increasing order
+    and calls ``release`` after each, so only the planes of about two
+    consecutive m, and the power the next m steps from, are held at a time.
     """
 
     __slots__ = (
         "n",
-        "indices",
         "full",
         "arcs",
         "in_degrees",
@@ -274,11 +251,11 @@ class PlaneContext:
         "_weak",
         "_local_sg",
         "_pred",
+        "_arc_bytes",
     )
 
-    def __init__(self, n: int, indices: Sequence[int], arcs, full: int):
+    def __init__(self, n: int, arcs, full: int):
         self.n = n
-        self.indices = indices
         self.full = full
         self.arcs = arcs
         self.in_degrees = self._in_counts(arcs)
@@ -293,6 +270,27 @@ class PlaneContext:
         self._local_sg = None
         # predator bound: [item i: in-degrees <= 2 in D^1..D^i, anchor power, repeated]
         self._pred = None
+        self._arc_bytes = None
+
+    def digraph(self, b: int) -> _digraph.Digraph:
+        """The digraph of bit b, read from ``arcs``; ``InputError`` for a bit
+        outside ``full``.
+        """
+        if self._arc_bytes is None:
+            # one byte string per arc plane, built on the first call: reading
+            # a bit from it costs no shift of a whole plane
+            size = (self.full.bit_length() + 7) // 8
+            self._arc_bytes = [
+                [(x & self.full).to_bytes(size, "little") for x in row] for row in self.arcs
+            ]
+        view, rows = self._arc_bytes, [0]
+        if 0 <= b < 8 * len(view[0][0]):
+            i, mask = b >> 3, 1 << (b & 7)
+            rows = [sum(1 << w for w, x in enumerate(row) if x[i] & mask) for row in view]
+        # the planes are masked to full, so a bit outside it has no arc
+        if not all(rows):
+            raise _digraph.InputError(f"bit {b} is not a digraph of this order-{self.n} batch")
+        return _digraph.Digraph(self.n, rows)
 
     def release(self, m: int) -> None:
         """Drop the planes that only steps at m or below read, but keep

@@ -1,7 +1,6 @@
 """Generators: partitions, canonical star-generating digraphs, the (k, l)
 source/component family, the figure digraphs, and the exhaustive stream of
-labeled digraphs with minimum outdegree 1, with a private decoder for its
-in-degree-capped part.
+labeled digraphs with minimum outdegree 1.
 """
 
 from __future__ import annotations
@@ -92,43 +91,6 @@ def _out_rows(n: int, index: int) -> list[int]:
         index, digit = divmod(index, base)
         rows[v] = digit + 1
     return rows
-
-
-def _predator_sets(n: int) -> list[int]:
-    """The 1 + n + C(n, 2) sets of at most two vertices, as masks: the
-    digit values of the capped stream's in-columns.
-    """
-    pairs = [1 << u | 1 << v for u in range(n) for v in range(u + 1, n)]
-    return [0] + [1 << u for u in range(n)] + pairs
-
-
-def _in_columns(n: int, index: int) -> list[int]:
-    """In-columns of the index-th tuple of the capped stream, every in-degree
-    at most 2: the base 1 + n + C(n, 2) digits of index, most significant
-    first, each picking a predator set from ``_predator_sets(n)``.
-    """
-    sets = _predator_sets(n)
-    columns = [0] * n
-    for w in range(n - 1, -1, -1):
-        index, digit = divmod(index, len(sets))
-        columns[w] = sets[digit]
-    return columns
-
-
-def _capped_index(n: int, index: int) -> int:
-    """Stream index of the digraph at index ``index`` of the capped stream,
-    as ``digraph_at`` reads it; ``InputError`` if some vertex has no prey.
-    """
-    rows = [0] * n
-    for w, column in enumerate(_in_columns(n, index)):
-        for u in bits(column):
-            rows[u] |= 1 << w
-    if not all(rows):
-        raise InputError(f"capped index {index} of order {n} leaves a vertex without prey")
-    stream_index = 0
-    for row in rows:
-        stream_index = stream_index * (2**n - 1) + row - 1
-    return stream_index
 
 
 def digraph_at(n: int, index: int) -> Digraph:

@@ -11,17 +11,19 @@ memoizes their results.  Every atom also has a bit plane form.
 Scans run in one process.  Exhaustive and sampled scans, and the
 ``thm_3_2`` census, evaluate every direction on batches of the stream or
 of seeded draws at once (``bitslice``) and build a digraph only for the
-bits they flag, which are replayed on a ``ClaimContext`` that writes the
-failure details and must agree; hits and entries go straight into the
-reports.  Every vertex of a scanned digraph has a prey, so three
+bits they flag, read back from the batch's arc planes
+(``PlaneContext.digraph``) and replayed on a ``ClaimContext`` that writes
+the failure details and must agree; hits and entries go straight into
+the reports.  Every vertex of a scanned digraph has a prey, so three
 predators of one prey make a triangle in every C^m: an atom that forces a
 triangle-free C^m caps in-degree at 2 (``Atom.cap``).  Exhaustive scans
 therefore run every direction with a capped hypothesis, and the census,
 on the digraphs with every in-degree at most 2 (``capped_stream``, from
 order 4 on, where they take fewer bits), and only the directions without
-one on the whole stream; sampled scans draw from the whole space.  Either way a report counts the whole space it
-covers.  ``ClaimContext`` also runs the grid and replays, and is the
-reference the tests check every plane against.
+one on the whole stream; sampled scans draw from the whole space.
+Either way a report counts the whole space it covers.  ``ClaimContext``
+also runs the grid and replays, and is the reference the tests check
+every plane against.
 """
 
 from __future__ import annotations
@@ -667,7 +669,7 @@ def _check_batch(p: _bitslice.PlaneContext, rounds) -> None:
             for b in _digraph.bits(held & ~ok):
                 ctx = replays.get(b)
                 if ctx is None:
-                    ctx = replays[b] = ClaimContext(_generate.digraph_at(p.n, p.indices[b]))
+                    ctx = replays[b] = ClaimContext(p.digraph(b))
                 detail = direction.failure(ctx, m) if direction.holds(ctx, m) else None
                 if detail is None:
                     raise RuntimeError(
@@ -721,7 +723,7 @@ def _verify_grid(m_list, n_max: int, report: VerificationReport) -> None:
 
 # Largest census order a replay rescans: on the capped stream order 5 takes
 # about 0.1 s and order 6 about 5 s.
-CENSUS_REPLAY_ORDER = 5
+CENSUS_REPLAY_ORDER = 6
 
 
 def _census_check(n: int) -> tuple[bool, str | None]:
@@ -729,14 +731,15 @@ def _census_check(n: int) -> tuple[bool, str | None]:
     of order n by brute force and compare against the enumerator.
 
     The brute force runs on bit planes of ``capped_stream(n)``, since SG
-    caps in-degree at 2.  Each digraph they flag is rebuilt and must pass the
-    scalar checks, and only those reach ``canonical_form``.
+    caps in-degree at 2.  Each digraph they flag is read back from its
+    batch's arc planes and must pass the scalar checks, and only those reach
+    ``canonical_form``.
     """
     expected = sum(1 for _ in _generate.partitions(n - 1))
     found = set()
     for p in _bitslice.capped_stream(n)(n):
         for b in _digraph.bits(p.one_source() & p.star_generating()):
-            d = _generate.digraph_at(n, p.indices[b])
+            d = p.digraph(b)
             sg = _classify.classify_star_generating(d).star_generating
             if len(_digraph.sources(d)) != 1 or not sg:
                 raise RuntimeError(
@@ -880,10 +883,12 @@ def replay_counterexample(entry: dict) -> bool:
         )
 
     if claim.kind == "census":
+        if order < 2:
+            raise InputError(f"thm_3_2 needs order >= 2, got {order}")
         if order > CENSUS_REPLAY_ORDER:
             raise InputError(
-                f"census order {order} scans (2**{order} - 1)**{order} digraphs; "
-                f"replays go up to order {CENSUS_REPLAY_ORDER}"
+                f"census order {order}: a replay scans the capped stream of its order, "
+                f"up to order {CENSUS_REPLAY_ORDER}"
             )
         ok, _ = _census_check(order)
         return not ok

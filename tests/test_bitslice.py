@@ -7,7 +7,7 @@ from math import comb
 import pytest
 
 from stargen import CATALOG, replay_counterexample, verify_claim, verify_claims
-from stargen import bitslice, generate, verify
+from stargen import bitslice, verify
 from stargen.competition import Graph
 from stargen.digraph import InputError, bits
 from stargen.generate import digraph_at, digraph_space_size
@@ -64,13 +64,19 @@ def _scalar_reports(claim_ids, m_list, draws, mode="exhaustive", n_max=0):
     return _dicts(reports, len(draws))
 
 
-def _both_paths(claim_ids, m_list, contexts):
-    """(engine, scalar) report dicts of the digraphs of some batches."""
+def _both_paths(claim_ids, m_list, contexts, draws):
+    """(engine, scalar) report dicts of the digraphs of some batches, whose
+    bits are the (order, index) pairs ``draws``.
+    """
     reports, rounds = _start(claim_ids, m_list)
     for p in contexts:
         verify._check_batch(p, rounds)
-    draws = [(p.n, i) for p in contexts for i in p.indices]
     return _dicts(reports, len(draws)), _scalar_reports(claim_ids, m_list, draws)
+
+
+def _whole(n):
+    """The (order, index) pairs of the whole stream of order n."""
+    return [(n, i) for i in range(digraph_space_size(n))]
 
 
 def _sampled_draws(n_max, seed, count):
@@ -88,25 +94,34 @@ def _decode(p, b):
     return tuple(sum((p.arcs[u][w] >> b & 1) << w for w in range(p.n)) for u in range(p.n))
 
 
+def _batch_size(n, base):
+    """Bits per batch of an order-n stream whose digits take ``base`` values."""
+    return base ** bitslice._trailing_digits(base, n)
+
+
 class TestBatches:
     def test_batch_shapes(self):
-        assert [bitslice.trailing_rows(n) for n in range(1, 7)] == [1, 2, 3, 4, 3, 3]
-        assert bitslice.batch_size(4) == 15**4
-        assert bitslice.batch_size(5) == 31**3
-        assert all(bitslice.batch_size(n) <= bitslice.CAP_BITS for n in range(1, 12))
+        rows = [bitslice._trailing_digits(2**n - 1, n) for n in range(1, 7)]
+        assert rows == [1, 2, 3, 4, 3, 3]
+        assert _batch_size(4, 15) == 15**4
+        assert _batch_size(5, 31) == 31**3
+        for n in range(1, 12):
+            assert _batch_size(n, 2**n - 1) <= bitslice.CAP_BITS
+            assert _batch_size(n, len(bitslice._predator_sets(n))) <= bitslice.CAP_BITS
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_arc_planes_decode_to_the_stream(self, n):
         rng = random.Random(n)
         total = digraph_space_size(n)
-        size = bitslice.batch_size(n)
+        size = _batch_size(n, 2**n - 1)
         count = total // size
         for k in {0, count - 1} | {rng.randrange(count) for _ in range(2)}:
             (p,) = bitslice.batches(n, k, k + 1)
-            assert p.indices == range(k * size, (k + 1) * size)
             assert p.full == (1 << size) - 1
             for b in rng.sample(range(size), min(size, 40)):
-                assert _decode(p, b) == digraph_at(n, p.indices[b]).out_rows
+                d = digraph_at(n, k * size + b)
+                assert _decode(p, b) == d.out_rows
+                assert p.digraph(b) == d
         assert list(bitslice.batches(n, count, count + 5)) == []
         # a batch of draws keeps every draw, repeats included, as its own bit
         indices = [rng.randrange(total) for _ in range(30)]
@@ -114,7 +129,18 @@ class TestBatches:
         p = bitslice.draws(n, indices)
         assert p.full == (1 << len(indices)) - 1
         for b, index in enumerate(indices):
-            assert _decode(p, b) == digraph_at(n, index).out_rows
+            d = digraph_at(n, index)
+            assert _decode(p, b) == d.out_rows
+            assert p.digraph(b) == d
+
+    def test_a_bit_outside_full_raises(self):
+        (whole,) = bitslice.batches(2)  # 9 bits, all digraphs
+        drawn = bitslice.draws(3, [5, 5, 0])
+        (capped,) = bitslice.capped_batches(2)  # bit 0: both in-columns empty
+        assert not capped.full & 1
+        for p, b in [(whole, 9), (whole, -1), (whole, 1 << 40), (drawn, 3), (capped, 0)]:
+            with pytest.raises(InputError, match="not a digraph"):
+                p.digraph(b)
 
     def test_release_keeps_the_power_the_next_m_steps_from(self, monkeypatch):
         (p,) = bitslice.batches(3)
@@ -149,20 +175,19 @@ class TestCappedStream:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_full_bits_are_the_capped_digraphs_once(self, n):
         seen = []
+        size = _batch_size(n, len(bitslice._predator_sets(n)))
         for p in bitslice.capped_batches(n):
-            for b in range(len(p.indices)):
+            for b in range(size):
                 if p.full >> b & 1:
-                    seen.append(p.indices[b])
-                    assert _decode(p, b) == digraph_at(n, seen[-1]).out_rows
+                    seen.append(p.digraph(b).out_rows)
+                    assert _decode(p, b) == seen[-1]
                 else:
                     assert not all(_decode(p, b))  # some vertex has no prey
-                    with pytest.raises(InputError, match="without prey"):
-                        p.indices[b]
-        capped = [
-            i
-            for i in range(digraph_space_size(n))
-            if max(row.bit_count() for row in digraph_at(n, i).in_rows) <= 2
-        ]
+                    with pytest.raises(InputError, match="not a digraph"):
+                        p.digraph(b)
+        # in index order, since the stream counts out-row tuples
+        stream = (digraph_at(n, i) for i in range(digraph_space_size(n)))
+        capped = [d.out_rows for d in stream if max(row.bit_count() for row in d.in_rows) <= 2]
         assert sorted(seen) == capped
         assert len(seen) == [1, 9, 174, 6510][n - 1]
 
@@ -245,7 +270,7 @@ class TestAtomPlanes:
         for stream in (bitslice.batches, bitslice.capped_batches):
             for n in range(1, 4):
                 (p,) = stream(n)
-                contexts = {b: ClaimContext(digraph_at(n, p.indices[b])) for b in bits(p.full)}
+                contexts = {b: ClaimContext(p.digraph(b)) for b in bits(p.full)}
                 for m in (1, 2, 3, 4, 5, 2**60):
                     for name, atom in ATOMS.items():
                         plane = atom.plane(p, m)
@@ -292,15 +317,16 @@ class TestSameReports:
         # instances with their details, for every planed claim
         m_list = list(range(1, 8))
         for n in range(1, 5):
-            planes, scalar = _both_paths(PLANED_CLAIMS, m_list, list(bitslice.batches(n)))
+            planes, scalar = _both_paths(PLANED_CLAIMS, m_list, bitslice.batches(n), _whole(n))
             assert planes == scalar, n
 
     def test_seeded_sample_n5(self):
         # a seeded run of 20 000 consecutive indices, as one batch of draws
         rng = random.Random(20261018)
         start = rng.randrange(digraph_space_size(5) - 20_000)
-        p = bitslice.draws(5, range(start, start + 20_000))
-        planes, scalar = _both_paths(PLANED_CLAIMS, list(range(1, 8)), [p])
+        indices = range(start, start + 20_000)
+        batch, draws = [bitslice.draws(5, indices)], [(5, i) for i in indices]
+        planes, scalar = _both_paths(PLANED_CLAIMS, list(range(1, 8)), batch, draws)
         assert planes == scalar
 
     def test_hits_by_direction_agree(self):
@@ -362,7 +388,7 @@ class TestFalseClaim:
         monkeypatch.setitem(CATALOG, "bogus_planed", bogus)
         failures = 0
         for n in range(1, 4):
-            planes, scalar = _both_paths(["bogus_planed"], [1, 2], list(bitslice.batches(n)))
+            planes, scalar = _both_paths(["bogus_planed"], [1, 2], bitslice.batches(n), _whole(n))
             assert planes == scalar
             failures += len(scalar[0]["counterexamples"])
         report = verify_claim("bogus_planed", 3, [1, 2])
@@ -389,12 +415,13 @@ class TestOrderFive:
         # the census rebuilds only the digraphs its planes flag: the n!
         # labelings of the one-source star-generating digraphs
         rebuilt = Counter()
+        digraph = bitslice.PlaneContext.digraph
 
-        def counting_digraph_at(n, index):
-            rebuilt[n] += 1
-            return digraph_at(n, index)
+        def counting_digraph(p, b):
+            rebuilt[p.n] += 1
+            return digraph(p, b)
 
-        monkeypatch.setattr(generate, "digraph_at", counting_digraph_at)
+        monkeypatch.setattr(bitslice.PlaneContext, "digraph", counting_digraph)
         lemma, census = verify_claims(["lemma_3_4", "thm_3_2"], 5, [2])
         assert lemma.verified and census.verified
         assert lemma.digraphs_examined == lemma.hypothesis_hits == 28_680_129

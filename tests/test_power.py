@@ -103,9 +103,10 @@ class TestRowPower:
 class TestPlanePower:
     def test_partial_batch_at_huge_m_matches_row_power(self):
         n, m = 4, 2**60
-        plane = bitslice.draws(n, range(20_000, 20_400))
+        indices = range(20_000, 20_400)
+        plane = bitslice.draws(n, indices)
         power = plane.power(m)
-        for b, index in enumerate(plane.indices):
+        for b, index in enumerate(indices):
             rows = _row_power(digraph_at(n, index).out_rows, m)
             got = [sum((power[u][w] >> b & 1) << w for w in range(n)) for u in range(n)]
             assert got == rows, index

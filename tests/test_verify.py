@@ -261,7 +261,20 @@ class TestReplay:
     def test_census_order_over_the_replay_limit(self):
         # used to scan all (2**7 - 1)**7 digraphs
         entry = {"claim": "thm_3_2", "direction": "count", "n": 7, "m": None}
-        with pytest.raises(InputError, match=r"\(2\*\*7 - 1\)\*\*7 digraphs"):
+        with pytest.raises(InputError, match="scans the capped stream of its order, up to order 6"):
+            replay_counterexample(entry)
+
+    def test_census_order_six_replays(self, monkeypatch):
+        orders = []
+        monkeypatch.setattr(verify, "_census_check", lambda n: orders.append(n) or (True, None))
+        entry = {"claim": "thm_3_2", "direction": "count", "n": 6, "m": None}
+        assert replay_counterexample(entry) is False
+        assert orders == [6]
+
+    @pytest.mark.parametrize("order", [1, 0, -3])
+    def test_census_order_below_two(self, order):
+        entry = {"claim": "thm_3_2", "direction": "count", "n": order, "m": None}
+        with pytest.raises(InputError, match=f"thm_3_2 needs order >= 2, got {order}"):
             replay_counterexample(entry)
 
     def test_grid_entry(self):
