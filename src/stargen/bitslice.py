@@ -250,7 +250,6 @@ class PlaneContext:
         "_stars",
         "_weak",
         "_local_sg",
-        "_pred",
         "_arc_bytes",
     )
 
@@ -268,8 +267,6 @@ class PlaneContext:
         self._stars = {}
         self._weak = None
         self._local_sg = None
-        # predator bound: [item i: in-degrees <= 2 in D^1..D^i, anchor power, repeated]
-        self._pred = None
         self._arc_bytes = None
 
     def digraph(self, b: int) -> _digraph.Digraph:
@@ -455,8 +452,7 @@ class PlaneContext:
             for w, col in enumerate(zip(*self.arcs)):
                 by_src = _at_least((x & s for x, s in zip(col, src)), 2, full)
                 bad |= (
-                    (full & ~_any(self.arcs[w]))  # no prey
-                    | by_src[2]  # S2: two sources share prey w
+                    by_src[2]  # S2: two sources share prey w
                     | by_src[1] & ~in_eq2[w]  # S1: prey w of a source
                     | ~src[w] & ~(out_eq1[w] & in_eq2[w] & by_src[1] & ~by_src[2])  # S3
                 )
@@ -496,34 +492,13 @@ class PlaneContext:
         return self.full & ~bad
 
     def predator_bound(self, m: int) -> int:
-        """In-degrees stay <= 2 in D^1..D^m.
+        """In-degrees stay <= 2 in D^1..D^m, decided on D^m alone.
 
-        Powers are eventually periodic, so once a digraph's D^i equals an
-        earlier power, later powers add no new in-degrees, and the loop
-        stops when that holds for the whole batch.  D^i is compared with
-        the anchor D^(2^k), 2^k < i <= 2^(k+1), as in Brent's cycle
-        detection: a digraph whose powers repeat from D^a on, with period
-        p, matches by i = 2 max(a, p), and only one earlier power is kept.
+        Three predators of a vertex in D^i give some vertex three in every
+        later power, by the walk-on argument of ``verify.Atom``, so D^m has
+        one wherever an earlier power does.
         """
-        if self._pred is None:
-            self._pred = [[self.full], None, 0]
-        ok, anchor, repeated = self._pred
-        full = self.full
-        while len(ok) <= m and repeated != full:
-            i = len(ok)
-            p = self.power(i)
-            if anchor is not None:
-                same = full
-                for x, y in zip(sum(p, ()), anchor):
-                    same &= ~(x ^ y)
-                    if not same:
-                        break
-                repeated |= same
-            if not i & (i - 1):
-                anchor = sum(p, ())
-            ok.append(ok[-1] & ~_any(ge[3] for ge in self._in_counts(p)))
-        self._pred[1:] = anchor, repeated
-        return ok[min(m, len(ok) - 1)]
+        return self.full & ~_any(ge[3] for ge in self._in_counts(self.power(m)))
 
     def predators_when_k_eq_l(self, m: int) -> int:
         """When k = l, every non-source has two m-step predators and shares

@@ -15,12 +15,13 @@ bits they flag, read back from the batch's arc planes
 (``PlaneContext.digraph``) and replayed on a ``ClaimContext`` that writes
 the failure details and must agree; hits and entries go straight into
 the reports.  Every vertex of a scanned digraph has a prey, so three
-predators of one prey make a triangle in every C^m: an atom that forces a
-triangle-free C^m caps in-degree at 2 (``Atom.cap``).  Exhaustive scans
-therefore run every direction with a capped hypothesis, and the census,
-on the digraphs with every in-degree at most 2 (``capped_stream``, from
-order 4 on, where they take fewer bits), and only the directions without
-one on the whole stream; sampled scans draw from the whole space.
+predators of one prey make a triangle in every C^m (the walk-on argument
+of ``Atom``): an atom that forces a triangle-free C^m caps in-degree at 2
+(``Atom.cap``).  Exhaustive scans therefore run every direction with a
+capped hypothesis, and the census, on the digraphs with every in-degree
+at most 2 (``capped_stream``, from order 4 on, where they take fewer
+bits), and only the directions without one on the whole stream; sampled
+scans draw from the whole space.
 Either way a report counts the whole space it covers.  ``ClaimContext``
 also runs the grid and replays, and is the reference the tests check
 every plane against.
@@ -202,12 +203,16 @@ class Atom(NamedTuple):
     (None), and every atom of a direction needs a ``plane``.
 
     ``cap`` is the largest in-degree of D that any digraph with the
-    property can have, or None.  Every vertex of D has a prey, so three
-    predators of one prey w share an m-step prey, any vertex m - 1 steps on
-    from w, and C^m has a triangle at every m (Proposition 2.3 with i = 1):
-    every property that forces a triangle-free C^m caps in-degree at 2.  A
-    direction whose hypothesis has a capped atom scans only the digraphs
-    with every in-degree at most 2 (``bitslice.capped_stream``).
+    property can have, or None.  It rests on the walk-on argument: every
+    vertex of D has a prey, so three i-step predators of a vertex w are
+    (i + 1)-step predators of any prey of w, and a vertex with three
+    predators in D^i leaves one with three in every later power.  With
+    i = 1, three predators of one prey share an m-step prey at every m, and
+    C^m has a triangle (Proposition 2.3 with i = 1): every property that
+    forces a triangle-free C^m caps in-degree at 2.  A direction whose
+    hypothesis has a capped atom scans only the digraphs with every
+    in-degree at most 2 (``bitslice.capped_stream``).  The same argument
+    lets ``PlaneContext.predator_bound`` decide Proposition 2.3 on D^m alone.
     """
 
     test: Callable[[ClaimContext, int], bool]
@@ -372,7 +377,7 @@ TF = Atom(
     ClaimContext.triangle_free,
     lambda c, m: "competition graph has a triangle",
     _PC.triangle_free,
-    cap=2,  # three predators of one prey make a triangle at every m (Atom)
+    cap=2,  # three predators of one prey make a triangle at every m (walk-on, Atom)
 )
 CONNECTED = Atom(
     lambda c, m: c.n_components(m) == 1,
@@ -697,25 +702,32 @@ def _sampled_batches(n_max: int, seed: int | None, count: int):
         yield _bitslice.draws(n, indices)
 
 
+def _grid_problems(d: Digraph, k: int, l: int, m_list) -> list[tuple[int | None, str]]:
+    """The (m, detail) problems of the (k, l) construction d: a wrong source
+    count or weak disconnection (m None), and a wrong component count at
+    each m of ``m_list``.
+    """
+    ctx = ClaimContext(d)
+    problems = []
+    if len(ctx.sources) != k:
+        problems.append((None, f"expected {k} sources, found {len(ctx.sources)}"))
+    if not ctx.weakly_connected:
+        problems.append((None, "construction is not weakly connected"))
+    for m in m_list:
+        l_found = ctx.n_components(m)
+        if l_found != l:
+            problems.append((m, f"expected {l} components, found {l_found}"))
+    return problems
+
+
 def _verify_grid(m_list, n_max: int, report: VerificationReport) -> None:
-    bound = n_max if n_max >= 1 else 5
-    ms = m_list or list(range(1, 11))
-    for k in range(1, bound + 1):
-        for l in range(1, bound + 1):
+    for k in range(1, n_max + 1):
+        for l in range(1, n_max + 1):
             d = _generate.lemma_kl_digraph(k, l)
-            ctx = ClaimContext(d)
             report.digraphs_examined += 1
-            problems = []
-            if len(ctx.sources) != k:
-                problems.append((None, f"expected {k} sources, found {len(ctx.sources)}"))
-            if not ctx.weakly_connected:
-                problems.append((None, "construction is not weakly connected"))
-            for m in ms:
+            for m in m_list:
                 report.add_hits("construction", m, 1)
-                l_found = ctx.n_components(m)
-                if l_found != l:
-                    problems.append((m, f"expected {l} components, found {l_found}"))
-            for m, detail in problems:
+            for m, detail in _grid_problems(d, k, l, m_list):
                 entry = _entry("lemma_2_2", "construction", d, m, detail)
                 entry.update({"k": k, "l": l})
                 report.counterexamples.append(entry)
@@ -800,13 +812,13 @@ def verify_claims(
             )
     special = [c for c in claims if c.kind != "digraph"]
     scan_ids = [c.id for c in claims if c.kind == "digraph"]
+    if n_max < 1:
+        raise InputError(f"n_max must be positive, got {n_max}")
     if n_max < 2 and any(c.kind == "census" for c in claims):
         raise InputError("thm_3_2 needs n_max >= 2")
+    if not m_list and any(c.kind == "grid" or c.min_m is not None for c in claims):
+        raise InputError("m_set is empty but some requested claim depends on m")
     if scan_ids:
-        if n_max < 1:
-            raise InputError(f"n_max must be positive, got {n_max}")
-        if not m_list and any(CATALOG[cid].min_m is not None for cid in scan_ids):
-            raise InputError("m_set is empty but some requested claim depends on m")
         if mode == "sampled":
             if sample_count is None or sample_count < 1:
                 raise InputError(f"sample count must be at least 1, got {sample_count}")
@@ -894,10 +906,8 @@ def replay_counterexample(entry: dict) -> bool:
         return not ok
     if claim.kind == "grid":
         k, l = ints
-        ctx = ClaimContext(_generate.lemma_kl_digraph(k, l))
-        if m is None:
-            return len(ctx.sources) != k or not ctx.weakly_connected
-        return ctx.n_components(m) != l
+        problems = _grid_problems(_generate.lemma_kl_digraph(k, l), k, l, [] if m is None else [m])
+        return any(at == m for at, _ in problems)
 
     directions = {dd.name: dd for dd in claim.directions}
     try:

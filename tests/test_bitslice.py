@@ -11,7 +11,16 @@ from stargen import bitslice, verify
 from stargen.competition import Graph
 from stargen.digraph import InputError, bits
 from stargen.generate import digraph_at, digraph_space_size
-from stargen.verify import CONNECTED, SUB_MONOTONE, TF, Atom, Claim, ClaimContext, _implies
+from stargen.verify import (
+    CONNECTED,
+    PRED_BOUND,
+    SUB_MONOTONE,
+    TF,
+    Atom,
+    Claim,
+    ClaimContext,
+    _implies,
+)
 
 ATOMS = {name: atom for name, atom in vars(verify).items() if isinstance(atom, Atom)}
 PLANED_CLAIMS = sorted(cid for cid, claim in CATALOG.items() if claim.kind == "digraph")
@@ -163,9 +172,9 @@ class TestBatches:
         assert products == {2: 5, 3: 5, 4: 5}
 
 
-def _above(p, cap):
-    """The plane of a batch's digraphs with some in-degree above ``cap``."""
-    return bitslice._any(ge[cap + 1] for ge in p.in_degrees)
+def _above(p, cap, m=1):
+    """The plane of a batch's digraphs with some in-degree above ``cap`` in D^m."""
+    return bitslice._any(ge[cap + 1] for ge in p._in_counts(p.power(m)))
 
 
 CAPPED_ATOMS = {name: atom for name, atom in ATOMS.items() if atom.cap is not None}
@@ -219,13 +228,21 @@ class TestCappedStream:
         assert CATALOG["lemma_2_6"].directions[0].cap == 1
 
     def test_cap_gate(self):
-        # no digraph above an atom's cap has the atom, over the whole stream
+        # no digraph above an atom's cap has the atom, over the whole stream;
+        # and the walk-on argument that PRED_BOUND's plane rests on: three
+        # predators in D^(m-1) leave three in D^m, and none with a
+        # triangle-free C^m has them
         for n in range(1, 6):
             for p in bitslice.batches(n):
                 above = {atom.cap: _above(p, atom.cap) for atom in CAPPED_ATOMS.values()}
+                earlier = 0
                 for m in range(1, 7):
                     for name, atom in CAPPED_ATOMS.items():
                         assert atom.plane(p, m) & above[atom.cap] == 0, (name, n, m)
+                    three = _above(p, 2, m)
+                    assert earlier & ~three == 0, (n, m)
+                    assert three & TF.plane(p, m) == 0, (n, m)
+                    earlier = three
                     p.release(m)
 
     def test_implies_rejects_a_cap_the_stream_does_not_hold(self):
@@ -396,6 +413,23 @@ class TestFalseClaim:
         for entry in report.counterexamples:
             assert entry["detail"].startswith("competition graph has ")
             assert replay_counterexample(entry)
+
+    def test_predator_bound_plane_against_every_power(self, monkeypatch):
+        # TF keeps prop_2_3 from failing; with no hypothesis PRED_BOUND
+        # fails, and its plane, which reads D^m alone, must flag what the
+        # scalar bound, which walks D^1..D^m, finds
+        bogus = Claim("bogus_pred", "digraph", (_implies("forward", 1, (), PRED_BOUND),))
+        monkeypatch.setitem(CATALOG, "bogus_pred", bogus)
+        failures = 0
+        for n in range(1, 5):
+            planes, scalar = _both_paths(
+                ["bogus_pred"], [1, 2, 3, 2**60], bitslice.batches(n), _whole(n)
+            )
+            assert planes == scalar, n
+            for entry in scalar[0]["counterexamples"]:
+                assert replay_counterexample(entry), entry
+            failures += len(scalar[0]["counterexamples"])
+        assert failures > 0
 
     def test_plane_the_scalar_path_contradicts_raises(self, monkeypatch):
         lying = Atom(CONNECTED.test, CONNECTED.why, lambda p, m: 0)

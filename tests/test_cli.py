@@ -207,6 +207,13 @@ class TestVerify:
         assert captured.err == f"error: sample count must be at least 1, got {count}\n"
         assert captured.out == ""
 
+    def test_grid_rejects_a_nonpositive_n_max(self, capsys):
+        # the grid used to check a 5 x 5 grid in its place and exit 0
+        assert run(["verify", "--claim", "lemma_2_2", "--n-max", "-3", "--m", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: n_max must be positive, got -3\n"
+        assert captured.out == ""
+
     def test_m_below_claim_range(self, capsys):
         assert run(["verify", "--claim", "prop_2_5", "--n-max", "3", "--m", "1..3"]) == 1
         assert "requires m >= 2" in capsys.readouterr().err

@@ -76,7 +76,7 @@ class TestVerifyClaims:
             assert len(CATALOG[cid].directions) == 2
 
     def test_lemma_2_2_default_grid(self):
-        report = verify_claim("lemma_2_2", 0, range(1, 11))
+        report = verify_claim("lemma_2_2", 5, range(1, 11))
         assert report.verified
         assert report.digraphs_examined == 25
         assert report.hypothesis_hits == 250
@@ -141,6 +141,9 @@ class TestErrors:
             (["thm_3_2", "prop_2_1"], 5, [], {}, "m_set is empty"),
             (["lemma_2_2", "thm_3_2"], 1, [1], {}, "thm_3_2 needs n_max >= 2"),
             (["lemma_2_2", "prop_2_1"], 0, [1], {}, "n_max must be positive"),
+            # the grid used to default n_max 0 to 5 and an empty m set to 1..10
+            (["lemma_2_2"], 0, [1], {}, "n_max must be positive"),
+            (["lemma_2_2"], 3, [], {}, "m_set is empty"),
             (["lemma_2_2", "thm_3_2", "prop_2_1"], 3, [1], {"seed": 1}, "sample count"),
             (["thm_3_2", "prop_2_1"], MAX_TEXT_ORDER + 1, [1], {"sample_count": 1}, "exceeds"),
         ],
