@@ -141,11 +141,11 @@ class TestErrors:
             (["thm_3_2", "prop_2_1"], 5, [], {}, "m_set is empty"),
             (["lemma_2_2", "thm_3_2"], 1, [1], {}, "thm_3_2 needs n_max >= 2"),
             (["lemma_2_2", "prop_2_1"], 0, [1], {}, "n_max must be positive"),
+            (["lemma_2_2", "thm_3_2", "prop_2_1"], 3, [1], {"seed": 1}, "sample count"),
+            (["thm_3_2", "prop_2_1"], MAX_TEXT_ORDER + 1, [1], {"sample_count": 1}, "exceeds"),
             # the grid used to default n_max 0 to 5 and an empty m set to 1..10
             (["lemma_2_2"], 0, [1], {}, "n_max must be positive"),
             (["lemma_2_2"], 3, [], {}, "m_set is empty"),
-            (["lemma_2_2", "thm_3_2", "prop_2_1"], 3, [1], {"seed": 1}, "sample count"),
-            (["thm_3_2", "prop_2_1"], MAX_TEXT_ORDER + 1, [1], {"sample_count": 1}, "exceeds"),
         ],
     )
     def test_inputs_checked_before_any_claim_runs(
