@@ -27,7 +27,9 @@ stream indices of one order, repeats included.
 competition graphs, sources, closures and degree counters for one batch,
 and every atom of the claim catalog reads its ``plane`` from it.  The
 subdigraph check (Lemma 3.4) derives each subdigraph's arc planes from the
-batch's and powers them one subdigraph at a time, keeping none.
+batch's and sweeps its ``m_values`` one subdigraph at a time, stepping its
+power by one product per m: it holds one power chain and the C^m edge
+planes of the m values still to come, |m values| x C(n, 2) planes.
 """
 
 from __future__ import annotations
@@ -171,6 +173,17 @@ def _power(a, m: int):
     return _digraph._power(a, m, _product)
 
 
+def plane_bits(x: int) -> Iterator[int]:
+    """The set bits of plane x >= 0 in increasing order, read byte by byte:
+    linear in its size, where ``digraph.bits`` copies it at every bit.
+    """
+    for i, byte in enumerate(x.to_bytes((x.bit_length() + 7) // 8, "little")):
+        while byte:
+            low = byte & -byte
+            yield i << 3 | low.bit_length() - 1
+            byte ^= low
+
+
 def _at_least(planes, top: int, full: int) -> list[int]:
     """Saturating bit-sliced counter: item j is set where at least j of
     ``planes`` are, for j = 0..top.
@@ -235,6 +248,8 @@ class PlaneContext:
     even for properties of D alone.  A scan evaluates m in increasing order
     and calls ``release`` after each, so only the planes of about two
     consecutive m, and the power the next m steps from, are held at a time.
+    ``m_values``, empty unless the scan sets it, lists its rounds' m:
+    ``sub_monotone`` sweeps them at once and holds their C^m until then.
     """
 
     __slots__ = (
@@ -248,9 +263,11 @@ class PlaneContext:
         "_graphs",
         "_cm",
         "_stars",
+        "_sub_bad",
         "_weak",
         "_local_sg",
         "_arc_bytes",
+        "m_values",
     )
 
     def __init__(self, n: int, arcs, full: int):
@@ -265,9 +282,11 @@ class PlaneContext:
         self._graphs = {}
         self._cm = {}  # m -> (connected, exact counts of l, components meet sources)
         self._stars = {}
+        self._sub_bad = {}  # m -> plane of digraphs failing sub_monotone at m
         self._weak = None
         self._local_sg = None
         self._arc_bytes = None
+        self.m_values = ()
 
     def digraph(self, b: int) -> _digraph.Digraph:
         """The digraph of bit b, read from ``arcs``; ``InputError`` for a bit
@@ -293,7 +312,7 @@ class PlaneContext:
         """Drop the planes that only steps at m or below read, but keep
         ``power(m)``: the next m steps from it instead of squaring.
         """
-        for memo in (self._graphs, self._cm, self._stars):
+        for memo in (self._graphs, self._cm, self._stars, self._sub_bad):
             for key in [key for key in memo if key <= m]:
                 del memo[key]
         for key in [key for key in self._powers if 1 < key < m]:
@@ -556,26 +575,39 @@ class PlaneContext:
     def sub_monotone(self, m: int) -> int:
         """Every edge of a subdigraph's C^m is an edge of C^m(D).
 
-        Each subdigraph is built and powered on its own, and none of its
-        planes is kept, so the memory held is that of one power sequence.
-        Only digraphs whose C^m misses some pair are tested.
+        The first call sweeps m and the later ``m_values`` in one walk of
+        the subdigraphs.  Each keeps one power, stepped by one product to
+        the next m or squared after a gap, and dropped before the next.
+        At each m only digraphs whose C^m misses some pair, and that have
+        not failed, are tested; a subdigraph none of them has is skipped.
         """
-        g = self.graph(m)
-        full = self.full
-        n = self.n
-        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-        todo = full & ~_all((g[x][y] for x, y in pairs), full)
-        bad = 0
-        for mask, sub in self._subdigraphs():
-            mask &= todo & ~bad
-            if not mask:
-                continue
-            prey = _power(sub, m)
-            for x, y in pairs:
-                miss = mask & ~g[x][y]
-                if miss:
-                    e = 0
-                    for s, t in zip(prey[x], prey[y]):
-                        e |= s & t
-                    bad |= miss & e
-        return full & ~bad
+        if m not in self._sub_bad:
+            full = self.full
+            n = self.n
+            pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+            ks = [m] + [k for k in self.m_values if k > m]
+            graphs = []
+            for k in ks:
+                graphs.append(self.graph(k))
+                # keep D^m and the power the next k steps from; a later
+                # round that needs its own power steps to it again
+                for key in [key for key in self._powers if m < key < k]:
+                    del self._powers[key]
+            todo = [full & ~_all((g[x][y] for x, y in pairs), full) for g in graphs]
+            bad = [0] * len(ks)
+            for mask, sub in self._subdigraphs():
+                prey = at = None
+                for i, k in enumerate(ks):
+                    test = mask & todo[i] & ~bad[i]
+                    if test:
+                        prey = _product(prey, sub) if at == k - 1 else _power(sub, k)
+                        at = k
+                        for x, y in pairs:
+                            miss = test & ~graphs[i][x][y]
+                            if miss:
+                                e = 0
+                                for s, t in zip(prey[x], prey[y]):
+                                    e |= s & t
+                                bad[i] |= miss & e
+            self._sub_bad.update(zip(ks, bad))
+        return self.full & ~self._sub_bad[m]

@@ -125,6 +125,19 @@ def all_digraphs(
             yield d
 
 
+def _relabelings(d: Digraph) -> Iterator[tuple[int, ...]]:
+    """The out-rows of d under each of the n! relabelings of its vertices."""
+    n = d.n
+    for perm in permutations(range(n)):
+        rows_new = [0] * n
+        for old in range(n):
+            acc = 0
+            for w in bits(d.out_rows[old]):
+                acc |= 1 << perm[w]
+            rows_new[perm[old]] = acc
+        yield tuple(rows_new)
+
+
 def canonical_form(d: Digraph) -> tuple[int, tuple[int, ...]]:
     """Isomorphism-invariant key by brute-force permutation minimization.
 
@@ -133,18 +146,7 @@ def canonical_form(d: Digraph) -> tuple[int, tuple[int, ...]]:
     n = d.n
     if n > 8:
         raise InputError(f"canonical_form is limited to n <= 8, got n={n}")
-    best = None
-    for perm in permutations(range(n)):
-        rows_new = [0] * n
-        for old in range(n):
-            acc = 0
-            for w in bits(d.out_rows[old]):
-                acc |= 1 << perm[w]
-            rows_new[perm[old]] = acc
-        key = tuple(rows_new)
-        if best is None or key < best:
-            best = key
-    return n, best
+    return n, min(_relabelings(d))
 
 
 def are_isomorphic(a: Digraph, b: Digraph) -> bool:

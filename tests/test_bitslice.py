@@ -171,6 +171,40 @@ class TestBatches:
         verify_claims(["lemma_3_5"], 4, range(2, 7))
         assert products == {2: 5, 3: 5, 4: 5}
 
+    def test_sub_monotone_steps_each_subdigraph_once_per_m(self, monkeypatch):
+        # one sweep over m 1..6: D's powers, and each subdigraph's power
+        # stepped by one product per m where some digraph still needs it
+        products = Counter()
+        product = bitslice._product
+
+        def counting_product(a, b):
+            products[len(a)] += 1
+            return product(a, b)
+
+        monkeypatch.setattr(bitslice, "_product", counting_product)
+        verify_claims(["lemma_3_4"], 4, range(1, 7))
+        assert products == {1: 5, 2: 15, 3: 65, 4: 105}
+        # the sweep at m = 1 holds the later C^m, but no power between
+        (p,) = bitslice.batches(3)
+        p.m_values = tuple(range(1, 7))
+        p.sub_monotone(1)
+        assert sorted(p._sub_bad) == sorted(p._graphs) == [1, 2, 3, 4, 5, 6]
+        assert sorted(p._powers) == [1, 6]
+        p.release(3)
+        assert sorted(p._sub_bad) == sorted(p._graphs) == [4, 5, 6]
+
+    def test_plane_bits(self):
+        rng = random.Random(7)
+        # bits copies the plane at every set bit, so the 2**18-bit planes are sparse
+        planes = [0, 1, 1 << 8, 1 << 17, 1 << (2**18 - 1), 2**12 - 1, rng.getrandbits(2**12)]
+        for _ in range(2):
+            sparse = rng.getrandbits(2**18)
+            for _ in range(4):
+                sparse &= rng.getrandbits(2**18)
+            planes.append(sparse | 1 << (2**18 - 1))
+        for x in planes:
+            assert list(bitslice.plane_bits(x)) == list(bits(x))
+
 
 def _above(p, cap, m=1):
     """The plane of a batch's digraphs with some in-degree above ``cap`` in D^m."""
@@ -313,6 +347,51 @@ class TestAtomPlanes:
                     if m <= 4 and not holds:
                         failures += 1
         assert failures == 1308
+
+    def test_sub_monotone_sweep_on_forced_failures(self):
+        # as above, but the first call sweeps every m of the batch, across
+        # the gap from 5 to 2**60, with every C^m emptied beforehand
+        m_values = (1, 2, 3, 4, 5, 2**60)
+        failures = 0
+        for n in range(1, 4):
+            (p,) = bitslice.batches(n)
+            p.m_values = m_values
+            for m in m_values:
+                p._graphs[m] = [[0] * n for _ in range(n)]
+            for m in m_values:
+                plane = SUB_MONOTONE.plane(p, m)
+                for b in range(digraph_space_size(n)):
+                    ctx = ClaimContext(digraph_at(n, b))
+                    ctx._graphs[m] = Graph(n, [0] * n)
+                    holds = SUB_MONOTONE.test(ctx, m)
+                    assert bool(plane >> b & 1) is holds, (ctx.d, m)
+                    if m <= 4 and not holds:
+                        failures += 1
+                p.release(m)
+        assert failures == 1308
+
+    def test_sub_monotone_sweep_across_gaps(self):
+        # with C^m(D) forced to K_4 minus {0, 1}, a digraph fails where a
+        # subdigraph's 0 and 1 share an m-step prey, which some first do
+        # at m = 3: a power stepped instead of squared across a gap, or
+        # taken from a wrong m, shows here, against one call per m
+        n = 4
+        rng = random.Random(4)
+        for m_values in [(1, 2**60), (1, 3, 2**60), (1, 2, 3, 4, 5, 2**60)]:
+            (sweep,), (lone,) = bitslice.batches(n), bitslice.batches(n)
+            sweep.m_values = m_values
+            rows = [sum(1 << y for y in range(n) if y != x and {x, y} != {0, 1}) for x in range(n)]
+            for p in (sweep, lone):
+                for m in m_values:
+                    p._graphs[m] = [[p.full * (row >> y & 1) for y in range(n)] for row in rows]
+            planes = [SUB_MONOTONE.plane(sweep, m) for m in m_values]
+            assert planes == [SUB_MONOTONE.plane(lone, m) for m in m_values]
+            assert planes[0] != planes[-1]
+            for b in rng.sample(range(digraph_space_size(n)), 300):
+                ctx = ClaimContext(digraph_at(n, b))
+                for m, plane in zip(m_values, planes):
+                    ctx._graphs[m] = Graph(n, rows)
+                    assert bool(plane >> b & 1) is SUB_MONOTONE.test(ctx, m), (ctx.d, m)
 
     def test_every_catalog_atom_has_a_plane(self):
         assert all(atom.plane is not None for atom in ATOMS.values())

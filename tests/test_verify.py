@@ -13,7 +13,7 @@ from stargen import (
     verify_claim,
     verify_claims,
 )
-from stargen import Digraph, m_step_digraph, verify
+from stargen import Digraph, generate, m_step_digraph, verify
 from stargen.competition import Graph
 from stargen.digraph import MAX_TEXT_ORDER
 from stargen.generate import all_digraphs
@@ -62,6 +62,8 @@ class TestCatalog:
         assert valid_m_values("prop_2_5", range(1, 7)) == {2, 3, 4, 5, 6}
         assert valid_m_values("thm_1_2", range(1, 7)) == {1, 2, 3, 4, 5, 6}
         assert valid_m_values("lemma_2_6", range(1, 7)) == frozenset()
+        # the grid checks every m it is given
+        assert valid_m_values("lemma_2_2", range(1, 7)) == {1, 2, 3, 4, 5, 6}
 
 
 class TestVerifyClaims:
@@ -85,6 +87,20 @@ class TestVerifyClaims:
         report = verify_claim("thm_3_2", 4, [])
         assert report.verified
         assert report.hypothesis_hits == 3  # orders 2, 3, 4
+
+    def test_census_canonicalizes_one_digraph_per_class(self, monkeypatch):
+        # the 120 flagged labelings of order 5 fall in 5 classes; each class
+        # and each of the 5 enumerated representatives is relabeled once
+        calls = Counter()
+        relabelings = generate._relabelings
+
+        def counting(d):
+            calls[d.n] += 1
+            return relabelings(d)
+
+        monkeypatch.setattr(generate, "_relabelings", counting)
+        assert verify._census_check(5) == (True, None)
+        assert calls == {5: 10}
 
     def test_m_independent_claims_ignore_m(self):
         for cid in ("lemma_2_6", "lemma_3_1"):
