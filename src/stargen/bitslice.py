@@ -7,21 +7,23 @@ matrices, so one boolean matrix product of planes is one product for
 every digraph of the batch, and a property of (D, m) becomes one plane
 whose set bits are the digraphs that have it.  Every plane is masked to
 the batch's ``full``, the plane of its bits that are digraphs (every
-out-row non-empty), and ``PlaneContext.digraph(b)`` reads bit b's
+out-row non-empty).  A scan walks a plane's set bits with ``digraph.bits``,
+linear in the plane's size, and ``PlaneContext.digraph(b)`` reads bit b's
 digraph back from the arc planes.
 
 Exhaustive scans run on two streams of n-digit tuples, built by one
 constructor, in batches whose leading digits are constant, so their arc
 planes are all-zero or all-one, and whose t trailing digits vary, t the
 most that keep a batch within ``CAP_BITS``; the trailing arc planes are
-built once per call.  ``batches`` counts out-rows, each one of the
-2**n - 1 non-empty sets, so every bit is a digraph.  ``capped_batches``
-counts in-columns, each one of the 1 + n + C(n, 2) predator sets of at
-most two vertices, and ``full`` leaves out the column tuples that give
-some vertex no prey; the bits of ``full`` are the digraphs with every
-in-degree at most 2, each once, in fewer bits than ``batches`` from order
-4 on (``capped_stream``).  Sampled scans run on ``draws``, batches of any
-stream indices of one order, repeats included.
+built once per call, each by doubling one period of its pattern.
+``batches`` counts out-rows, each one of the 2**n - 1 non-empty sets, so
+every bit is a digraph.  ``capped_batches`` counts in-columns, each one
+of the 1 + n + C(n, 2) predator sets of at most two vertices, and
+``full`` leaves out the column tuples that give some vertex no prey; the
+bits of ``full`` are the digraphs with every in-degree at most 2, each
+once, in fewer bits than ``batches`` from order 4 on (``capped_stream``).
+Sampled scans run on ``draws``, batches of any stream indices of one
+order, repeats included.
 
 ``PlaneContext`` mirrors ``verify.ClaimContext``: it memoizes powers,
 competition graphs, sources, closures and degree counters for one batch,
@@ -60,22 +62,25 @@ def _trailing_planes(values: Sequence[int], n: int, t: int) -> tuple[tuple[int, 
     is set where ``values[digit]`` has bit w.
     """
     base = len(values)
+    size = base**t
+    ones = (1 << size) - 1
     planes = []
     for p in range(t - 1, -1, -1):
         run = base**p
-        period = run * base
-        # the period's pattern repeats base**(t-p-1) times; the repunit
-        # multiplier copies it without carries, since pattern < 2**period
-        copies = base ** (t - p - 1)
-        repunit = ((1 << period * copies) - 1) // ((1 << period) - 1)
         block = (1 << run) - 1
         digit_planes = []
         for w in range(n):
-            pattern = 0
+            plane = 0
             for digit, value in enumerate(values):
                 if value >> w & 1:
-                    pattern |= block << digit * run
-            digit_planes.append(pattern * repunit)
+                    plane |= block << digit * run
+            # the pattern fills one period of run * base bits; each shift
+            # doubles the copies made so far, and ``ones`` cuts the overshoot
+            width = run * base
+            while width < size:
+                plane |= plane << width
+                width <<= 1
+            digit_planes.append(plane & ones)
         planes.append(tuple(digit_planes))
     return tuple(planes)
 
@@ -171,17 +176,6 @@ def _product(a, b) -> tuple[tuple[int, ...], ...]:
 
 def _power(a, m: int):
     return _digraph._power(a, m, _product)
-
-
-def plane_bits(x: int) -> Iterator[int]:
-    """The set bits of plane x >= 0 in increasing order, read byte by byte:
-    linear in its size, where ``digraph.bits`` copies it at every bit.
-    """
-    for i, byte in enumerate(x.to_bytes((x.bit_length() + 7) // 8, "little")):
-        while byte:
-            low = byte & -byte
-            yield i << 3 | low.bit_length() - 1
-            byte ^= low
 
 
 def _at_least(planes, top: int, full: int) -> list[int]:

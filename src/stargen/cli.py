@@ -225,8 +225,15 @@ def _cmd_verify(args) -> int:
     return 2 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``InputError``, exit 1; argparse would exit 2, as for counterexamples."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stargen",
         description="m-step competition graphs, star-generating digraphs, "
         "and exhaustive desk-scale verification",

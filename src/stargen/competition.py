@@ -58,14 +58,8 @@ class Graph:
             for v in bits(self.rows[u] >> (u + 1) << (u + 1)):
                 yield (u, v)
 
-    def edge_count(self) -> int:
-        return sum(row.bit_count() for row in self.rows) // 2
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows

@@ -1,4 +1,4 @@
-"""Labeled digraphs on vertices 0..n-1 with bitset adjacency rows.
+"""Labeled digraphs on vertices 0..n-1 with bitmask adjacency rows.
 
 Out-neighborhoods are stored as Python ints used as bitmasks (bit j of
 row i set iff the arc (i, j) exists), so set algebra on neighborhoods is
@@ -17,18 +17,23 @@ class InputError(ValueError):
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+    """Yield the set bit positions of ``mask`` >= 0 in increasing order.
+
+    A mask of up to 64 bits drops its low bit at each step.  A wider one,
+    such as a bit plane, is read byte by byte, since each such step would
+    copy the whole int, so the walk stays linear in the mask's size.
+    """
+    if mask >> 64:
+        for i, byte in enumerate(mask.to_bytes((mask.bit_length() + 7) // 8, "little")):
+            while byte:
+                low = byte & -byte
+                yield i << 3 | low.bit_length() - 1
+                byte ^= low
+        return
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def bitset(members: Iterable[int]) -> int:
-    m = 0
-    for v in members:
-        m |= 1 << v
-    return m
 
 
 class Digraph:
@@ -62,9 +67,6 @@ class Digraph:
                     rows[v] |= bit
             self._in_rows = tuple(rows)
         return self._in_rows
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         for u, row in enumerate(self.out_rows):
@@ -253,7 +255,7 @@ def induced_subdigraph(d: Digraph, keep: Iterable[int]) -> tuple[Digraph, list[i
 # Digraphs and undirected graphs share one text format and one DOT layout;
 # they differ only in the pair iterator, the DOT keyword and edge operator.
 
-# Largest vertex count a text file may declare.  Every pass over bitset rows
+# Largest vertex count a text file may declare.  Every pass over bitmask rows
 # is at least quadratic in n, and the header alone would otherwise size the
 # row list, so a stray header like 1000000000 exhausts memory.
 MAX_TEXT_ORDER = 1024

@@ -6,7 +6,7 @@ labeled digraphs with minimum outdegree 1.
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .digraph import Digraph, InputError, bits, from_arc_list
 
@@ -100,29 +100,16 @@ def digraph_at(n: int, index: int) -> Digraph:
     return Digraph(n, _out_rows(n, index))
 
 
-def all_digraphs(
-    n: int,
-    filter: Callable[[Digraph], bool] | None = None,
-    start: int = 0,
-    stop: int | None = None,
-) -> Iterator[Digraph]:
+def all_digraphs(n: int) -> Iterator[Digraph]:
     """Stream every labeled digraph on n vertices with all outdegrees >= 1.
 
     Out-row tuples count lexicographically, each digraph appearing exactly
-    once; ``start``/``stop`` select a contiguous index range, so a scan
-    can cover the space in independent pieces.
+    once, the index-th as ``digraph_at(n, index)``.
     """
     if n < 1:
         raise InputError(f"vertex count must be positive, got {n}")
-    total = (2**n - 1) ** n
-    if stop is None:
-        stop = total
-    if not 0 <= start <= stop <= total:
-        raise InputError(f"bad range [{start}, {stop}) for n={n}")
-    for index in range(start, stop):
-        d = Digraph(n, _out_rows(n, index))
-        if filter is None or filter(d):
-            yield d
+    for index in range((2**n - 1) ** n):
+        yield Digraph(n, _out_rows(n, index))
 
 
 def _relabelings(d: Digraph) -> Iterator[tuple[int, ...]]:

@@ -11,17 +11,17 @@ memoizes their results.  Every atom also has a bit plane form.
 Scans run in one process.  Exhaustive and sampled scans, and the
 ``thm_3_2`` census, evaluate every direction on batches of the stream or
 of seeded draws at once (``bitslice``) and build a digraph only for the
-bits they flag, read back from the batch's arc planes
-(``PlaneContext.digraph``) and replayed on a ``ClaimContext`` that writes
-the failure details and must agree; hits and entries go straight into
-the reports.  Every vertex of a scanned digraph has a prey, so three
-predators of one prey make a triangle in every C^m (the walk-on argument
-of ``Atom``): an atom that forces a triangle-free C^m caps in-degree at 2
-(``Atom.cap``).  Exhaustive scans therefore run every direction with a
-capped hypothesis, and the census, on the digraphs with every in-degree
-at most 2 (``capped_stream``, from order 4 on, where they take fewer
-bits), and only the directions without one on the whole stream; sampled
-scans draw from the whole space.
+bits they flag: ``digraph.bits`` walks them, each is read back from the
+batch's arc planes (``PlaneContext.digraph``) and replayed on a
+``ClaimContext`` that writes the failure details and must agree; hits
+and entries go straight into the reports.  Every vertex of a scanned
+digraph has a prey, so three predators of one prey make a triangle in
+every C^m (the walk-on argument of ``Atom``): an atom that forces a
+triangle-free C^m caps in-degree at 2 (``Atom.cap``).  Exhaustive scans
+therefore run every direction with a capped hypothesis, and the census,
+on the digraphs with every in-degree at most 2 (``capped_stream``, from
+order 4 on, where they take fewer bits), and only the directions without
+one on the whole stream; sampled scans draw from the whole space.
 Either way a report counts the whole space it covers.  ``ClaimContext``
 also runs the grid and replays, and is the reference the tests check
 every plane against.
@@ -386,11 +386,6 @@ CONNECTED = Atom(
 )
 K_EQ_L = Atom(lambda c, m: len(c.sources) == c.n_components(m), _k_vs_l, _PC.k_eq_l)
 K_LE_L = Atom(lambda c, m: len(c.sources) <= c.n_components(m), _k_vs_l, _PC.k_le_l)
-ENOUGH_COMPONENTS = Atom(
-    K_LE_L.test,
-    lambda c, m: f"{len(c.sources)} sources but only {c.n_components(m)} components",
-    _PC.k_le_l,
-)
 COMPS_MEET_SOURCES = Atom(
     ClaimContext.every_cm_component_meets_sources,
     lambda c, m: "some component avoids every source",
@@ -487,8 +482,7 @@ CATALOG: dict[str, Claim] = {
         Claim("prop_2_3", "digraph", (_implies("forward", 1, (TF,), PRED_BOUND),)),
         Claim("lemma_2_4", "digraph", (
             _implies(
-                "forward", 1, (WEAKLY_CONNECTED, HAS_SOURCE, TF),
-                ENOUGH_COMPONENTS, PREDATORS_WHEN_K_EQ_L,
+                "forward", 1, (WEAKLY_CONNECTED, HAS_SOURCE, TF), K_LE_L, PREDATORS_WHEN_K_EQ_L
             ),
         )),
         Claim("prop_2_5", "digraph", (
@@ -678,7 +672,7 @@ def _check_batch(p: _bitslice.PlaneContext, rounds) -> None:
                 if not ok:
                     break
                 ok &= atom.plane(p, m)
-            for b in _bitslice.plane_bits(held & ~ok):
+            for b in _digraph.bits(held & ~ok):
                 ctx = replays.get(b)
                 if ctx is None:
                     ctx = replays[b] = ClaimContext(p.digraph(b))
@@ -759,7 +753,7 @@ def _census_check(n: int) -> tuple[bool, str | None]:
     found = set()
     seen = set()
     for p in _bitslice.capped_stream(n)(n):
-        for b in _bitslice.plane_bits(p.one_source() & p.star_generating()):
+        for b in _digraph.bits(p.one_source() & p.star_generating()):
             d = p.digraph(b)
             sg = _classify.classify_star_generating(d).star_generating
             if len(_digraph.sources(d)) != 1 or not sg:

@@ -1,7 +1,7 @@
 """Independent reference implementations used only to check the library.
 
 Everything here works on plain dict/set adjacency and explicit walk
-extension so it shares no code path with the bitset matrix machinery.
+extension so it shares no code path with the bitmask matrix machinery.
 """
 
 from __future__ import annotations

@@ -193,17 +193,33 @@ class TestBatches:
         p.release(3)
         assert sorted(p._sub_bad) == sorted(p._graphs) == [4, 5, 6]
 
-    def test_plane_bits(self):
+    def test_bits_at_every_width(self):
+        # masks above 64 bits are read byte by byte; the reference reads the
+        # binary string, since shifting a 2**18-bit plane once per bit is slow
         rng = random.Random(7)
-        # bits copies the plane at every set bit, so the 2**18-bit planes are sparse
-        planes = [0, 1, 1 << 8, 1 << 17, 1 << (2**18 - 1), 2**12 - 1, rng.getrandbits(2**12)]
+        masks = [0] + [1 << i for i in (0, 8, 63, 64, 65, 2**18 - 1)]
+        for width in (64, 65):  # exactly 64 and 65 bits wide
+            masks += [2**width - 1, rng.getrandbits(width - 1) | 1 << (width - 1)]
+        masks += [2**12 - 1, rng.getrandbits(2**12)]
         for _ in range(2):
             sparse = rng.getrandbits(2**18)
             for _ in range(4):
                 sparse &= rng.getrandbits(2**18)
-            planes.append(sparse | 1 << (2**18 - 1))
-        for x in planes:
-            assert list(bitslice.plane_bits(x)) == list(bits(x))
+            masks.append(sparse | 1 << (2**18 - 1))
+        for x in masks:
+            assert list(bits(x)) == [i for i, c in enumerate(reversed(f"{x:b}")) if c == "1"]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_trailing_planes_match_their_digits(self, n):
+        # bit b of plane w of digit p is set iff values[(b // base**p) % base] has bit w
+        for values in (range(1, 2**n), bitslice._predator_sets(n)):
+            base = len(values)
+            t = bitslice._trailing_digits(base, n)
+            for i, planes in enumerate(bitslice._trailing_planes(values, n, t)):
+                run = base ** (t - 1 - i)
+                for w, plane in enumerate(planes):
+                    expect = [values[b // run % base] >> w & 1 for b in range(base**t)]
+                    assert f"{plane:0{base**t}b}"[::-1] == "".join(map(str, expect))
 
 
 def _above(p, cap, m=1):

@@ -310,8 +310,34 @@ class TestVerify:
         assert "forced failure" in out
 
 
+class TestUsageErrors:
+    """argparse's own errors exit 1, like every input error; 2 means counterexamples."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--claim", "thm_1_3", "--n-max", "abc"], "argument --n-max: invalid int"),
+            (["verify", "--claim", "thm_1_3", "--m", "2"], "the following arguments are required"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            (["compete", "--m", "y"], "argument --m: invalid int value: 'y'"),
+        ],
+    )
+    def test_exit_one_with_one_line(self, argv, message, capsys):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--n-max" in capsys.readouterr().out
+
+
 def _run_quietly(argv):
-    """Exit code and stderr of one in-process CLI run; argparse exits with 2."""
+    """Exit code and stderr of one in-process CLI run, a ``SystemExit``'s code included."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
@@ -346,7 +372,7 @@ _FUZZ = settings(max_examples=150, deadline=None, suppress_health_check=[HealthC
 
 
 class TestFuzz:
-    """Arbitrary input files and --m strings end in exit 0, 1 or 2, never a traceback."""
+    """Arbitrary input files and --m strings end in exit 0 or 1, never a traceback."""
 
     @_FUZZ
     @given(text=_EDGE_LIST_TEXT, m=st.sampled_from(["0", "1", "3", str(2**60), "x"]))
@@ -359,7 +385,7 @@ class TestFuzz:
                 ["classify", "--input", str(path), "--json"],
             ):
                 code, err = _run_quietly(argv)
-                assert code in (0, 1, 2), (argv, text)
+                assert code in (0, 1), (argv, text)
                 assert "Traceback" not in err
 
     @_FUZZ
@@ -371,5 +397,6 @@ class TestFuzz:
     def test_verify_m_specs(self, spec, claim, n_max):
         argv = ["verify", "--claim", claim, "--n-max", str(n_max), "--m", spec]
         code, err = _run_quietly(argv)
-        assert code in (0, 1, 2), argv
+        # no claim has a counterexample at n_max <= 2
+        assert code in (0, 1), argv
         assert "Traceback" not in err
