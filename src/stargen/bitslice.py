@@ -11,19 +11,18 @@ out-row non-empty).  A scan walks a plane's set bits with ``digraph.bits``,
 linear in the plane's size, and ``PlaneContext.digraph(b)`` reads bit b's
 digraph back from the arc planes.
 
-Exhaustive scans run on two streams of n-digit tuples, built by one
+Exhaustive scans run on streams of n-digit tuples, built by one
 constructor, in batches whose leading digits are constant, so their arc
 planes are all-zero or all-one, and whose t trailing digits vary, t the
 most that keep a batch within ``CAP_BITS``; the trailing arc planes are
 built once per call, each by doubling one period of its pattern.
 ``batches`` counts out-rows, each one of the 2**n - 1 non-empty sets, so
-every bit is a digraph.  ``capped_batches`` counts in-columns, each one
-of the 1 + n + C(n, 2) predator sets of at most two vertices, and
-``full`` leaves out the column tuples that give some vertex no prey; the
-bits of ``full`` are the digraphs with every in-degree at most 2, each
-once, in fewer bits than ``batches`` from order 4 on (``capped_stream``).
-Sampled scans run on ``draws``, batches of any stream indices of one
-order, repeats included.
+every bit is a digraph.  ``capped_batches(n, degrees)`` counts
+in-columns, each one of the predator sets whose size lies in a set of
+in-degrees, and ``full`` leaves out the column tuples that give some
+vertex no prey; the bits of ``full`` are the digraphs with every
+in-degree in that set, each once.  Sampled scans run on ``draws``,
+batches of any stream indices of one order, repeats included.
 
 ``PlaneContext`` mirrors ``verify.ClaimContext``: it memoizes powers,
 competition graphs, sources, closures and degree counters for one batch,
@@ -36,7 +35,7 @@ planes of the m values still to come, |m values| x C(n, 2) planes.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import digraph as _digraph
 from . import generate as _generate
@@ -85,12 +84,11 @@ def _trailing_planes(values: Sequence[int], n: int, t: int) -> tuple[tuple[int, 
     return tuple(planes)
 
 
-def _predator_sets(n: int) -> list[int]:
-    """The 1 + n + C(n, 2) sets of at most two vertices, as masks: the
-    digit values of the capped stream's in-columns.
+def _predator_sets(n: int, degrees: frozenset[int]) -> list[int]:
+    """The sets of vertices whose size lies in ``degrees``, as masks: the
+    digit values of a capped stream's in-columns.
     """
-    pairs = [1 << u | 1 << v for u in range(n) for v in range(u + 1, n)]
-    return [0] + [1 << u for u in range(n)] + pairs
+    return [mask for mask in range(2**n) if mask.bit_count() in degrees]
 
 
 def _stream(
@@ -124,20 +122,11 @@ def batches(n: int, first: int = 0, stop: int | None = None) -> Iterator[PlaneCo
     return _stream(n, range(1, 2**n), False, first, stop)
 
 
-def capped_batches(n: int) -> Iterator[PlaneContext]:
+def capped_batches(n: int, degrees: frozenset[int]) -> Iterator[PlaneContext]:
     """One ``PlaneContext`` per batch of the capped stream of order n: its
-    bits in ``full`` are the digraphs with every in-degree at most 2.
+    bits in ``full`` are the digraphs with every in-degree in ``degrees``.
     """
-    return _stream(n, _predator_sets(n), True)
-
-
-def capped_stream(n: int) -> Callable[[int], Iterator[PlaneContext]]:
-    """The batches of order n to scan where every in-degree is at most 2:
-    ``capped_batches`` where it has fewer bits than ``batches``, from order
-    4 on, and ``batches`` below, which holds every such digraph in no more
-    bits (343 of each at order 3).
-    """
-    return capped_batches if len(_predator_sets(n)) < 2**n - 1 else batches
+    return _stream(n, _predator_sets(n, degrees), True)
 
 
 def draws(n: int, indices: Sequence[int]) -> PlaneContext:

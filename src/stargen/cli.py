@@ -8,6 +8,7 @@ found counterexamples.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -21,21 +22,31 @@ from . import verify as _verify
 from .digraph import InputError
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an ``OSError`` raised while writing ``path`` into an ``InputError``."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _write_output(text: str, path: str | None) -> None:
     """Write to stdout, or atomically (temp + rename) to ``path``."""
     if path is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stargen-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with _writing(path):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".stargen-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def _read_digraph(path: str) -> _digraph.Digraph:
@@ -123,9 +134,16 @@ def _render_digraphs(named: list[tuple[str, _digraph.Digraph]], fmt: str) -> str
     return "\n".join(chunks)
 
 
+def _check_order(n: int) -> None:
+    """Refuse to build a digraph of order n above ``MAX_TEXT_ORDER``, as the readers do."""
+    if n > _digraph.MAX_TEXT_ORDER:
+        raise InputError(f"order {n} exceeds the limit of {_digraph.MAX_TEXT_ORDER}")
+
+
 def _cmd_enumerate(args) -> int:
     if args.n < 2:
         raise InputError(f"order must be at least 2, got {args.n}")
+    _check_order(args.n)
     if args.count_only:
         count = sum(1 for _ in _generate.partitions(args.n - 1))
         _write_output(f"{count}\n", args.output)
@@ -146,10 +164,12 @@ def _cmd_generate(args) -> int:
             parts = tuple(int(p) for p in args.partition.split(","))
         except ValueError:
             raise InputError(f"cannot parse partition {args.partition!r}") from None
+        _check_order(sum(parts) + 1)
         d = _generate.star_generating_from_partition(parts)
         name = "partition_" + "_".join(map(str, parts))
     else:
         k, l = args.lemma_kl
+        _check_order(k + l + 1)
         d = _generate.lemma_kl_digraph(k, l)
         name = f"kl_{k}_{l}"
     _write_output(_render_digraphs([(name, d)], args.format), args.output)
@@ -208,7 +228,8 @@ def _cmd_verify(args) -> int:
         sample_count=args.count,
     )
     if args.report:
-        _verify.write_report_lines(reports, args.report)
+        with _writing(args.report):
+            _verify.write_report_lines(reports, args.report)
     failed = False
     for rep in reports:
         status = "verified" if rep.verified else f"{len(rep.counterexamples)} counterexamples"

@@ -14,14 +14,12 @@ of seeded draws at once (``bitslice``) and build a digraph only for the
 bits they flag: ``digraph.bits`` walks them, each is read back from the
 batch's arc planes (``PlaneContext.digraph``) and replayed on a
 ``ClaimContext`` that writes the failure details and must agree; hits
-and entries go straight into the reports.  Every vertex of a scanned
-digraph has a prey, so three predators of one prey make a triangle in
-every C^m (the walk-on argument of ``Atom``): an atom that forces a
-triangle-free C^m caps in-degree at 2 (``Atom.cap``).  Exhaustive scans
-therefore run every direction with a capped hypothesis, and the census,
-on the digraphs with every in-degree at most 2 (``capped_stream``, from
-order 4 on, where they take fewer bits), and only the directions without
-one on the whole stream; sampled scans draw from the whole space.
+and entries go straight into the reports.  Each atom's one-line proof
+gives the in-degrees of D it allows (``Atom.cap``).  An exhaustive scan
+runs each direction on the digraphs with every in-degree in the
+intersection of its hypothesis atoms' sets (``bitslice.capped_batches``),
+the census on those of ``SG``, and only the directions without a capped
+atom on the whole stream; sampled scans draw from the whole space.
 Either way a report counts the whole space it covers.  ``ClaimContext``
 also runs the grid and replays, and is the reference the tests check
 every plane against.
@@ -194,31 +192,31 @@ class ClaimContext:
 # of D and C^m(D).  An atom names one of them: ``test`` decides it on a
 # ``ClaimContext``, ``why`` formats the failure detail, called only after
 # ``test`` failed, ``plane`` decides it for a whole batch of digraphs on a
-# ``bitslice.PlaneContext``, and ``cap`` bounds the in-degrees of D where
-# it holds.
+# ``bitslice.PlaneContext``, and ``cap`` is the set of in-degrees of D
+# where it holds.
 
 
 class Atom(NamedTuple):
     """A property of (D, m); atoms used only in hypotheses need no ``why``
     (None), and every atom of a direction needs a ``plane``.
 
-    ``cap`` is the largest in-degree of D that any digraph with the
-    property can have, or None.  It rests on the walk-on argument: every
-    vertex of D has a prey, so three i-step predators of a vertex w are
-    (i + 1)-step predators of any prey of w, and a vertex with three
-    predators in D^i leaves one with three in every later power.  With
-    i = 1, three predators of one prey share an m-step prey at every m, and
-    C^m has a triangle (Proposition 2.3 with i = 1): every property that
-    forces a triangle-free C^m caps in-degree at 2.  A direction whose
-    hypothesis has a capped atom scans only the digraphs with every
-    in-degree at most 2 (``bitslice.capped_stream``).  The same argument
+    ``cap`` is the frozenset of in-degrees of D that a digraph with the
+    property can have, or None; each atom's comment gives its proof.  TF's
+    rests on the walk-on argument: every vertex of D has a prey, so three
+    i-step predators of a vertex w are (i + 1)-step predators of any prey
+    of w, and a vertex with three predators in D^i leaves one with three
+    in every later power.  With i = 1, three predators of one prey share
+    an m-step prey at every m, and C^m has a triangle (Proposition 2.3
+    with i = 1), so TF allows in-degrees {0, 1, 2} only.  A direction
+    scans the digraphs with every in-degree in the intersection of its
+    hypothesis atoms' sets (``bitslice.capped_batches``); the same argument
     lets ``PlaneContext.predator_bound`` decide Proposition 2.3 on D^m alone.
     """
 
     test: Callable[[ClaimContext, int], bool]
     why: Callable[[ClaimContext, int], str] | None
     plane: Callable[[_bitslice.PlaneContext, int], int] | None
-    cap: int | None = None
+    cap: frozenset[int] | None = None
 
 
 def _witness(find: Callable[[ClaimContext, int], str | None], plane) -> Atom:
@@ -342,7 +340,7 @@ NO_COMMON_PREY = Atom(
     lambda c, m: _classify.check_no_common_prey_functional(c.d),
     None,
     _PC.no_common_prey,
-    cap=1,  # no two vertices share a prey
+    cap=frozenset({0, 1}),  # no two vertices share a prey
 )
 ONE_SOURCE = Atom(
     lambda c, m: len(c.sources) == 1,
@@ -353,13 +351,13 @@ SG = Atom(
     lambda c, m: c.report.star_generating,
     lambda c, m: "digraph is not star-generating",
     _PC.star_generating,
-    cap=2,  # by S1-S3 a non-source has exactly two predators, a source none
+    cap=frozenset({0, 2}),  # by S1-S3 a non-source has exactly two predators, a source none
 )
 ALL_WEAK_SG = Atom(
     lambda c, m: c.all_weak_star_generating,
     lambda c, m: "some weak component is not star-generating",
     _PC.all_weak_star_generating,
-    cap=2,  # as for SG, one weak component at a time
+    cap=frozenset({0, 2}),  # as for SG, one weak component at a time
 )
 CYCLE_UNION = Atom(
     lambda c, m: _classify.is_disjoint_cycle_union(c.d)[0],
@@ -377,7 +375,7 @@ TF = Atom(
     ClaimContext.triangle_free,
     lambda c, m: "competition graph has a triangle",
     _PC.triangle_free,
-    cap=2,  # three predators of one prey make a triangle at every m (walk-on, Atom)
+    cap=frozenset({0, 1, 2}),  # three predators of one prey: a triangle at every m (Atom)
 )
 CONNECTED = Atom(
     lambda c, m: c.n_components(m) == 1,
@@ -395,7 +393,7 @@ STAR_OK = Atom(
     lambda c, m: bool(c.star_decomposition(m)),
     _star_failure,
     _PC.star_ok,
-    cap=2,  # a star forest is triangle-free, so TF's cap holds
+    cap=frozenset({0, 1, 2}),  # a star forest is triangle-free, so TF's cap holds
 )
 K_STARS = _witness(_k_stars, _PC.k_stars)
 PREY_MONOTONE = _witness(_prey_monotone, _PC.prey_monotone)
@@ -418,11 +416,12 @@ class Direction:
     conclusion: tuple[Atom, ...]
 
     @property
-    def cap(self) -> int | None:
-        """The largest in-degree of D on which the hypothesis can hold: the
-        smallest cap among its atoms, None when none has one.
+    def cap(self) -> frozenset[int] | None:
+        """The in-degrees of D on which the hypothesis can hold: the
+        intersection of its atoms' caps, None when none has one.
         """
-        return min((a.cap for a in self.hypothesis if a.cap is not None), default=None)
+        caps = [a.cap for a in self.hypothesis if a.cap is not None]
+        return frozenset.intersection(*caps) if caps else None
 
     # plain loops, not all(): replays call these once per flagged digraph and m
     def holds(self, c: ClaimContext, m: int) -> bool:
@@ -444,17 +443,13 @@ def _implies(
     name: str, min_m: int | None, hypothesis: tuple[Atom, ...], *conclusion: Atom
 ) -> Direction:
     """The direction ``hypothesis ⇒ conclusion``; every conclusion atom
-    needs a ``why``, every atom a ``plane``, and a cap must be at most 2,
-    the in-degrees the capped stream holds.
+    needs a ``why``, and every atom a ``plane``.
     """
     if any(atom.why is None for atom in conclusion):
         raise ValueError(f"direction {name!r}: every conclusion atom needs a why")
     if any(atom.plane is None for atom in hypothesis + conclusion):
         raise ValueError(f"direction {name!r}: every atom needs a plane")
-    direction = Direction(name, min_m, hypothesis, conclusion)
-    if direction.cap is not None and direction.cap > 2:
-        raise ValueError(f"direction {name!r}: the capped stream holds in-degrees up to 2")
-    return direction
+    return Direction(name, min_m, hypothesis, conclusion)
 
 
 @dataclass(frozen=True)
@@ -628,23 +623,19 @@ def _rounds(reports, m_list) -> list[tuple[int, list[tuple]]]:
     return sorted(rounds.items())
 
 
-def _streams(rounds, n: int) -> dict[Callable, list[tuple[int, list[tuple]]]]:
-    """The rounds each exhaustive stream runs at order n, keyed by its batch
-    generator.
+def _streams(rounds) -> dict[frozenset[int] | None, list[tuple[int, list[tuple]]]]:
+    """The rounds each exhaustive stream runs, keyed by its in-degree set.
 
-    A direction whose hypothesis caps in-degree has no hit above its cap,
-    so it runs on ``capped_stream(n)``, which from order 4 on holds only
-    the digraphs with every in-degree at most 2; the rest run on
-    ``batches``.  Below order 4 both are ``batches`` and share its planes.
-    A stream no direction needs is left out.
+    A direction has no hit with an in-degree outside its ``cap``, so it
+    runs on ``capped_batches(n, cap)``; None keys the directions without
+    a cap, which run on ``batches(n)``.  A stream no direction needs is
+    left out.
     """
-    capped = _bitslice.capped_stream(n)
     streams = {}
     for m, steps in rounds:
         for step in steps:
-            stream = _bitslice.batches if step[1].cap is None else capped
-            streams.setdefault(stream, {}).setdefault(m, []).append(step)
-    return {stream: list(by_m.items()) for stream, by_m in streams.items()}
+            streams.setdefault(step[1].cap, {}).setdefault(m, []).append(step)
+    return {cap: list(by_m.items()) for cap, by_m in streams.items()}
 
 
 def _check_batch(p: _bitslice.PlaneContext, rounds) -> None:
@@ -734,8 +725,8 @@ def _verify_grid(m_list, n_max: int, report: VerificationReport) -> None:
                 report.counterexamples.append(entry)
 
 
-# Largest census order a replay rescans: on the capped stream order 5 takes
-# about 0.04 s and order 6 about 2.5 s.
+# Largest census order a replay rescans: on SG's capped stream order 5 takes
+# about 0.02 s and order 6 about 0.4 s.
 CENSUS_REPLAY_ORDER = 6
 
 
@@ -743,16 +734,16 @@ def _census_check(n: int) -> tuple[bool, str | None]:
     """Count isomorphism classes of single-source star-generating digraphs
     of order n by brute force and compare against the enumerator.
 
-    The brute force runs on bit planes of ``capped_stream(n)``, since SG
-    caps in-degree at 2.  Each digraph they flag is read back from its
-    batch's arc planes and must pass the scalar checks.  Only the first
+    The brute force runs on bit planes of the capped stream of SG's
+    in-degrees.  Each digraph they flag is read back from its batch's arc
+    planes and must pass the scalar checks.  Only the first
     digraph of each class is canonicalized: all its relabelings go into
     ``seen``, and their minimum, its ``canonical_form``, into ``found``.
     """
     expected = sum(1 for _ in _generate.partitions(n - 1))
     found = set()
     seen = set()
-    for p in _bitslice.capped_stream(n)(n):
+    for p in _bitslice.capped_batches(n, SG.cap):
         for b in _digraph.bits(p.one_source() & p.star_generating()):
             d = p.digraph(b)
             sg = _classify.classify_star_generating(d).star_generating
@@ -847,9 +838,14 @@ def verify_claims(
         if mode == "exhaustive":
             # a verdict covers the whole space, whichever stream ran
             examined = sum(_generate.digraph_space_size(n) for n in range(1, n_max + 1))
+            streams = _streams(rounds)
             for n in range(1, n_max + 1):
-                for stream, stream_rounds in _streams(rounds, n).items():
-                    for p in stream(n):
+                for cap, stream_rounds in streams.items():
+                    if cap is None:
+                        stream = _bitslice.batches(n)
+                    else:
+                        stream = _bitslice.capped_batches(n, cap)
+                    for p in stream:
                         _check_batch(p, stream_rounds)
         else:
             examined = sample_count

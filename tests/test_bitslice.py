@@ -23,6 +23,8 @@ from stargen.verify import (
 )
 
 ATOMS = {name: atom for name, atom in vars(verify).items() if isinstance(atom, Atom)}
+# the in-degree sets of the catalog's directions, whose capped streams the scans run
+UP_TO_2, SG_DEGREES, UP_TO_1 = frozenset({0, 1, 2}), frozenset({0, 2}), frozenset({0, 1})
 PLANED_CLAIMS = sorted(cid for cid, claim in CATALOG.items() if claim.kind == "digraph")
 # the claims that accept m = 1, where directions with min m 2 leave boundary instances
 LOW_M_CLAIMS = [cid for cid in PLANED_CLAIMS if (CATALOG[cid].min_m or 1) <= 1]
@@ -116,7 +118,7 @@ class TestBatches:
         assert _batch_size(5, 31) == 31**3
         for n in range(1, 12):
             assert _batch_size(n, 2**n - 1) <= bitslice.CAP_BITS
-            assert _batch_size(n, len(bitslice._predator_sets(n))) <= bitslice.CAP_BITS
+            assert _batch_size(n, len(bitslice._predator_sets(n, UP_TO_2))) <= bitslice.CAP_BITS
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_arc_planes_decode_to_the_stream(self, n):
@@ -145,7 +147,7 @@ class TestBatches:
     def test_a_bit_outside_full_raises(self):
         (whole,) = bitslice.batches(2)  # 9 bits, all digraphs
         drawn = bitslice.draws(3, [5, 5, 0])
-        (capped,) = bitslice.capped_batches(2)  # bit 0: both in-columns empty
+        (capped,) = bitslice.capped_batches(2, UP_TO_2)  # bit 0: both in-columns empty
         assert not capped.full & 1
         for p, b in [(whole, 9), (whole, -1), (whole, 1 << 40), (drawn, 3), (capped, 0)]:
             with pytest.raises(InputError, match="not a digraph"):
@@ -212,7 +214,7 @@ class TestBatches:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_trailing_planes_match_their_digits(self, n):
         # bit b of plane w of digit p is set iff values[(b // base**p) % base] has bit w
-        for values in (range(1, 2**n), bitslice._predator_sets(n)):
+        for values in (range(1, 2**n), bitslice._predator_sets(n, UP_TO_2)):
             base = len(values)
             t = bitslice._trailing_digits(base, n)
             for i, planes in enumerate(bitslice._trailing_planes(values, n, t)):
@@ -222,84 +224,129 @@ class TestBatches:
                     assert f"{plane:0{base**t}b}"[::-1] == "".join(map(str, expect))
 
 
-def _above(p, cap, m=1):
-    """The plane of a batch's digraphs with some in-degree above ``cap`` in D^m."""
-    return bitslice._any(ge[cap + 1] for ge in p._in_counts(p.power(m)))
+def _outside(p, degrees, m=1):
+    """The plane of a batch's digraphs with some in-degree in D^m outside
+    ``degrees``, a subset of {0, 1, 2}; in-degrees above 2 count as 3.
+    """
+    counts = [bitslice._exactly(ge) for ge in p._in_counts(p.power(m))]
+    return bitslice._any(c[j] for c in counts for j in range(4) if j not in degrees)
 
 
 CAPPED_ATOMS = {name: atom for name, atom in ATOMS.items() if atom.cap is not None}
+# each set with the digraphs of its capped stream at n = 1..6: the 1, 2, 6,
+# ... n! with every in-degree at most 1 are the permutation digraphs
+CAPPED_COUNTS = {
+    UP_TO_1: [1, 2, 6, 24, 120, 720],
+    SG_DEGREES: [0, 3, 42, 1470, 86_940, 7_831_620],
+    UP_TO_2: [1, 9, 174, 6510, 401_310, 36_998_100],
+}
 
 
 class TestCappedStream:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_full_bits_are_the_capped_digraphs_once(self, n):
-        seen = []
-        size = _batch_size(n, len(bitslice._predator_sets(n)))
-        for p in bitslice.capped_batches(n):
-            for b in range(size):
-                if p.full >> b & 1:
-                    seen.append(p.digraph(b).out_rows)
-                    assert _decode(p, b) == seen[-1]
-                else:
-                    assert not all(_decode(p, b))  # some vertex has no prey
-                    with pytest.raises(InputError, match="not a digraph"):
-                        p.digraph(b)
-        # in index order, since the stream counts out-row tuples
-        stream = (digraph_at(n, i) for i in range(digraph_space_size(n)))
-        capped = [d.out_rows for d in stream if max(row.bit_count() for row in d.in_rows) <= 2]
-        assert sorted(seen) == capped
-        assert len(seen) == [1, 9, 174, 6510][n - 1]
+        whole = [digraph_at(n, i) for i in range(digraph_space_size(n))]
+        for degrees, pinned in CAPPED_COUNTS.items():
+            seen = []
+            size = _batch_size(n, len(bitslice._predator_sets(n, degrees)))
+            for p in bitslice.capped_batches(n, degrees):
+                for b in range(size):
+                    if p.full >> b & 1:
+                        seen.append(p.digraph(b).out_rows)
+                        assert _decode(p, b) == seen[-1]
+                    else:
+                        assert not all(_decode(p, b))  # some vertex has no prey
+                        with pytest.raises(InputError, match="not a digraph"):
+                            p.digraph(b)
+            # in index order, since the stream counts out-row tuples
+            capped = [d.out_rows for d in whole if {r.bit_count() for r in d.in_rows} <= degrees]
+            assert sorted(seen) == capped, sorted(degrees)
+            assert len(seen) == pinned[n - 1]
 
     def test_counts_by_inclusion_exclusion(self):
-        # tuples of predator sets of size <= 2, signed over the k vertices
-        # that some of them leave without prey
-        counts = [sum(p.full.bit_count() for p in bitslice.capped_batches(n)) for n in range(1, 7)]
-        expected = [
-            sum((-1) ** k * comb(n, k) * (1 + n - k + comb(n - k, 2)) ** n for k in range(n + 1))
-            for n in range(1, 7)
-        ]
-        assert counts == expected
-        assert counts[1:] == [9, 174, 6510, 401_310, 36_998_100]
+        # tuples of predator sets with sizes in the set, signed over the k
+        # vertices that some of them leave without prey
+        for degrees, pinned in CAPPED_COUNTS.items():
+            counts = [
+                sum(p.full.bit_count() for p in bitslice.capped_batches(n, degrees))
+                for n in range(1, 7)
+            ]
+            expected = [
+                sum(
+                    (-1) ** k * comb(n, k) * sum(comb(n - k, j) for j in degrees) ** n
+                    for k in range(n + 1)
+                )
+                for n in range(1, 7)
+            ]
+            assert counts == expected == pinned, sorted(degrees)
 
     def test_every_plane_lies_within_full(self):
-        for n in range(1, 5):
-            for p in bitslice.capped_batches(n):
-                for m in (1, 2, 3, 2**60):
-                    for name, atom in ATOMS.items():
-                        assert atom.plane(p, m) & ~p.full == 0, (name, n, m)
+        for degrees in CAPPED_COUNTS:
+            for n in range(1, 5):
+                for p in bitslice.capped_batches(n, degrees):
+                    for m in (1, 2, 3, 2**60):
+                        for name, atom in ATOMS.items():
+                            assert atom.plane(p, m) & ~p.full == 0, (name, n, m)
 
     def test_caps(self):
         caps = {name: atom.cap for name, atom in CAPPED_ATOMS.items()}
-        assert caps == {"NO_COMMON_PREY": 1, "SG": 2, "ALL_WEAK_SG": 2, "TF": 2, "STAR_OK": 2}
-        uncapped = [
-            (cid, d.name) for cid, claim in CATALOG.items() for d in claim.directions if d.cap is None
+        assert caps == {
+            "NO_COMMON_PREY": {0, 1},
+            "SG": {0, 2},
+            "ALL_WEAK_SG": {0, 2},
+            "TF": {0, 1, 2},
+            "STAR_OK": {0, 1, 2},
+        }
+        assert all(type(cap) is frozenset for cap in caps.values())
+        by_cap = {}
+        for cid, claim in CATALOG.items():
+            for d in claim.directions:
+                by_cap.setdefault(d.cap, []).append((cid, d.name))
+        assert by_cap[None] == [("prop_2_1", "forward"), ("lemma_3_4", "forward")]
+        assert by_cap[UP_TO_1] == [("lemma_2_6", "forward")]
+        assert by_cap[SG_DEGREES] == [
+            ("lemma_3_1", "forward"),
+            ("prop_3_3", "forward"),
+            ("lemma_3_6", "only_if"),
+            ("thm_1_2", "only_if"),
+            ("thm_1_3", "if"),
         ]
-        assert uncapped == [("prop_2_1", "forward"), ("lemma_3_4", "forward")]
-        assert CATALOG["lemma_2_6"].directions[0].cap == 1
+        assert set(by_cap) == {None, UP_TO_1, SG_DEGREES, UP_TO_2}
 
     def test_cap_gate(self):
-        # no digraph above an atom's cap has the atom, over the whole stream;
-        # and the walk-on argument that PRED_BOUND's plane rests on: three
-        # predators in D^(m-1) leave three in D^m, and none with a
-        # triangle-free C^m has them
+        # no digraph with an in-degree outside an atom's set has the atom,
+        # over the whole stream; and the walk-on argument that PRED_BOUND's
+        # plane rests on: three predators in D^(m-1) leave three in D^m,
+        # and none with a triangle-free C^m has them
+        caps = set(atom.cap for atom in CAPPED_ATOMS.values())
         for n in range(1, 6):
             for p in bitslice.batches(n):
-                above = {atom.cap: _above(p, atom.cap) for atom in CAPPED_ATOMS.values()}
+                outside = {cap: _outside(p, cap) for cap in caps}
                 earlier = 0
                 for m in range(1, 7):
                     for name, atom in CAPPED_ATOMS.items():
-                        assert atom.plane(p, m) & above[atom.cap] == 0, (name, n, m)
-                    three = _above(p, 2, m)
+                        assert atom.plane(p, m) & outside[atom.cap] == 0, (name, n, m)
+                    three = _outside(p, UP_TO_2, m)
                     assert earlier & ~three == 0, (n, m)
                     assert three & TF.plane(p, m) == 0, (n, m)
                     earlier = three
                     p.release(m)
 
-    def test_implies_rejects_a_cap_the_stream_does_not_hold(self):
-        loose = Atom(TF.test, TF.why, TF.plane, 3)
-        with pytest.raises(ValueError, match="in-degrees up to 2"):
-            _implies("forward", 1, (loose,), CONNECTED)
-        assert _implies("forward", 1, (loose, TF), CONNECTED).cap == 2
+    def test_a_wider_set_has_its_stream(self, monkeypatch):
+        # a planted atom allowing in-degree 3 runs on its own capped stream
+        # and reports as the full stream does
+        wide = Atom(TF.test, TF.why, TF.plane, frozenset({0, 1, 2, 3}))
+        planted = Claim("bogus_wide", "digraph", (_implies("forward", 1, (wide,), CONNECTED),))
+        monkeypatch.setitem(CATALOG, "bogus_wide", planted)
+        m_list = [1, 2, 3]
+        reports, rounds = _start(["bogus_wide"], m_list, n_max=4)
+        for n in range(1, 5):
+            for p in bitslice.batches(n):
+                verify._check_batch(p, rounds)
+        full = _dicts(reports, sum(digraph_space_size(n) for n in range(1, 5)))
+        (capped,) = verify_claims(["bogus_wide"], 4, m_list)
+        assert [dict(capped.to_dict(), elapsed=0.0)] == full
+        assert capped.counterexamples
 
     def test_capped_reports_equal_full_stream_reports(self):
         # the engine on the full stream, every direction on every digraph
@@ -313,28 +360,39 @@ class TestCappedStream:
         assert [dict(rep.to_dict(), elapsed=0.0) for rep in capped] == full
 
     def test_each_order_scans_only_the_streams_it_needs(self, monkeypatch):
-        # below order 4 the capped stream is no smaller, so capped
-        # directions share the whole stream's batches there
+        # one pass per in-degree set at every order, None for the whole
+        # stream, in the order the rounds first need them; a direction's set
+        # is the intersection of its hypothesis atoms' sets
+        planted = Claim("bogus_tf_sg", "digraph", (_implies("forward", 1, (TF, verify.SG), TF),))
+        monkeypatch.setitem(CATALOG, "bogus_tf_sg", planted)
         calls = []
-        for name in ("batches", "capped_batches"):
-            stream = getattr(bitslice, name)
-            monkeypatch.setattr(
-                bitslice, name, lambda n, name=name, stream=stream: calls.append((name, n)) or stream(n)
-            )
-        whole = [("batches", n) for n in (1, 2, 3)]
-        for claim_ids, expected in [
-            (["thm_1_3", "lemma_2_6"], whole + [("capped_batches", 4)]),
-            (["prop_2_1"], whole + [("batches", 4)]),
-            (["prop_2_1", "thm_1_3"], whole + [("batches", 4), ("capped_batches", 4)]),
+        batches, capped_batches = bitslice.batches, bitslice.capped_batches
+        monkeypatch.setattr(bitslice, "batches", lambda n: calls.append((n, None)) or batches(n))
+        monkeypatch.setattr(
+            bitslice,
+            "capped_batches",
+            lambda n, degrees: calls.append((n, sorted(degrees))) or capped_batches(n, degrees),
+        )
+        for claim_ids, sets in [
+            (["thm_1_3", "lemma_2_6"], [[0, 1], [0, 2], [0, 1, 2]]),
+            (["prop_2_1"], [None]),
+            (["prop_2_1", "thm_1_3"], [None, [0, 2], [0, 1, 2]]),
+            (["thm_3_2"], [[0, 2]]),
+            (["bogus_tf_sg"], [[0, 2]]),
         ]:
             calls.clear()
             assert all(rep.verified for rep in verify_claims(claim_ids, 4, [1, 2]))
-            assert calls == expected, claim_ids
+            first = 2 if claim_ids == ["thm_3_2"] else 1
+            assert calls == [(n, s) for n in range(first, 5) for s in sets], claim_ids
 
 
 class TestAtomPlanes:
     def test_every_plane_equals_its_test(self):
-        for stream in (bitslice.batches, bitslice.capped_batches):
+        streams = [bitslice.batches] + [
+            lambda n, degrees=degrees: bitslice.capped_batches(n, degrees)
+            for degrees in CAPPED_COUNTS
+        ]
+        for stream in streams:
             for n in range(1, 4):
                 (p,) = stream(n)
                 contexts = {b: ClaimContext(p.digraph(b)) for b in bits(p.full)}

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from stargen import figure_digraphs, from_arc_list, parse_edge_list, verify
+from stargen import figure_digraphs, from_arc_list, generate, parse_edge_list, verify
 from stargen.cli import MAX_M_VALUES, run
 from stargen.digraph import MAX_TEXT_ORDER, format_edge_list
 
@@ -25,6 +25,14 @@ def star_file(tmp_path):
     path = tmp_path / "d1.txt"
     path.write_text(format_edge_list(figure_digraphs()["fig1_D1"]))
     return str(path)
+
+
+def _assert_one_error_line(capsys, start):
+    """The run printed one ``error:`` line beginning with ``start`` and nothing else."""
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {start}")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
 
 
 class TestCompete:
@@ -69,6 +77,12 @@ class TestCompete:
         assert run(["compete", "--input", "/nonexistent/d.txt", "--m", "1"]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_output_into_a_missing_directory(self, fig4_file, tmp_path, capsys):
+        # used to escape as a FileNotFoundError traceback from mkstemp
+        dest = tmp_path / "missing" / "out.txt"
+        assert run(["compete", "--input", fig4_file, "--m", "1", "--output", str(dest)]) == 1
+        _assert_one_error_line(capsys, f"cannot write {dest}: ")
+
     def test_header_over_the_order_limit(self, tmp_path, capsys):
         # the header used to size the row list: a MemoryError traceback
         path = tmp_path / "huge.txt"
@@ -92,6 +106,15 @@ class TestClassify:
         assert "star_generating: yes" in out
         assert out.count("ok") == 5
 
+    def test_output_onto_a_directory(self, star_file, tmp_path, capsys):
+        # used to escape as an IsADirectoryError traceback from os.replace
+        dest = tmp_path / "taken"
+        dest.mkdir()
+        assert run(["classify", "--input", star_file, "--output", str(dest)]) == 1
+        _assert_one_error_line(capsys, f"cannot write {dest}: ")
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".stargen-")] == []
+        assert list(dest.iterdir()) == []
+
 
 class TestEnumerate:
     def test_count_only(self, capsys):
@@ -111,6 +134,17 @@ class TestEnumerate:
     def test_rejects_small_order(self, capsys):
         assert run(["enumerate", "--n", "1"]) == 1
         assert "at least 2" in capsys.readouterr().err
+
+    def test_order_over_the_limit_builds_nothing(self, monkeypatch, capsys):
+        # used to enumerate the partitions of any order, for minutes
+        def refuse(n):
+            raise AssertionError("partitions called above the order limit")
+
+        monkeypatch.setattr(generate, "partitions", refuse)
+        for extra in ([], ["--count-only"]):
+            assert run(["enumerate", "--n", str(MAX_TEXT_ORDER + 1)] + extra) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: order {MAX_TEXT_ORDER + 1} exceeds the limit of {MAX_TEXT_ORDER}\n"
 
 
 class TestGenerate:
@@ -133,6 +167,15 @@ class TestGenerate:
     def test_bad_partition(self, capsys):
         assert run(["generate", "--partition", "1,2"]) == 1
         assert run(["generate", "--partition", "x"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, order", [(["--lemma-kl", "1025", "1"], 1027), (["--partition", "1024"], 1025)]
+    )
+    def test_order_over_the_limit(self, argv, order, capsys):
+        # used to build the digraph of any order, until memory ran out
+        assert run(["generate"] + argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: order {order} exceeds the limit of {MAX_TEXT_ORDER}\n"
 
 
 class TestFigures:
@@ -271,6 +314,13 @@ class TestVerify:
         capsys.readouterr()
         lines = report.read_text().splitlines()
         assert [json.loads(line)["claim"] for line in lines] == ["prop_2_1", "lemma_2_6"]
+
+    def test_report_into_a_missing_directory(self, tmp_path, capsys):
+        # used to escape as a FileNotFoundError traceback after the scan
+        report = tmp_path / "missing" / "r.jsonl"
+        argv = ["verify", "--claim", "thm_1_3", "--n-max", "2", "--m", "1"]
+        assert run(argv + ["--report", str(report)]) == 1
+        _assert_one_error_line(capsys, f"cannot write {report}: ")
 
     def test_sampled_mode(self, capsys):
         code = run(
