@@ -263,7 +263,7 @@ class PlaneContext:
         self.source_count = _exactly(_at_least(self.sources, n, full))
         self._powers = {1: arcs}
         self._graphs = {}
-        self._cm = {}  # m -> (connected, exact counts of l, components meet sources)
+        self._cm = {}  # m -> _components(m)
         self._stars = {}
         self._sub_bad = {}  # m -> plane of digraphs failing sub_monotone at m
         self._weak = None
@@ -357,28 +357,35 @@ class PlaneContext:
                         tri |= uv & g[u][w] & g[v][w]
         return self.full & ~tri
 
+    def _summary(self, adj):
+        """(connected, ``_at_least`` counter of the component count, every
+        component meets a source, closure) of a symmetric matrix of planes.
+        """
+        full = self.full
+        r = _closure(adj, full)
+        minima = _minima(r, full)
+        bad = 0
+        for v, first in enumerate(minima):
+            bad |= first & ~_any(x & s for x, s in zip(r[v], self.sources))
+        return _all(r[0], full), _at_least(minima, self.n, full), full & ~bad, r
+
     def _components(self, m: int):
+        """C^m's ``_summary`` less its closure: the memo holds no closure."""
         c = self._cm.get(m)
         if c is None:
-            r = _closure(self.graph(m), self.full)
-            l = _exactly(_at_least(_minima(r, self.full), self.n, self.full))
-            c = (_all(r[0], self.full), l, self._components_meet_sources(r))
-            self._cm[m] = c
+            c = self._cm[m] = self._summary(self.graph(m))[:3]
         return c
 
     def connected(self, m: int) -> int:
         return self._components(m)[0]
 
     def k_eq_l(self, m: int) -> int:
-        return _any(a & b for a, b in zip(self.source_count, self._components(m)[1]))
+        l = _exactly(self._components(m)[1])
+        return _any(a & b for a, b in zip(self.source_count, l))
 
     def k_le_l(self, m: int) -> int:
-        # l >= j for the j = k of each digraph: suffix unions of the exact counts
-        l_ge, acc = [], 0
-        for plane in reversed(self._components(m)[1]):
-            acc |= plane
-            l_ge.append(acc)
-        return _any(a & b for a, b in zip(self.source_count, reversed(l_ge)))
+        # l >= j for the j = k of each digraph
+        return _any(a & b for a, b in zip(self.source_count, self._components(m)[1]))
 
     def every_cm_component_meets_sources(self, m: int) -> int:
         return self._components(m)[2]
@@ -413,20 +420,12 @@ class PlaneContext:
 
     # -- properties of D
 
-    def _components_meet_sources(self, r) -> int:
-        src = self.sources
-        bad = 0
-        for v, first in enumerate(_minima(r, self.full)):
-            bad |= first & ~_any(x & s for x, s in zip(r[v], src))
-        return self.full & ~bad
-
     def _weak_components(self):
-        # (weakly connected, every weak component has a source, closure)
+        # the ``_summary`` of D's underlying graph
         if self._weak is None:
             a = self.arcs
             n = self.n
-            r = _closure([[a[u][v] | a[v][u] for v in range(n)] for u in range(n)], self.full)
-            self._weak = (_all(r[0], self.full), self._components_meet_sources(r), r)
+            self._weak = self._summary([[a[u][v] | a[v][u] for v in range(n)] for u in range(n)])
         return self._weak
 
     def weakly_connected(self, m: int = 0) -> int:
@@ -436,7 +435,7 @@ class PlaneContext:
         return _any(self.sources)
 
     def every_weak_component_has_source(self, m: int = 0) -> int:
-        return self._weak_components()[1]
+        return self._weak_components()[2]
 
     def all_weak_star_generating(self, m: int = 0) -> int:
         """Every weak component is star-generating on its own.
@@ -551,7 +550,7 @@ class PlaneContext:
                     yield x & several, a[:u] + (row[:v] + (0,) + row[v + 1 :],) + a[u + 1 :]
         split = full ^ self.weakly_connected()
         if split:
-            r = self._weak_components()[2]
+            r = self._weak_components()[3]
             for root in range(self.n):
                 yield split, tuple(tuple(x & r[u][root] for x in row) for u, row in enumerate(a))
 

@@ -11,13 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .digraph import (
-    Digraph,
-    _component_masks,
-    bits,
-    induced_subdigraph,
-    weak_components,
-)
+from .digraph import Digraph, _component_masks, bits, weak_components
 
 Witness = dict[str, Any]
 
@@ -82,17 +76,38 @@ def classify_star_generating(d: Digraph) -> ClassificationReport:
     Violations are verdicts with witnesses, never errors.  Witnesses are
     the first violation in vertex order.
     """
+    return _classify(d, range(d.n), 0)
+
+
+def classify_components(d: Digraph) -> list[tuple[frozenset[int], ClassificationReport]]:
+    """Classify each weak component separately, witnesses in D's labels.
+
+    No arc leaves a weak component, so its vertices keep their prey,
+    predators and sources in D, and each component is classified in place.
+    """
+    full = (1 << d.n) - 1
+    results = []
+    for comp in weak_components(d):
+        vertices = sorted(comp)
+        results.append((comp, _classify(d, vertices, full ^ sum(1 << v for v in vertices))))
+    return results
+
+
+def _classify(d: Digraph, vertices, others: int) -> ClassificationReport:
+    """Classify the subdigraph of d on ``vertices``, in ascending order;
+    ``others`` is the mask of the rest, which no arc may join to them.
+    """
     out_rows = d.out_rows
     in_rows = d.in_rows
     n = d.n
 
     outdeg = _HOLDS
-    for v in range(n):
+    for v in vertices:
         if not out_rows[v]:
             outdeg = Verdict(False, {"vertex": v, "problem": "no prey"})
             break
 
-    comps = _component_masks(n, [out_rows[v] | in_rows[v] for v in range(n)])
+    comps = _component_masks(n, [out_rows[v] | in_rows[v] for v in range(n)], others)
     if len(comps) == 1:
         connected = _HOLDS
     else:
@@ -106,7 +121,7 @@ def classify_star_generating(d: Digraph) -> ClassificationReport:
         )
 
     src = 0  # bitmask of the sources
-    for v in range(n):
+    for v in vertices:
         if not in_rows[v]:
             src |= 1 << v
     src_sorted = list(bits(src))
@@ -141,7 +156,7 @@ def classify_star_generating(d: Digraph) -> ClassificationReport:
 
     # non-source vertices: one prey, two predators, exactly one a source
     s3 = _HOLDS
-    for u in range(n):
+    for u in vertices:
         if src >> u & 1:
             continue
         if out_rows[u].bit_count() != 1:
@@ -163,42 +178,6 @@ def classify_star_generating(d: Digraph) -> ClassificationReport:
             break
 
     return ClassificationReport(outdeg, connected, s1, s2, s3)
-
-
-def _relabel_witness(witness: Witness | None, old_of: list[int]) -> Witness | None:
-    if witness is None:
-        return None
-    out: Witness = {}
-    for key, value in witness.items():
-        if key in ("problem", "components"):
-            out[key] = value
-        elif isinstance(value, int):
-            out[key] = old_of[value]
-        else:
-            out[key] = [old_of[v] for v in value]
-    return out
-
-
-def classify_components(d: Digraph) -> list[tuple[frozenset[int], ClassificationReport]]:
-    """Classify each weak component separately, witnesses in original labels."""
-    results = []
-    for comp in weak_components(d):
-        sub, old_of = induced_subdigraph(d, comp)
-        report = classify_star_generating(sub)
-        relabeled = ClassificationReport(
-            *(
-                Verdict(v.holds, _relabel_witness(v.witness, old_of))
-                for v in (
-                    report.min_outdegree_one,
-                    report.weakly_connected,
-                    report.s1,
-                    report.s2,
-                    report.s3,
-                )
-            )
-        )
-        results.append((comp, relabeled))
-    return results
 
 
 def is_disjoint_cycle_union(d: Digraph) -> tuple[bool, list[tuple[int, ...]] | None]:

@@ -145,7 +145,7 @@ def _cmd_enumerate(args) -> int:
         raise InputError(f"order must be at least 2, got {args.n}")
     _check_order(args.n)
     if args.count_only:
-        count = sum(1 for _ in _generate.partitions(args.n - 1))
+        count = _generate._partition_count(args.n - 1)
         _write_output(f"{count}\n", args.output)
         return 0
     named = []
@@ -219,6 +219,10 @@ def _cmd_verify(args) -> int:
                 f"digraphs per order; pass --large to confirm"
             )
     m_values = _parse_m_spec(args.m) if args.m else []
+    if args.report:
+        # a path that cannot be written fails before the scan, not after it
+        with _writing(args.report):
+            open(args.report, "a", encoding="utf-8").close()
     reports = _verify.verify_claims(
         claim_ids,
         args.n_max,

@@ -204,11 +204,11 @@ def sources(d: Digraph) -> frozenset[int]:
     return frozenset(v for v in range(d.n) if not in_rows[v])
 
 
-def _component_masks(n: int, sym_rows) -> list[int]:
+def _component_masks(n: int, sym_rows, seen: int = 0) -> list[int]:
     # grow each component as a bitmask fixpoint; ascending lowest-unseen
-    # start vertex gives the smallest-member ordering for free
+    # start vertex gives the smallest-member ordering for free; the
+    # vertices of ``seen`` are left out
     comps = []
-    seen = 0
     full = (1 << n) - 1
     while seen != full:
         start = (~seen & full) & -(~seen & full)

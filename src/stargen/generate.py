@@ -18,6 +18,23 @@ def partitions(total: int) -> Iterator[tuple[int, ...]]:
     yield from _partitions(total, total)
 
 
+def _partition_count(total: int) -> int:
+    """p(total) by Euler's pentagonal-number recurrence, total >= 0:
+    p(t) is the signed sum of p(t - g) over the generalized pentagonal
+    numbers g = k(3k - 1)/2 and k(3k + 1)/2, sign (-1)**(k + 1), k >= 1.
+    """
+    p = [1] + [0] * total
+    for t in range(1, total + 1):
+        k = 1
+        while k * (3 * k - 1) // 2 <= t:
+            sign = 1 if k % 2 else -1
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+                if g <= t:
+                    p[t] += sign * p[t - g]
+            k += 1
+    return p[total]
+
+
 def _partitions(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
     if total == 0:
         yield ()

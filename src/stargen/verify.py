@@ -141,10 +141,7 @@ class ClaimContext:
     def every_weak_component_has_source(self) -> bool:
         if self._every_weak_src is None:
             src = self.sources
-            if not src:
-                self._every_weak_src = False
-            else:
-                self._every_weak_src = all(not comp.isdisjoint(src) for comp in self.weak)
+            self._every_weak_src = all(not comp.isdisjoint(src) for comp in self.weak)
         return self._every_weak_src
 
     def every_cm_component_meets_sources(self, m: int) -> bool:

@@ -17,3 +17,9 @@ def digraphs(draw, min_n=1, max_n=6, min_outdegree_one=True):
         st.lists(st.integers(low, 2**n - 1), min_size=n, max_size=n)
     )
     return Digraph(n, rows)
+
+
+def every_digraph(n):
+    """Every digraph on n vertices, vertices without prey included."""
+    for code in range(2 ** (n * n)):
+        yield Digraph(n, [code >> n * u & (1 << n) - 1 for u in range(n)])

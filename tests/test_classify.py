@@ -1,9 +1,10 @@
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import digraphs
+from conftest import digraphs, every_digraph
 from stargen import (
     Digraph,
     all_digraphs,
@@ -243,3 +244,64 @@ class TestSourceRemovalLeavesCycles:
                     sub, _ = induced_subdigraph(d, keep)
                     assert is_disjoint_cycle_union(sub)[0]
         assert found > 0
+
+
+_CONDITIONS = ("min_outdegree_one", "weakly_connected", "s1", "s2", "s3")
+
+
+def _seeded_unions(seed, count, max_n):
+    """Disjoint unions of small random digraphs, relabeled at random."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, max_n)
+        arcs, base = [], 0
+        while base < n:
+            size = min(n - base, rng.randint(1, 4))
+            density = rng.random()
+            arcs += [
+                (base + u, base + v)
+                for u in range(size)
+                for v in range(size)
+                if rng.random() < density
+            ]
+            base += size
+        label = rng.sample(range(n), n)
+        yield from_arc_list(n, [(label[u], label[v]) for u, v in arcs])
+
+
+def _witness_vertices(witness):
+    # every witness value names vertices, except a problem and a count
+    named = set()
+    for key, value in witness.items():
+        if key not in ("problem", "components"):
+            named.update(value if isinstance(value, list) else [value])
+    return named
+
+
+def _assert_components_classified_in_place(d):
+    src = sources(d)
+    for comp, report in classify_components(d):
+        sub, _ = induced_subdigraph(d, comp)
+        alone = classify_star_generating(sub)
+        for name in _CONDITIONS:
+            verdict = getattr(report, name)
+            assert verdict.holds == getattr(alone, name).holds, (d, comp, name)
+            if verdict:
+                continue
+            assert _witness_vertices(verdict.witness) <= comp, (d, comp, name)
+            if verdict.witness == {"problem": "no source"}:
+                # D may have sources in other components
+                assert comp.isdisjoint(src), (d, comp)
+            else:
+                assert _witness_violates(d, name, verdict.witness), (d, comp, name)
+
+
+class TestComponentsInPlace:
+    def test_every_digraph_to_order_four(self):
+        for n in range(1, 5):
+            for d in every_digraph(n):
+                _assert_components_classified_in_place(d)
+
+    def test_seeded_disjoint_unions(self):
+        for d in _seeded_unions(seed=18, count=400, max_n=12):
+            _assert_components_classified_in_place(d)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from stargen import figure_digraphs, from_arc_list, generate, parse_edge_list, verify
 from stargen.cli import MAX_M_VALUES, run
 from stargen.digraph import MAX_TEXT_ORDER, format_edge_list
@@ -120,6 +121,15 @@ class TestEnumerate:
     def test_count_only(self, capsys):
         assert run(["enumerate", "--n", "4", "--count-only"]) == 0
         assert capsys.readouterr().out == "3\n"
+
+    def test_count_only_lists_no_partition(self, monkeypatch, capsys):
+        # used to walk all p(n - 1) partitions: --n 90 ran for minutes
+        def refuse(total):
+            raise AssertionError("partitions listed for a count")
+
+        monkeypatch.setattr(generate, "partitions", refuse)
+        assert run(["enumerate", "--n", str(MAX_TEXT_ORDER), "--count-only"]) == 0
+        assert capsys.readouterr().out == f"{oracles.partition_count(MAX_TEXT_ORDER - 1)}\n"
 
     def test_listing_parses_back(self, capsys):
         assert run(["enumerate", "--n", "4"]) == 0
@@ -319,6 +329,17 @@ class TestVerify:
         # used to escape as a FileNotFoundError traceback after the scan
         report = tmp_path / "missing" / "r.jsonl"
         argv = ["verify", "--claim", "thm_1_3", "--n-max", "2", "--m", "1"]
+        assert run(argv + ["--report", str(report)]) == 1
+        _assert_one_error_line(capsys, f"cannot write {report}: ")
+
+    def test_unwritable_report_fails_before_the_scan(self, tmp_path, monkeypatch, capsys):
+        # a mistyped path used to fail only after the whole scan
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan ran before the report path was checked")
+
+        monkeypatch.setattr(verify, "verify_claims", refuse)
+        report = tmp_path / "missing" / "r.jsonl"
+        argv = ["verify", "--claim", "lemma_3_4", "--n-max", "5", "--m", "1..6", "--large"]
         assert run(argv + ["--report", str(report)]) == 1
         _assert_one_error_line(capsys, f"cannot write {report}: ")
 

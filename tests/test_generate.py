@@ -22,6 +22,7 @@ from stargen import (
     star_generating_from_partition,
     weak_components,
 )
+from stargen import generate
 
 FIGS = figure_digraphs()
 
@@ -40,6 +41,10 @@ class TestPartitions:
     def test_counts_match_dp_oracle(self):
         for total in range(1, 13):
             assert sum(1 for _ in partitions(total)) == oracles.partition_count(total)
+
+    def test_pentagonal_count_matches_dp_oracle(self):
+        for total in range(200):
+            assert generate._partition_count(total) == oracles.partition_count(total)
 
     def test_reverse_lexicographic_and_nonincreasing(self):
         got = list(partitions(6))

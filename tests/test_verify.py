@@ -4,10 +4,12 @@ from collections import Counter
 import pytest
 
 import oracles
+from conftest import every_digraph
 from stargen import (
     CATALOG,
     InputError,
     figure_digraphs,
+    from_arc_list,
     replay_counterexample,
     valid_m_values,
     verify_claim,
@@ -552,3 +554,117 @@ class TestSharedReplays:
         distinct = {(e["n"], tuple(map(tuple, e["arcs"]))) for e in entries}
         assert len(entries) == 768 and len(distinct) == 384
         assert len(created) == len(set(created)) == 384
+
+
+class TestPlantedFailures:
+    def test_grid_counterexamples_replay_only_while_planted(self, monkeypatch):
+        # (2, 2) gets the (2, 3) construction: two sources, three components at every m
+        real = generate.lemma_kl_digraph
+        wrong = real(2, 3)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                generate, "lemma_kl_digraph", lambda k, l: wrong if (k, l) == (2, 2) else real(k, l)
+            )
+            report = verify_claim("lemma_2_2", 3, [1, 2, 3])
+            entries = report.counterexamples
+            assert entries == [
+                {
+                    "claim": "lemma_2_2",
+                    "direction": "construction",
+                    "n": 6,
+                    "arcs": sorted(wrong.arcs()),
+                    "m": m,
+                    "detail": "expected 2 components, found 3",
+                    "k": 2,
+                    "l": 2,
+                }
+                for m in (1, 2, 3)
+            ]
+            assert all(replay_counterexample(entry) for entry in entries)
+        assert not any(replay_counterexample(entry) for entry in entries)
+
+    def _census_entry_replays_only_while_planted(self, monkeypatch, name, planted, detail):
+        with monkeypatch.context() as patch:
+            patch.setattr(generate, name, planted)
+            report = verify_claim("thm_3_2", 4, [])
+            entry = {
+                "claim": "thm_3_2",
+                "direction": "count",
+                "n": 4,
+                "arcs": None,
+                "m": None,
+                "detail": detail,
+            }
+            assert report.counterexamples == [entry]
+            assert replay_counterexample(entry)
+        assert not replay_counterexample(entry)
+
+    def test_census_class_count(self, monkeypatch):
+        # one extra partition of 3: order 4 expects four classes
+        real = generate.partitions
+        self._census_entry_replays_only_while_planted(
+            monkeypatch,
+            "partitions",
+            lambda total: [*real(total), (total,)] if total == 3 else real(total),
+            "order 4: 3 classes, expected 4",
+        )
+
+    def test_census_representatives(self, monkeypatch):
+        # order 4 enumerates one representative too few
+        real = generate.enumerate_single_source_star_generating
+        self._census_entry_replays_only_while_planted(
+            monkeypatch,
+            "enumerate_single_source_star_generating",
+            lambda n: list(real(n))[:-1] if n == 4 else real(n),
+            "order 4: enumerated representatives do not cover the classes",
+        )
+
+
+class TestFailureDetails:
+    def test_prey_monotone(self):
+        # 1 and 2 share prey 3, which has no prey
+        ctx = ClaimContext(Digraph(4, [0b0001, 0b1000, 0b1000, 0]))
+        expected = "vertices 1 and 2 share a 1-step prey but no 2-step prey"
+        assert verify._prey_monotone(ctx, 1) == expected
+
+    def test_k_vs_l(self):
+        # source 0 feeds the 2-cycle {1, 2}: C^1 is the edge {0, 2} and vertex 1
+        ctx = ClaimContext(Digraph(3, [0b010, 0b100, 0b010]))
+        assert verify._k_vs_l(ctx, 1) == "1 sources but 2 components"
+
+    def test_shared_predators_when_k_eq_l(self, monkeypatch):
+        # sources 0 and 1 both feed 2 and 3; every non-source has two predators
+        d = from_arc_list(6, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5), (5, 5)])
+        assert verify._predators_when_k_eq_l(ClaimContext(d), 1) is None  # l = 3, k = 2
+        # no digraph reaches this detail (``test_details_no_digraph_reaches``),
+        # so l is set to k
+        monkeypatch.setattr(ClaimContext, "n_components", lambda self, m: len(self.sources))
+        expected = "l = k but vertices 2 and 3 share 2 m-step predators"
+        assert verify._predators_when_k_eq_l(ClaimContext(d), 1) == expected
+
+    def test_k_stars_with_more_sources_than_stars(self, monkeypatch):
+        # C^1 is the star with center 0 and leaves 1 and 2; no digraph has a
+        # source among the leaves (``test_details_no_digraph_reaches``), so
+        # vertex 1 is made a source
+        d = Digraph(3, [0b110, 0b100, 0b010])
+        monkeypatch.setattr(ClaimContext, "sources", property(lambda self: frozenset({0, 1})))
+        assert verify._k_stars(ClaimContext(d), 1) == "1 stars but 2 sources"
+
+    def test_details_no_digraph_reaches(self):
+        """No digraph reaches the two details the tests above force.
+
+        Shared predators: where every non-source has two m-step predators,
+        each edge of C^m is the predator pair of some non-source, and two
+        non-sources with the same pair leave at most n - k - 1 edges on n
+        vertices, so l > k.  More sources than stars: a source leaf s of a
+        center c shares a prey x with c alone, so x's m-step predators are
+        sources.  A walk along m-step prey from x cannot return to x, so it
+        first repeats a vertex whose two predecessors on the walk are
+        adjacent non-sources, and no star has an edge between non-sources.
+        """
+        for n in range(1, 4):
+            for d in every_digraph(n):
+                ctx = ClaimContext(d)
+                for m in range(1, 5):
+                    assert "share" not in (verify._predators_when_k_eq_l(ctx, m) or "")
+                    assert K_STARS.test(ctx, m) == STAR_OK.test(ctx, m)
