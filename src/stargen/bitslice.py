@@ -285,7 +285,13 @@ class PlaneContext:
         view, rows = self._arc_bytes, [0]
         if 0 <= b < 8 * len(view[0][0]):
             i, mask = b >> 3, 1 << (b & 7)
-            rows = [sum(1 << w for w, x in enumerate(row) if x[i] & mask) for row in view]
+            rows = []
+            for row in view:
+                acc = 0
+                for w, x in enumerate(row):
+                    if x[i] & mask:
+                        acc |= 1 << w
+                rows.append(acc)
         # the planes are masked to full, so a bit outside it has no arc
         if not all(rows):
             raise _digraph.InputError(f"bit {b} is not a digraph of this order-{self.n} batch")

@@ -41,12 +41,12 @@ class ClassificationReport:
 
     @property
     def star_generating(self) -> bool:
-        return bool(
-            self.min_outdegree_one
-            and self.weakly_connected
-            and self.s1
-            and self.s2
-            and self.s3
+        return (
+            self.min_outdegree_one.holds
+            and self.weakly_connected.holds
+            and self.s1.holds
+            and self.s2.holds
+            and self.s3.holds
         )
 
     def to_dict(self) -> dict[str, Any]:

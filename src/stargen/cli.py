@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -219,18 +220,26 @@ def _cmd_verify(args) -> int:
                 f"digraphs per order; pass --large to confirm"
             )
     m_values = _parse_m_spec(args.m) if args.m else []
+    created = False
     if args.report:
         # a path that cannot be written fails before the scan, not after it
+        created = not os.path.exists(args.report)
         with _writing(args.report):
             open(args.report, "a", encoding="utf-8").close()
-    reports = _verify.verify_claims(
-        claim_ids,
-        args.n_max,
-        m_values,
-        mode=args.mode,
-        seed=args.seed,
-        sample_count=args.count,
-    )
+    try:
+        reports = _verify.verify_claims(
+            claim_ids,
+            args.n_max,
+            m_values,
+            mode=args.mode,
+            seed=args.seed,
+            sample_count=args.count,
+        )
+    except InputError:
+        # refused inputs leave no empty report behind
+        if created:
+            os.unlink(args.report)
+        raise
     if args.report:
         with _writing(args.report):
             _verify.write_report_lines(reports, args.report)
@@ -316,10 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on first use and kept: parse_args leaves the parser unchanged, and
+# building it (about 2 ms) is a large share of a small verify call
+_parser = functools.cache(build_parser)
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

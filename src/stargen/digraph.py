@@ -63,15 +63,20 @@ class Digraph:
             rows = [0] * self.n
             for u, row in enumerate(self.out_rows):
                 bit = 1 << u
-                for v in bits(row):
-                    rows[v] |= bit
+                while row:
+                    low = row & -row
+                    rows[low.bit_length() - 1] |= bit
+                    row ^= low
             self._in_rows = tuple(rows)
         return self._in_rows
 
     def arcs(self) -> Iterator[tuple[int, int]]:
+        """Yield every arc (u, v), in ascending order."""
         for u, row in enumerate(self.out_rows):
-            for v in bits(row):
-                yield (u, v)
+            while row:
+                low = row & -row
+                yield (u, low.bit_length() - 1)
+                row ^= low
 
     def arc_count(self) -> int:
         return sum(row.bit_count() for row in self.out_rows)
@@ -96,7 +101,7 @@ class Digraph:
         return hash((self.n, self.out_rows))
 
     def __repr__(self) -> str:
-        return f"Digraph({self.n}, arcs={sorted(self.arcs())})"
+        return f"Digraph({self.n}, arcs={list(self.arcs())})"
 
 
 def from_arc_list(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:

@@ -5,8 +5,10 @@ Every claim is split into directed sub-checks with their own minimum m
 (biconditionals are never merged, since the two directions hold on
 different m ranges).  Each direction is ``hypothesis atoms ⇒
 conclusion atoms`` over one set of named atoms, which are composed from
-the public operations of the other modules; a per-digraph context only
-memoizes their results.  Every atom also has a bit plane form.
+the public operations of the other modules.  A per-digraph context
+memoizes their results, and keeps the digraph's sources and weak
+components as bitmasks, so the atoms on them are popcounts and ANDs.
+Every atom also has a bit plane form.
 
 Scans run in one process.  Exhaustive and sampled scans, and the
 ``thm_3_2`` census, evaluate every direction on batches of the stream or
@@ -42,18 +44,22 @@ from .digraph import Digraph, InputError
 
 
 class ClaimContext:
-    """Memo of public-operation results for one digraph under scrutiny."""
+    """Memo for one digraph under scrutiny: its powers, competition graphs
+    and verdicts, and its sources and weak components as bitmasks, so the
+    atoms on sources and components are popcounts and ANDs of ints.
+    ``sources`` is the source set as a frozenset, for the failure details.
+    """
 
     __slots__ = (
         "d",
         "_powers",
         "_graphs",
         "_tf",
+        "_source_mask",
         "_sources",
-        "_weak",
+        "_weak_masks",
         "_report",
         "_all_weak_sg",
-        "_every_weak_src",
         "_stars",
         "_subs",
     )
@@ -63,11 +69,11 @@ class ClaimContext:
         self._powers = {1: d}
         self._graphs = {}
         self._tf = {}
+        self._source_mask = None
         self._sources = None
-        self._weak = None
+        self._weak_masks = None
         self._report = None
         self._all_weak_sg = None
-        self._every_weak_src = None
         self._stars = {}
         self._subs = None
 
@@ -98,27 +104,39 @@ class ClaimContext:
             self._tf[m] = tf
         return tf
 
-    def components(self, m: int) -> list[frozenset[int]]:
-        return _competition.components(self.graph(m))
-
     def n_components(self, m: int) -> int:
-        return len(self.components(m))
+        return len(self.graph(m)._components())
+
+    @property
+    def source_mask(self) -> int:
+        """Bitmask of the vertices of in-degree 0."""
+        if self._source_mask is None:
+            mask = 0
+            for v, row in enumerate(self.d.in_rows):
+                if not row:
+                    mask |= 1 << v
+            self._source_mask = mask
+        return self._source_mask
 
     @property
     def sources(self) -> frozenset[int]:
         if self._sources is None:
-            self._sources = _digraph.sources(self.d)
+            self._sources = frozenset(_digraph.bits(self.source_mask))
         return self._sources
 
     @property
-    def weak(self) -> list[frozenset[int]]:
-        if self._weak is None:
-            self._weak = _digraph.weak_components(self.d)
-        return self._weak
+    def weak_masks(self) -> list[int]:
+        """Bitmasks of the weak components, ordered by smallest member."""
+        if self._weak_masks is None:
+            d = self.d
+            in_rows = d.in_rows
+            sym = [row | in_rows[v] for v, row in enumerate(d.out_rows)]
+            self._weak_masks = _digraph._component_masks(d.n, sym)
+        return self._weak_masks
 
     @property
     def weakly_connected(self) -> bool:
-        return len(self.weak) == 1
+        return len(self.weak_masks) == 1
 
     @property
     def report(self) -> _classify.ClassificationReport:
@@ -139,14 +157,15 @@ class ClaimContext:
 
     @property
     def every_weak_component_has_source(self) -> bool:
-        if self._every_weak_src is None:
-            src = self.sources
-            self._every_weak_src = all(not comp.isdisjoint(src) for comp in self.weak)
-        return self._every_weak_src
+        src = self.source_mask
+        for comp in self.weak_masks:
+            if not comp & src:
+                return False
+        return True
 
     def every_cm_component_meets_sources(self, m: int) -> bool:
         src = self.sources
-        return all(not comp.isdisjoint(src) for comp in self.components(m))
+        return all(not comp.isdisjoint(src) for comp in self.graph(m)._components())
 
     def star_decomposition(self, m: int):
         sd = self._stars.get(m)
@@ -174,8 +193,8 @@ class ClaimContext:
                     rows[u] = row & ~(1 << v)
                     subs.append(rows)
             if not self.weakly_connected:
-                for comp in self.weak:
-                    subs.append([row if u in comp else 0 for u, row in enumerate(host)])
+                for comp in self.weak_masks:
+                    subs.append([row if comp >> u & 1 else 0 for u, row in enumerate(host)])
             self._subs = subs
         return self._subs
 
@@ -329,7 +348,7 @@ def _k_stars(c: ClaimContext, m: int) -> str | None:
 # properties of D; m is ignored
 _PC = _bitslice.PlaneContext
 WEAKLY_CONNECTED = Atom(lambda c, m: c.weakly_connected, None, _PC.weakly_connected)
-HAS_SOURCE = Atom(lambda c, m: bool(c.sources), None, _PC.has_source)
+HAS_SOURCE = Atom(lambda c, m: c.source_mask != 0, None, _PC.has_source)
 WEAK_SOURCES = Atom(
     lambda c, m: c.every_weak_component_has_source, None, _PC.every_weak_component_has_source
 )
@@ -340,7 +359,7 @@ NO_COMMON_PREY = Atom(
     cap=frozenset({0, 1}),  # no two vertices share a prey
 )
 ONE_SOURCE = Atom(
-    lambda c, m: len(c.sources) == 1,
+    lambda c, m: c.source_mask.bit_count() == 1,
     lambda c, m: f"digraph has {len(c.sources)} sources",
     _PC.one_source,
 )
@@ -379,8 +398,12 @@ CONNECTED = Atom(
     lambda c, m: f"competition graph has {c.n_components(m)} components",
     _PC.connected,
 )
-K_EQ_L = Atom(lambda c, m: len(c.sources) == c.n_components(m), _k_vs_l, _PC.k_eq_l)
-K_LE_L = Atom(lambda c, m: len(c.sources) <= c.n_components(m), _k_vs_l, _PC.k_le_l)
+K_EQ_L = Atom(
+    lambda c, m: c.source_mask.bit_count() == c.n_components(m), _k_vs_l, _PC.k_eq_l
+)
+K_LE_L = Atom(
+    lambda c, m: c.source_mask.bit_count() <= c.n_components(m), _k_vs_l, _PC.k_le_l
+)
 COMPS_MEET_SOURCES = Atom(
     ClaimContext.every_cm_component_meets_sources,
     lambda c, m: "some component avoids every source",
@@ -587,7 +610,7 @@ def _entry(claim_id: str, direction: str, d: Digraph, m: int | None, detail: str
         "claim": claim_id,
         "direction": direction,
         "n": d.n,
-        "arcs": sorted(d.arcs()),
+        "arcs": list(d.arcs()),  # ascending already
         "m": m,
         "detail": detail,
     }

@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 
@@ -23,3 +24,17 @@ def every_digraph(n):
     """Every digraph on n vertices, vertices without prey included."""
     for code in range(2 ** (n * n)):
         yield Digraph(n, [code >> n * u & (1 << n) - 1 for u in range(n)])
+
+
+def wide_digraphs(seed, count=20):
+    """Seeded sparse digraphs of orders 65..90, so every row is wider than
+    64 bits; about one arc per vertex leaves several weak components,
+    sources and vertices without prey.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(65, 90)
+        rows = [0] * n
+        for _ in range(rng.randint(n // 2, 2 * n)):
+            rows[rng.randrange(n)] |= 1 << rng.randrange(n)
+        yield Digraph(n, rows)

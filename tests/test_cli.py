@@ -343,6 +343,36 @@ class TestVerify:
         assert run(argv + ["--report", str(report)]) == 1
         _assert_one_error_line(capsys, f"cannot write {report}: ")
 
+    def test_refused_verify_leaves_no_report(self, tmp_path, capsys):
+        # the report used to be created before the m values were checked
+        report = tmp_path / "r.jsonl"
+        argv = ["verify", "--claim", "thm_2_7", "--n-max", "3", "--m", "1..3"]
+        assert run(argv + ["--report", str(report)]) == 1
+        _assert_one_error_line(capsys, "claim thm_2_7 requires m >= 2")
+        assert not report.exists()
+        # a report that was there before the call is kept as it was
+        report.write_text("earlier\n")
+        assert run(argv + ["--report", str(report)]) == 1
+        capsys.readouterr()
+        assert report.read_text() == "earlier\n"
+
+    def test_consecutive_runs_share_no_arguments(self, tmp_path, capsys):
+        # one parser serves every run: append lists start empty, defaults hold
+        report = tmp_path / "r.jsonl"
+        first = ["verify", "--claim", "prop_2_1", "--claim", "lemma_2_6", "--n-max", "2"]
+        assert run(first + ["--m", "1", "--report", str(report)]) == 0
+        assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+            "prop_2_1",
+            "lemma_2_6",
+        ]
+        assert run(["verify", "--claim", "lemma_2_6", "--n-max", "2"]) == 0
+        assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+            "lemma_2_6"
+        ]
+        lines = report.read_text().splitlines()
+        assert [json.loads(line)["claim"] for line in lines] == ["prop_2_1", "lemma_2_6"]
+        assert json.loads(lines[0])["m_values"] == [1]
+
     def test_sampled_mode(self, capsys):
         code = run(
             [

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import digraphs
+from conftest import digraphs, every_digraph, wide_digraphs
 from stargen import (
     Digraph,
     InputError,
@@ -205,6 +205,32 @@ class TestWeakComponents:
             seen |= comp
         assert seen == set(range(d.n))
         assert comps == sorted(comps, key=min)
+
+
+class TestBitWalks:
+    """``arcs`` and ``in_rows`` walk the rows' bits inline; report entries
+    take ``list(d.arcs())`` as sorted.
+    """
+
+    @staticmethod
+    def _check(d):
+        arcs = list(d.arcs())
+        assert arcs == sorted(arcs)
+        assert len(arcs) == len(set(arcs)) == d.arc_count()
+        assert all(d.has_arc(u, v) for u, v in arcs)
+        transpose = [
+            sum(1 << u for u in range(d.n) if d.out_rows[u] >> v & 1) for v in range(d.n)
+        ]
+        assert list(d.in_rows) == transpose
+
+    def test_every_digraph_to_order_four(self):
+        for n in range(1, 5):
+            for d in every_digraph(n):
+                self._check(d)
+
+    def test_rows_wider_than_64_bits(self):
+        for d in wide_digraphs(seed=4):
+            self._check(d)
 
 
 class TestInducedSubdigraph:

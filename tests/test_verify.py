@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import oracles
-from conftest import every_digraph
+from conftest import every_digraph, wide_digraphs
 from stargen import (
     CATALOG,
     InputError,
@@ -16,8 +16,8 @@ from stargen import (
     verify_claims,
 )
 from stargen import Digraph, generate, m_step_digraph, verify
-from stargen.competition import Graph
-from stargen.digraph import MAX_TEXT_ORDER
+from stargen.competition import Graph, components
+from stargen.digraph import MAX_TEXT_ORDER, bits, sources, weak_components
 from stargen.generate import all_digraphs
 from stargen.verify import (
     CONNECTED,
@@ -518,6 +518,34 @@ class TestContextMemo:
         # vertex 1 gets a third predator only at step 2
         ctx = ClaimContext(Digraph(3, [0b010, 0b011, 0b001]))
         assert PRED_BOUND.why(ctx, 10**9) == "vertex 1 has 3 2-step predators"
+
+
+class TestContextMasks:
+    """The source and weak-component masks a replay reads agree with the
+    public operations, and ``n_components`` with ``components``.
+    """
+
+    @staticmethod
+    def _check(d, m_values):
+        ctx = ClaimContext(d)
+        src = sources(d)
+        weak = weak_components(d)
+        assert ctx.source_mask == sum(1 << v for v in src)
+        assert ctx.sources == src
+        assert [frozenset(bits(comp)) for comp in ctx.weak_masks] == weak
+        assert ctx.weakly_connected == (len(weak) == 1)
+        assert ctx.every_weak_component_has_source == all(comp & src for comp in weak)
+        for m in m_values:
+            assert ctx.n_components(m) == len(components(ctx.graph(m)))
+
+    def test_every_digraph_to_order_four(self):
+        for n in range(1, 5):
+            for d in every_digraph(n):
+                self._check(d, (1, 2))
+
+    def test_rows_wider_than_64_bits(self):
+        for d in wide_digraphs(seed=3):
+            self._check(d, (1, 2, 3))
 
 
 class TestHitsByDirection:
