@@ -420,10 +420,6 @@ class PlaneContext:
             ok = self._stars[m] = full & ~bad
         return ok
 
-    def k_stars(self, m: int) -> int:
-        # a star decomposition has one star per component of C^m
-        return self.star_ok(m) & self.k_eq_l(m)
-
     # -- properties of D
 
     def _weak_components(self):

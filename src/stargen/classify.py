@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .digraph import Digraph, _component_masks, bits, weak_components
+from .digraph import Digraph, _source_mask, _weak_masks, bits
 
 Witness = dict[str, Any]
 
@@ -76,7 +76,7 @@ def classify_star_generating(d: Digraph) -> ClassificationReport:
     Violations are verdicts with witnesses, never errors.  Witnesses are
     the first violation in vertex order.
     """
-    return _classify(d, range(d.n), 0)
+    return _classify(d, range(d.n), _weak_masks(d))
 
 
 def classify_components(d: Digraph) -> list[tuple[frozenset[int], ClassificationReport]]:
@@ -85,21 +85,19 @@ def classify_components(d: Digraph) -> list[tuple[frozenset[int], Classification
     No arc leaves a weak component, so its vertices keep their prey,
     predators and sources in D, and each component is classified in place.
     """
-    full = (1 << d.n) - 1
     results = []
-    for comp in weak_components(d):
-        vertices = sorted(comp)
-        results.append((comp, _classify(d, vertices, full ^ sum(1 << v for v in vertices))))
+    for c in _weak_masks(d):
+        vertices = list(bits(c))
+        results.append((frozenset(vertices), _classify(d, vertices, [c])))
     return results
 
 
-def _classify(d: Digraph, vertices, others: int) -> ClassificationReport:
+def _classify(d: Digraph, vertices, comps: list[int]) -> ClassificationReport:
     """Classify the subdigraph of d on ``vertices``, in ascending order;
-    ``others`` is the mask of the rest, which no arc may join to them.
+    ``comps`` are its weak-component masks, ordered by smallest member.
     """
     out_rows = d.out_rows
     in_rows = d.in_rows
-    n = d.n
 
     outdeg = _HOLDS
     for v in vertices:
@@ -107,7 +105,6 @@ def _classify(d: Digraph, vertices, others: int) -> ClassificationReport:
             outdeg = Verdict(False, {"vertex": v, "problem": "no prey"})
             break
 
-    comps = _component_masks(n, [out_rows[v] | in_rows[v] for v in range(n)], others)
     if len(comps) == 1:
         connected = _HOLDS
     else:
@@ -120,10 +117,8 @@ def _classify(d: Digraph, vertices, others: int) -> ClassificationReport:
             },
         )
 
-    src = 0  # bitmask of the sources
-    for v in vertices:
-        if not in_rows[v]:
-            src |= 1 << v
+    # bitmask of the sources in the masks; they are disjoint, so their sum is their union
+    src = _source_mask(d) & sum(comps)
     src_sorted = list(bits(src))
 
     # each source's prey must have exactly two predators; a source must exist

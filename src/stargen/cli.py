@@ -141,14 +141,20 @@ def _check_order(n: int) -> None:
         raise InputError(f"order {n} exceeds the limit of {_digraph.MAX_TEXT_ORDER}")
 
 
+# Most digraphs a listing may hold: all are built before the first is written.
+MAX_LISTED = 100_000
+
+
 def _cmd_enumerate(args) -> int:
     if args.n < 2:
         raise InputError(f"order must be at least 2, got {args.n}")
     _check_order(args.n)
+    count = _generate._partition_count(args.n - 1)
     if args.count_only:
-        count = _generate._partition_count(args.n - 1)
         _write_output(f"{count}\n", args.output)
         return 0
+    if count > MAX_LISTED:
+        raise InputError(f"order {args.n} has {count} digraphs, over {MAX_LISTED}; use --count-only")
     named = []
     for parts in _generate.partitions(args.n - 1):
         name = "partition_" + "_".join(map(str, parts))

@@ -203,20 +203,27 @@ def step_neighbors(d: Digraph, v: int, m: int, direction: str = "prey") -> froze
     return frozenset(bits(_row_power(rows, m)[v]))
 
 
+def _source_mask(d: Digraph) -> int:
+    """Bitmask of the vertices of in-degree 0."""
+    mask = 0
+    for v, row in enumerate(d.in_rows):
+        if not row:
+            mask |= 1 << v
+    return mask
+
+
 def sources(d: Digraph) -> frozenset[int]:
     """All vertices of indegree 0."""
-    in_rows = d.in_rows
-    return frozenset(v for v in range(d.n) if not in_rows[v])
+    return frozenset(bits(_source_mask(d)))
 
 
-def _component_masks(n: int, sym_rows, seen: int = 0) -> list[int]:
+def _component_masks(n: int, sym_rows) -> list[int]:
     # grow each component as a bitmask fixpoint; ascending lowest-unseen
-    # start vertex gives the smallest-member ordering for free; the
-    # vertices of ``seen`` are left out
+    # start vertex gives the smallest-member ordering for free
     comps = []
-    full = (1 << n) - 1
-    while seen != full:
-        start = (~seen & full) & -(~seen & full)
+    unseen = (1 << n) - 1
+    while unseen:
+        start = unseen & -unseen
         comp = start
         frontier = start
         while frontier:
@@ -228,15 +235,18 @@ def _component_masks(n: int, sym_rows, seen: int = 0) -> list[int]:
             frontier = grown & ~comp
             comp |= grown
         comps.append(comp)
-        seen |= comp
+        unseen ^= comp
     return comps
+
+
+def _weak_masks(d: Digraph) -> list[int]:
+    """Bitmasks of the weak components, ordered by smallest member."""
+    return _component_masks(d.n, [a | b for a, b in zip(d.out_rows, d.in_rows)])
 
 
 def weak_components(d: Digraph) -> list[frozenset[int]]:
     """Connected components of the underlying graph, ordered by smallest member."""
-    in_rows = d.in_rows
-    sym = [d.out_rows[v] | in_rows[v] for v in range(d.n)]
-    return [frozenset(bits(c)) for c in _component_masks(d.n, sym)]
+    return [frozenset(bits(c)) for c in _weak_masks(d)]
 
 
 def induced_subdigraph(d: Digraph, keep: Iterable[int]) -> tuple[Digraph, list[int]]:

@@ -7,8 +7,9 @@ different m ranges).  Each direction is ``hypothesis atoms ⇒
 conclusion atoms`` over one set of named atoms, which are composed from
 the public operations of the other modules.  A per-digraph context
 memoizes their results, and keeps the digraph's sources and weak
-components as bitmasks, so the atoms on them are popcounts and ANDs.
-Every atom also has a bit plane form.
+components as the bitmasks of ``digraph._source_mask`` and
+``_weak_masks``, so the atoms on them are popcounts and ANDs.  Every
+atom also has a bit plane form.
 
 Scans run in one process.  Exhaustive and sampled scans, and the
 ``thm_3_2`` census, evaluate every direction on batches of the stream or
@@ -46,7 +47,8 @@ from .digraph import Digraph, InputError
 class ClaimContext:
     """Memo for one digraph under scrutiny: its powers, competition graphs
     and verdicts, and its sources and weak components as bitmasks, so the
-    atoms on sources and components are popcounts and ANDs of ints.
+    atoms on sources and components are popcounts and ANDs of ints; the
+    classifier verdicts reuse ``weak_masks``, so D is searched once.
     ``sources`` is the source set as a frozenset, for the failure details.
     """
 
@@ -111,11 +113,7 @@ class ClaimContext:
     def source_mask(self) -> int:
         """Bitmask of the vertices of in-degree 0."""
         if self._source_mask is None:
-            mask = 0
-            for v, row in enumerate(self.d.in_rows):
-                if not row:
-                    mask |= 1 << v
-            self._source_mask = mask
+            self._source_mask = _digraph._source_mask(self.d)
         return self._source_mask
 
     @property
@@ -128,10 +126,7 @@ class ClaimContext:
     def weak_masks(self) -> list[int]:
         """Bitmasks of the weak components, ordered by smallest member."""
         if self._weak_masks is None:
-            d = self.d
-            in_rows = d.in_rows
-            sym = [row | in_rows[v] for v, row in enumerate(d.out_rows)]
-            self._weak_masks = _digraph._component_masks(d.n, sym)
+            self._weak_masks = _digraph._weak_masks(self.d)
         return self._weak_masks
 
     @property
@@ -141,7 +136,7 @@ class ClaimContext:
     @property
     def report(self) -> _classify.ClassificationReport:
         if self._report is None:
-            self._report = _classify.classify_star_generating(self.d)
+            self._report = _classify._classify(self.d, range(self.d.n), self.weak_masks)
         return self._report
 
     @property
@@ -150,8 +145,10 @@ class ClaimContext:
             if self.weakly_connected:
                 self._all_weak_sg = self.report.star_generating
             else:
+                # no arc leaves a weak component, so each is classified in place
                 self._all_weak_sg = all(
-                    rep.star_generating for _, rep in _classify.classify_components(self.d)
+                    _classify._classify(self.d, list(_digraph.bits(c)), [c]).star_generating
+                    for c in self.weak_masks
                 )
         return self._all_weak_sg
 
@@ -336,15 +333,6 @@ def _star_failure(c: ClaimContext, m: int) -> str:
     return f"component {sorted(sd.component)}: {sd.reason}"
 
 
-def _k_stars(c: ClaimContext, m: int) -> str | None:
-    sd = c.star_decomposition(m)
-    if not sd:
-        return _star_failure(c, m)
-    if len(sd.stars) != len(c.sources):
-        return f"{len(sd.stars)} stars but {len(c.sources)} sources"
-    return None
-
-
 # properties of D; m is ignored
 _PC = _bitslice.PlaneContext
 WEAKLY_CONNECTED = Atom(lambda c, m: c.weakly_connected, None, _PC.weakly_connected)
@@ -415,7 +403,6 @@ STAR_OK = Atom(
     _PC.star_ok,
     cap=frozenset({0, 1, 2}),  # a star forest is triangle-free, so TF's cap holds
 )
-K_STARS = _witness(_k_stars, _PC.k_stars)
 PREY_MONOTONE = _witness(_prey_monotone, _PC.prey_monotone)
 PRED_BOUND = _witness(_predator_bound, _PC.predator_bound)
 PREDATORS_WHEN_K_EQ_L = _witness(_predators_when_k_eq_l, _PC.predators_when_k_eq_l)
@@ -513,7 +500,8 @@ CATALOG: dict[str, Claim] = {
             _implies("forward", None, (SG,), NON_SOURCES_CYCLE_UNION),
         )),
         Claim("thm_3_2", "census"),
-        Claim("prop_3_3", "digraph", (_implies("forward", 1, (SG,), STAR_OK, K_STARS),)),
+        # k stars: a star decomposition has one star per component of C^m
+        Claim("prop_3_3", "digraph", (_implies("forward", 1, (SG,), STAR_OK, K_EQ_L),)),
         Claim("lemma_3_4", "digraph", (_implies("forward", 1, (), SUB_MONOTONE),)),
         Claim("lemma_3_5", "digraph", (
             _implies("forward", 2, (WEAK_SOURCES, TF), K_LE_L),

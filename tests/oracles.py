@@ -16,6 +16,36 @@ def adjacency(n: int, arcs) -> dict[int, frozenset[int]]:
     return {v: frozenset(nbrs) for v, nbrs in adj.items()}
 
 
+def sources(n: int, arcs) -> frozenset[int]:
+    """Vertices that no arc enters."""
+    heads = {v for _, v in arcs}
+    return frozenset(v for v in range(n) if v not in heads)
+
+
+def weak_components(n: int, arcs) -> list[frozenset[int]]:
+    """Components of the underlying graph by search over undirected
+    neighbor sets, ordered by smallest member.
+    """
+    nbrs: dict[int, set[int]] = {v: set() for v in range(n)}
+    for u, v in arcs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    comps: list[frozenset[int]] = []
+    seen: set[int] = set()
+    for start in range(n):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for w in nbrs[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return comps
+
+
 def prey_sets(n: int, arcs, m: int) -> list[frozenset[int]]:
     """N^+_m(v) for every v by stepping frontier sets one arc at a time.
 

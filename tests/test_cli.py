@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from stargen import figure_digraphs, from_arc_list, generate, parse_edge_list, verify
-from stargen.cli import MAX_M_VALUES, run
+from stargen.cli import MAX_LISTED, MAX_M_VALUES, run
 from stargen.digraph import MAX_TEXT_ORDER, format_edge_list
 
 
@@ -155,6 +155,23 @@ class TestEnumerate:
             assert run(["enumerate", "--n", str(MAX_TEXT_ORDER + 1)] + extra) == 1
             err = capsys.readouterr().err
             assert err == f"error: order {MAX_TEXT_ORDER + 1} exceeds the limit of {MAX_TEXT_ORDER}\n"
+
+    def test_listing_over_the_limit_builds_nothing(self, monkeypatch, capsys):
+        # used to build every digraph before writing one: --n 200 held
+        # 430 MiB after 8 s with nothing written
+        def refuse(n):
+            raise AssertionError("partitions listed above the listing limit")
+
+        monkeypatch.setattr(generate, "partitions", refuse)
+        assert oracles.partition_count(45) <= MAX_LISTED < oracles.partition_count(46)
+        for n in (47, MAX_TEXT_ORDER):
+            assert run(["enumerate", "--n", str(n)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: order {n} has {oracles.partition_count(n - 1)} digraphs, "
+                f"over {MAX_LISTED}; use --count-only\n"
+            )
 
 
 class TestGenerate:

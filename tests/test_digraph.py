@@ -19,6 +19,7 @@ from stargen import (
     step_neighbors,
     weak_components,
 )
+from stargen.digraph import _source_mask, _weak_masks, bits
 
 FIGS = figure_digraphs()
 
@@ -205,6 +206,31 @@ class TestWeakComponents:
             seen |= comp
         assert seen == set(range(d.n))
         assert comps == sorted(comps, key=min)
+
+
+class TestSourcesAndComponentsAgainstOracles:
+    """The source and weak-component masks that ``classify`` and ``verify``
+    read, and the public functions over them, agree with ``oracles``.
+    """
+
+    @staticmethod
+    def _check(d):
+        arcs = list(d.arcs())
+        src = oracles.sources(d.n, arcs)
+        weak = oracles.weak_components(d.n, arcs)
+        assert _source_mask(d) == sum(1 << v for v in src), d
+        assert sources(d) == src, d
+        assert [frozenset(bits(c)) for c in _weak_masks(d)] == weak, d
+        assert weak_components(d) == weak, d
+
+    def test_every_digraph_to_order_four(self):
+        for n in range(1, 5):
+            for d in every_digraph(n):
+                self._check(d)
+
+    def test_rows_wider_than_64_bits(self):
+        for d in wide_digraphs(seed=5):
+            self._check(d)
 
 
 class TestBitWalks:

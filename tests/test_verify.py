@@ -8,6 +8,8 @@ from conftest import every_digraph, wide_digraphs
 from stargen import (
     CATALOG,
     InputError,
+    classify_components,
+    classify_star_generating,
     figure_digraphs,
     from_arc_list,
     replay_counterexample,
@@ -15,14 +17,13 @@ from stargen import (
     verify_claim,
     verify_claims,
 )
-from stargen import Digraph, generate, m_step_digraph, verify
+from stargen import Digraph, digraph, generate, m_step_digraph, verify
 from stargen.competition import Graph, components
 from stargen.digraph import MAX_TEXT_ORDER, bits, sources, weak_components
 from stargen.generate import all_digraphs
 from stargen.verify import (
     CONNECTED,
     K_EQ_L,
-    K_STARS,
     PRED_BOUND,
     STAR_OK,
     SUB_MONOTONE,
@@ -401,17 +402,6 @@ class TestAtomsAgainstOracles:
                     assert CONNECTED.test(ctx, m) is (l == 1), (d, m)
 
 
-def _oracle_weak_components(n, arcs):
-    comps = [{v} for v in range(n)]
-    for u, v in arcs:
-        a = next(c for c in comps if u in c)
-        b = next(c for c in comps if v in c)
-        if a is not b:
-            a |= b
-            comps.remove(b)
-    return sorted(comps, key=min)
-
-
 def _oracle_subdigraph_arcs(n, arcs):
     """Arc lists of the documented subdigraphs, in order: one-arc deletions
     by (u, v) that keep every outdegree >= 1, then the weak components
@@ -419,7 +409,7 @@ def _oracle_subdigraph_arcs(n, arcs):
     """
     outdegree = Counter(u for u, _ in arcs)
     subs = [[a for a in arcs if a != (u, v)] for u, v in sorted(arcs) if outdegree[u] >= 2]
-    comps = _oracle_weak_components(n, arcs)
+    comps = oracles.weak_components(n, arcs)
     if len(comps) > 1:
         subs.extend([a for a in arcs if a[0] in comp] for comp in comps)
     return subs
@@ -501,8 +491,8 @@ class TestContextMemo:
     def test_k_stars_without_a_star_decomposition(self):
         # C^2 of the boundary digraph is a triangle: no stars to count
         ctx = ClaimContext(figure_digraphs()["fig4_D"])
-        assert not K_STARS.test(ctx, 2)
-        assert K_STARS.why(ctx, 2) == STAR_OK.why(ctx, 2) == "component [0, 1, 2]: not_a_star"
+        assert not STAR_OK.test(ctx, 2)
+        assert STAR_OK.why(ctx, 2) == "component [0, 1, 2]: not_a_star"
 
     def test_predator_bound_stops_once_powers_repeat(self):
         # D^i is eventually periodic, so at most a handful of powers are
@@ -546,6 +536,44 @@ class TestContextMasks:
     def test_rows_wider_than_64_bits(self):
         for d in wide_digraphs(seed=3):
             self._check(d, (1, 2, 3))
+
+
+class TestContextClassifier:
+    """A replay context classifies on its own weak-component masks and
+    agrees with the public classifier, disconnected digraphs included.
+    """
+
+    @staticmethod
+    def _check(d):
+        ctx = ClaimContext(d)
+        assert ctx.report == classify_star_generating(d), d
+        expected = all(rep.star_generating for _, rep in classify_components(d))
+        assert ctx.all_weak_star_generating == expected, d
+        return not ctx.weakly_connected
+
+    def test_every_digraph_to_order_four(self):
+        disconnected = sum(self._check(d) for n in range(1, 5) for d in every_digraph(n))
+        assert disconnected > 0
+
+    def test_rows_wider_than_64_bits(self):
+        assert any([self._check(d) for d in wide_digraphs(seed=3)])
+
+    def test_one_component_search_per_context(self, monkeypatch):
+        searches = []
+        search = digraph._component_masks
+
+        def counting(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(digraph, "_component_masks", counting)
+        figs = figure_digraphs()
+        two_components = from_arc_list(4, [(0, 1), (1, 1), (2, 3), (3, 3)])
+        for d in (figs["fig2_D2"], figs["fig4_D"], two_components):
+            searches.clear()
+            ctx = ClaimContext(d)
+            ctx.weak_masks, ctx.report, ctx.all_weak_star_generating
+            assert len(searches) == 1, d
 
 
 class TestHitsByDirection:
@@ -670,29 +698,24 @@ class TestFailureDetails:
         expected = "l = k but vertices 2 and 3 share 2 m-step predators"
         assert verify._predators_when_k_eq_l(ClaimContext(d), 1) == expected
 
-    def test_k_stars_with_more_sources_than_stars(self, monkeypatch):
-        # C^1 is the star with center 0 and leaves 1 and 2; no digraph has a
-        # source among the leaves (``test_details_no_digraph_reaches``), so
-        # vertex 1 is made a source
-        d = Digraph(3, [0b110, 0b100, 0b010])
-        monkeypatch.setattr(ClaimContext, "sources", property(lambda self: frozenset({0, 1})))
-        assert verify._k_stars(ClaimContext(d), 1) == "1 stars but 2 sources"
-
     def test_details_no_digraph_reaches(self):
-        """No digraph reaches the two details the tests above force.
+        """No digraph reaches the shared-predator detail the test above
+        forces, and a star decomposition always has k = l, one star per source.
 
         Shared predators: where every non-source has two m-step predators,
         each edge of C^m is the predator pair of some non-source, and two
         non-sources with the same pair leave at most n - k - 1 edges on n
-        vertices, so l > k.  More sources than stars: a source leaf s of a
-        center c shares a prey x with c alone, so x's m-step predators are
-        sources.  A walk along m-step prey from x cannot return to x, so it
-        first repeats a vertex whose two predecessors on the walk are
-        adjacent non-sources, and no star has an edge between non-sources.
+        vertices, so l > k.  k = l: every star has a source center, so
+        l <= k.  A source leaf s of a center c shares a prey x with c
+        alone, so x's m-step predators are sources.  A walk along m-step
+        prey from x cannot return to x, so it first repeats a vertex whose
+        two predecessors on the walk are adjacent non-sources, and no star
+        has an edge between non-sources.  So every source is a center, and
+        k <= l.
         """
         for n in range(1, 4):
             for d in every_digraph(n):
                 ctx = ClaimContext(d)
                 for m in range(1, 5):
                     assert "share" not in (verify._predators_when_k_eq_l(ctx, m) or "")
-                    assert K_STARS.test(ctx, m) == STAR_OK.test(ctx, m)
+                    assert not STAR_OK.test(ctx, m) or K_EQ_L.test(ctx, m)
