@@ -76,7 +76,7 @@ def classify_star_generating(d: Digraph) -> ClassificationReport:
     Violations are verdicts with witnesses, never errors.  Witnesses are
     the first violation in vertex order.
     """
-    return _classify(d, range(d.n), _weak_masks(d))
+    return _classify(d, range(d.n), _weak_masks(d), _source_mask(d))
 
 
 def classify_components(d: Digraph) -> list[tuple[frozenset[int], ClassificationReport]]:
@@ -85,16 +85,18 @@ def classify_components(d: Digraph) -> list[tuple[frozenset[int], Classification
     No arc leaves a weak component, so its vertices keep their prey,
     predators and sources in D, and each component is classified in place.
     """
+    src = _source_mask(d)
     results = []
     for c in _weak_masks(d):
         vertices = list(bits(c))
-        results.append((frozenset(vertices), _classify(d, vertices, [c])))
+        results.append((frozenset(vertices), _classify(d, vertices, [c], src)))
     return results
 
 
-def _classify(d: Digraph, vertices, comps: list[int]) -> ClassificationReport:
+def _classify(d: Digraph, vertices, comps: list[int], sources: int) -> ClassificationReport:
     """Classify the subdigraph of d on ``vertices``, in ascending order;
-    ``comps`` are its weak-component masks, ordered by smallest member.
+    ``comps`` are its weak-component masks, ordered by smallest member, and
+    ``sources`` is the bitmask of D's sources.
     """
     out_rows = d.out_rows
     in_rows = d.in_rows
@@ -118,7 +120,7 @@ def _classify(d: Digraph, vertices, comps: list[int]) -> ClassificationReport:
         )
 
     # bitmask of the sources in the masks; they are disjoint, so their sum is their union
-    src = _source_mask(d) & sum(comps)
+    src = sources & sum(comps)
     src_sorted = list(bits(src))
 
     # each source's prey must have exactly two predators; a source must exist

@@ -213,14 +213,16 @@ def _cmd_verify(args) -> int:
         if cid not in _verify.CATALOG:
             raise InputError(f"unknown claim {cid!r}; choose from {sorted(_verify.CATALOG)}")
     if args.n_max >= 5 and not args.large:
-        # the lemma_2_2 grid is built in either mode
-        if "lemma_2_2" in claim_ids:
+        kinds = {cid: _verify.CATALOG[cid].kind for cid in claim_ids}
+        # a grid claim is built in either mode
+        grid = [cid for cid, kind in kinds.items() if kind == "grid"]
+        if grid:
             raise InputError(
                 f"n_max={args.n_max} builds the {args.n_max} x {args.n_max} grid of "
-                f"(k, l) constructions for lemma_2_2; pass --large to confirm"
+                f"(k, l) constructions for {grid[0]}; pass --large to confirm"
             )
-        # exhaustive scans, and the thm_3_2 census in either mode, scan whole orders
-        if args.mode == "exhaustive" or "thm_3_2" in claim_ids:
+        # exhaustive scans, and a census in either mode, scan whole orders
+        if args.mode == "exhaustive" or "census" in kinds.values():
             raise InputError(
                 f"n_max={args.n_max} scans (2**{args.n_max} - 1)**{args.n_max} "
                 f"digraphs per order; pass --large to confirm"

@@ -5,11 +5,12 @@ Every claim is split into directed sub-checks with their own minimum m
 (biconditionals are never merged, since the two directions hold on
 different m ranges).  Each direction is ``hypothesis atoms ⇒
 conclusion atoms`` over one set of named atoms, which are composed from
-the public operations of the other modules.  A per-digraph context
-memoizes their results, and keeps the digraph's sources and weak
-components as the bitmasks of ``digraph._source_mask`` and
-``_weak_masks``, so the atoms on them are popcounts and ANDs.  Every
-atom also has a bit plane form.
+the public operations of the other modules.  An atom's check returns
+None where it holds and the failure detail where it does not, so any
+atom can be a conclusion.  A per-digraph context memoizes the checks'
+work, and keeps the digraph's sources and weak components as the
+bitmasks of ``digraph._source_mask`` and ``_weak_masks``, so the atoms
+on them are popcounts and ANDs.  Every atom also has a bit plane form.
 
 Scans run in one process.  Exhaustive and sampled scans, and the
 ``thm_3_2`` census, evaluate every direction on batches of the stream or
@@ -31,6 +32,7 @@ every plane against.
 from __future__ import annotations
 
 import json
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -48,7 +50,7 @@ class ClaimContext:
     """Memo for one digraph under scrutiny: its powers, competition graphs
     and verdicts, and its sources and weak components as bitmasks, so the
     atoms on sources and components are popcounts and ANDs of ints; the
-    classifier verdicts reuse ``weak_masks``, so D is searched once.
+    classifier reuses both masks, so D is searched once.
     ``sources`` is the source set as a frozenset, for the failure details.
     """
 
@@ -60,7 +62,6 @@ class ClaimContext:
         "_source_mask",
         "_sources",
         "_weak_masks",
-        "_report",
         "_all_weak_sg",
         "_stars",
         "_subs",
@@ -74,7 +75,6 @@ class ClaimContext:
         self._source_mask = None
         self._sources = None
         self._weak_masks = None
-        self._report = None
         self._all_weak_sg = None
         self._stars = {}
         self._subs = None
@@ -134,22 +134,14 @@ class ClaimContext:
         return len(self.weak_masks) == 1
 
     @property
-    def report(self) -> _classify.ClassificationReport:
-        if self._report is None:
-            self._report = _classify._classify(self.d, range(self.d.n), self.weak_masks)
-        return self._report
-
-    @property
     def all_weak_star_generating(self) -> bool:
         if self._all_weak_sg is None:
-            if self.weakly_connected:
-                self._all_weak_sg = self.report.star_generating
-            else:
-                # no arc leaves a weak component, so each is classified in place
-                self._all_weak_sg = all(
-                    _classify._classify(self.d, list(_digraph.bits(c)), [c]).star_generating
-                    for c in self.weak_masks
-                )
+            # no arc leaves a weak component, so each is classified in place
+            src = self.source_mask
+            self._all_weak_sg = all(
+                _classify._classify(self.d, list(_digraph.bits(c)), [c], src).star_generating
+                for c in self.weak_masks
+            )
         return self._all_weak_sg
 
     @property
@@ -202,16 +194,15 @@ class ClaimContext:
 
 # --- atoms ----------------------------------------------------------------
 # Every claim direction is an implication between about a dozen properties
-# of D and C^m(D).  An atom names one of them: ``test`` decides it on a
-# ``ClaimContext``, ``why`` formats the failure detail, called only after
-# ``test`` failed, ``plane`` decides it for a whole batch of digraphs on a
+# of D and C^m(D).  An atom names one of them: ``check`` returns None where
+# it holds on a ``ClaimContext`` and the failure detail where it does not,
+# ``plane`` decides it for a whole batch of digraphs on a
 # ``bitslice.PlaneContext``, and ``cap`` is the set of in-degrees of D
 # where it holds.
 
 
 class Atom(NamedTuple):
-    """A property of (D, m); atoms used only in hypotheses need no ``why``
-    (None), and every atom of a direction needs a ``plane``.
+    """A property of (D, m); any atom can be a hypothesis or a conclusion.
 
     ``cap`` is the frozenset of in-degrees of D that a digraph with the
     property can have, or None; each atom's comment gives its proof.  TF's
@@ -226,15 +217,9 @@ class Atom(NamedTuple):
     lets ``PlaneContext.predator_bound`` decide Proposition 2.3 on D^m alone.
     """
 
-    test: Callable[[ClaimContext, int], bool]
-    why: Callable[[ClaimContext, int], str] | None
-    plane: Callable[[_bitslice.PlaneContext, int], int] | None
+    check: Callable[[ClaimContext, int], str | None]
+    plane: Callable[[_bitslice.PlaneContext, int], int]
     cap: frozenset[int] | None = None
-
-
-def _witness(find: Callable[[ClaimContext, int], str | None], plane) -> Atom:
-    """Atom whose detail names a witness: ``find`` returns it, or None if the property holds."""
-    return Atom(lambda c, m: find(c, m) is None, find, plane)
 
 
 def _prey_monotone(c: ClaimContext, m: int) -> str | None:
@@ -318,96 +303,113 @@ def _sub_monotone(c: ClaimContext, m: int) -> str | None:
     return None
 
 
-def _non_sources_cycle_union(c: ClaimContext, m: int) -> bool:
+def _non_sources_cycle_union(c: ClaimContext, m: int) -> str | None:
     keep = [v for v in range(c.d.n) if v not in c.sources]
     sub, _ = _digraph.induced_subdigraph(c.d, keep)
-    return _classify.is_disjoint_cycle_union(sub)[0]
+    if _classify.is_disjoint_cycle_union(sub)[0]:
+        return None
+    return "removing the sources does not leave disjoint cycles"
 
 
-def _k_vs_l(c: ClaimContext, m: int) -> str:
-    return f"{len(c.sources)} sources but {c.n_components(m)} components"
+def _one_source(c: ClaimContext, m: int) -> str | None:
+    k = c.source_mask.bit_count()
+    return None if k == 1 else f"digraph has {k} sources"
 
 
-def _star_failure(c: ClaimContext, m: int) -> str:
+def _connected(c: ClaimContext, m: int) -> str | None:
+    l = c.n_components(m)
+    return None if l == 1 else f"competition graph has {l} components"
+
+
+def _k_vs_l(relation: Callable[[int, int], bool]) -> Callable[[ClaimContext, int], str | None]:
+    """The check that k and l are in ``relation``; its detail gives both."""
+
+    def check(c: ClaimContext, m: int) -> str | None:
+        k, l = c.source_mask.bit_count(), c.n_components(m)
+        return None if relation(k, l) else f"{k} sources but {l} components"
+
+    return check
+
+
+def _star_ok(c: ClaimContext, m: int) -> str | None:
     sd = c.star_decomposition(m)
-    return f"component {sorted(sd.component)}: {sd.reason}"
+    return None if sd else f"component {sorted(sd.component)}: {sd.reason}"
 
 
 # properties of D; m is ignored
 _PC = _bitslice.PlaneContext
-WEAKLY_CONNECTED = Atom(lambda c, m: c.weakly_connected, None, _PC.weakly_connected)
-HAS_SOURCE = Atom(lambda c, m: c.source_mask != 0, None, _PC.has_source)
+WEAKLY_CONNECTED = Atom(
+    lambda c, m: None if c.weakly_connected else "digraph is not weakly connected",
+    _PC.weakly_connected,
+)
+HAS_SOURCE = Atom(lambda c, m: None if c.source_mask else "digraph has no source", _PC.has_source)
 WEAK_SOURCES = Atom(
-    lambda c, m: c.every_weak_component_has_source, None, _PC.every_weak_component_has_source
+    lambda c, m: None if c.every_weak_component_has_source else "some weak component has no source",
+    _PC.every_weak_component_has_source,
 )
 NO_COMMON_PREY = Atom(
-    lambda c, m: _classify.check_no_common_prey_functional(c.d),
-    None,
+    lambda c, m: (
+        None
+        if _classify.check_no_common_prey_functional(c.d)
+        else "not every vertex has one prey of its own"
+    ),
     _PC.no_common_prey,
     cap=frozenset({0, 1}),  # no two vertices share a prey
 )
-ONE_SOURCE = Atom(
-    lambda c, m: c.source_mask.bit_count() == 1,
-    lambda c, m: f"digraph has {len(c.sources)} sources",
-    _PC.one_source,
-)
+ONE_SOURCE = Atom(_one_source, _PC.one_source)
 SG = Atom(
-    lambda c, m: c.report.star_generating,
-    lambda c, m: "digraph is not star-generating",
+    lambda c, m: (
+        None
+        if c.weakly_connected and c.all_weak_star_generating
+        else "digraph is not star-generating"
+    ),
     _PC.star_generating,
     cap=frozenset({0, 2}),  # by S1-S3 a non-source has exactly two predators, a source none
 )
 ALL_WEAK_SG = Atom(
-    lambda c, m: c.all_weak_star_generating,
-    lambda c, m: "some weak component is not star-generating",
+    lambda c, m: (
+        None if c.all_weak_star_generating else "some weak component is not star-generating"
+    ),
     _PC.all_weak_star_generating,
     cap=frozenset({0, 2}),  # as for SG, one weak component at a time
 )
 CYCLE_UNION = Atom(
-    lambda c, m: _classify.is_disjoint_cycle_union(c.d)[0],
-    lambda c, m: "not a vertex-disjoint union of directed cycles",
+    lambda c, m: (
+        None
+        if _classify.is_disjoint_cycle_union(c.d)[0]
+        else "not a vertex-disjoint union of directed cycles"
+    ),
     _PC.cycle_union,
 )
-NON_SOURCES_CYCLE_UNION = Atom(
-    _non_sources_cycle_union,
-    lambda c, m: "removing the sources does not leave disjoint cycles",
-    _PC.non_sources_cycle_union,
-)
+NON_SOURCES_CYCLE_UNION = Atom(_non_sources_cycle_union, _PC.non_sources_cycle_union)
 
 # properties of C^m(D), k = |sources of D|, l = |components of C^m(D)|
 TF = Atom(
-    ClaimContext.triangle_free,
-    lambda c, m: "competition graph has a triangle",
+    lambda c, m: None if c.triangle_free(m) else "competition graph has a triangle",
     _PC.triangle_free,
     cap=frozenset({0, 1, 2}),  # three predators of one prey: a triangle at every m (Atom)
 )
-CONNECTED = Atom(
-    lambda c, m: c.n_components(m) == 1,
-    lambda c, m: f"competition graph has {c.n_components(m)} components",
-    _PC.connected,
-)
-K_EQ_L = Atom(
-    lambda c, m: c.source_mask.bit_count() == c.n_components(m), _k_vs_l, _PC.k_eq_l
-)
-K_LE_L = Atom(
-    lambda c, m: c.source_mask.bit_count() <= c.n_components(m), _k_vs_l, _PC.k_le_l
-)
+CONNECTED = Atom(_connected, _PC.connected)
+K_EQ_L = Atom(_k_vs_l(operator.eq), _PC.k_eq_l)
+K_LE_L = Atom(_k_vs_l(operator.le), _PC.k_le_l)
 COMPS_MEET_SOURCES = Atom(
-    ClaimContext.every_cm_component_meets_sources,
-    lambda c, m: "some component avoids every source",
+    lambda c, m: (
+        None
+        if c.every_cm_component_meets_sources(m)
+        else "some component avoids every source"
+    ),
     _PC.every_cm_component_meets_sources,
 )
 STAR_OK = Atom(
-    lambda c, m: bool(c.star_decomposition(m)),
-    _star_failure,
+    _star_ok,
     _PC.star_ok,
     cap=frozenset({0, 1, 2}),  # a star forest is triangle-free, so TF's cap holds
 )
-PREY_MONOTONE = _witness(_prey_monotone, _PC.prey_monotone)
-PRED_BOUND = _witness(_predator_bound, _PC.predator_bound)
-PREDATORS_WHEN_K_EQ_L = _witness(_predators_when_k_eq_l, _PC.predators_when_k_eq_l)
-PENDANT = _witness(_pendant, _PC.pendant)
-SUB_MONOTONE = _witness(_sub_monotone, _PC.sub_monotone)
+PREY_MONOTONE = Atom(_prey_monotone, _PC.prey_monotone)
+PRED_BOUND = Atom(_predator_bound, _PC.predator_bound)
+PREDATORS_WHEN_K_EQ_L = Atom(_predators_when_k_eq_l, _PC.predators_when_k_eq_l)
+PENDANT = Atom(_pendant, _PC.pendant)
+SUB_MONOTONE = Atom(_sub_monotone, _PC.sub_monotone)
 
 
 # --- claim catalog --------------------------------------------------------
@@ -434,29 +436,17 @@ class Direction:
     def holds(self, c: ClaimContext, m: int) -> bool:
         """True when every hypothesis atom holds."""
         for atom in self.hypothesis:
-            if not atom.test(c, m):
+            if atom.check(c, m) is not None:
                 return False
         return True
 
     def failure(self, c: ClaimContext, m: int) -> str | None:
-        """The ``why`` of the first failing conclusion atom, or None if all hold."""
+        """The detail of the first failing conclusion atom, or None if all hold."""
         for atom in self.conclusion:
-            if not atom.test(c, m):
-                return atom.why(c, m)
+            detail = atom.check(c, m)
+            if detail is not None:
+                return detail
         return None
-
-
-def _implies(
-    name: str, min_m: int | None, hypothesis: tuple[Atom, ...], *conclusion: Atom
-) -> Direction:
-    """The direction ``hypothesis ⇒ conclusion``; every conclusion atom
-    needs a ``why``, and every atom a ``plane``.
-    """
-    if any(atom.why is None for atom in conclusion):
-        raise ValueError(f"direction {name!r}: every conclusion atom needs a why")
-    if any(atom.plane is None for atom in hypothesis + conclusion):
-        raise ValueError(f"direction {name!r}: every atom needs a plane")
-    return Direction(name, min_m, hypothesis, conclusion)
 
 
 @dataclass(frozen=True)
@@ -479,51 +469,51 @@ class Claim:
 CATALOG: dict[str, Claim] = {
     c.id: c
     for c in (
-        Claim("prop_2_1", "digraph", (_implies("forward", 1, (), PREY_MONOTONE),)),
+        Claim("prop_2_1", "digraph", (Direction("forward", 1, (), (PREY_MONOTONE,)),)),
         Claim("lemma_2_2", "grid"),
-        Claim("prop_2_3", "digraph", (_implies("forward", 1, (TF,), PRED_BOUND),)),
+        Claim("prop_2_3", "digraph", (Direction("forward", 1, (TF,), (PRED_BOUND,)),)),
         Claim("lemma_2_4", "digraph", (
-            _implies(
-                "forward", 1, (WEAKLY_CONNECTED, HAS_SOURCE, TF), K_LE_L, PREDATORS_WHEN_K_EQ_L
+            Direction(
+                "forward", 1, (WEAKLY_CONNECTED, HAS_SOURCE, TF), (K_LE_L, PREDATORS_WHEN_K_EQ_L)
             ),
         )),
         Claim("prop_2_5", "digraph", (
-            _implies("forward", 2, (WEAKLY_CONNECTED, TF, K_EQ_L), PENDANT),
+            Direction("forward", 2, (WEAKLY_CONNECTED, TF, K_EQ_L), (PENDANT,)),
         )),
         Claim("lemma_2_6", "digraph", (
-            _implies("forward", None, (NO_COMMON_PREY,), CYCLE_UNION),
+            Direction("forward", None, (NO_COMMON_PREY,), (CYCLE_UNION,)),
         )),
         Claim("thm_2_7", "digraph", (
-            _implies("forward", 2, (WEAKLY_CONNECTED, TF, K_EQ_L), STAR_OK, SG),
+            Direction("forward", 2, (WEAKLY_CONNECTED, TF, K_EQ_L), (STAR_OK, SG)),
         )),
         Claim("lemma_3_1", "digraph", (
-            _implies("forward", None, (SG,), NON_SOURCES_CYCLE_UNION),
+            Direction("forward", None, (SG,), (NON_SOURCES_CYCLE_UNION,)),
         )),
         Claim("thm_3_2", "census"),
         # k stars: a star decomposition has one star per component of C^m
-        Claim("prop_3_3", "digraph", (_implies("forward", 1, (SG,), STAR_OK, K_EQ_L),)),
-        Claim("lemma_3_4", "digraph", (_implies("forward", 1, (), SUB_MONOTONE),)),
+        Claim("prop_3_3", "digraph", (Direction("forward", 1, (SG,), (STAR_OK, K_EQ_L)),)),
+        Claim("lemma_3_4", "digraph", (Direction("forward", 1, (), (SUB_MONOTONE,)),)),
         Claim("lemma_3_5", "digraph", (
-            _implies("forward", 2, (WEAK_SOURCES, TF), K_LE_L),
+            Direction("forward", 2, (WEAK_SOURCES, TF), (K_LE_L,)),
         )),
         Claim("lemma_3_6", "digraph", (
-            _implies("only_if", 1, (WEAK_SOURCES, ALL_WEAK_SG), TF, K_EQ_L),
-            _implies("if", 2, (WEAK_SOURCES, TF, K_EQ_L), ALL_WEAK_SG),
+            Direction("only_if", 1, (WEAK_SOURCES, ALL_WEAK_SG), (TF, K_EQ_L)),
+            Direction("if", 2, (WEAK_SOURCES, TF, K_EQ_L), (ALL_WEAK_SG,)),
         )),
         Claim("prop_3_7", "digraph", (
-            _implies("only_if", 1, (WEAK_SOURCES, TF, COMPS_MEET_SOURCES), K_EQ_L),
-            _implies("if", 2, (WEAK_SOURCES, TF, K_EQ_L), COMPS_MEET_SOURCES),
+            Direction("only_if", 1, (WEAK_SOURCES, TF, COMPS_MEET_SOURCES), (K_EQ_L,)),
+            Direction("if", 2, (WEAK_SOURCES, TF, K_EQ_L), (COMPS_MEET_SOURCES,)),
         )),
         Claim("cor_3_8", "digraph", (
-            _implies("forward", 2, (WEAK_SOURCES, TF, COMPS_MEET_SOURCES), ALL_WEAK_SG),
+            Direction("forward", 2, (WEAK_SOURCES, TF, COMPS_MEET_SOURCES), (ALL_WEAK_SG,)),
         )),
         Claim("thm_1_2", "digraph", (
-            _implies("only_if", 1, (WEAK_SOURCES, ALL_WEAK_SG), STAR_OK),
-            _implies("if", 2, (WEAK_SOURCES, STAR_OK), ALL_WEAK_SG),
+            Direction("only_if", 1, (WEAK_SOURCES, ALL_WEAK_SG), (STAR_OK,)),
+            Direction("if", 2, (WEAK_SOURCES, STAR_OK), (ALL_WEAK_SG,)),
         )),
         Claim("thm_1_3", "digraph", (
-            _implies("if", 1, (ONE_SOURCE, SG), CONNECTED, TF),
-            _implies("only_if", 2, (HAS_SOURCE, CONNECTED, TF), SG, ONE_SOURCE),
+            Direction("if", 1, (ONE_SOURCE, SG), (CONNECTED, TF)),
+            Direction("only_if", 2, (HAS_SOURCE, CONNECTED, TF), (SG, ONE_SOURCE)),
         )),
     )
 }
@@ -744,7 +734,7 @@ def _census_check(n: int) -> tuple[bool, str | None]:
 
     The brute force runs on bit planes of the capped stream of SG's
     in-degrees.  Each digraph they flag is read back from its batch's arc
-    planes and must pass the scalar checks.  Only the first
+    planes and must pass the checks of ``ONE_SOURCE`` and ``SG``.  Only the first
     digraph of each class is canonicalized: all its relabelings go into
     ``seen``, and their minimum, its ``canonical_form``, into ``found``.
     """
@@ -754,8 +744,8 @@ def _census_check(n: int) -> tuple[bool, str | None]:
     for p in _bitslice.capped_batches(n, SG.cap):
         for b in _digraph.bits(p.one_source() & p.star_generating()):
             d = p.digraph(b)
-            sg = _classify.classify_star_generating(d).star_generating
-            if len(_digraph.sources(d)) != 1 or not sg:
+            ctx = ClaimContext(d)
+            if ONE_SOURCE.check(ctx, 0) is not None or SG.check(ctx, 0) is not None:
                 raise RuntimeError(
                     f"thm_3_2 order {n}: bit planes flag {d!r}, the scalar checks do not"
                 )

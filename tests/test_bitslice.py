@@ -19,7 +19,7 @@ from stargen.verify import (
     Atom,
     Claim,
     ClaimContext,
-    _implies,
+    Direction,
 )
 
 ATOMS = {name: atom for name, atom in vars(verify).items() if isinstance(atom, Atom)}
@@ -58,9 +58,16 @@ def _dicts(reports, examined):
 
 
 def _start(claim_ids, m_list, mode="exhaustive", n_max=0):
-    """Empty reports of the claims and their ``verify._rounds``."""
-    reports = [verify.VerificationReport(cid, mode, n_max, tuple(m_list)) for cid in claim_ids]
-    return reports, verify._rounds(reports, m_list)
+    """Empty reports of the claims and their ``verify._rounds``, merged by m;
+    ``m_list`` is one list for every claim, or a dict of one per claim id.
+    """
+    m_lists = m_list if isinstance(m_list, dict) else dict.fromkeys(claim_ids, m_list)
+    reports, rounds = [], {}
+    for cid in claim_ids:
+        reports.append(verify.VerificationReport(cid, mode, n_max, tuple(m_lists[cid])))
+        for m, steps in verify._rounds(reports[-1:], m_lists[cid]):
+            rounds.setdefault(m, []).extend(steps)
+    return reports, sorted(rounds.items())
 
 
 def _scalar_reports(claim_ids, m_list, draws, mode="exhaustive", n_max=0):
@@ -335,8 +342,8 @@ class TestCappedStream:
     def test_a_wider_set_has_its_stream(self, monkeypatch):
         # a planted atom allowing in-degree 3 runs on its own capped stream
         # and reports as the full stream does
-        wide = Atom(TF.test, TF.why, TF.plane, frozenset({0, 1, 2, 3}))
-        planted = Claim("bogus_wide", "digraph", (_implies("forward", 1, (wide,), CONNECTED),))
+        wide = Atom(TF.check, TF.plane, frozenset({0, 1, 2, 3}))
+        planted = Claim("bogus_wide", "digraph", (Direction("forward", 1, (wide,), (CONNECTED,)),))
         monkeypatch.setitem(CATALOG, "bogus_wide", planted)
         m_list = [1, 2, 3]
         reports, rounds = _start(["bogus_wide"], m_list, n_max=4)
@@ -363,7 +370,9 @@ class TestCappedStream:
         # one pass per in-degree set at every order, None for the whole
         # stream, in the order the rounds first need them; a direction's set
         # is the intersection of its hypothesis atoms' sets
-        planted = Claim("bogus_tf_sg", "digraph", (_implies("forward", 1, (TF, verify.SG), TF),))
+        planted = Claim(
+            "bogus_tf_sg", "digraph", (Direction("forward", 1, (TF, verify.SG), (TF,)),)
+        )
         monkeypatch.setitem(CATALOG, "bogus_tf_sg", planted)
         calls = []
         batches, capped_batches = bitslice.batches, bitslice.capped_batches
@@ -401,7 +410,8 @@ class TestAtomPlanes:
                         plane = atom.plane(p, m)
                         assert plane & ~p.full == 0, (name, n, m)
                         for b, ctx in contexts.items():
-                            assert bool(plane >> b & 1) is atom.test(ctx, m), (name, ctx.d, m)
+                            holds = atom.check(ctx, m) is None
+                            assert bool(plane >> b & 1) is holds, (name, ctx.d, m)
 
     def test_sub_monotone_plane_on_forced_failures(self):
         # natural data never fails Lemma 3.4, so the host's C^m is emptied
@@ -416,7 +426,7 @@ class TestAtomPlanes:
                 for b in range(total):
                     ctx = ClaimContext(digraph_at(n, b))
                     ctx._graphs[m] = Graph(n, [0] * n)
-                    holds = SUB_MONOTONE.test(ctx, m)
+                    holds = SUB_MONOTONE.check(ctx, m) is None
                     assert bool(plane >> b & 1) is holds, (ctx.d, m)
                     if m <= 4 and not holds:
                         failures += 1
@@ -437,7 +447,7 @@ class TestAtomPlanes:
                 for b in range(digraph_space_size(n)):
                     ctx = ClaimContext(digraph_at(n, b))
                     ctx._graphs[m] = Graph(n, [0] * n)
-                    holds = SUB_MONOTONE.test(ctx, m)
+                    holds = SUB_MONOTONE.check(ctx, m) is None
                     assert bool(plane >> b & 1) is holds, (ctx.d, m)
                     if m <= 4 and not holds:
                         failures += 1
@@ -465,7 +475,8 @@ class TestAtomPlanes:
                 ctx = ClaimContext(digraph_at(n, b))
                 for m, plane in zip(m_values, planes):
                     ctx._graphs[m] = Graph(n, rows)
-                    assert bool(plane >> b & 1) is SUB_MONOTONE.test(ctx, m), (ctx.d, m)
+                    holds = SUB_MONOTONE.check(ctx, m) is None
+                    assert bool(plane >> b & 1) is holds, (ctx.d, m)
 
     def test_every_catalog_atom_has_a_plane(self):
         assert all(atom.plane is not None for atom in ATOMS.values())
@@ -473,22 +484,28 @@ class TestAtomPlanes:
             for d in claim.directions:
                 assert all(atom.plane is not None for atom in d.hypothesis + d.conclusion)
 
-    def test_implies_rejects_an_atom_without_a_plane(self):
-        scalar = Atom(TF.test, TF.why, None)
-        with pytest.raises(ValueError, match="needs a plane"):
-            _implies("forward", 1, (), scalar)
-        with pytest.raises(ValueError, match="needs a plane"):
-            _implies("forward", 1, (scalar,), TF)
-
 
 class TestSameReports:
-    def test_exhaustive_n4(self):
+    def test_exhaustive_n4(self, monkeypatch):
         # hits per direction and m, counterexamples and boundary
-        # instances with their details, for every planed claim
-        m_list = list(range(1, 8))
+        # instances with their details, for every planed claim at m 1..7;
+        # in the same sweep, TF keeps prop_2_3 from failing, so a planted
+        # PRED_BOUND without hypothesis fails, and its plane, which reads
+        # D^m alone, must flag what the scalar bound, which walks
+        # D^1..D^m, finds, at m up to 2**60
+        bogus = Claim("bogus_pred", "digraph", (Direction("forward", 1, (), (PRED_BOUND,)),))
+        monkeypatch.setitem(CATALOG, "bogus_pred", bogus)
+        m_lists = dict.fromkeys(PLANED_CLAIMS, list(range(1, 8)))
+        m_lists["bogus_pred"] = [1, 2, 3, 2**60]
+        failures = 0
         for n in range(1, 5):
-            planes, scalar = _both_paths(PLANED_CLAIMS, m_list, bitslice.batches(n), _whole(n))
+            planes, scalar = _both_paths(list(m_lists), m_lists, bitslice.batches(n), _whole(n))
             assert planes == scalar, n
+            for rep in scalar:
+                for entry in rep["counterexamples"]:
+                    assert replay_counterexample(entry), entry
+            failures += len(scalar[-1]["counterexamples"])
+        assert failures > 0
 
     def test_seeded_sample_n5(self):
         # a seeded run of 20 000 consecutive indices, as one batch of draws
@@ -528,7 +545,7 @@ class TestSampledScans:
 
     @pytest.mark.parametrize("n_max, seed, count", [(5, 3, 2000), (7, 5, 500)])
     def test_every_claim_matches_the_scalar_path(self, monkeypatch, n_max, seed, count):
-        bogus = Claim("bogus_planed", "digraph", (_implies("forward", 1, (), CONNECTED),))
+        bogus = Claim("bogus_planed", "digraph", (Direction("forward", 1, (), (CONNECTED,)),))
         monkeypatch.setitem(CATALOG, "bogus_planed", bogus)
         low_m = LOW_M_CLAIMS + ["bogus_planed"]
         low = self._assert_scalar_reports(low_m, [1, 2, 3], n_max, seed, count)
@@ -554,7 +571,7 @@ class TestSampledScans:
 
 class TestFalseClaim:
     def test_identical_replayable_counterexamples(self, monkeypatch):
-        bogus = Claim("bogus_planed", "digraph", (_implies("forward", 1, (), CONNECTED),))
+        bogus = Claim("bogus_planed", "digraph", (Direction("forward", 1, (), (CONNECTED,)),))
         monkeypatch.setitem(CATALOG, "bogus_planed", bogus)
         failures = 0
         for n in range(1, 4):
@@ -567,26 +584,21 @@ class TestFalseClaim:
             assert entry["detail"].startswith("competition graph has ")
             assert replay_counterexample(entry)
 
-    def test_predator_bound_plane_against_every_power(self, monkeypatch):
-        # TF keeps prop_2_3 from failing; with no hypothesis PRED_BOUND
-        # fails, and its plane, which reads D^m alone, must flag what the
-        # scalar bound, which walks D^1..D^m, finds
-        bogus = Claim("bogus_pred", "digraph", (_implies("forward", 1, (), PRED_BOUND),))
-        monkeypatch.setitem(CATALOG, "bogus_pred", bogus)
-        failures = 0
-        for n in range(1, 5):
-            planes, scalar = _both_paths(
-                ["bogus_pred"], [1, 2, 3, 2**60], bitslice.batches(n), _whole(n)
-            )
-            assert planes == scalar, n
+    @pytest.mark.parametrize("name", sorted(ATOMS))
+    def test_every_atom_as_the_only_conclusion(self, monkeypatch, name):
+        # any atom can be a conclusion: where it fails, its check's detail
+        # is the entry's, on both paths, and the entry replays
+        bogus = Claim("bogus_atom", "digraph", (Direction("forward", 1, (), (ATOMS[name],)),))
+        monkeypatch.setitem(CATALOG, "bogus_atom", bogus)
+        for n in range(1, 4):
+            planes, scalar = _both_paths(["bogus_atom"], [1, 2, 3], bitslice.batches(n), _whole(n))
+            assert planes == scalar, (name, n)
             for entry in scalar[0]["counterexamples"]:
                 assert replay_counterexample(entry), entry
-            failures += len(scalar[0]["counterexamples"])
-        assert failures > 0
 
     def test_plane_the_scalar_path_contradicts_raises(self, monkeypatch):
-        lying = Atom(CONNECTED.test, CONNECTED.why, lambda p, m: 0)
-        lying_claim = Claim("bogus_lying", "digraph", (_implies("forward", 1, (), lying),))
+        lying = Atom(CONNECTED.check, lambda p, m: 0)
+        lying_claim = Claim("bogus_lying", "digraph", (Direction("forward", 1, (), (lying,)),))
         monkeypatch.setitem(CATALOG, "bogus_lying", lying_claim)
         with pytest.raises(RuntimeError, match="bit planes flag"):
             verify_claim("bogus_lying", 2, [1])

@@ -413,13 +413,13 @@ class TestVerify:
 
     def test_counterexamples_exit_two(self, capsys, monkeypatch):
         import stargen.verify as verify_mod
-        from stargen.verify import Atom, Claim, _implies
+        from stargen.verify import Atom, Claim, Direction
 
-        never = Atom(lambda ctx, m: False, lambda ctx, m: "forced failure", lambda p, m: 0)
+        never = Atom(lambda ctx, m: "forced failure", lambda p, m: 0)
         monkeypatch.setitem(
             verify_mod.CATALOG,
             "bogus",
-            Claim("bogus", "digraph", (_implies("forward", 1, (), never),)),
+            Claim("bogus", "digraph", (Direction("forward", 1, (), (never,)),)),
         )
         code = run(["verify", "--claim", "bogus", "--n-max", "2", "--m", "1"])
         assert code == 2

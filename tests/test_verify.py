@@ -17,7 +17,7 @@ from stargen import (
     verify_claim,
     verify_claims,
 )
-from stargen import Digraph, digraph, generate, m_step_digraph, verify
+from stargen import Digraph, classify, digraph, generate, m_step_digraph, verify
 from stargen.competition import Graph, components
 from stargen.digraph import MAX_TEXT_ORDER, bits, sources, weak_components
 from stargen.generate import all_digraphs
@@ -25,13 +25,14 @@ from stargen.verify import (
     CONNECTED,
     K_EQ_L,
     PRED_BOUND,
+    SG,
     STAR_OK,
     SUB_MONOTONE,
     TF,
     Atom,
     Claim,
     ClaimContext,
-    _implies,
+    Direction,
 )
 
 ALL_IDS = sorted(CATALOG)
@@ -194,7 +195,7 @@ class TestSampledMode:
         failing = Claim(
             "bogus_failing",
             "digraph",
-            (_implies("forward", 1, (), _FORCED_FAILURE),),
+            (Direction("forward", 1, (), (_FORCED_FAILURE,)),),
         )
         monkeypatch.setitem(CATALOG, "bogus_failing", failing)
         report = verify_claim("bogus_failing", 1, [1], mode="sampled", seed=3, sample_count=20)
@@ -313,9 +314,9 @@ class TestReplay:
         assert replay_counterexample(entry) is False  # the construction is sound
 
 
-_FORCED_FAILURE = Atom(lambda ctx, m: False, lambda ctx, m: "forced failure", lambda p, m: 0)
+_FORCED_FAILURE = Atom(lambda ctx, m: "forced failure", lambda p, m: 0)
 _CONNECTED_SCALAR = Atom(
-    lambda ctx, m: ctx.n_components(m) == 1, lambda ctx, m: "not connected", CONNECTED.plane
+    lambda ctx, m: None if ctx.n_components(m) == 1 else "not connected", CONNECTED.plane
 )
 
 
@@ -324,7 +325,7 @@ class TestCounterexampleMachinery:
         bogus = Claim(
             "bogus_connected",
             "digraph",
-            (_implies("forward", 1, (), _CONNECTED_SCALAR),),
+            (Direction("forward", 1, (), (_CONNECTED_SCALAR,)),),
         )
         monkeypatch.setitem(CATALOG, "bogus_connected", bogus)
         report = verify_claim("bogus_connected", 2, [1])
@@ -397,9 +398,10 @@ class TestAtomsAgainstOracles:
                 for m in range(1, 5):
                     edges = oracles.competition_edges(n, arcs, m)
                     l = _oracle_component_count(n, edges)
-                    assert TF.test(ctx, m) is not oracles.has_triangle(edges, n), (d, m)
-                    assert K_EQ_L.test(ctx, m) is (k == l), (d, m)
-                    assert CONNECTED.test(ctx, m) is (l == 1), (d, m)
+                    triangle = oracles.has_triangle(edges, n)
+                    assert (TF.check(ctx, m) is None) is not triangle, (d, m)
+                    assert (K_EQ_L.check(ctx, m) is None) is (k == l), (d, m)
+                    assert (CONNECTED.check(ctx, m) is None) is (l == 1), (d, m)
 
 
 def _oracle_subdigraph_arcs(n, arcs):
@@ -437,10 +439,8 @@ class TestSubMonotone:
                         if edges:
                             expected = _missing_edge(*min(sorted(e) for e in edges), m)
                             break
-                    assert SUB_MONOTONE.test(ctx, m) is (expected is None), (arcs, m)
-                    if expected is not None:
-                        failures += 1
-                        assert SUB_MONOTONE.why(ctx, m) == expected, (arcs, m)
+                    assert SUB_MONOTONE.check(ctx, m) == expected, (arcs, m)
+                    failures += expected is not None
         assert failures == 1308
 
     def test_disconnected_host_subdigraph_rows(self):
@@ -458,9 +458,9 @@ class TestSubMonotone:
         d = Digraph(3, [0b001, 0b010, 0b010])
         ctx = ClaimContext(d)
         assert ctx.subdigraphs() == [[0b001, 0, 0], [0, 0b010, 0b010]]
-        assert SUB_MONOTONE.test(ctx, 1)
+        assert SUB_MONOTONE.check(ctx, 1) is None
         ctx._graphs[1] = Graph(3, [0, 0, 0])
-        assert SUB_MONOTONE.why(ctx, 1) == _missing_edge(1, 2, 1)
+        assert SUB_MONOTONE.check(ctx, 1) == _missing_edge(1, 2, 1)
 
     def test_sub_powers_match_m_step_digraph(self):
         # each subdigraph's rows are squared afresh at every m, as in m_step_digraph
@@ -491,8 +491,7 @@ class TestContextMemo:
     def test_k_stars_without_a_star_decomposition(self):
         # C^2 of the boundary digraph is a triangle: no stars to count
         ctx = ClaimContext(figure_digraphs()["fig4_D"])
-        assert not STAR_OK.test(ctx, 2)
-        assert STAR_OK.why(ctx, 2) == "component [0, 1, 2]: not_a_star"
+        assert STAR_OK.check(ctx, 2) == "component [0, 1, 2]: not_a_star"
 
     def test_predator_bound_stops_once_powers_repeat(self):
         # D^i is eventually periodic, so at most a handful of powers are
@@ -500,14 +499,14 @@ class TestContextMemo:
         for n in range(1, 4):
             for d in all_digraphs(n):
                 ctx = ClaimContext(d)
-                expected = PRED_BOUND.test(ClaimContext(d), 12)
-                assert PRED_BOUND.test(ctx, 200) is expected, d
+                expected = PRED_BOUND.check(ClaimContext(d), 12)
+                assert PRED_BOUND.check(ctx, 200) == expected, d
                 assert len(ctx._powers) <= 8, d
 
     def test_predator_bound_detail_unchanged(self):
         # vertex 1 gets a third predator only at step 2
         ctx = ClaimContext(Digraph(3, [0b010, 0b011, 0b001]))
-        assert PRED_BOUND.why(ctx, 10**9) == "vertex 1 has 3 2-step predators"
+        assert PRED_BOUND.check(ctx, 10**9) == "vertex 1 has 3 2-step predators"
 
 
 class TestContextMasks:
@@ -546,7 +545,7 @@ class TestContextClassifier:
     @staticmethod
     def _check(d):
         ctx = ClaimContext(d)
-        assert ctx.report == classify_star_generating(d), d
+        assert (SG.check(ctx, 0) is None) is classify_star_generating(d).star_generating, d
         expected = all(rep.star_generating for _, rep in classify_components(d))
         assert ctx.all_weak_star_generating == expected, d
         return not ctx.weakly_connected
@@ -572,8 +571,27 @@ class TestContextClassifier:
         for d in (figs["fig2_D2"], figs["fig4_D"], two_components):
             searches.clear()
             ctx = ClaimContext(d)
-            ctx.weak_masks, ctx.report, ctx.all_weak_star_generating
+            ctx.weak_masks, SG.check(ctx, 0), ctx.all_weak_star_generating
             assert len(searches) == 1, d
+
+    def test_one_source_loop_per_context(self, monkeypatch):
+        # the classifier takes the context's source mask, on each of two
+        # weak components too, instead of finding the sources again
+        loops = []
+        source_mask = digraph._source_mask
+
+        def counting(d):
+            loops.append(d)
+            return source_mask(d)
+
+        monkeypatch.setattr(digraph, "_source_mask", counting)
+        monkeypatch.setattr(classify, "_source_mask", counting)
+        ctx = ClaimContext(from_arc_list(4, [(0, 1), (1, 1), (2, 3), (3, 3)]))
+        for atom in (verify.HAS_SOURCE, SG, verify.ALL_WEAK_SG):
+            atom.check(ctx, 0)
+        # both components are star-generating, so both were classified
+        assert not ctx.weakly_connected and ctx.all_weak_star_generating
+        assert len(loops) == 1
 
 
 class TestHitsByDirection:
@@ -686,7 +704,8 @@ class TestFailureDetails:
     def test_k_vs_l(self):
         # source 0 feeds the 2-cycle {1, 2}: C^1 is the edge {0, 2} and vertex 1
         ctx = ClaimContext(Digraph(3, [0b010, 0b100, 0b010]))
-        assert verify._k_vs_l(ctx, 1) == "1 sources but 2 components"
+        assert K_EQ_L.check(ctx, 1) == "1 sources but 2 components"
+        assert verify.K_LE_L.check(ctx, 1) is None
 
     def test_shared_predators_when_k_eq_l(self, monkeypatch):
         # sources 0 and 1 both feed 2 and 3; every non-source has two predators
@@ -718,4 +737,4 @@ class TestFailureDetails:
                 ctx = ClaimContext(d)
                 for m in range(1, 5):
                     assert "share" not in (verify._predators_when_k_eq_l(ctx, m) or "")
-                    assert not STAR_OK.test(ctx, m) or K_EQ_L.test(ctx, m)
+                    assert STAR_OK.check(ctx, m) is not None or K_EQ_L.check(ctx, m) is None
