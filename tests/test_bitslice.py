@@ -58,16 +58,9 @@ def _dicts(reports, examined):
 
 
 def _start(claim_ids, m_list, mode="exhaustive", n_max=0):
-    """Empty reports of the claims and their ``verify._rounds``, merged by m;
-    ``m_list`` is one list for every claim, or a dict of one per claim id.
-    """
-    m_lists = m_list if isinstance(m_list, dict) else dict.fromkeys(claim_ids, m_list)
-    reports, rounds = [], {}
-    for cid in claim_ids:
-        reports.append(verify.VerificationReport(cid, mode, n_max, tuple(m_lists[cid])))
-        for m, steps in verify._rounds(reports[-1:], m_lists[cid]):
-            rounds.setdefault(m, []).extend(steps)
-    return reports, sorted(rounds.items())
+    """Empty reports of the claims and their ``verify._rounds``."""
+    reports = [verify.VerificationReport(cid, mode, n_max, tuple(m_list)) for cid in claim_ids]
+    return reports, verify._rounds(reports, m_list)
 
 
 def _scalar_reports(claim_ids, m_list, draws, mode="exhaustive", n_max=0):
@@ -486,26 +479,13 @@ class TestAtomPlanes:
 
 
 class TestSameReports:
-    def test_exhaustive_n4(self, monkeypatch):
+    def test_exhaustive_n4(self):
         # hits per direction and m, counterexamples and boundary
-        # instances with their details, for every planed claim at m 1..7;
-        # in the same sweep, TF keeps prop_2_3 from failing, so a planted
-        # PRED_BOUND without hypothesis fails, and its plane, which reads
-        # D^m alone, must flag what the scalar bound, which walks
-        # D^1..D^m, finds, at m up to 2**60
-        bogus = Claim("bogus_pred", "digraph", (Direction("forward", 1, (), (PRED_BOUND,)),))
-        monkeypatch.setitem(CATALOG, "bogus_pred", bogus)
-        m_lists = dict.fromkeys(PLANED_CLAIMS, list(range(1, 8)))
-        m_lists["bogus_pred"] = [1, 2, 3, 2**60]
-        failures = 0
+        # instances with their details, for every planed claim
+        m_list = list(range(1, 8))
         for n in range(1, 5):
-            planes, scalar = _both_paths(list(m_lists), m_lists, bitslice.batches(n), _whole(n))
+            planes, scalar = _both_paths(PLANED_CLAIMS, m_list, bitslice.batches(n), _whole(n))
             assert planes == scalar, n
-            for rep in scalar:
-                for entry in rep["counterexamples"]:
-                    assert replay_counterexample(entry), entry
-            failures += len(scalar[-1]["counterexamples"])
-        assert failures > 0
 
     def test_seeded_sample_n5(self):
         # a seeded run of 20 000 consecutive indices, as one batch of draws
@@ -583,6 +563,23 @@ class TestFalseClaim:
         for entry in report.counterexamples:
             assert entry["detail"].startswith("competition graph has ")
             assert replay_counterexample(entry)
+
+    def test_predator_bound_plane_against_every_power(self, monkeypatch):
+        # TF keeps prop_2_3 from failing; with no hypothesis PRED_BOUND
+        # fails, and its plane, which reads D^m alone, must flag what the
+        # scalar bound, which walks D^1..D^m, finds
+        bogus = Claim("bogus_pred", "digraph", (Direction("forward", 1, (), (PRED_BOUND,)),))
+        monkeypatch.setitem(CATALOG, "bogus_pred", bogus)
+        failures = 0
+        for n in range(1, 5):
+            planes, scalar = _both_paths(
+                ["bogus_pred"], [1, 2, 3, 2**60], bitslice.batches(n), _whole(n)
+            )
+            assert planes == scalar, n
+            for entry in scalar[0]["counterexamples"]:
+                assert replay_counterexample(entry), entry
+            failures += len(scalar[0]["counterexamples"])
+        assert failures > 0
 
     @pytest.mark.parametrize("name", sorted(ATOMS))
     def test_every_atom_as_the_only_conclusion(self, monkeypatch, name):
