@@ -11,18 +11,19 @@ out-row non-empty).  A scan walks a plane's set bits with ``digraph.bits``,
 linear in the plane's size, and ``PlaneContext.digraph(b)`` reads bit b's
 digraph back from the arc planes.
 
-Exhaustive scans run on streams of n-digit tuples, built by one
-constructor, in batches whose leading digits are constant, so their arc
-planes are all-zero or all-one, and whose t trailing digits vary, t the
-most that keep a batch within ``CAP_BITS``; the trailing arc planes are
-built once per call, each by doubling one period of its pattern.
-``batches`` counts out-rows, each one of the 2**n - 1 non-empty sets, so
-every bit is a digraph.  ``capped_batches(n, degrees)`` counts
-in-columns, each one of the predator sets whose size lies in a set of
-in-degrees, and ``full`` leaves out the column tuples that give some
-vertex no prey; the bits of ``full`` are the digraphs with every
-in-degree in that set, each once.  Sampled scans run on ``draws``,
-batches of any stream indices of one order, repeats included.
+Exhaustive scans run on streams of n-digit tuples, all from
+``batches(n, degrees)``, in batches whose leading digits are constant, so
+their arc planes are all-zero or all-one, and whose t trailing digits
+vary, t the most that keep a batch within ``CAP_BITS``; the trailing arc
+planes are built once per call, each by doubling one period of its
+pattern, and ``first``/``stop`` resume any stream at a batch.  With
+``degrees`` None the digits are out-rows, each one of the 2**n - 1
+non-empty sets, so every bit is a digraph.  With a set of in-degrees
+they are in-columns, each one of the predator sets whose size lies in
+the set, and ``full`` leaves out the column tuples that give some vertex
+no prey; the bits of ``full`` are the digraphs with every in-degree in
+that set, each once.  Sampled scans run on ``draws``, batches of any
+stream indices of one order, repeats included.
 
 ``PlaneContext`` mirrors ``verify.ClaimContext``: it memoizes powers,
 competition graphs, sources, closures and degree counters for one batch,
@@ -91,13 +92,18 @@ def _predator_sets(n: int, degrees: frozenset[int]) -> list[int]:
     return [mask for mask in range(2**n) if mask.bit_count() in degrees]
 
 
-def _stream(
-    n: int, values: Sequence[int], columns: bool, first: int = 0, stop: int | None = None
+def batches(
+    n: int, degrees: frozenset[int] | None = None, *, first: int = 0, stop: int | None = None
 ) -> Iterator[PlaneContext]:
-    """One ``PlaneContext`` per batch, batches [first, stop), of the tuples
-    of n digits of order n, each digit picking an n-bit value from
-    ``values``: an out-row, or an in-column where ``columns``.
+    """One ``PlaneContext`` per batch of order n, batches [first, stop), to
+    the last by default.
+
+    With ``degrees`` None each digit is an out-row, one of the 2**n - 1
+    non-empty sets.  With a set of in-degrees each digit is an in-column,
+    one of the predator sets whose size lies in ``degrees``, and the bits
+    of ``full`` are the digraphs with every in-degree in that set.
     """
+    values = range(1, 2**n) if degrees is None else _predator_sets(n, degrees)
     base = len(values)
     t = _trailing_digits(base, n)
     size = base**t
@@ -112,21 +118,9 @@ def _stream(
             rest, digit = divmod(rest, base)
             leading.append(tuple(ones if values[digit] >> w & 1 else 0 for w in range(n)))
         arcs = tuple(reversed(leading)) + trailing
-        if columns:  # arc plane (u, w) is plane u of column w
+        if degrees is not None:  # arc plane (u, w) is plane u of column w
             arcs = tuple(zip(*arcs))
         yield PlaneContext(n, arcs, _all((_any(row) for row in arcs), ones))
-
-
-def batches(n: int, first: int = 0, stop: int | None = None) -> Iterator[PlaneContext]:
-    """One ``PlaneContext`` per batch of order n, batches [first, stop), to the last by default."""
-    return _stream(n, range(1, 2**n), False, first, stop)
-
-
-def capped_batches(n: int, degrees: frozenset[int]) -> Iterator[PlaneContext]:
-    """One ``PlaneContext`` per batch of the capped stream of order n: its
-    bits in ``full`` are the digraphs with every in-degree in ``degrees``.
-    """
-    return _stream(n, _predator_sets(n, degrees), True)
 
 
 def draws(n: int, indices: Sequence[int]) -> PlaneContext:

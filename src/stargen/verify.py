@@ -15,15 +15,16 @@ on them are popcounts and ANDs.  Every atom also has a bit plane form.
 Scans run in one process.  Exhaustive and sampled scans, and the
 ``thm_3_2`` census, evaluate every direction on batches of the stream or
 of seeded draws at once (``bitslice``) and build a digraph only for the
-bits they flag: ``digraph.bits`` walks them, each is read back from the
-batch's arc planes (``PlaneContext.digraph``) and replayed on a
-``ClaimContext`` that writes the failure details and must agree; hits
-and entries go straight into the reports.  Each atom's one-line proof
-gives the in-degrees of D it allows (``Atom.cap``).  An exhaustive scan
-runs each direction on the digraphs with every in-degree in the
-intersection of its hypothesis atoms' sets (``bitslice.capped_batches``),
-the census on those of ``SG``, and only the directions without a capped
-atom on the whole stream; sampled scans draw from the whole space.
+bits they flag: ``digraph.bits`` walks them, and after a batch's rounds
+each is read back from its arc planes (``PlaneContext.digraph``) and
+replayed once, on a ``ClaimContext`` that writes the failure details of
+all its entries and must agree; hits and entries go straight into the
+reports.  Each atom's one-line proof gives the in-degrees of D it allows
+(``Atom.cap``).  An exhaustive scan runs each direction on
+``bitslice.batches(n, cap)``, the digraphs with every in-degree in the
+intersection of its hypothesis atoms' sets, the census on those of
+``SG``, and the directions without a capped atom on the whole stream
+(``cap`` None); sampled scans draw from the whole space.
 Either way a report counts the whole space it covers.  ``ClaimContext``
 also runs the grid and replays, and is the reference the tests check
 every plane against.
@@ -213,7 +214,7 @@ class Atom(NamedTuple):
     an m-step prey at every m, and C^m has a triangle (Proposition 2.3
     with i = 1), so TF allows in-degrees {0, 1, 2} only.  A direction
     scans the digraphs with every in-degree in the intersection of its
-    hypothesis atoms' sets (``bitslice.capped_batches``); the same argument
+    hypothesis atoms' sets (``bitslice.batches(n, cap)``); the same argument
     lets ``PlaneContext.predator_bound`` decide Proposition 2.3 on D^m alone.
     """
 
@@ -583,12 +584,14 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _entry(claim_id: str, direction: str, d: Digraph, m: int | None, detail: str | None) -> dict:
+def _entry(
+    claim_id: str, direction: str, n: int, arcs: list, m: int | None, detail: str | None
+) -> dict:
     return {
         "claim": claim_id,
         "direction": direction,
-        "n": d.n,
-        "arcs": list(d.arcs()),  # ascending already
+        "n": n,
+        "arcs": arcs,  # list(d.arcs()), ascending already
         "m": m,
         "detail": detail,
     }
@@ -625,9 +628,8 @@ def _streams(rounds) -> dict[frozenset[int] | None, list[tuple[int, list[tuple]]
     """The rounds each exhaustive stream runs, keyed by its in-degree set.
 
     A direction has no hit with an in-degree outside its ``cap``, so it
-    runs on ``capped_batches(n, cap)``; None keys the directions without
-    a cap, which run on ``batches(n)``.  A stream no direction needs is
-    left out.
+    runs on ``bitslice.batches(n, cap)``, the whole stream where ``cap``
+    is None.  A stream no direction needs is left out.
     """
     streams = {}
     for m, steps in rounds:
@@ -639,14 +641,15 @@ def _streams(rounds) -> dict[frozenset[int] | None, list[tuple[int, list[tuple]]
 def _check_batch(p: _bitslice.PlaneContext, rounds) -> None:
     """Evaluate every direction of the rounds on a batch of digraphs at once.
 
-    Hits are popcounts of hypothesis planes, added to the reports.  Each
-    digraph whose hypothesis holds but conclusion fails is replayed on a
-    ``ClaimContext``, which writes the entry's detail and must agree.  A
-    digraph flagged more than once shares one context across directions
-    and m.  The batch learns the rounds' m values first, so the subdigraph
-    check sweeps them at once, and each round's planes are released after it.
+    Hits are popcounts of hypothesis planes, added to the reports.  The
+    batch learns the rounds' m values first, so the subdigraph check sweeps
+    them at once, and each round's planes are released after it.  A digraph
+    whose hypothesis holds but conclusion fails is flagged at that (m,
+    step); after the rounds each flagged digraph is replayed once, on one
+    ``ClaimContext`` that writes the details of all its entries, which must
+    agree and share one arcs list, and is dropped before the next.
     """
-    replays = {}  # batch bit -> its ClaimContext
+    flagged = {}  # batch bit -> its (m, step) failures, in round order
     p.m_values = tuple(m for m, _ in rounds)
     for m, steps in rounds:
         for rep, direction, hits_m, in_range in steps:
@@ -661,19 +664,22 @@ def _check_batch(p: _bitslice.PlaneContext, rounds) -> None:
                 if not ok:
                     break
                 ok &= atom.plane(p, m)
+            step = (m, rep, direction, hits_m, in_range)
             for b in _digraph.bits(held & ~ok):
-                ctx = replays.get(b)
-                if ctx is None:
-                    ctx = replays[b] = ClaimContext(p.digraph(b))
-                detail = direction.failure(ctx, m) if direction.holds(ctx, m) else None
-                if detail is None:
-                    raise RuntimeError(
-                        f"{rep.claim_id} {direction.name} at m={m}: "
-                        f"bit planes flag {ctx.d!r}, ClaimContext does not"
-                    )
-                entries = rep.counterexamples if in_range else rep.boundary_instances
-                entries.append(_entry(rep.claim_id, direction.name, ctx.d, hits_m, detail))
+                flagged.setdefault(b, []).append(step)
         p.release(m)
+    for b, failures in flagged.items():
+        ctx = ClaimContext(p.digraph(b))
+        arcs = list(ctx.d.arcs())
+        for m, rep, direction, hits_m, in_range in failures:
+            detail = direction.failure(ctx, m) if direction.holds(ctx, m) else None
+            if detail is None:
+                raise RuntimeError(
+                    f"{rep.claim_id} {direction.name} at m={m}: "
+                    f"bit planes flag {ctx.d!r}, ClaimContext does not"
+                )
+            entries = rep.counterexamples if in_range else rep.boundary_instances
+            entries.append(_entry(rep.claim_id, direction.name, p.n, arcs, hits_m, detail))
 
 
 def _sampled_batches(n_max: int, seed: int | None, count: int):
@@ -718,7 +724,7 @@ def _verify_grid(m_list, n_max: int, report: VerificationReport) -> None:
             for m in m_list:
                 report.add_hits("construction", m, 1)
             for m, detail in _grid_problems(d, k, l, m_list):
-                entry = _entry("lemma_2_2", "construction", d, m, detail)
+                entry = _entry("lemma_2_2", "construction", d.n, list(d.arcs()), m, detail)
                 entry.update({"k": k, "l": l})
                 report.counterexamples.append(entry)
 
@@ -738,10 +744,10 @@ def _census_check(n: int) -> tuple[bool, str | None]:
     digraph of each class is canonicalized: all its relabelings go into
     ``seen``, and their minimum, its ``canonical_form``, into ``found``.
     """
-    expected = sum(1 for _ in _generate.partitions(n - 1))
+    expected = _generate._partition_count(n - 1)
     found = set()
     seen = set()
-    for p in _bitslice.capped_batches(n, SG.cap):
+    for p in _bitslice.batches(n, SG.cap):
         for b in _digraph.bits(p.one_source() & p.star_generating()):
             d = p.digraph(b)
             ctx = ClaimContext(d)
@@ -839,11 +845,7 @@ def verify_claims(
             streams = _streams(rounds)
             for n in range(1, n_max + 1):
                 for cap, stream_rounds in streams.items():
-                    if cap is None:
-                        stream = _bitslice.batches(n)
-                    else:
-                        stream = _bitslice.capped_batches(n, cap)
-                    for p in stream:
+                    for p in _bitslice.batches(n, cap):
                         _check_batch(p, stream_rounds)
         else:
             examined = sample_count

@@ -9,7 +9,7 @@ import pytest
 from stargen import CATALOG, replay_counterexample, verify_claim, verify_claims
 from stargen import bitslice, verify
 from stargen.competition import Graph
-from stargen.digraph import InputError, bits
+from stargen.digraph import Digraph, InputError, bits
 from stargen.generate import digraph_at, digraph_space_size
 from stargen.verify import (
     CONNECTED,
@@ -42,7 +42,8 @@ def _check_digraph(d, rounds, hits):
                 hits[rep.claim_id, direction.name, hits_m, in_range] += 1
                 detail = direction.failure(ctx, m)
                 if detail is not None:
-                    entry = verify._entry(rep.claim_id, direction.name, d, hits_m, detail)
+                    arcs = list(d.arcs())
+                    entry = verify._entry(rep.claim_id, direction.name, d.n, arcs, hits_m, detail)
                     (rep.counterexamples if in_range else rep.boundary_instances).append(entry)
 
 
@@ -127,13 +128,13 @@ class TestBatches:
         size = _batch_size(n, 2**n - 1)
         count = total // size
         for k in {0, count - 1} | {rng.randrange(count) for _ in range(2)}:
-            (p,) = bitslice.batches(n, k, k + 1)
+            (p,) = bitslice.batches(n, first=k, stop=k + 1)
             assert p.full == (1 << size) - 1
             for b in rng.sample(range(size), min(size, 40)):
                 d = digraph_at(n, k * size + b)
                 assert _decode(p, b) == d.out_rows
                 assert p.digraph(b) == d
-        assert list(bitslice.batches(n, count, count + 5)) == []
+        assert list(bitslice.batches(n, first=count, stop=count + 5)) == []
         # a batch of draws keeps every draw, repeats included, as its own bit
         indices = [rng.randrange(total) for _ in range(30)]
         indices += indices[:7] + [0, total - 1]
@@ -147,7 +148,7 @@ class TestBatches:
     def test_a_bit_outside_full_raises(self):
         (whole,) = bitslice.batches(2)  # 9 bits, all digraphs
         drawn = bitslice.draws(3, [5, 5, 0])
-        (capped,) = bitslice.capped_batches(2, UP_TO_2)  # bit 0: both in-columns empty
+        (capped,) = bitslice.batches(2, UP_TO_2)  # bit 0: both in-columns empty
         assert not capped.full & 1
         for p, b in [(whole, 9), (whole, -1), (whole, 1 << 40), (drawn, 3), (capped, 0)]:
             with pytest.raises(InputError, match="not a digraph"):
@@ -249,7 +250,7 @@ class TestCappedStream:
         for degrees, pinned in CAPPED_COUNTS.items():
             seen = []
             size = _batch_size(n, len(bitslice._predator_sets(n, degrees)))
-            for p in bitslice.capped_batches(n, degrees):
+            for p in bitslice.batches(n, degrees):
                 for b in range(size):
                     if p.full >> b & 1:
                         seen.append(p.digraph(b).out_rows)
@@ -263,12 +264,24 @@ class TestCappedStream:
             assert sorted(seen) == capped, sorted(degrees)
             assert len(seen) == pinned[n - 1]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_capped_streams_resume(self, n):
+        # batch k of a capped stream started at k is batch k of the whole
+        # stream; order 5 of {0, 1, 2} has 16 batches
+        for degrees in CAPPED_COUNTS:
+            count = 0
+            for k, p in enumerate(bitslice.batches(n, degrees)):
+                (resumed,) = bitslice.batches(n, degrees, first=k, stop=k + 1)
+                assert (resumed.arcs, resumed.full) == (p.arcs, p.full), (sorted(degrees), k)
+                count += 1
+            assert list(bitslice.batches(n, degrees, first=count, stop=count + 5)) == []
+
     def test_counts_by_inclusion_exclusion(self):
         # tuples of predator sets with sizes in the set, signed over the k
         # vertices that some of them leave without prey
         for degrees, pinned in CAPPED_COUNTS.items():
             counts = [
-                sum(p.full.bit_count() for p in bitslice.capped_batches(n, degrees))
+                sum(p.full.bit_count() for p in bitslice.batches(n, degrees))
                 for n in range(1, 7)
             ]
             expected = [
@@ -283,7 +296,7 @@ class TestCappedStream:
     def test_every_plane_lies_within_full(self):
         for degrees in CAPPED_COUNTS:
             for n in range(1, 5):
-                for p in bitslice.capped_batches(n, degrees):
+                for p in bitslice.batches(n, degrees):
                     for m in (1, 2, 3, 2**60):
                         for name, atom in ATOMS.items():
                             assert atom.plane(p, m) & ~p.full == 0, (name, n, m)
@@ -368,13 +381,13 @@ class TestCappedStream:
         )
         monkeypatch.setitem(CATALOG, "bogus_tf_sg", planted)
         calls = []
-        batches, capped_batches = bitslice.batches, bitslice.capped_batches
-        monkeypatch.setattr(bitslice, "batches", lambda n: calls.append((n, None)) or batches(n))
-        monkeypatch.setattr(
-            bitslice,
-            "capped_batches",
-            lambda n, degrees: calls.append((n, sorted(degrees))) or capped_batches(n, degrees),
-        )
+        batches = bitslice.batches
+
+        def counting_batches(n, degrees=None):
+            calls.append((n, None if degrees is None else sorted(degrees)))
+            return batches(n, degrees)
+
+        monkeypatch.setattr(bitslice, "batches", counting_batches)
         for claim_ids, sets in [
             (["thm_1_3", "lemma_2_6"], [[0, 1], [0, 2], [0, 1, 2]]),
             (["prop_2_1"], [None]),
@@ -390,13 +403,9 @@ class TestCappedStream:
 
 class TestAtomPlanes:
     def test_every_plane_equals_its_test(self):
-        streams = [bitslice.batches] + [
-            lambda n, degrees=degrees: bitslice.capped_batches(n, degrees)
-            for degrees in CAPPED_COUNTS
-        ]
-        for stream in streams:
+        for degrees in [None, *CAPPED_COUNTS]:
             for n in range(1, 4):
-                (p,) = stream(n)
+                (p,) = bitslice.batches(n, degrees)
                 contexts = {b: ClaimContext(p.digraph(b)) for b in bits(p.full)}
                 for m in (1, 2, 3, 4, 5, 2**60):
                     for name, atom in ATOMS.items():
@@ -592,6 +601,34 @@ class TestFalseClaim:
             assert planes == scalar, (name, n)
             for entry in scalar[0]["counterexamples"]:
                 assert replay_counterexample(entry), entry
+
+    def test_arcs_built_once_per_flagged_digraph(self, monkeypatch):
+        # a claim failing at m 1, 2 and 3 on every digraph: each digraph is
+        # replayed once, after the batch's rounds, and its three entries
+        # share one arcs list
+        always = Atom(lambda c, m: "planted failure", lambda p, m: 0)
+        bogus = Claim("bogus_always", "digraph", (Direction("forward", 1, (), (always,)),))
+        monkeypatch.setitem(CATALOG, "bogus_always", bogus)
+        built = Counter()
+        arcs = Digraph.arcs
+
+        def counting_arcs(d):
+            built[d.n, d.out_rows] += 1
+            return arcs(d)
+
+        monkeypatch.setattr(Digraph, "arcs", counting_arcs)
+        reports, rounds = _start(["bogus_always"], [1, 2, 3])
+        for n in range(1, 4):
+            for p in bitslice.batches(n):
+                verify._check_batch(p, rounds)
+        assert len(built) == sum(digraph_space_size(n) for n in range(1, 4))
+        assert set(built.values()) == {1}
+        shared = {}
+        for entry in reports[0].counterexamples:
+            shared.setdefault((entry["n"], tuple(entry["arcs"])), []).append(entry["arcs"])
+        assert len(shared) == len(built)
+        for lists in shared.values():
+            assert len(lists) == 3 and all(a is lists[0] for a in lists)
 
     def test_plane_the_scalar_path_contradicts_raises(self, monkeypatch):
         lying = Atom(CONNECTED.check, lambda p, m: 0)

@@ -674,12 +674,12 @@ class TestPlantedFailures:
         assert not replay_counterexample(entry)
 
     def test_census_class_count(self, monkeypatch):
-        # one extra partition of 3: order 4 expects four classes
-        real = generate.partitions
+        # one partition of 3 too many: order 4 expects four classes
+        real = generate._partition_count
         self._census_entry_replays_only_while_planted(
             monkeypatch,
-            "partitions",
-            lambda total: [*real(total), (total,)] if total == 3 else real(total),
+            "_partition_count",
+            lambda total: real(total) + (total == 3),
             "order 4: 3 classes, expected 4",
         )
 
