@@ -428,7 +428,7 @@ class PlaneContext:
         return self._weak_components()[0]
 
     def has_source(self, m: int = 0) -> int:
-        return _any(self.sources)
+        return self.full ^ self.source_count[0]
 
     def every_weak_component_has_source(self, m: int = 0) -> int:
         return self._weak_components()[2]

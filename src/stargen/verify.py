@@ -8,9 +8,10 @@ conclusion atoms`` over one set of named atoms, which are composed from
 the public operations of the other modules.  An atom's check returns
 None where it holds and the failure detail where it does not, so any
 atom can be a conclusion.  A per-digraph context memoizes the checks'
-work, and keeps the digraph's sources and weak components as the
+work, and keeps the digraph's sources and weak components only as the
 bitmasks of ``digraph._source_mask`` and ``_weak_masks``, so the atoms
-on them are popcounts and ANDs.  Every atom also has a bit plane form.
+on them are popcounts, shifts and ANDs.  Every atom also has a bit plane
+form.
 
 Scans run in one process.  Exhaustive and sampled scans, and the
 ``thm_3_2`` census, evaluate every direction on batches of the stream or
@@ -49,10 +50,11 @@ from .digraph import Digraph, InputError
 
 class ClaimContext:
     """Memo for one digraph under scrutiny: its powers, competition graphs
-    and verdicts, and its sources and weak components as bitmasks, so the
-    atoms on sources and components are popcounts and ANDs of ints; the
-    classifier reuses both masks, so D is searched once.
-    ``sources`` is the source set as a frozenset, for the failure details.
+    and verdicts, and its sources and weak components as bitmasks only, so
+    the atoms on sources and components are popcounts, shifts and ANDs of
+    ints; the classifier reuses both masks, so D is searched once.  The
+    source set is built from its mask only for ``star_decomposition``, the
+    one public call that takes a set.
     """
 
     __slots__ = (
@@ -61,7 +63,6 @@ class ClaimContext:
         "_graphs",
         "_tf",
         "_source_mask",
-        "_sources",
         "_weak_masks",
         "_all_weak_sg",
         "_stars",
@@ -74,7 +75,6 @@ class ClaimContext:
         self._graphs = {}
         self._tf = {}
         self._source_mask = None
-        self._sources = None
         self._weak_masks = None
         self._all_weak_sg = None
         self._stars = {}
@@ -118,12 +118,6 @@ class ClaimContext:
         return self._source_mask
 
     @property
-    def sources(self) -> frozenset[int]:
-        if self._sources is None:
-            self._sources = frozenset(_digraph.bits(self.source_mask))
-        return self._sources
-
-    @property
     def weak_masks(self) -> list[int]:
         """Bitmasks of the weak components, ordered by smallest member."""
         if self._weak_masks is None:
@@ -145,22 +139,11 @@ class ClaimContext:
             )
         return self._all_weak_sg
 
-    @property
-    def every_weak_component_has_source(self) -> bool:
-        src = self.source_mask
-        for comp in self.weak_masks:
-            if not comp & src:
-                return False
-        return True
-
-    def every_cm_component_meets_sources(self, m: int) -> bool:
-        src = self.sources
-        return all(not comp.isdisjoint(src) for comp in self.graph(m)._components())
-
     def star_decomposition(self, m: int):
         sd = self._stars.get(m)
         if sd is None:
-            sd = _competition.star_decomposition(self.graph(m), self.sources)
+            sources = frozenset(_digraph.bits(self.source_mask))
+            sd = _competition.star_decomposition(self.graph(m), sources)
             self._stars[m] = sd
         return sd
 
@@ -251,10 +234,11 @@ def _predator_bound(c: ClaimContext, m: int) -> str | None:
 
 
 def _predators_when_k_eq_l(c: ClaimContext, m: int) -> str | None:
-    if len(c.sources) != c.n_components(m):
+    src = c.source_mask
+    if src.bit_count() != c.n_components(m):
         return None
     pred = c.power(m).in_rows
-    non_sources = [u for u in range(c.d.n) if u not in c.sources]
+    non_sources = [u for u in range(c.d.n) if not src >> u & 1]
     for u in non_sources:
         count = pred[u].bit_count()
         if count != 2:
@@ -272,7 +256,7 @@ def _predators_when_k_eq_l(c: ClaimContext, m: int) -> str | None:
 def _pendant(c: ClaimContext, m: int) -> str | None:
     out = c.d.out_rows
     cg = c.graph(m)
-    for v in sorted(c.sources):
+    for v in _digraph.bits(c.source_mask):
         for u in range(c.d.n):
             if u == v or not out[u] & out[v]:
                 continue
@@ -305,7 +289,7 @@ def _sub_monotone(c: ClaimContext, m: int) -> str | None:
 
 
 def _non_sources_cycle_union(c: ClaimContext, m: int) -> str | None:
-    keep = [v for v in range(c.d.n) if v not in c.sources]
+    keep = [v for v in range(c.d.n) if not c.source_mask >> v & 1]
     sub, _ = _digraph.induced_subdigraph(c.d, keep)
     if _classify.is_disjoint_cycle_union(sub)[0]:
         return None
@@ -345,7 +329,11 @@ WEAKLY_CONNECTED = Atom(
 )
 HAS_SOURCE = Atom(lambda c, m: None if c.source_mask else "digraph has no source", _PC.has_source)
 WEAK_SOURCES = Atom(
-    lambda c, m: None if c.every_weak_component_has_source else "some weak component has no source",
+    lambda c, m: (
+        None
+        if all(comp & c.source_mask for comp in c.weak_masks)
+        else "some weak component has no source"
+    ),
     _PC.every_weak_component_has_source,
 )
 NO_COMMON_PREY = Atom(
@@ -396,7 +384,7 @@ K_LE_L = Atom(_k_vs_l(operator.le), _PC.k_le_l)
 COMPS_MEET_SOURCES = Atom(
     lambda c, m: (
         None
-        if c.every_cm_component_meets_sources(m)
+        if all(any(c.source_mask >> v & 1 for v in comp) for comp in c.graph(m)._components())
         else "some component avoids every source"
     ),
     _PC.every_cm_component_meets_sources,
@@ -532,7 +520,7 @@ def _lookup(claim_id: str) -> Claim:
     try:
         return CATALOG[claim_id]
     except KeyError:
-        raise InputError(f"unknown claim id {claim_id!r}") from None
+        raise InputError(f"unknown claim id {claim_id!r}; choose from {sorted(CATALOG)}") from None
 
 
 # --- reports --------------------------------------------------------------
@@ -585,13 +573,13 @@ class VerificationReport:
 
 
 def _entry(
-    claim_id: str, direction: str, n: int, arcs: list, m: int | None, detail: str | None
+    claim_id: str, direction: str, n: int, arcs: list | None, m: int | None, detail: str | None
 ) -> dict:
     return {
         "claim": claim_id,
         "direction": direction,
         "n": n,
-        "arcs": arcs,  # list(d.arcs()), ascending already
+        "arcs": arcs,  # list(d.arcs()), ascending already; None for the census
         "m": m,
         "detail": detail,
     }
@@ -705,8 +693,9 @@ def _grid_problems(d: Digraph, k: int, l: int, m_list) -> list[tuple[int | None,
     """
     ctx = ClaimContext(d)
     problems = []
-    if len(ctx.sources) != k:
-        problems.append((None, f"expected {k} sources, found {len(ctx.sources)}"))
+    k_found = ctx.source_mask.bit_count()
+    if k_found != k:
+        problems.append((None, f"expected {k} sources, found {k_found}"))
     if not ctx.weakly_connected:
         problems.append((None, "construction is not weakly connected"))
     for m in m_list:
@@ -776,9 +765,7 @@ def _verify_census(n_max: int, report: VerificationReport) -> None:
         ok, detail = _census_check(n)
         report.digraphs_examined += _generate.digraph_space_size(n)
         if not ok:
-            report.counterexamples.append(
-                {"claim": "thm_3_2", "direction": "count", "n": n, "arcs": None, "m": None, "detail": detail}
-            )
+            report.counterexamples.append(_entry("thm_3_2", "count", n, None, None, detail))
 
 
 def verify_claims(
@@ -800,7 +787,14 @@ def verify_claims(
     claims = [_lookup(cid) for cid in claim_ids]
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
-    m_list = sorted(set(m_set))
+    m_values = list(m_set)
+    counts = [("n_max", n_max)] + [("m", m) for m in m_values]
+    if sample_count is not None:
+        counts.append(("sample count", sample_count))
+    for name, value in counts:
+        if type(value) is not int:  # a bool is an int, but not a count
+            raise InputError(f"{name} must be an int, got {value!r}")
+    m_list = sorted(set(m_values))
     if any(m < 1 for m in m_list):
         raise InputError("m values must be positive")
     for claim in claims:
@@ -917,6 +911,11 @@ def replay_counterexample(entry: dict) -> bool:
         d = _digraph.from_arc_list(entry["n"], [tuple(a) for a in entry["arcs"]])
     except (KeyError, TypeError, ValueError):
         raise InputError(f"malformed counterexample entry: {entry!r}") from None
+    if not _digraph.has_min_outdegree_one(d):
+        raise InputError(
+            f"vertex {d.out_rows.index(0)} has no prey; scans cover only digraphs "
+            f"where every vertex has one"
+        )
     ctx = ClaimContext(d)
     m_eval = 0 if m is None else m
     return direction.holds(ctx, m_eval) and direction.failure(ctx, m_eval) is not None

@@ -141,6 +141,11 @@ class TestEnumerate:
             d = parse_edge_list(text)
             assert d.n == 4
 
+    def test_dot_format(self, capsys):
+        assert run(["enumerate", "--n", "3", "--format", "dot"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("digraph partition_") == 2 and "->" in out
+
     def test_rejects_small_order(self, capsys):
         assert run(["enumerate", "--n", "1"]) == 1
         assert "at least 2" in capsys.readouterr().err
@@ -186,6 +191,10 @@ class TestGenerate:
         out = capsys.readouterr().out
         d = parse_edge_list(out.split("\n", 1)[1])
         assert sorted(d.arcs()) == [(0, 1), (0, 2), (0, 3), (1, 2), (2, 1), (3, 3)]
+
+    def test_dot_format(self, capsys):
+        assert run(["generate", "--lemma-kl", "2", "3", "--format", "dot"]) == 0
+        assert capsys.readouterr().out.startswith("digraph kl_2_3 {")
 
     def test_requires_exactly_one_mode(self, capsys):
         assert run(["generate"]) == 1

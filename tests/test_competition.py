@@ -244,6 +244,17 @@ class TestGraphFormats:
         with pytest.raises(InputError):
             graph_from_edges(2, [(1, 1)])
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (0, [], "vertex count must be positive, got 0"),
+            (2, [(0, 2)], r"edge \(0, 2\) out of range for n=2"),
+        ],
+    )
+    def test_bad_order_or_edge(self, n, edges, message):
+        with pytest.raises(InputError, match=message):
+            graph_from_edges(n, edges)
+
 
 def _all_graphs(n):
     """Every labeled simple graph on n vertices, as (edge set, Graph)."""
@@ -347,6 +358,11 @@ class TestGraphRows:
     def test_full_rows_accepted(self):
         g = Graph(3, [0b110, 0b101, 0b011])
         assert components(g) == [frozenset({0, 1, 2})]
+
+    def test_hash_and_repr(self):
+        g = graph_from_edges(3, [(2, 0)])
+        assert len({g, Graph(3, [0b100, 0, 0b001])}) == 1
+        assert repr(g) == "Graph(3, edges=[(0, 2)])"
 
     def test_singleton_components_are_shared(self):
         a = components(graph_from_edges(4, [(1, 2)]))

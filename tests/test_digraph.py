@@ -174,6 +174,10 @@ class TestMStepDigraph:
         combined = m_step_digraph(d, a + b)
         assert combined == compose(m_step_digraph(d, a), m_step_digraph(d, b))
 
+    def test_compose_rejects_different_orders(self):
+        with pytest.raises(InputError, match="vertex counts differ: 3 != 4"):
+            compose(FIGS["fig1_D1"], FIGS["fig2_D1"])
+
 
 class TestSources:
     def test_examples(self):
@@ -275,6 +279,10 @@ class TestInducedSubdigraph:
     def test_fig1_d2_two_cycle(self):
         sub, _ = induced_subdigraph(FIGS["fig1_D2"], {1, 2})
         assert sorted(sub.arcs()) == [(0, 1), (1, 0)]
+
+    def test_out_of_range_vertex(self):
+        with pytest.raises(InputError, match="vertex 3 out of range for n=3"):
+            induced_subdigraph(FIGS["fig1_D2"], {0, 3})
 
 
 class TestEdgeListFormat:

@@ -110,6 +110,10 @@ class TestEnumerate:
         assert len(reps) == 1
         assert sorted(reps[0].arcs()) == [(0, 1), (1, 1)]
 
+    def test_rejects_order_one(self):
+        with pytest.raises(InputError, match="order must be at least 2, got 1"):
+            list(enumerate_single_source_star_generating(1))
+
     def test_every_representative_classifies(self):
         for n in range(2, 11):
             for d in enumerate_single_source_star_generating(n):
@@ -234,6 +238,8 @@ class TestCanonicalForm:
 
     def test_distinguishes(self):
         assert canonical_form(FIGS["fig1_D1"]) != canonical_form(FIGS["fig1_D2"])
+        # orders differ: no canonical form is taken, so order 9 is no error
+        assert not are_isomorphic(FIGS["fig1_D1"], lemma_kl_digraph(4, 4))
 
     def test_size_guard(self):
         from stargen import from_arc_list

@@ -29,6 +29,7 @@ from stargen.verify import (
     STAR_OK,
     SUB_MONOTONE,
     TF,
+    WEAK_SOURCES,
     Atom,
     Claim,
     ClaimContext,
@@ -166,6 +167,19 @@ class TestErrors:
             # the grid used to default n_max 0 to 5 and an empty m set to 1..10
             (["lemma_2_2"], 0, [1], {}, "n_max must be positive"),
             (["lemma_2_2"], 3, [], {}, "m_set is empty"),
+            # each used to escape as a TypeError, or to run with a bool or float
+            (["lemma_2_2", "prop_2_1"], 3, [1.5], {}, "m must be an int, got 1.5"),
+            (["lemma_2_2", "prop_2_1"], 2.5, [1], {}, "n_max must be an int, got 2.5"),
+            (
+                ["thm_3_2", "prop_2_1"],
+                3,
+                [1],
+                {"seed": 1, "sample_count": 2.5},
+                "sample count must be an int, got 2.5",
+            ),
+            (["lemma_2_2", "prop_2_1"], 3, [True], {}, "m must be an int, got True"),
+            (["lemma_2_2", "prop_2_1"], 3, [1.0], {}, "m must be an int, got 1.0"),
+            (["lemma_2_2", "prop_2_1"], True, [1], {}, "n_max must be an int, got True"),
         ],
     )
     def test_inputs_checked_before_any_claim_runs(
@@ -262,9 +276,19 @@ class TestReplay:
             {"claim": "lemma_2_2", "direction": "construction", "k": "x", "l": 1, "m": 1},
             {"claim": "lemma_2_2", "direction": "construction", "k": 1, "l": 1, "m": "3"},
             {"claim": "prop_2_1", "direction": "forward", "n": 1, "arcs": arcs, "m": "2"},
+            {"claim": "prop_2_1", "direction": "backward", "n": 1, "arcs": arcs, "m": 1},
+            {"claim": "prop_2_1", "direction": "forward", "n": 1, "arcs": [[0, 0, 0]], "m": 1},
         ):
             with pytest.raises(InputError, match="malformed"):
                 replay_counterexample(entry)
+
+    def test_digraph_outside_the_scanned_space(self):
+        # 0 and 1 share prey 2, which has none: no scan reaches this digraph,
+        # and its replay used to report a counterexample to Proposition 2.1
+        arcs = [[0, 2], [1, 2]]
+        entry = {"claim": "prop_2_1", "direction": "forward", "n": 3, "arcs": arcs, "m": 1}
+        with pytest.raises(InputError, match="^vertex 2 has no prey;"):
+            replay_counterexample(entry)
 
     @pytest.mark.parametrize(
         "entry",
@@ -520,10 +544,9 @@ class TestContextMasks:
         src = sources(d)
         weak = weak_components(d)
         assert ctx.source_mask == sum(1 << v for v in src)
-        assert ctx.sources == src
         assert [frozenset(bits(comp)) for comp in ctx.weak_masks] == weak
         assert ctx.weakly_connected == (len(weak) == 1)
-        assert ctx.every_weak_component_has_source == all(comp & src for comp in weak)
+        assert (WEAK_SOURCES.check(ctx, 0) is None) == all(comp & src for comp in weak)
         for m in m_values:
             assert ctx.n_components(m) == len(components(ctx.graph(m)))
 
@@ -657,6 +680,25 @@ class TestPlantedFailures:
             assert all(replay_counterexample(entry) for entry in entries)
         assert not any(replay_counterexample(entry) for entry in entries)
 
+    def test_grid_source_and_connectivity_details_replay_only_while_planted(self, monkeypatch):
+        # (2, 2) gets the (1, 3) construction, one source; (1, 1) two weak components
+        real = generate.lemma_kl_digraph
+        planted = {(2, 2): real(1, 3), (1, 1): from_arc_list(3, [(0, 1), (1, 1), (2, 2)])}
+
+        def built(k, l):
+            return planted.get((k, l)) or real(k, l)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(generate, "lemma_kl_digraph", built)
+            report = verify_claim("lemma_2_2", 2, [1])
+            entries = [e for e in report.counterexamples if e["m"] is None]
+            assert [(e["k"], e["l"], e["detail"]) for e in entries] == [
+                (1, 1, "construction is not weakly connected"),
+                (2, 2, "expected 2 sources, found 1"),
+            ]
+            assert all(replay_counterexample(entry) for entry in entries)
+        assert not any(replay_counterexample(entry) for entry in entries)
+
     def _census_entry_replays_only_while_planted(self, monkeypatch, name, planted, detail):
         with monkeypatch.context() as patch:
             patch.setattr(generate, name, planted)
@@ -713,7 +755,9 @@ class TestFailureDetails:
         assert verify._predators_when_k_eq_l(ClaimContext(d), 1) is None  # l = 3, k = 2
         # no digraph reaches this detail (``test_details_no_digraph_reaches``),
         # so l is set to k
-        monkeypatch.setattr(ClaimContext, "n_components", lambda self, m: len(self.sources))
+        monkeypatch.setattr(
+            ClaimContext, "n_components", lambda self, m: self.source_mask.bit_count()
+        )
         expected = "l = k but vertices 2 and 3 share 2 m-step predators"
         assert verify._predators_when_k_eq_l(ClaimContext(d), 1) == expected
 
