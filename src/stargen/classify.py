@@ -8,7 +8,7 @@ predators of which exactly one is a source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from .digraph import Digraph, _source_mask, _weak_masks, bits
@@ -50,21 +50,16 @@ class ClassificationReport:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        witnesses = {}
-        for name in ("min_outdegree_one", "weakly_connected", "s1", "s2", "s3"):
-            verdict: Verdict = getattr(self, name)
-            if verdict.witness is not None:
-                witnesses[name] = verdict.witness
+        verdicts = [(name, getattr(self, name)) for name in _CONDITIONS]
         return {
-            "min_outdegree_one": self.min_outdegree_one.holds,
-            "weakly_connected": self.weakly_connected.holds,
-            "s1": self.s1.holds,
-            "s2": self.s2.holds,
-            "s3": self.s3.holds,
+            **{name: v.holds for name, v in verdicts},
             "star_generating": self.star_generating,
-            "witnesses": witnesses,
+            "witnesses": {name: v.witness for name, v in verdicts if v.witness is not None},
         }
 
+
+# the verdict names, in report order
+_CONDITIONS = tuple(f.name for f in fields(ClassificationReport))
 
 # every verdict that holds is this one; verdicts are immutable
 _HOLDS = Verdict(True)

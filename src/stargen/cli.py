@@ -111,24 +111,34 @@ def _cmd_classify(args) -> int:
     if args.json:
         text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     else:
-        lines = []
-        for name in ("min_outdegree_one", "weakly_connected", "s1", "s2", "s3"):
-            verdict = "ok" if data[name] else f"violated {data['witnesses'][name]}"
-            lines.append(f"{name}: {verdict}")
+        lines = [
+            f"{name}: " + ("ok" if data[name] else f"violated {data['witnesses'][name]}")
+            for name in _classify._CONDITIONS
+        ]
         lines.append(f"star_generating: {'yes' if data['star_generating'] else 'no'}")
         text = "\n".join(lines) + "\n"
     _write_output(text, args.output)
     return 0
 
 
-def _render_digraphs(named: list[tuple[str, _digraph.Digraph]], fmt: str) -> str:
+def _render_digraphs(named: list[tuple[str, _digraph.Digraph]], fmt: str, labels=None) -> str:
+    """``# name`` edge lists or DOT graphs; ``labels`` maps a name to its vertex labels."""
     chunks = []
     for name, d in named:
+        vertex_labels = labels[name] if labels else None
         if fmt == "dot":
-            chunks.append(_digraph.to_dot(d, name=name.replace("-", "_")))
+            chunks.append(_digraph.to_dot(d, labels=vertex_labels, name=name))
         else:
-            chunks.append(f"# {name}\n" + _digraph.format_edge_list(d))
+            header = f"# {name}"
+            if vertex_labels:
+                header += " (" + ", ".join(f"{v}={s}" for v, s in vertex_labels.items()) + ")"
+            chunks.append(header + "\n" + _digraph.format_edge_list(d))
     return "\n".join(chunks)
+
+
+def _partition(parts) -> tuple[str, _digraph.Digraph]:
+    """The named digraph that ``enumerate`` and ``generate`` emit for a partition."""
+    return "partition_" + "_".join(map(str, parts)), _generate.star_generating_from_partition(parts)
 
 
 def _check_order(n: int) -> None:
@@ -151,10 +161,7 @@ def _cmd_enumerate(args) -> int:
         return 0
     if count > MAX_LISTED:
         raise InputError(f"order {args.n} has {count} digraphs, over {MAX_LISTED}; use --count-only")
-    named = []
-    for parts in _generate.partitions(args.n - 1):
-        name = "partition_" + "_".join(map(str, parts))
-        named.append((name, _generate.star_generating_from_partition(parts)))
+    named = [_partition(parts) for parts in _generate.partitions(args.n - 1)]
     _write_output(_render_digraphs(named, args.format), args.output)
     return 0
 
@@ -168,20 +175,17 @@ def _cmd_generate(args) -> int:
         except ValueError:
             raise InputError(f"cannot parse partition {args.partition!r}") from None
         _check_order(sum(parts) + 1)
-        d = _generate.star_generating_from_partition(parts)
-        name = "partition_" + "_".join(map(str, parts))
+        named = _partition(parts)
     else:
         k, l = args.lemma_kl
         _check_order(k + l + 1)
-        d = _generate.lemma_kl_digraph(k, l)
-        name = f"kl_{k}_{l}"
-    _write_output(_render_digraphs([(name, d)], args.format), args.output)
+        named = (f"kl_{k}_{l}", _generate.lemma_kl_digraph(k, l))
+    _write_output(_render_digraphs([named], args.format), args.output)
     return 0
 
 
 def _cmd_figures(args) -> int:
     figures = _generate.figure_digraphs()
-    labels = _generate.figure_labels()
     if args.name is not None:
         if args.name not in figures:
             raise InputError(
@@ -190,16 +194,8 @@ def _cmd_figures(args) -> int:
         selected = [args.name]
     else:
         selected = sorted(figures)
-    chunks = []
-    for name in selected:
-        if args.format == "dot":
-            chunks.append(_digraph.to_dot(figures[name], labels=labels[name], name=name))
-        else:
-            label_note = ", ".join(f"{v}={s}" for v, s in labels[name].items())
-            chunks.append(
-                f"# {name} ({label_note})\n" + _digraph.format_edge_list(figures[name])
-            )
-    _write_output("\n".join(chunks), args.output)
+    named = [(name, figures[name]) for name in selected]
+    _write_output(_render_digraphs(named, args.format, _generate.figure_labels()), args.output)
     return 0
 
 

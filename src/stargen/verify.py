@@ -50,11 +50,13 @@ from .digraph import Digraph, InputError
 
 class ClaimContext:
     """Memo for one digraph under scrutiny: its powers, competition graphs
-    and verdicts, and its sources and weak components as bitmasks only, so
-    the atoms on sources and components are popcounts, shifts and ANDs of
-    ints; the classifier reuses both masks, so D is searched once.  The
-    source set is built from its mask only for ``star_decomposition``, the
-    one public call that takes a set.
+    and verdicts.  Every context reads D's sources and weak components, so
+    it builds them with itself, as bitmasks only: ``source_mask`` (the
+    vertices of in-degree 0) and ``weak_masks`` (ordered by smallest
+    member).  The atoms on sources and components are popcounts, shifts
+    and ANDs of ints, and the classifier reuses both masks, so D is
+    searched once.  The source set is built from its mask only for
+    ``star_decomposition``, the one public call that takes a set.
     """
 
     __slots__ = (
@@ -62,8 +64,9 @@ class ClaimContext:
         "_powers",
         "_graphs",
         "_tf",
-        "_source_mask",
-        "_weak_masks",
+        "source_mask",
+        "weak_masks",
+        "weakly_connected",
         "_all_weak_sg",
         "_stars",
         "_subs",
@@ -74,8 +77,9 @@ class ClaimContext:
         self._powers = {1: d}
         self._graphs = {}
         self._tf = {}
-        self._source_mask = None
-        self._weak_masks = None
+        self.source_mask = _digraph._source_mask(d)
+        self.weak_masks = _digraph._weak_masks(d)
+        self.weakly_connected = len(self.weak_masks) == 1
         self._all_weak_sg = None
         self._stars = {}
         self._subs = None
@@ -109,24 +113,6 @@ class ClaimContext:
 
     def n_components(self, m: int) -> int:
         return len(self.graph(m)._components())
-
-    @property
-    def source_mask(self) -> int:
-        """Bitmask of the vertices of in-degree 0."""
-        if self._source_mask is None:
-            self._source_mask = _digraph._source_mask(self.d)
-        return self._source_mask
-
-    @property
-    def weak_masks(self) -> list[int]:
-        """Bitmasks of the weak components, ordered by smallest member."""
-        if self._weak_masks is None:
-            self._weak_masks = _digraph._weak_masks(self.d)
-        return self._weak_masks
-
-    @property
-    def weakly_connected(self) -> bool:
-        return len(self.weak_masks) == 1
 
     @property
     def all_weak_star_generating(self) -> bool:
@@ -911,6 +897,13 @@ def replay_counterexample(entry: dict) -> bool:
         d = _digraph.from_arc_list(entry["n"], [tuple(a) for a in entry["arcs"]])
     except (KeyError, TypeError, ValueError):
         raise InputError(f"malformed counterexample entry: {entry!r}") from None
+    # an m-dependent direction needs an int m, an m-independent one a null m;
+    # boundary entries carry an int m below the direction's minimum
+    if (m is None) != (direction.min_m is None):
+        raise InputError(
+            f"{claim.id} {direction_name!r} takes "
+            f"{'no m' if direction.min_m is None else 'an int m'}, got m={m!r}"
+        )
     if not _digraph.has_min_outdegree_one(d):
         raise InputError(
             f"vertex {d.out_rows.index(0)} has no prey; scans cover only digraphs "

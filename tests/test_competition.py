@@ -238,6 +238,12 @@ class TestGraphFormats:
         g = competition_graph(FIGS["fig2_D2"], 2)
         assert parse_graph_edge_list(format_graph_edge_list(g)) == g
 
+    def test_header_with_two_fields(self):
+        from stargen.competition import parse_graph_edge_list
+
+        with pytest.raises(InputError, match="^line 1: cannot parse '3 4'$"):
+            parse_graph_edge_list("3 4\n0 1\n")
+
     def test_no_self_edges(self):
         from stargen import InputError
 

@@ -306,6 +306,9 @@ class TestEdgeListFormat:
             parse_edge_list("3\n0 x\n")
         with pytest.raises(InputError):
             parse_edge_list("")
+        # the header holds the order alone
+        with pytest.raises(InputError, match="^line 1: cannot parse '3 4'$"):
+            parse_edge_list("3 4\n0 1\n")
 
     def test_header_over_the_order_limit(self):
         from stargen.digraph import MAX_TEXT_ORDER, parse_edge_list

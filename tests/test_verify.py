@@ -282,6 +282,23 @@ class TestReplay:
             with pytest.raises(InputError, match="malformed"):
                 replay_counterexample(entry)
 
+    def test_m_the_direction_cannot_take(self):
+        # prop_2_1 "forward" needs an int m: a null m was evaluated at m = 0;
+        # lemma_2_6 "forward" takes none: m = 3 was evaluated as if it counted
+        arcs = [[0, 0]]
+        for entry, message in (
+            (
+                {"claim": "prop_2_1", "direction": "forward", "n": 1, "arcs": arcs, "m": None},
+                "^prop_2_1 'forward' takes an int m, got m=None$",
+            ),
+            (
+                {"claim": "lemma_2_6", "direction": "forward", "n": 1, "arcs": arcs, "m": 3},
+                "^lemma_2_6 'forward' takes no m, got m=3$",
+            ),
+        ):
+            with pytest.raises(InputError, match=message):
+                replay_counterexample(entry)
+
     def test_digraph_outside_the_scanned_space(self):
         # 0 and 1 share prey 2, which has none: no scan reaches this digraph,
         # and its replay used to report a counterexample to Proposition 2.1
