@@ -25,11 +25,11 @@ from .digraph import InputError
 
 @contextlib.contextmanager
 def _writing(path: str):
-    """Turn an ``OSError`` raised while writing ``path`` into an ``InputError``."""
+    """Turn an ``OSError`` raised while writing ``path`` into an ``InputError`` naming ``path``."""
     try:
         yield
     except OSError as exc:
-        raise InputError(f"cannot write {path}: {exc}") from None
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -55,7 +55,9 @@ def _read_digraph(path: str) -> _digraph.Digraph:
         with open(path, encoding="utf-8") as handle:
             return _digraph.parse_edge_list(handle.read())
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not UTF-8 text") from None
 
 
 # Most m values one --m may list: each one is a pass over every digraph,

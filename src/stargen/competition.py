@@ -8,6 +8,8 @@ from typing import Iterable, Iterator
 from .digraph import (
     Digraph,
     InputError,
+    _check_steps,
+    _checked_rows,
     _component_masks,
     _dot,
     _format_pairs,
@@ -28,30 +30,20 @@ class Graph:
     ``InputError`` is raised unless there are n rows, each in [0, 2**n).
     Rows must also be symmetric and loop-free; that is the caller's
     contract, not checked here (``graph_from_edges`` builds checked rows).
-    The components are found on first use and kept, like ``Digraph.in_rows``.
+    The constructor also finds the components, ordered by smallest member.
     """
 
     __slots__ = ("n", "rows", "_comps")
 
     def __init__(self, n: int, rows: Iterable[int]):
-        rows = tuple(rows)
-        if len(rows) != n:
-            raise InputError(f"expected {n} rows, got {len(rows)}")
-        if rows and (min(rows) < 0 or max(rows) >> n):
-            raise InputError(f"rows must lie in [0, 2**{n}), got {min(rows)}..{max(rows)}")
         self.n = n
-        self.rows = rows
-        self._comps: tuple[frozenset[int], ...] | None = None
-
-    def _components(self) -> tuple[frozenset[int], ...]:
-        if self._comps is None:
-            self._comps = tuple(
-                frozenset(bits(c))
-                if c & (c - 1) or c >> len(_SINGLETONS)
-                else _SINGLETONS[c.bit_length() - 1]
-                for c in _component_masks(self.n, self.rows)
-            )
-        return self._comps
+        self.rows = _checked_rows(n, rows, "rows")
+        self._comps = tuple(
+            frozenset(bits(c))
+            if c & (c - 1) or c >> len(_SINGLETONS)
+            else _SINGLETONS[c.bit_length() - 1]
+            for c in _component_masks(n, self.rows)
+        )
 
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
@@ -95,8 +87,7 @@ def competition_graph(d: Digraph, m: int) -> Graph:
     two or more members is filled in as a clique, which costs work in
     proportion to those sets rather than to all pairs of vertices.
     """
-    if m < 1:
-        raise InputError(f"step count must be positive, got {m}")
+    _check_steps(m, 1)
     pred = d.in_rows if m == 1 else _row_power(d.in_rows, m)
     rows = [0] * d.n
     for clique in set(pred):
@@ -131,7 +122,7 @@ def is_triangle_free(g: Graph) -> tuple[bool, tuple[int, int, int] | None]:
 
 def components(g: Graph) -> list[frozenset[int]]:
     """Connected components, ordered by smallest member."""
-    return list(g._components())
+    return list(g._comps)
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,7 +162,7 @@ def star_decomposition(
     """
     rows = g.rows
     stars = []
-    for comp in g._components():
+    for comp in g._comps:
         size = len(comp)
         if size == 1:
             return StarDecompositionFailure(comp, "trivial")

@@ -36,39 +36,38 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _checked_rows(n: int, rows: Iterable[int], noun: str) -> tuple[int, ...]:
+    """``rows`` as a tuple; ``InputError`` unless there are n, each in [0, 2**n)."""
+    rows = tuple(rows)
+    if len(rows) != n:
+        raise InputError(f"expected {n} {noun}, got {len(rows)}")
+    if rows and (min(rows) < 0 or max(rows) >> n):
+        raise InputError(f"{noun} must lie in [0, 2**{n}), got {min(rows)}..{max(rows)}")
+    return rows
+
+
 class Digraph:
     """Immutable digraph; vertices are 0..n-1.
 
-    ``out_rows[i]`` is the bitmask of out-neighbors of i; ``InputError`` is
-    raised unless there are n rows, each in [0, 2**n).  Instances are
-    never mutated after construction, so they are safe to share across
-    threads; the in-row transpose is materialized on first use.
+    ``out_rows[i]`` is the bitmask of out-neighbors of i and ``in_rows[i]``
+    that of its in-neighbors; ``InputError`` is raised unless there are n
+    out-rows, each in [0, 2**n).  Both are built by the constructor and
+    never mutated after it, so instances are safe to share across threads.
     """
 
-    __slots__ = ("n", "out_rows", "_in_rows")
+    __slots__ = ("n", "out_rows", "in_rows")
 
     def __init__(self, n: int, out_rows: Iterable[int]):
-        rows = tuple(out_rows)
-        if len(rows) != n:
-            raise InputError(f"expected {n} out-rows, got {len(rows)}")
-        if rows and (min(rows) < 0 or max(rows) >> n):
-            raise InputError(f"out-rows must lie in [0, 2**{n}), got {min(rows)}..{max(rows)}")
         self.n = n
-        self.out_rows = rows
-        self._in_rows: tuple[int, ...] | None = None
-
-    @property
-    def in_rows(self) -> tuple[int, ...]:
-        if self._in_rows is None:
-            rows = [0] * self.n
-            for u, row in enumerate(self.out_rows):
-                bit = 1 << u
-                while row:
-                    low = row & -row
-                    rows[low.bit_length() - 1] |= bit
-                    row ^= low
-            self._in_rows = tuple(rows)
-        return self._in_rows
+        self.out_rows = _checked_rows(n, out_rows, "out-rows")
+        in_rows = [0] * n
+        for u, row in enumerate(self.out_rows):
+            bit = 1 << u
+            while row:
+                low = row & -row
+                in_rows[low.bit_length() - 1] |= bit
+                row ^= low
+        self.in_rows = tuple(in_rows)
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         """Yield every arc (u, v), in ascending order."""
@@ -163,6 +162,14 @@ def _row_power(rows, m: int) -> list[int]:
     return _power(list(rows), m, _row_product)
 
 
+def _check_steps(m, least: int) -> None:
+    """``InputError`` unless the step count m is an int (not a bool) >= least (0 or 1)."""
+    if type(m) is not int:
+        raise InputError(f"step count must be an int, got {m!r}")
+    if m < least:
+        raise InputError(f"step count must be {'positive' if least else 'nonnegative'}, got {m}")
+
+
 def compose(a: Digraph, b: Digraph) -> Digraph:
     """Relational product: arc (u, v) iff some w has (u, w) in a and (w, v) in b."""
     if a.n != b.n:
@@ -176,8 +183,7 @@ def m_step_digraph(d: Digraph, m: int) -> Digraph:
     Uses exponentiation by squaring, which stops at the first repeated
     square, so m may be arbitrarily large.
     """
-    if m < 1:
-        raise InputError(f"step count must be positive, got {m}")
+    _check_steps(m, 1)
     if m == 1:
         return d
     return Digraph(d.n, _row_power(d.out_rows, m))
@@ -190,8 +196,7 @@ def step_neighbors(d: Digraph, v: int, m: int, direction: str = "prey") -> froze
     """
     if not 0 <= v < d.n:
         raise InputError(f"vertex {v} out of range for n={d.n}")
-    if m < 0:
-        raise InputError(f"step count must be nonnegative, got {m}")
+    _check_steps(m, 0)
     if direction == "prey":
         rows = d.out_rows
     elif direction == "predator":

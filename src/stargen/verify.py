@@ -112,7 +112,7 @@ class ClaimContext:
         return tf
 
     def n_components(self, m: int) -> int:
-        return len(self.graph(m)._components())
+        return len(self.graph(m)._comps)
 
     @property
     def all_weak_star_generating(self) -> bool:
@@ -370,7 +370,7 @@ K_LE_L = Atom(_k_vs_l(operator.le), _PC.k_le_l)
 COMPS_MEET_SOURCES = Atom(
     lambda c, m: (
         None
-        if all(any(c.source_mask >> v & 1 for v in comp) for comp in c.graph(m)._components())
+        if all(any(c.source_mask >> v & 1 for v in comp) for comp in c.graph(m)._comps)
         else "some component avoids every source"
     ),
     _PC.every_cm_component_meets_sources,

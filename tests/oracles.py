@@ -46,6 +46,17 @@ def weak_components(n: int, arcs) -> list[frozenset[int]]:
     return comps
 
 
+def _step(adj, state) -> tuple[frozenset[int], ...]:
+    """Extend every frontier set in ``state`` by one arc."""
+    out = []
+    for frontier in state:
+        nxt: set[int] = set()
+        for w in frontier:
+            nxt |= adj[w]
+        out.append(frozenset(nxt))
+    return tuple(out)
+
+
 def prey_sets(n: int, arcs, m: int) -> list[frozenset[int]]:
     """N^+_m(v) for every v by stepping frontier sets one arc at a time.
 
@@ -56,20 +67,11 @@ def prey_sets(n: int, arcs, m: int) -> list[frozenset[int]]:
     if m == 0:
         return [frozenset((v,)) for v in range(n)]
 
-    def step(state):
-        out = []
-        for frontier in state:
-            nxt: set[int] = set()
-            for w in frontier:
-                nxt |= adj[w]
-            out.append(frozenset(nxt))
-        return tuple(out)
-
     state = tuple(adj[v] for v in range(n))  # N^+_1
     history = [state]
     seen = {state: 0}
     while len(history) < m:
-        state = step(state)
+        state = _step(adj, state)
         if state in seen:
             mu = seen[state]
             period = len(history) - mu
@@ -80,18 +82,38 @@ def prey_sets(n: int, arcs, m: int) -> list[frozenset[int]]:
     return list(history[m - 1])
 
 
+def prey_sets_through(n: int, arcs, m_max: int) -> list[list[frozenset[int]]]:
+    """``prey_sets(n, arcs, m)`` for m = 1..m_max, in that order, from one
+    walk of m_max - 1 steps instead of one walk per m.
+    """
+    adj = adjacency(n, arcs)
+    walk = [tuple(adj[v] for v in range(n))]  # N^+_1
+    while len(walk) < m_max:
+        walk.append(_step(adj, walk[-1]))
+    return [list(state) for state in walk]
+
+
 def predator_sets(n: int, arcs, m: int) -> list[frozenset[int]]:
     return prey_sets(n, [(v, u) for u, v in arcs], m)
 
 
-def competition_edges(n: int, arcs, m: int) -> set[frozenset[int]]:
-    """Edges of the m-step competition graph by pairwise prey intersection."""
-    prey = prey_sets(n, arcs, m)
+def _shared_prey_edges(prey: list[frozenset[int]]) -> set[frozenset[int]]:
+    """Pairs of distinct vertices whose prey sets ``prey`` intersect."""
     return {
         frozenset((u, v))
-        for u, v in combinations(range(n), 2)
+        for u, v in combinations(range(len(prey)), 2)
         if prey[u] & prey[v]
     }
+
+
+def competition_edges(n: int, arcs, m: int) -> set[frozenset[int]]:
+    """Edges of the m-step competition graph by pairwise prey intersection."""
+    return _shared_prey_edges(prey_sets(n, arcs, m))
+
+
+def competition_edges_through(n: int, arcs, m_max: int) -> list[set[frozenset[int]]]:
+    """``competition_edges(n, arcs, m)`` for m = 1..m_max, from one prey walk."""
+    return [_shared_prey_edges(prey) for prey in prey_sets_through(n, arcs, m_max)]
 
 
 def has_triangle(edges: set[frozenset[int]], n: int) -> bool:

@@ -29,11 +29,14 @@ def star_file(tmp_path):
 
 
 def _assert_one_error_line(capsys, start):
-    """The run printed one ``error:`` line beginning with ``start`` and nothing else."""
+    """The run printed one ``error:`` line beginning with ``start`` and nothing
+    else; returns that line.
+    """
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {start}")
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
+    return captured.err
 
 
 class TestCompete:
@@ -78,11 +81,21 @@ class TestCompete:
         assert run(["compete", "--input", "/nonexistent/d.txt", "--m", "1"]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    def test_input_that_is_not_utf8(self, tmp_path, capsys):
+        # used to escape as a UnicodeDecodeError traceback
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"3\n0 1\n\377\n")
+        assert run(["compete", "--input", str(path), "--m", "1"]) == 1
+        _assert_one_error_line(capsys, f"cannot read {path}: not UTF-8 text")
+
     def test_output_into_a_missing_directory(self, fig4_file, tmp_path, capsys):
-        # used to escape as a FileNotFoundError traceback from mkstemp
+        # used to escape as a FileNotFoundError traceback from mkstemp, then
+        # to name the temp file in the message
         dest = tmp_path / "missing" / "out.txt"
         assert run(["compete", "--input", fig4_file, "--m", "1", "--output", str(dest)]) == 1
-        _assert_one_error_line(capsys, f"cannot write {dest}: ")
+        err = _assert_one_error_line(capsys, f"cannot write {dest}: ")
+        assert ".stargen-" not in err
+        assert err.endswith("No such file or directory\n")
 
     def test_header_over_the_order_limit(self, tmp_path, capsys):
         # the header used to size the row list: a MemoryError traceback

@@ -50,11 +50,9 @@ class TestCompetitionGraph:
 
     def test_matches_oracle_exhaustively_n3(self):
         for d in all_digraphs(3):
-            arcs = list(d.arcs())
+            walk = oracles.competition_edges_through(3, list(d.arcs()), 8)
             for m in range(1, 9):
-                assert edge_set(competition_graph(d, m)) == oracles.competition_edges(
-                    3, arcs, m
-                )
+                assert edge_set(competition_graph(d, m)) == walk[m - 1]
 
     @given(digraphs(max_n=6), st.integers(1, 8))
     @settings(max_examples=200)
@@ -305,8 +303,9 @@ class TestCliqueFill:
             for rows in product(range(1 << n), repeat=n):
                 d = Digraph(n, rows)
                 arcs = list(d.arcs())
+                walk = oracles.competition_edges_through(n, arcs, 6)
                 for m in (1, 2, 3, 4, 5, 6, 2**60):
-                    expected = oracles.competition_edges(n, arcs, m)
+                    expected = walk[m - 1] if m <= 6 else oracles.competition_edges(n, arcs, m)
                     assert competition_graph(d, m) == graph_from_edges(
                         n, [tuple(e) for e in expected]
                     ), (d, m)
@@ -360,6 +359,15 @@ class TestGraphRows:
     def test_malformed_rows_rejected(self, n, rows):
         with pytest.raises(InputError):
             Graph(n, rows)
+
+    @pytest.mark.parametrize(
+        "n, rows, message",
+        [(2, [0], "expected 2 rows, got 1"), (2, [0b100, 0], "rows must lie in [0, 2**2), got 0..4")],
+    )
+    def test_malformed_rows_message(self, n, rows, message):
+        with pytest.raises(InputError) as info:
+            Graph(n, rows)
+        assert str(info.value) == message
 
     def test_full_rows_accepted(self):
         g = Graph(3, [0b110, 0b101, 0b011])

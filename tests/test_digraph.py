@@ -8,6 +8,7 @@ from stargen import (
     Digraph,
     InputError,
     all_digraphs,
+    competition_graph,
     compose,
     figure_digraphs,
     from_arc_list,
@@ -62,6 +63,38 @@ class TestRowValidation:
     def test_full_rows_accepted(self):
         assert Digraph(2, [0b11, 0b11]).arc_count() == 4
         assert Digraph(0, []).n == 0
+
+    def test_in_rows_are_built_with_the_digraph(self):
+        d = Digraph(3, [0b110, 0b100, 0])
+        assert d.in_rows == (0, 0b001, 0b011)
+        assert "in_rows" in Digraph.__slots__ and not hasattr(d, "__dict__")
+
+
+class TestStepCountType:
+    """A step count must be an int; a float, str or bool used to return a
+    graph or raise a ``TypeError`` from inside the squaring.
+    """
+
+    @pytest.mark.parametrize("m", [1.0, 2.5, 2.0, "2", True])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            competition_graph,
+            m_step_digraph,
+            lambda d, m: step_neighbors(d, 0, m),
+        ],
+        ids=["competition_graph", "m_step_digraph", "step_neighbors"],
+    )
+    def test_non_int_refused(self, call, m):
+        with pytest.raises(InputError) as info:
+            call(FIGS["fig4_D"], m)
+        assert str(info.value) == f"step count must be an int, got {m!r}"
+
+    def test_out_of_range_wording_kept(self):
+        with pytest.raises(InputError, match="^step count must be positive, got 0$"):
+            competition_graph(FIGS["fig4_D"], 0)
+        with pytest.raises(InputError, match="^step count must be nonnegative, got -1$"):
+            step_neighbors(FIGS["fig4_D"], 0, -1)
 
 
 class TestMinOutdegree:
@@ -151,9 +184,9 @@ class TestMStepDigraph:
     def test_matches_oracle_exhaustively_small(self):
         for n in (1, 2, 3):
             for d in all_digraphs(n):
-                arcs = list(d.arcs())
+                walk = oracles.prey_sets_through(n, list(d.arcs()), 8)
                 for m in range(1, 9):
-                    prey = oracles.prey_sets(n, arcs, m)
+                    prey = walk[m - 1]
                     dm = m_step_digraph(d, m)
                     for v in range(n):
                         assert dm.out_neighbors(v) == prey[v]
