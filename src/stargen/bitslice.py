@@ -103,6 +103,8 @@ def batches(
     one of the predator sets whose size lies in ``degrees``, and the bits
     of ``full`` are the digraphs with every in-degree in that set.
     """
+    if first < 0:  # divmod would read the digits of a negative k from the end
+        raise _digraph.InputError(f"first batch must be non-negative, got {first}")
     values = range(1, 2**n) if degrees is None else _predator_sets(n, degrees)
     base = len(values)
     t = _trailing_digits(base, n)

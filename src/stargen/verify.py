@@ -23,9 +23,9 @@ all its entries and must agree; hits and entries go straight into the
 reports.  Each atom's one-line proof gives the in-degrees of D it allows
 (``Atom.cap``).  An exhaustive scan runs each direction on
 ``bitslice.batches(n, cap)``, the digraphs with every in-degree in the
-intersection of its hypothesis atoms' sets, the census on those of
-``SG``, and the directions without a capped atom on the whole stream
-(``cap`` None); sampled scans draw from the whole space.
+intersection of its hypothesis atoms' sets, the census included, and
+the directions without a capped atom on the whole stream (``cap``
+None); sampled scans draw from the whole space.
 Either way a report counts the whole space it covers.  ``ClaimContext``
 also runs the grid and replays, and is the reference the tests check
 every plane against.
@@ -407,6 +407,13 @@ class Direction:
         caps = [a.cap for a in self.hypothesis if a.cap is not None]
         return frozenset.intersection(*caps) if caps else None
 
+    def counts(self, m: int | None) -> bool:
+        """True when a failure at m counts toward the claim, False for a boundary
+        instance, below an m-dependent direction's range; m is None for
+        m-independent checks and the grid's checks of the construction alone.
+        """
+        return m is None or self.min_m is None or m >= self.min_m
+
     # plain loops, not all(): replays call these once per flagged digraph and m
     def holds(self, c: ClaimContext, m: int) -> bool:
         """True when every hypothesis atom holds."""
@@ -428,16 +435,12 @@ class Direction:
 class Claim:
     id: str
     kind: str  # "digraph" | "grid" | "census"
-    directions: tuple[Direction, ...] = ()
+    directions: tuple[Direction, ...]
 
     @property
     def min_m(self) -> int | None:
-        """The smallest m some direction accepts; 1 for the grid, which
-        checks every m it is given; None when no check depends on m.
-        """
+        """The smallest m some direction accepts; None when no check depends on m."""
         mins = [d.min_m for d in self.directions if d.min_m is not None]
-        if self.kind == "grid":
-            mins.append(1)
         return min(mins) if mins else None
 
 
@@ -445,7 +448,7 @@ CATALOG: dict[str, Claim] = {
     c.id: c
     for c in (
         Claim("prop_2_1", "digraph", (Direction("forward", 1, (), (PREY_MONOTONE,)),)),
-        Claim("lemma_2_2", "grid"),
+        Claim("lemma_2_2", "grid", (Direction("construction", 1, (), ()),)),
         Claim("prop_2_3", "digraph", (Direction("forward", 1, (TF,), (PRED_BOUND,)),)),
         Claim("lemma_2_4", "digraph", (
             Direction(
@@ -464,7 +467,8 @@ CATALOG: dict[str, Claim] = {
         Claim("lemma_3_1", "digraph", (
             Direction("forward", None, (SG,), (NON_SOURCES_CYCLE_UNION,)),
         )),
-        Claim("thm_3_2", "census"),
+        # the census records one hit per order
+        Claim("thm_3_2", "census", (Direction("count", None, (ONE_SOURCE, SG), ()),)),
         # k stars: a star decomposition has one star per component of C^m
         Claim("prop_3_3", "digraph", (Direction("forward", 1, (SG,), (STAR_OK, K_EQ_L)),)),
         Claim("lemma_3_4", "digraph", (Direction("forward", 1, (), (SUB_MONOTONE,)),)),
@@ -524,17 +528,32 @@ class VerificationReport:
     boundary_instances: list[dict] = field(default_factory=list)
     elapsed: float = 0.0
     # direction -> m (None when m-independent) -> hypothesis hits, below the m range too
-    hits_by_direction: dict[str, dict[int | None, int]] = field(default_factory=dict)
+    hits_by_direction: dict[str, dict[int | None, int]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.hits_by_direction = {
+            d.name: dict.fromkeys((None,) if d.min_m is None else self.m_values, 0)
+            for d in CATALOG[self.claim_id].directions
+        }
 
     @property
     def verified(self) -> bool:
         return not self.counterexamples
 
-    def add_hits(self, direction: str, m: int | None, count: int, in_range: bool = True) -> None:
-        by_m = self.hits_by_direction.setdefault(direction, {})
-        by_m[m] = by_m.get(m, 0) + count
-        if in_range:
+    def add_hits(self, direction: Direction, m: int | None, count: int) -> None:
+        """Add hits of ``direction`` at m; only those in its range count in ``hypothesis_hits``."""
+        self.hits_by_direction[direction.name][None if direction.min_m is None else m] += count
+        if direction.counts(m):
             self.hypothesis_hits += count
+
+    def add_entry(self, direction: Direction, n: int, arcs, m: int | None, detail: str, **extra):
+        """File a failure of ``direction`` at m as a counterexample, or as a
+        boundary instance below its range.  ``arcs`` is ``list(d.arcs())``,
+        ascending already, or None for the census; the grid adds k and l.
+        """
+        entry = {"claim": self.claim_id, "direction": direction.name, "n": n, "arcs": arcs}
+        entry.update(m=None if direction.min_m is None else m, detail=detail, **extra)
+        (self.counterexamples if direction.counts(m) else self.boundary_instances).append(entry)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -558,19 +577,6 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _entry(
-    claim_id: str, direction: str, n: int, arcs: list | None, m: int | None, detail: str | None
-) -> dict:
-    return {
-        "claim": claim_id,
-        "direction": direction,
-        "n": n,
-        "arcs": arcs,  # list(d.arcs()), ascending already; None for the census
-        "m": m,
-        "detail": detail,
-    }
-
-
 def _entry_sort_key(entry: dict):
     return (entry["n"], entry["arcs"], entry["m"] if entry["m"] is not None else 0, entry["direction"])
 
@@ -579,22 +585,14 @@ def _entry_sort_key(entry: dict):
 
 
 def _rounds(reports, m_list) -> list[tuple[int, list[tuple]]]:
-    """[(m, [(report, direction, hits m, in range), ...]), ...] by increasing m.
-
-    An m-independent direction runs once, at m = 0, its hits recorded at m
-    None.  A failure below a direction's m range is a boundary instance, not
-    a counterexample.  Every (direction, m) starts at zero hits, in catalog order.
+    """[(m, [(report, direction), ...]), ...] by increasing m; an
+    m-independent direction runs once, at m = 0.
     """
     rounds = {}
     for rep in reports:
         for direction in CATALOG[rep.claim_id].directions:
-            if direction.min_m is None:
-                steps = [(0, None, True)]
-            else:
-                steps = [(m, m, m >= direction.min_m) for m in m_list]
-            for m, hits_m, in_range in steps:
-                rep.add_hits(direction.name, hits_m, 0)
-                rounds.setdefault(m, []).append((rep, direction, hits_m, in_range))
+            for m in (0,) if direction.min_m is None else m_list:
+                rounds.setdefault(m, []).append((rep, direction))
     return sorted(rounds.items())
 
 
@@ -612,48 +610,47 @@ def _streams(rounds) -> dict[frozenset[int] | None, list[tuple[int, list[tuple]]
     return {cap: list(by_m.items()) for cap, by_m in streams.items()}
 
 
+def _plane(p: _bitslice.PlaneContext, atoms: tuple[Atom, ...], m: int, held: int) -> int:
+    """``held`` ANDed with the planes of ``atoms`` at m, stopping once it is empty."""
+    for atom in atoms:
+        if not held:
+            break
+        held &= atom.plane(p, m)
+    return held
+
+
 def _check_batch(p: _bitslice.PlaneContext, rounds) -> None:
     """Evaluate every direction of the rounds on a batch of digraphs at once.
 
-    Hits are popcounts of hypothesis planes, added to the reports.  The
+    Hits are popcounts of hypothesis planes, filed in the reports.  The
     batch learns the rounds' m values first, so the subdigraph check sweeps
     them at once, and each round's planes are released after it.  A digraph
-    whose hypothesis holds but conclusion fails is flagged at that (m,
-    step); after the rounds each flagged digraph is replayed once, on one
-    ``ClaimContext`` that writes the details of all its entries, which must
+    whose hypothesis holds but conclusion fails is flagged at that m and
+    step; after the rounds each flagged digraph is replayed once, on one
+    ``ClaimContext`` that writes and files all its entries, which must
     agree and share one arcs list, and is dropped before the next.
     """
-    flagged = {}  # batch bit -> its (m, step) failures, in round order
+    flagged = {}  # batch bit -> its (m, report, direction) failures, in round order
     p.m_values = tuple(m for m, _ in rounds)
     for m, steps in rounds:
-        for rep, direction, hits_m, in_range in steps:
-            held = p.full
-            for atom in direction.hypothesis:
-                if not held:
-                    break
-                held &= atom.plane(p, m)
-            rep.add_hits(direction.name, hits_m, held.bit_count(), in_range)
-            ok = held
-            for atom in direction.conclusion:
-                if not ok:
-                    break
-                ok &= atom.plane(p, m)
-            step = (m, rep, direction, hits_m, in_range)
-            for b in _digraph.bits(held & ~ok):
-                flagged.setdefault(b, []).append(step)
+        for rep, direction in steps:
+            held = _plane(p, direction.hypothesis, m, p.full)
+            rep.add_hits(direction, m, held.bit_count())
+            failure = (m, rep, direction)
+            for b in _digraph.bits(held & ~_plane(p, direction.conclusion, m, held)):
+                flagged.setdefault(b, []).append(failure)
         p.release(m)
     for b, failures in flagged.items():
         ctx = ClaimContext(p.digraph(b))
         arcs = list(ctx.d.arcs())
-        for m, rep, direction, hits_m, in_range in failures:
+        for m, rep, direction in failures:
             detail = direction.failure(ctx, m) if direction.holds(ctx, m) else None
             if detail is None:
                 raise RuntimeError(
                     f"{rep.claim_id} {direction.name} at m={m}: "
                     f"bit planes flag {ctx.d!r}, ClaimContext does not"
                 )
-            entries = rep.counterexamples if in_range else rep.boundary_instances
-            entries.append(_entry(rep.claim_id, direction.name, p.n, arcs, hits_m, detail))
+            rep.add_entry(direction, p.n, arcs, m, detail)
 
 
 def _sampled_batches(n_max: int, seed: int | None, count: int):
@@ -692,19 +689,18 @@ def _grid_problems(d: Digraph, k: int, l: int, m_list) -> list[tuple[int | None,
 
 
 def _verify_grid(m_list, n_max: int, report: VerificationReport) -> None:
+    (direction,) = CATALOG[report.claim_id].directions
     for k in range(1, n_max + 1):
         for l in range(1, n_max + 1):
             d = _generate.lemma_kl_digraph(k, l)
             report.digraphs_examined += 1
             for m in m_list:
-                report.add_hits("construction", m, 1)
+                report.add_hits(direction, m, 1)
             for m, detail in _grid_problems(d, k, l, m_list):
-                entry = _entry("lemma_2_2", "construction", d.n, list(d.arcs()), m, detail)
-                entry.update({"k": k, "l": l})
-                report.counterexamples.append(entry)
+                report.add_entry(direction, d.n, list(d.arcs()), m, detail, k=k, l=l)
 
 
-# Largest census order a replay rescans: on SG's capped stream order 5 takes
+# Largest census order a replay rescans: on the census's capped stream order 5 takes
 # about 0.02 s and order 6 about 0.4 s.
 CENSUS_REPLAY_ORDER = 6
 
@@ -713,20 +709,20 @@ def _census_check(n: int) -> tuple[bool, str | None]:
     """Count isomorphism classes of single-source star-generating digraphs
     of order n by brute force and compare against the enumerator.
 
-    The brute force runs on bit planes of the capped stream of SG's
-    in-degrees.  Each digraph they flag is read back from its batch's arc
-    planes and must pass the checks of ``ONE_SOURCE`` and ``SG``.  Only the first
-    digraph of each class is canonicalized: all its relabelings go into
-    ``seen``, and their minimum, its ``canonical_form``, into ``found``.
+    The brute force flags the hypothesis of the ``thm_3_2`` direction on
+    bit planes of its capped stream.  Each flagged digraph is read back from
+    its batch's arc planes and must pass the hypothesis's checks.  Only the
+    first digraph of each class is canonicalized: all its relabelings go
+    into ``seen``, and their minimum, its ``canonical_form``, into ``found``.
     """
+    (direction,) = CATALOG["thm_3_2"].directions
     expected = _generate._partition_count(n - 1)
     found = set()
     seen = set()
-    for p in _bitslice.batches(n, SG.cap):
-        for b in _digraph.bits(p.one_source() & p.star_generating()):
+    for p in _bitslice.batches(n, direction.cap):
+        for b in _digraph.bits(_plane(p, direction.hypothesis, 0, p.full)):
             d = p.digraph(b)
-            ctx = ClaimContext(d)
-            if ONE_SOURCE.check(ctx, 0) is not None or SG.check(ctx, 0) is not None:
+            if not direction.holds(ClaimContext(d), 0):
                 raise RuntimeError(
                     f"thm_3_2 order {n}: bit planes flag {d!r}, the scalar checks do not"
                 )
@@ -746,12 +742,13 @@ def _census_check(n: int) -> tuple[bool, str | None]:
 
 
 def _verify_census(n_max: int, report: VerificationReport) -> None:
+    (direction,) = CATALOG[report.claim_id].directions
     for n in range(2, n_max + 1):
-        report.add_hits("count", None, 1)
+        report.add_hits(direction, None, 1)
         ok, detail = _census_check(n)
         report.digraphs_examined += _generate.digraph_space_size(n)
         if not ok:
-            report.counterexamples.append(_entry("thm_3_2", "count", n, None, None, detail))
+            report.add_entry(direction, n, None, None, detail)
 
 
 def verify_claims(
@@ -769,14 +766,15 @@ def verify_claims(
     uniformly from 2..n_max (1 when n_max is 1), not in proportion to the
     size of each order's space, then an index uniformly within that order.
     """
+    if isinstance(claim_ids, str):
+        raise InputError(f"claim ids must be a list, got {claim_ids!r}; verify_claim runs one")
     claim_ids = list(dict.fromkeys(claim_ids))
     claims = [_lookup(cid) for cid in claim_ids]
     if mode not in ("exhaustive", "sampled"):
         raise InputError(f"unknown mode {mode!r}")
     m_values = list(m_set)
     counts = [("n_max", n_max)] + [("m", m) for m in m_values]
-    if sample_count is not None:
-        counts.append(("sample count", sample_count))
+    counts += [(k, v) for k, v in (("sample count", sample_count), ("seed", seed)) if v is not None]
     for name, value in counts:
         if type(value) is not int:  # a bool is an int, but not a count
             raise InputError(f"{name} must be an int, got {value!r}")
@@ -784,13 +782,9 @@ def verify_claims(
     if any(m < 1 for m in m_list):
         raise InputError("m values must be positive")
     for claim in claims:
-        if claim.kind != "digraph" or claim.min_m is None:
-            continue
-        below = [m for m in m_list if m < claim.min_m]
+        below = [m for m in m_list if claim.min_m is not None and m < claim.min_m]
         if below:
-            raise InputError(
-                f"claim {claim.id} requires m >= {claim.min_m}; got {below}"
-            )
+            raise InputError(f"claim {claim.id} requires m >= {claim.min_m}; got {below}")
     special = [c for c in claims if c.kind != "digraph"]
     scan_ids = [c.id for c in claims if c.kind == "digraph"]
     if n_max < 1:
@@ -861,7 +855,7 @@ def replay_counterexample(entry: dict) -> bool:
     """
     try:
         claim = _lookup(entry["claim"])
-        direction_name = entry["direction"]
+        direction = {dd.name: dd for dd in claim.directions}[entry["direction"]]
         m = entry["m"]
         # the grid reads k and l, the others n; each must be an int (not a bool)
         ints = [entry[key] for key in (("k", "l") if claim.kind == "grid" else ("n",))]
@@ -874,6 +868,13 @@ def replay_counterexample(entry: dict) -> bool:
     if order > _digraph.MAX_TEXT_ORDER:
         raise InputError(
             f"counterexample order {order} exceeds the limit of {_digraph.MAX_TEXT_ORDER}"
+        )
+    # an m-dependent direction needs an int m (below its minimum in a boundary
+    # entry), an m-independent one a null m; the grid takes either
+    if claim.kind != "grid" and (m is None) != (direction.min_m is None):
+        raise InputError(
+            f"{claim.id} {direction.name!r} takes "
+            f"{'no m' if direction.min_m is None else 'an int m'}, got m={m!r}"
         )
 
     if claim.kind == "census":
@@ -891,19 +892,10 @@ def replay_counterexample(entry: dict) -> bool:
         problems = _grid_problems(_generate.lemma_kl_digraph(k, l), k, l, [] if m is None else [m])
         return any(at == m for at, _ in problems)
 
-    directions = {dd.name: dd for dd in claim.directions}
     try:
-        direction = directions[direction_name]
         d = _digraph.from_arc_list(entry["n"], [tuple(a) for a in entry["arcs"]])
     except (KeyError, TypeError, ValueError):
         raise InputError(f"malformed counterexample entry: {entry!r}") from None
-    # an m-dependent direction needs an int m, an m-independent one a null m;
-    # boundary entries carry an int m below the direction's minimum
-    if (m is None) != (direction.min_m is None):
-        raise InputError(
-            f"{claim.id} {direction_name!r} takes "
-            f"{'no m' if direction.min_m is None else 'an int m'}, got m={m!r}"
-        )
     if not _digraph.has_min_outdegree_one(d):
         raise InputError(
             f"vertex {d.out_rows.index(0)} has no prey; scans cover only digraphs "

@@ -13,7 +13,9 @@ from stargen.digraph import Digraph, InputError, bits
 from stargen.generate import digraph_at, digraph_space_size
 from stargen.verify import (
     CONNECTED,
+    ONE_SOURCE,
     PRED_BOUND,
+    SG,
     SUB_MONOTONE,
     TF,
     Atom,
@@ -33,18 +35,17 @@ LOW_M_CLAIMS = [cid for cid in PLANED_CLAIMS if (CATALOG[cid].min_m or 1) <= 1]
 def _check_digraph(d, rounds, hits):
     """The scalar reference: every direction of the rounds on one ClaimContext.
 
-    Hits go to the ``hits`` counter, entries straight into the reports.
+    Hits go to the ``hits`` counter, keyed by claim id and direction name,
+    entries straight into the reports.
     """
     ctx = ClaimContext(d)
     for m, steps in rounds:
-        for rep, direction, hits_m, in_range in steps:
+        for rep, direction in steps:
             if direction.holds(ctx, m):
-                hits[rep.claim_id, direction.name, hits_m, in_range] += 1
+                hits[rep.claim_id, direction.name, m] += 1
                 detail = direction.failure(ctx, m)
                 if detail is not None:
-                    arcs = list(d.arcs())
-                    entry = verify._entry(rep.claim_id, direction.name, d.n, arcs, hits_m, detail)
-                    (rep.counterexamples if in_range else rep.boundary_instances).append(entry)
+                    rep.add_entry(direction, d.n, list(d.arcs()), m, detail)
 
 
 def _dicts(reports, examined):
@@ -70,9 +71,10 @@ def _scalar_reports(claim_ids, m_list, draws, mode="exhaustive", n_max=0):
     hits = Counter()
     for n, i in draws:
         _check_digraph(digraph_at(n, i), rounds, hits)
-    by_id = {rep.claim_id: rep for rep in reports}
-    for (cid, name, m, in_range), count in hits.items():
-        by_id[cid].add_hits(name, m, count, in_range)
+    steps = {(rep.claim_id, d.name): (rep, d) for _, in_round in rounds for rep, d in in_round}
+    for (cid, name, m), count in hits.items():
+        rep, direction = steps[cid, name]
+        rep.add_hits(direction, m, count)
     return _dicts(reports, len(draws))
 
 
@@ -276,6 +278,15 @@ class TestCappedStream:
                 count += 1
             assert list(bitslice.batches(n, degrees, first=count, stop=count + 5)) == []
 
+    def test_negative_first_batch_refused(self):
+        # order 3 has one batch, but first=-2 used to yield three, and at
+        # order 5 first=-1 a copy of the last batch: divmod of a negative k
+        # read the digits from the end
+        for n, first, stop in [(3, -2, 1), (5, -1, 0)]:
+            for degrees in [None, *CAPPED_COUNTS]:
+                with pytest.raises(InputError, match=f"non-negative, got {first}$"):
+                    list(bitslice.batches(n, degrees, first=first, stop=stop))
+
     def test_counts_by_inclusion_exclusion(self):
         # tuples of predator sets with sizes in the set, signed over the k
         # vertices that some of them leave without prey
@@ -313,12 +324,15 @@ class TestCappedStream:
         assert all(type(cap) is frozenset for cap in caps.values())
         by_cap = {}
         for cid, claim in CATALOG.items():
+            if claim.kind == "grid":  # it scans no stream; the census scans its direction's
+                continue
             for d in claim.directions:
                 by_cap.setdefault(d.cap, []).append((cid, d.name))
         assert by_cap[None] == [("prop_2_1", "forward"), ("lemma_3_4", "forward")]
         assert by_cap[UP_TO_1] == [("lemma_2_6", "forward")]
         assert by_cap[SG_DEGREES] == [
             ("lemma_3_1", "forward"),
+            ("thm_3_2", "count"),
             ("prop_3_3", "forward"),
             ("lemma_3_6", "only_if"),
             ("thm_1_2", "only_if"),
@@ -638,7 +652,9 @@ class TestFalseClaim:
             verify_claim("bogus_lying", 2, [1])
 
     def test_census_plane_the_scalar_checks_contradict_raises(self, monkeypatch):
-        monkeypatch.setattr(bitslice.PlaneContext, "star_generating", lambda p, m=0: p.full)
+        lying = Atom(SG.check, lambda p, m: p.full, SG.cap)
+        census = Claim("thm_3_2", "census", (Direction("count", None, (ONE_SOURCE, lying), ()),))
+        monkeypatch.setitem(CATALOG, "thm_3_2", census)
         with pytest.raises(RuntimeError, match="bit planes flag"):
             verify_claim("thm_3_2", 3, [])
 

@@ -78,6 +78,15 @@ class TestVerifyClaims:
         assert report.digraphs_examined == 1 + 9 + 343
         assert report.hypothesis_hits > 0
 
+    def test_every_claim_is_its_directions(self):
+        # the grid and the census included: each claim's min m is its
+        # directions' least, None when none depends on m
+        for claim in CATALOG.values():
+            assert claim.directions, claim.id
+            mins = [d.min_m for d in claim.directions if d.min_m is not None]
+            assert claim.min_m == (min(mins) if mins else None), claim.id
+        assert CATALOG["lemma_2_2"].min_m == 1 and CATALOG["thm_3_2"].min_m is None
+
     def test_biconditionals_have_two_directions(self):
         for cid in ("lemma_3_6", "prop_3_7", "thm_1_2", "thm_1_3"):
             assert len(CATALOG[cid].directions) == 2
@@ -180,6 +189,15 @@ class TestErrors:
             (["lemma_2_2", "prop_2_1"], 3, [True], {}, "m must be an int, got True"),
             (["lemma_2_2", "prop_2_1"], 3, [1.0], {}, "m must be an int, got 1.0"),
             (["lemma_2_2", "prop_2_1"], True, [1], {}, "n_max must be an int, got True"),
+            # a list seed used to escape as a TypeError from random.Random, a
+            # bool, float or str seed to run silently, in either mode
+            (["prop_2_1"], 3, [1], {"seed": [1]}, r"seed must be an int, got \[1\]"),
+            (["prop_2_1"], 3, [1], {"seed": True}, "seed must be an int, got True"),
+            (["prop_2_1"], 3, [1], {"seed": 1.5}, "seed must be an int, got 1.5"),
+            (["thm_3_2"], 3, [1], {"seed": "abc"}, "seed must be an int, got 'abc'"),
+            (["lemma_2_2"], 3, [1], {"mode": "exhaustive", "seed": True}, "seed must be an int"),
+            # a string used to be iterated, as the unknown claim id 't'
+            ("thm_1_3", 3, [1], {}, "^claim ids must be a list, got 'thm_1_3'; verify_claim runs"),
         ],
     )
     def test_inputs_checked_before_any_claim_runs(
@@ -191,9 +209,9 @@ class TestErrors:
 
         monkeypatch.setattr(verify, "_census_check", fail)
         monkeypatch.setattr(verify, "_verify_grid", fail)
-        mode = "sampled" if kwargs else "exhaustive"
+        kwargs = {"mode": "sampled" if kwargs else "exhaustive", **kwargs}
         with pytest.raises(InputError, match=message):
-            verify_claims(claim_ids, n_max, m_set, mode, **kwargs)
+            verify_claims(claim_ids, n_max, m_set, **kwargs)
 
 
 class TestSampledMode:
@@ -278,6 +296,9 @@ class TestReplay:
             {"claim": "prop_2_1", "direction": "forward", "n": 1, "arcs": arcs, "m": "2"},
             {"claim": "prop_2_1", "direction": "backward", "n": 1, "arcs": arcs, "m": 1},
             {"claim": "prop_2_1", "direction": "forward", "n": 1, "arcs": [[0, 0, 0]], "m": 1},
+            # an unknown direction of the census or the grid used to replay as False
+            {"claim": "thm_3_2", "direction": "bogus", "n": 4, "arcs": None, "m": None},
+            {"claim": "lemma_2_2", "direction": "bogus", "k": 1, "l": 1, "m": 1},
         ):
             with pytest.raises(InputError, match="malformed"):
                 replay_counterexample(entry)
@@ -294,6 +315,11 @@ class TestReplay:
             (
                 {"claim": "lemma_2_6", "direction": "forward", "n": 1, "arcs": arcs, "m": 3},
                 "^lemma_2_6 'forward' takes no m, got m=3$",
+            ),
+            # the census counts once per order, whatever the m
+            (
+                {"claim": "thm_3_2", "direction": "count", "n": 4, "m": 7},
+                "^thm_3_2 'count' takes no m, got m=7$",
             ),
         ):
             with pytest.raises(InputError, match=message):
