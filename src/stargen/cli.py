@@ -205,15 +205,15 @@ def _cmd_verify(args) -> int:
     claim_ids = args.claim
     if args.n_max >= 5 and not args.large:
         kinds = {cid: _verify._lookup(cid).kind for cid in claim_ids}
-        # a grid claim is built in either mode
+        # a grid claim is built whole, sampled or not
         grid = [cid for cid, kind in kinds.items() if kind == "grid"]
         if grid:
             raise InputError(
                 f"n_max={args.n_max} builds the {args.n_max} x {args.n_max} grid of "
                 f"(k, l) constructions for {grid[0]}; pass --large to confirm"
             )
-        # exhaustive scans, and a census in either mode, scan whole orders
-        if args.mode == "exhaustive" or "census" in kinds.values():
+        # a scan without a count, and a census with or without one, scan whole orders
+        if args.count is None or "census" in kinds.values():
             raise InputError(
                 f"n_max={args.n_max} scans (2**{args.n_max} - 1)**{args.n_max} "
                 f"digraphs per order; pass --large to confirm"
@@ -230,7 +230,6 @@ def _cmd_verify(args) -> int:
             claim_ids,
             args.n_max,
             m_values,
-            mode=args.mode,
             seed=args.seed,
             sample_count=args.count,
         )
@@ -304,13 +303,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", action="append", required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--m", help="m values, e.g. '1..6' or '2,3,5'")
-    p.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
     p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int, help="sample size for sampled mode")
+    p.add_argument("--count", type=int, help="sample this many digraphs instead of scanning all")
     p.add_argument(
         "--large",
         action="store_true",
-        help="allow n_max >= 5 for exhaustive scans, thm_3_2 and the lemma_2_2 grid",
+        help="allow n_max >= 5 for scans without --count, thm_3_2 and the lemma_2_2 grid",
     )
     p.add_argument("--report", help="append JSON-lines reports to this file")
     p.set_defaults(func=_cmd_verify)

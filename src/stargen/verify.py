@@ -584,30 +584,24 @@ def _entry_sort_key(entry: dict):
 # --- scanning -------------------------------------------------------------
 
 
-def _rounds(reports, m_list) -> list[tuple[int, list[tuple]]]:
-    """[(m, [(report, direction), ...]), ...] by increasing m; an
+def _plan(reports, m_list, capped: bool) -> dict[frozenset[int] | None, list[tuple]]:
+    """The rounds each stream runs: {key: [(m, [(report, direction), ...]), ...]}
+    by increasing m, keys in the order the rounds first need them; an
     m-independent direction runs once, at m = 0.
+
+    A direction has no hit with an in-degree outside its ``cap``, so an
+    exhaustive (``capped``) scan runs it on ``bitslice.batches(n, cap)``,
+    the whole stream where ``cap`` is None, and leaves out a stream no
+    direction needs.  A sample runs every direction on its draws, under None.
     """
-    rounds = {}
-    for rep in reports:
-        for direction in CATALOG[rep.claim_id].directions:
-            for m in (0,) if direction.min_m is None else m_list:
-                rounds.setdefault(m, []).append((rep, direction))
-    return sorted(rounds.items())
-
-
-def _streams(rounds) -> dict[frozenset[int] | None, list[tuple[int, list[tuple]]]]:
-    """The rounds each exhaustive stream runs, keyed by its in-degree set.
-
-    A direction has no hit with an in-degree outside its ``cap``, so it
-    runs on ``bitslice.batches(n, cap)``, the whole stream where ``cap``
-    is None.  A stream no direction needs is left out.
-    """
-    streams = {}
-    for m, steps in rounds:
-        for step in steps:
-            streams.setdefault(step[1].cap, {}).setdefault(m, []).append(step)
-    return {cap: list(by_m.items()) for cap, by_m in streams.items()}
+    plan = {}
+    for m in [0, *m_list]:
+        for rep in reports:
+            for direction in CATALOG[rep.claim_id].directions:
+                if (direction.min_m is None) == (m == 0):
+                    key = direction.cap if capped else None
+                    plan.setdefault(key, {}).setdefault(m, []).append((rep, direction))
+    return {key: list(by_m.items()) for key, by_m in plan.items()}
 
 
 def _plane(p: _bitslice.PlaneContext, atoms: tuple[Atom, ...], m: int, held: int) -> int:
@@ -755,23 +749,22 @@ def verify_claims(
     claim_ids: Iterable[str],
     n_max: int,
     m_set: Iterable[int],
-    mode: str = "exhaustive",
+    *,
     seed: int | None = None,
     sample_count: int | None = None,
 ) -> list[VerificationReport]:
     """Run several claims in one pass over the digraph space.
 
     Returns one report per claim, in the order given; every input is
-    checked before any claim runs.  Sampled mode draws each digraph's order
-    uniformly from 2..n_max (1 when n_max is 1), not in proportion to the
-    size of each order's space, then an index uniformly within that order.
+    checked before any claim runs.  A ``sample_count`` selects sampling,
+    seeded by ``seed``: each draw's order is uniform in 2..n_max (1 when
+    n_max is 1), not in proportion to the size of each order's space, then
+    its index uniform within that order; the grid and census run whole.
     """
     if isinstance(claim_ids, str):
         raise InputError(f"claim ids must be a list, got {claim_ids!r}; verify_claim runs one")
     claim_ids = list(dict.fromkeys(claim_ids))
     claims = [_lookup(cid) for cid in claim_ids]
-    if mode not in ("exhaustive", "sampled"):
-        raise InputError(f"unknown mode {mode!r}")
     m_values = list(m_set)
     counts = [("n_max", n_max)] + [("m", m) for m in m_values]
     counts += [(k, v) for k, v in (("sample count", sample_count), ("seed", seed)) if v is not None]
@@ -793,17 +786,19 @@ def verify_claims(
         raise InputError("thm_3_2 needs n_max >= 2")
     if not m_list and any(c.min_m is not None for c in claims):
         raise InputError("m_set is empty but some requested claim depends on m")
-    if scan_ids:
-        if mode == "sampled":
-            if sample_count is None or sample_count < 1:
-                raise InputError(f"sample count must be at least 1, got {sample_count}")
-            if n_max > _digraph.MAX_TEXT_ORDER:  # a draw builds (2**n - 1)**n
-                raise InputError(f"sampled n_max {n_max} exceeds {_digraph.MAX_TEXT_ORDER}")
+    if seed is not None and sample_count is None:
+        raise InputError(f"seed {seed} needs a sample count: only a sample is drawn")
+    if sample_count is not None:
+        if not scan_ids:
+            raise InputError(f"sample count {sample_count}: no requested claim samples")
+        if sample_count < 1:
+            raise InputError(f"sample count must be at least 1, got {sample_count}")
+        if n_max > _digraph.MAX_TEXT_ORDER:  # a draw builds (2**n - 1)**n
+            raise InputError(f"sampled n_max {n_max} exceeds {_digraph.MAX_TEXT_ORDER}")
 
     started = time.perf_counter()
-    reports = {
-        cid: VerificationReport(cid, mode, n_max, tuple(m_list)) for cid in claim_ids
-    }
+    mode = "exhaustive" if sample_count is None else "sampled"
+    reports = {cid: VerificationReport(cid, mode, n_max, tuple(m_list)) for cid in claim_ids}
     for claim in special:
         if claim.kind == "grid":
             _verify_grid(m_list, n_max, reports[claim.id])
@@ -812,19 +807,18 @@ def verify_claims(
 
     if scan_ids:
         scanned = [reports[cid] for cid in scan_ids]
-        rounds = _rounds(scanned, m_list)
-        if mode == "exhaustive":
+        plan = _plan(scanned, m_list, capped=sample_count is None)
+        if sample_count is None:
             # a verdict covers the whole space, whichever stream ran
             examined = sum(_generate.digraph_space_size(n) for n in range(1, n_max + 1))
-            streams = _streams(rounds)
             for n in range(1, n_max + 1):
-                for cap, stream_rounds in streams.items():
+                for cap, rounds in plan.items():
                     for p in _bitslice.batches(n, cap):
-                        _check_batch(p, stream_rounds)
+                        _check_batch(p, rounds)
         else:
             examined = sample_count
             for p in _sampled_batches(n_max, seed, sample_count):
-                _check_batch(p, rounds)
+                _check_batch(p, plan[None])
         for rep in scanned:
             rep.digraphs_examined = examined
             rep.counterexamples.sort(key=_entry_sort_key)
@@ -840,12 +834,12 @@ def verify_claim(
     claim_id: str,
     n_max: int,
     m_set: Iterable[int],
-    mode: str = "exhaustive",
+    *,
     seed: int | None = None,
     sample_count: int | None = None,
 ) -> VerificationReport:
     """Run one claim over the bounded digraph space; see ``verify_claims``."""
-    return verify_claims([claim_id], n_max, m_set, mode, seed, sample_count)[0]
+    return verify_claims([claim_id], n_max, m_set, seed=seed, sample_count=sample_count)[0]
 
 
 def replay_counterexample(entry: dict) -> bool:
@@ -857,8 +851,10 @@ def replay_counterexample(entry: dict) -> bool:
         claim = _lookup(entry["claim"])
         direction = {dd.name: dd for dd in claim.directions}[entry["direction"]]
         m = entry["m"]
-        # the grid reads k and l, the others n; each must be an int (not a bool)
+        # the grid reads k and l, the others n and a scan its arcs: ints, not bools
         ints = [entry[key] for key in (("k", "l") if claim.kind == "grid" else ("n",))]
+        if claim.kind == "digraph":
+            ints += [v for arc in entry["arcs"] for v in arc]
     except (KeyError, TypeError):
         raise InputError(f"malformed counterexample entry: {entry!r}") from None
     if any(type(v) is not int for v in ints) or not (m is None or type(m) is int):
@@ -876,6 +872,8 @@ def replay_counterexample(entry: dict) -> bool:
             f"{claim.id} {direction.name!r} takes "
             f"{'no m' if direction.min_m is None else 'an int m'}, got m={m!r}"
         )
+    if m is not None and m < 1:
+        raise InputError(f"{claim.id} {direction.name!r} takes m >= 1, got m={m}")
 
     if claim.kind == "census":
         if order < 2:
@@ -894,7 +892,7 @@ def replay_counterexample(entry: dict) -> bool:
 
     try:
         d = _digraph.from_arc_list(entry["n"], [tuple(a) for a in entry["arcs"]])
-    except (KeyError, TypeError, ValueError):
+    except ValueError:  # an arc that is not a pair, or out of range
         raise InputError(f"malformed counterexample entry: {entry!r}") from None
     if not _digraph.has_min_outdegree_one(d):
         raise InputError(

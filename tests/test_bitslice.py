@@ -60,9 +60,9 @@ def _dicts(reports, examined):
 
 
 def _start(claim_ids, m_list, mode="exhaustive", n_max=0):
-    """Empty reports of the claims and their ``verify._rounds``."""
+    """Empty reports of the claims and the rounds of their sampled ``verify._plan``."""
     reports = [verify.VerificationReport(cid, mode, n_max, tuple(m_list)) for cid in claim_ids]
-    return reports, verify._rounds(reports, m_list)
+    return reports, verify._plan(reports, m_list, capped=False)[None]
 
 
 def _scalar_reports(claim_ids, m_list, draws, mode="exhaustive", n_max=0):
@@ -538,7 +538,7 @@ class TestSampledScans:
     """Sampled reports against the same seeded draws on the scalar reference."""
 
     def _assert_scalar_reports(self, claim_ids, m_list, n_max, seed, count):
-        kwargs = dict(mode="sampled", seed=seed, sample_count=count)
+        kwargs = dict(seed=seed, sample_count=count)
         reports = verify_claims(claim_ids, n_max, m_list, **kwargs)
         draws = _sampled_draws(n_max, seed, count)
         scalar = _scalar_reports(claim_ids, m_list, draws, "sampled", n_max)

@@ -293,7 +293,7 @@ class TestVerify:
     def test_sample_count_below_one(self, count, capsys):
         # a sampled scan of nothing used to print "verified (0 digraphs, ...)"
         argv = ["verify", "--claim", "prop_2_1", "--n-max", "3", "--m", "1"]
-        argv += ["--mode", "sampled", "--count", count, "--seed", "1"]
+        argv += ["--count", count, "--seed", "1"]
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == f"error: sample count must be at least 1, got {count}\n"
@@ -317,23 +317,23 @@ class TestVerify:
 
     def test_large_guards_only_whole_order_scans(self, capsys):
         argv = ["verify", "--claim", "thm_1_3", "--n-max", "8", "--m", "2"]
-        assert run(argv + ["--mode", "sampled", "--count", "100", "--seed", "1"]) == 0
+        assert run(argv + ["--count", "100", "--seed", "1"]) == 0
         assert "thm_1_3: verified (100 digraphs" in capsys.readouterr().out
-        # the census scans every order in either mode
-        argv = ["verify", "--claim", "thm_3_2", "--n-max", "5", "--mode", "sampled", "--count", "1"]
+        # the census scans every order, with or without a count
+        argv = ["verify", "--claim", "thm_3_2", "--n-max", "5", "--count", "1"]
         assert run(argv) == 1
         assert "--large" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-    def test_large_guards_the_grid(self, mode, monkeypatch, capsys):
-        # the lemma_2_2 grid builds n_max**2 constructions in either mode;
-        # at n_max 300 it used to run for minutes
+    @pytest.mark.parametrize("count", [[], ["--count", "1"]], ids=["exhaustive", "sampled"])
+    def test_large_guards_the_grid(self, count, monkeypatch, capsys):
+        # the lemma_2_2 grid builds n_max**2 constructions, with or without a
+        # count; at n_max 300 it used to run for minutes
         def unreachable(*args):
             raise AssertionError("the grid was built")
 
         monkeypatch.setattr(verify, "_verify_grid", unreachable)
         argv = ["verify", "--claim", "lemma_2_2", "--n-max", "300", "--m", "1"]
-        assert run(argv + ["--mode", mode, "--count", "1"]) == 1
+        assert run(argv + count) == 1
         err = capsys.readouterr().err
         assert "300 x 300 grid of (k, l) constructions" in err and "--large" in err
         assert "digraphs per order" not in err
@@ -422,8 +422,6 @@ class TestVerify:
                 "4",
                 "--m",
                 "2",
-                "--mode",
-                "sampled",
                 "--seed",
                 "5",
                 "--count",
@@ -460,6 +458,17 @@ class TestUsageErrors:
             (["verify", "--claim", "thm_1_3", "--m", "2"], "the following arguments are required"),
             (["bogus"], "argument command: invalid choice: 'bogus'"),
             (["compete", "--m", "y"], "argument --m: invalid int value: 'y'"),
+            # a seed without a count used to be dropped, and all 353 digraphs scanned
+            (
+                ["verify", "--claim", "prop_2_1", "--n-max", "3", "--m", "1", "--seed", "1"],
+                "seed 1 needs a sample count: only a sample is drawn",
+            ),
+            # a count alone selects sampling; --mode is no option
+            (
+                ["verify", "--claim", "prop_2_1", "--n-max", "3", "--m", "1"]
+                + ["--mode", "sampled", "--count", "5"],
+                "unrecognized arguments: --mode sampled",
+            ),
         ],
     )
     def test_exit_one_with_one_line(self, argv, message, capsys):

@@ -16,7 +16,7 @@ from stargen import CATALOG, verify_claims
 
 
 def _calls():
-    """{name: (claim ids, n_max, m set, mode, seed, sample count)}"""
+    """{name: (claim ids, n_max, m set, {"seed": ..., "sample_count": ...})}"""
     groups = {}
     for cid, claim in CATALOG.items():
         if cid == "lemma_2_2":
@@ -27,13 +27,13 @@ def _calls():
             key = tuple(range(claim.min_m, 7))
         groups.setdefault(key, []).append(cid)
     calls = {
-        f"exhaustive n_max 4 m {list(m_set)}": (ids, 4, m_set, "exhaustive", None, None)
+        f"exhaustive n_max 4 m {list(m_set)}": (ids, 4, m_set, {})
         for m_set, ids in sorted(groups.items())
     }
     digraph = [cid for cid, claim in CATALOG.items() if claim.kind == "digraph"]
     for n_max, seed, count in [(4, 11, 5000), (5, 3, 20000), (7, 5, 3000)]:
         calls[f"sampled n_max {n_max} seed {seed} draws {count}"] = (
-            digraph, n_max, (2, 3), "sampled", seed, count
+            digraph, n_max, (2, 3), {"seed": seed, "sample_count": count}
         )
     return calls
 
@@ -68,7 +68,8 @@ def test_every_call_is_pinned():
 
 @pytest.mark.parametrize("name", list(DIGESTS))
 def test_reports_match_their_digest(name):
-    reports = verify_claims(*CALLS[name])
+    *args, kwargs = CALLS[name]
+    reports = verify_claims(*args, **kwargs)
     digest = hashlib.sha256()
     for rep in reports:
         line = rep.to_dict()

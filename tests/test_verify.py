@@ -142,18 +142,15 @@ class TestErrors:
             verify_claim("prop_2_5", 3, [1, 2])
 
     def test_sampled_needs_count(self):
-        with pytest.raises(InputError, match="sample count"):
-            verify_claim("prop_2_1", 3, [2], mode="sampled", seed=1)
-
-    def test_unknown_mode_rejected(self):
-        # the mode used to be checked only when a digraph claim was scanned
-        with pytest.raises(InputError, match="unknown mode 'bogus'"):
-            verify_claims(["lemma_2_2"], 3, [2], mode="bogus")
+        # a seed alone used to be dropped, and the whole space scanned
+        message = "^seed 1 needs a sample count: only a sample is drawn$"
+        with pytest.raises(InputError, match=message):
+            verify_claim("prop_2_1", 3, [2], seed=1)
 
     def test_sampled_order_over_the_limit(self):
         # a draw builds (2**n - 1)**n, so the bound comes before any draw
         with pytest.raises(InputError, match=f"exceeds {MAX_TEXT_ORDER}"):
-            verify_claim("prop_2_1", MAX_TEXT_ORDER + 1, [1], "sampled", seed=1, sample_count=1)
+            verify_claim("prop_2_1", MAX_TEXT_ORDER + 1, [1], seed=1, sample_count=1)
 
     def test_nonpositive_m_rejected(self):
         with pytest.raises(InputError):
@@ -163,7 +160,7 @@ class TestErrors:
     def test_sample_count_below_one_rejected(self, count):
         # a sampled scan of nothing used to report the claim verified
         with pytest.raises(InputError, match="sample count must be at least 1"):
-            verify_claim("prop_2_1", 3, [1], mode="sampled", seed=1, sample_count=count)
+            verify_claim("prop_2_1", 3, [1], seed=1, sample_count=count)
 
     @pytest.mark.parametrize(
         "claim_ids, n_max, m_set, kwargs, message",
@@ -190,14 +187,19 @@ class TestErrors:
             (["lemma_2_2", "prop_2_1"], 3, [1.0], {}, "m must be an int, got 1.0"),
             (["lemma_2_2", "prop_2_1"], True, [1], {}, "n_max must be an int, got True"),
             # a list seed used to escape as a TypeError from random.Random, a
-            # bool, float or str seed to run silently, in either mode
+            # bool, float or str seed to run silently, sampled or not
             (["prop_2_1"], 3, [1], {"seed": [1]}, r"seed must be an int, got \[1\]"),
             (["prop_2_1"], 3, [1], {"seed": True}, "seed must be an int, got True"),
             (["prop_2_1"], 3, [1], {"seed": 1.5}, "seed must be an int, got 1.5"),
             (["thm_3_2"], 3, [1], {"seed": "abc"}, "seed must be an int, got 'abc'"),
-            (["lemma_2_2"], 3, [1], {"mode": "exhaustive", "seed": True}, "seed must be an int"),
+            (["lemma_2_2"], 3, [1], {"seed": True}, "seed must be an int"),
             # a string used to be iterated, as the unknown claim id 't'
             ("thm_1_3", 3, [1], {}, "^claim ids must be a list, got 'thm_1_3'; verify_claim runs"),
+            # a count no requested claim draws used to be dropped, and the
+            # reports labelled sampled
+            (["lemma_2_2"], 3, [1], {"sample_count": 5}, "^sample count 5: no requested claim"),
+            (["thm_3_2"], 3, [1], {"sample_count": 5}, "^sample count 5: no requested claim"),
+            (["lemma_2_2", "thm_3_2"], 3, [1], {"seed": 1, "sample_count": 5}, "no requested"),
         ],
     )
     def test_inputs_checked_before_any_claim_runs(
@@ -209,14 +211,18 @@ class TestErrors:
 
         monkeypatch.setattr(verify, "_census_check", fail)
         monkeypatch.setattr(verify, "_verify_grid", fail)
-        kwargs = {"mode": "sampled" if kwargs else "exhaustive", **kwargs}
         with pytest.raises(InputError, match=message):
             verify_claims(claim_ids, n_max, m_set, **kwargs)
 
 
 class TestSampledMode:
+    def test_count_selects_sampling(self):
+        report = verify_claim("prop_2_1", 3, [1], seed=1, sample_count=5)
+        assert report.digraphs_examined == 5
+        assert report.to_dict()["mode"] == "sampled"
+
     def test_seed_reproducible(self):
-        kwargs = dict(mode="sampled", seed=99, sample_count=300)
+        kwargs = dict(seed=99, sample_count=300)
         a = verify_claim("prop_2_3", 4, [2, 3], **kwargs)
         b = verify_claim("prop_2_3", 4, [2, 3], **kwargs)
         assert a.verified and b.verified
@@ -230,7 +236,7 @@ class TestSampledMode:
             (Direction("forward", 1, (), (_FORCED_FAILURE,)),),
         )
         monkeypatch.setitem(CATALOG, "bogus_failing", failing)
-        report = verify_claim("bogus_failing", 1, [1], mode="sampled", seed=3, sample_count=20)
+        report = verify_claim("bogus_failing", 1, [1], seed=3, sample_count=20)
         assert report.n_max == 1
         assert len(report.counterexamples) == 20
         assert all(entry["n"] == 1 for entry in report.counterexamples)
@@ -299,6 +305,8 @@ class TestReplay:
             # an unknown direction of the census or the grid used to replay as False
             {"claim": "thm_3_2", "direction": "bogus", "n": 4, "arcs": None, "m": None},
             {"claim": "lemma_2_2", "direction": "bogus", "k": 1, "l": 1, "m": 1},
+            # a JSON true used to be read as vertex 1, and this entry replayed as False
+            dict(claim="prop_2_1", direction="forward", n=2, arcs=[[0, True], [1, 1]], m=1),
         ):
             with pytest.raises(InputError, match="malformed"):
                 replay_counterexample(entry)
@@ -320,6 +328,15 @@ class TestReplay:
             (
                 {"claim": "thm_3_2", "direction": "count", "n": 4, "m": 7},
                 "^thm_3_2 'count' takes no m, got m=7$",
+            ),
+            # an m below 1 used to fail deep in m_step_digraph
+            (
+                {"claim": "lemma_2_2", "direction": "construction", "k": 1, "l": 1, "m": 0},
+                "^lemma_2_2 'construction' takes m >= 1, got m=0$",
+            ),
+            (
+                {"claim": "prop_2_1", "direction": "forward", "n": 1, "arcs": arcs, "m": -3},
+                "^prop_2_1 'forward' takes m >= 1, got m=-3$",
             ),
         ):
             with pytest.raises(InputError, match=message):
