@@ -25,8 +25,9 @@ no prey; the bits of ``full`` are the digraphs with every in-degree in
 that set, each once.  Sampled scans run on ``draws``, batches of any
 stream indices of one order, repeats included.
 
-``PlaneContext`` mirrors ``verify.ClaimContext``: it memoizes powers,
-competition graphs, sources, closures and degree counters for one batch,
+``PlaneContext`` mirrors ``verify.ClaimContext`` for one batch: it
+memoizes the powers and competition graphs, the C^m and weak component
+summaries, the local star-generating plane and the subdigraph verdicts,
 and every atom of the claim catalog reads its ``plane`` from it.  The
 subdigraph check (Lemma 3.4) derives each subdigraph's arc planes from the
 batch's and sweeps its ``m_values`` one subdigraph at a time, stepping its
@@ -241,7 +242,6 @@ class PlaneContext:
         "_powers",
         "_graphs",
         "_cm",
-        "_stars",
         "_sub_bad",
         "_weak",
         "_local_sg",
@@ -260,7 +260,6 @@ class PlaneContext:
         self._powers = {1: arcs}
         self._graphs = {}
         self._cm = {}  # m -> _components(m)
-        self._stars = {}
         self._sub_bad = {}  # m -> plane of digraphs failing sub_monotone at m
         self._weak = None
         self._local_sg = None
@@ -297,7 +296,7 @@ class PlaneContext:
         """Drop the planes that only steps at m or below read, but keep
         ``power(m)``: the next m steps from it instead of squaring.
         """
-        for memo in (self._graphs, self._cm, self._stars, self._sub_bad):
+        for memo in (self._graphs, self._cm, self._sub_bad):
             for key in [key for key in memo if key <= m]:
                 del memo[key]
         for key in [key for key in self._powers if 1 < key < m]:
@@ -399,22 +398,19 @@ class PlaneContext:
         no edge joins two vertices of degree >= 2; its center is then the
         one vertex of degree >= 2, or either end of a single edge.
         """
-        ok = self._stars.get(m)
-        if ok is None:
-            g = self.graph(m)
-            src = self.sources
-            full = self.full
-            deg = [_at_least(row, 2, full) for row in g]
-            bad = 0
-            for v in range(self.n):
-                bad |= (full ^ deg[v][1]) | (deg[v][2] & ~src[v])
-                for u in range(v):
-                    e = g[u][v]
-                    if e:
-                        hubs, leaves = deg[u][2] & deg[v][2], ~(deg[u][2] | deg[v][2])
-                        bad |= e & (hubs | leaves & ~(src[u] | src[v]))
-            ok = self._stars[m] = full & ~bad
-        return ok
+        g = self.graph(m)
+        src = self.sources
+        full = self.full
+        deg = [_at_least(row, 2, full) for row in g]
+        bad = 0
+        for v in range(self.n):
+            bad |= (full ^ deg[v][1]) | (deg[v][2] & ~src[v])
+            for u in range(v):
+                e = g[u][v]
+                if e:
+                    hubs, leaves = deg[u][2] & deg[v][2], ~(deg[u][2] | deg[v][2])
+                    bad |= e & (hubs | leaves & ~(src[u] | src[v]))
+        return full & ~bad
 
     # -- properties of D
 

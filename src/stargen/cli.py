@@ -233,8 +233,8 @@ def _cmd_verify(args) -> int:
             seed=args.seed,
             sample_count=args.count,
         )
-    except InputError:
-        # refused inputs leave no empty report behind
+    except BaseException:
+        # a refused, failed or interrupted run leaves no empty report behind
         if created:
             os.unlink(args.report)
         raise

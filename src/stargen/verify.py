@@ -7,11 +7,11 @@ different m ranges).  Each direction is ``hypothesis atoms ⇒
 conclusion atoms`` over one set of named atoms, which are composed from
 the public operations of the other modules.  An atom's check returns
 None where it holds and the failure detail where it does not, so any
-atom can be a conclusion.  A per-digraph context memoizes the checks'
-work, and keeps the digraph's sources and weak components only as the
-bitmasks of ``digraph._source_mask`` and ``_weak_masks``, so the atoms
-on them are popcounts, shifts and ANDs.  Every atom also has a bit plane
-form.
+atom can be a conclusion.  A per-digraph context memoizes the powers,
+competition graphs and weak-component verdict the checks reread at each
+m, and keeps D's sources and weak components only as the bitmasks of
+``digraph._source_mask`` and ``_weak_masks``, so the atoms on them are
+popcounts, shifts and ANDs.  Every atom also has a bit plane form.
 
 Scans run in one process.  Exhaustive and sampled scans, and the
 ``thm_3_2`` census, evaluate every direction on batches of the stream or
@@ -49,40 +49,29 @@ from .digraph import Digraph, InputError
 
 
 class ClaimContext:
-    """Memo for one digraph under scrutiny: its powers, competition graphs
-    and verdicts.  Every context reads D's sources and weak components, so
-    it builds them with itself, as bitmasks only: ``source_mask`` (the
-    vertices of in-degree 0) and ``weak_masks`` (ordered by smallest
-    member).  The atoms on sources and components are popcounts, shifts
-    and ANDs of ints, and the classifier reuses both masks, so D is
-    searched once.  The source set is built from its mask only for
-    ``star_decomposition``, the one public call that takes a set.
+    """One digraph under scrutiny, with memos of what the atoms reread at
+    every m: D's powers and competition graphs, and whether every weak
+    component is star-generating.  Every context reads D's sources and weak
+    components, so it builds them with itself, as bitmasks only:
+    ``source_mask`` (the vertices of in-degree 0) and ``weak_masks``
+    (ordered by smallest member).  The atoms on them are popcounts, shifts
+    and ANDs of ints, and the classifier reuses both masks, so D is searched
+    once.  ``STAR_OK`` builds the source set from its mask for
+    ``competition.star_decomposition``, the one public call that takes a set.
     """
 
     __slots__ = (
-        "d",
-        "_powers",
-        "_graphs",
-        "_tf",
-        "source_mask",
-        "weak_masks",
-        "weakly_connected",
-        "_all_weak_sg",
-        "_stars",
-        "_subs",
+        "d", "_powers", "_graphs", "source_mask", "weak_masks", "weakly_connected", "_all_weak_sg"
     )
 
     def __init__(self, d: Digraph):
         self.d = d
         self._powers = {1: d}
         self._graphs = {}
-        self._tf = {}
         self.source_mask = _digraph._source_mask(d)
         self.weak_masks = _digraph._weak_masks(d)
         self.weakly_connected = len(self.weak_masks) == 1
         self._all_weak_sg = None
-        self._stars = {}
-        self._subs = None
 
     def power(self, m: int) -> Digraph:
         p = self._powers.get(m)
@@ -104,13 +93,6 @@ class ClaimContext:
             self._graphs[m] = g
         return g
 
-    def triangle_free(self, m: int) -> bool:
-        tf = self._tf.get(m)
-        if tf is None:
-            tf = _competition.is_triangle_free(self.graph(m))[0]
-            self._tf[m] = tf
-        return tf
-
     def n_components(self, m: int) -> int:
         return len(self.graph(m)._comps)
 
@@ -125,14 +107,6 @@ class ClaimContext:
             )
         return self._all_weak_sg
 
-    def star_decomposition(self, m: int):
-        sd = self._stars.get(m)
-        if sd is None:
-            sources = frozenset(_digraph.bits(self.source_mask))
-            sd = _competition.star_decomposition(self.graph(m), sources)
-            self._stars[m] = sd
-        return sd
-
     def subdigraphs(self) -> list[list[int]]:
         """Deterministic subdigraph selection for monotonicity checks.
 
@@ -141,21 +115,19 @@ class ClaimContext:
         >= 1, by (u, v); then, when there are several weak components, each
         component with every row outside it zeroed.
         """
-        if self._subs is None:
-            host = self.d.out_rows
-            subs = []
-            for u, row in enumerate(host):
-                if row.bit_count() < 2:
-                    continue
-                for v in _digraph.bits(row):
-                    rows = list(host)
-                    rows[u] = row & ~(1 << v)
-                    subs.append(rows)
-            if not self.weakly_connected:
-                for comp in self.weak_masks:
-                    subs.append([row if comp >> u & 1 else 0 for u, row in enumerate(host)])
-            self._subs = subs
-        return self._subs
+        host = self.d.out_rows
+        subs = []
+        for u, row in enumerate(host):
+            if row.bit_count() < 2:
+                continue
+            for v in _digraph.bits(row):
+                rows = list(host)
+                rows[u] = row & ~(1 << v)
+                subs.append(rows)
+        if not self.weakly_connected:
+            for comp in self.weak_masks:
+                subs.append([row if comp >> u & 1 else 0 for u, row in enumerate(host)])
+        return subs
 
     def sub_powers(self, m: int) -> list[list[int]]:
         """The m-step prey rows of every subdigraph, in ``subdigraphs`` order."""
@@ -303,7 +275,7 @@ def _k_vs_l(relation: Callable[[int, int], bool]) -> Callable[[ClaimContext, int
 
 
 def _star_ok(c: ClaimContext, m: int) -> str | None:
-    sd = c.star_decomposition(m)
+    sd = _competition.star_decomposition(c.graph(m), frozenset(_digraph.bits(c.source_mask)))
     return None if sd else f"component {sorted(sd.component)}: {sd.reason}"
 
 
@@ -360,7 +332,9 @@ NON_SOURCES_CYCLE_UNION = Atom(_non_sources_cycle_union, _PC.non_sources_cycle_u
 
 # properties of C^m(D), k = |sources of D|, l = |components of C^m(D)|
 TF = Atom(
-    lambda c, m: None if c.triangle_free(m) else "competition graph has a triangle",
+    lambda c, m: (
+        None if _competition.is_triangle_free(c.graph(m))[0] else "competition graph has a triangle"
+    ),
     _PC.triangle_free,
     cap=frozenset({0, 1, 2}),  # three predators of one prey: a triangle at every m (Atom)
 )
@@ -759,13 +733,20 @@ def verify_claims(
     checked before any claim runs.  A ``sample_count`` selects sampling,
     seeded by ``seed``: each draw's order is uniform in 2..n_max (1 when
     n_max is 1), not in proportion to the size of each order's space, then
-    its index uniform within that order; the grid and census run whole.
+    its index uniform within that order; the grid and census run whole, and
+    their reports say "exhaustive".
     """
     if isinstance(claim_ids, str):
         raise InputError(f"claim ids must be a list, got {claim_ids!r}; verify_claim runs one")
-    claim_ids = list(dict.fromkeys(claim_ids))
+    try:
+        claim_ids = list(dict.fromkeys(claim_ids))
+    except TypeError:  # not iterable, or an id that cannot be looked up, such as a list
+        raise InputError(f"claim ids must be a list of ids, got {claim_ids!r}") from None
     claims = [_lookup(cid) for cid in claim_ids]
-    m_values = list(m_set)
+    try:
+        m_values = list(m_set)
+    except TypeError:
+        raise InputError(f"m_set must be a list of ints, got {m_set!r}") from None
     counts = [("n_max", n_max)] + [("m", m) for m in m_values]
     counts += [(k, v) for k, v in (("sample count", sample_count), ("seed", seed)) if v is not None]
     for name, value in counts:
@@ -797,8 +778,10 @@ def verify_claims(
             raise InputError(f"sampled n_max {n_max} exceeds {_digraph.MAX_TEXT_ORDER}")
 
     started = time.perf_counter()
-    mode = "exhaustive" if sample_count is None else "sampled"
-    reports = {cid: VerificationReport(cid, mode, n_max, tuple(m_list)) for cid in claim_ids}
+    reports = {}
+    for c in claims:  # the grid and the census run whole, sampled or not
+        mode = "sampled" if sample_count is not None and c.kind == "digraph" else "exhaustive"
+        reports[c.id] = VerificationReport(c.id, mode, n_max, tuple(m_list))
     for claim in special:
         if claim.kind == "grid":
             _verify_grid(m_list, n_max, reports[claim.id])

@@ -395,6 +395,25 @@ class TestVerify:
         capsys.readouterr()
         assert report.read_text() == "earlier\n"
 
+    @pytest.mark.parametrize("exc", [KeyboardInterrupt, RuntimeError])
+    def test_interrupted_verify_leaves_no_report(self, exc, tmp_path, monkeypatch):
+        # the report used to be removed only when an input was refused
+        def stop(*args, **kwargs):
+            raise exc("stopped")
+
+        monkeypatch.setattr(verify, "verify_claims", stop)
+        report = tmp_path / "r.jsonl"
+        argv = ["verify", "--claim", "lemma_3_4", "--n-max", "3", "--m", "1"]
+        argv += ["--report", str(report)]
+        with pytest.raises(exc, match="stopped"):
+            run(argv)
+        assert not report.exists()
+        # a report that was there before the call is kept as it was
+        report.write_text("earlier\n")
+        with pytest.raises(exc, match="stopped"):
+            run(argv)
+        assert report.read_text() == "earlier\n"
+
     def test_consecutive_runs_share_no_arguments(self, tmp_path, capsys):
         # one parser serves every run: append lists start empty, defaults hold
         report = tmp_path / "r.jsonl"

@@ -200,6 +200,11 @@ class TestErrors:
             (["lemma_2_2"], 3, [1], {"sample_count": 5}, "^sample count 5: no requested claim"),
             (["thm_3_2"], 3, [1], {"sample_count": 5}, "^sample count 5: no requested claim"),
             (["lemma_2_2", "thm_3_2"], 3, [1], {"seed": 1, "sample_count": 5}, "no requested"),
+            # each used to escape as a TypeError
+            (None, 2, [1], {}, "^claim ids must be a list of ids, got None$"),
+            (["prop_2_1"], 2, None, {}, "^m_set must be a list of ints, got None$"),
+            (["prop_2_1"], 2, 3, {}, "^m_set must be a list of ints, got 3$"),
+            ([["x"]], 2, [1], {}, r"^claim ids must be a list of ids, got \[\['x'\]\]$"),
         ],
     )
     def test_inputs_checked_before_any_claim_runs(
@@ -220,6 +225,16 @@ class TestSampledMode:
         report = verify_claim("prop_2_1", 3, [1], seed=1, sample_count=5)
         assert report.digraphs_examined == 5
         assert report.to_dict()["mode"] == "sampled"
+
+    def test_each_report_says_how_its_claim_ran(self):
+        # the grid and the census run whole, so a count used to mislabel them
+        claim_ids = ["prop_2_1", "lemma_2_2", "thm_3_2"]
+        reports = verify_claims(claim_ids, 3, [1], seed=1, sample_count=5)
+        assert {r.claim_id: (r.mode, r.digraphs_examined) for r in reports} == {
+            "prop_2_1": ("sampled", 5),
+            "lemma_2_2": ("exhaustive", 9),
+            "thm_3_2": ("exhaustive", 352),
+        }
 
     def test_seed_reproducible(self):
         kwargs = dict(seed=99, sample_count=300)
@@ -567,12 +582,6 @@ class TestSubMonotone:
 
 
 class TestContextMemo:
-    def test_star_decomposition_is_memoized(self):
-        ctx = ClaimContext(figure_digraphs()["fig2_D2"])
-        for m in (1, 2, 5):
-            assert ctx.star_decomposition(m) is ctx.star_decomposition(m)
-        assert ctx.star_decomposition(2) is not ctx.star_decomposition(5)
-
     def test_k_stars_without_a_star_decomposition(self):
         # C^2 of the boundary digraph is a triangle: no stars to count
         ctx = ClaimContext(figure_digraphs()["fig4_D"])
