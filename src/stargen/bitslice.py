@@ -436,7 +436,9 @@ class PlaneContext:
 
         No arc leaves a weak component, so its sources, prey and
         predators are those of D: S1 (less 'a source exists', checked per
-        component), S2 and S3 are conditions on single vertices of D.
+        component), S2 and S3 are conditions on single vertices of D.  S3
+        decides all three: a source's prey has a predator, so it is no source,
+        and S3 gives it two predators, exactly one of them a source.
         """
         if self._local_sg is None:
             full = self.full
@@ -446,11 +448,7 @@ class PlaneContext:
             bad = 0
             for w, col in enumerate(zip(*self.arcs)):
                 by_src = _at_least((x & s for x, s in zip(col, src)), 2, full)
-                bad |= (
-                    by_src[2]  # S2: two sources share prey w
-                    | by_src[1] & ~in_eq2[w]  # S1: prey w of a source
-                    | ~src[w] & ~(out_eq1[w] & in_eq2[w] & by_src[1] & ~by_src[2])  # S3
-                )
+                bad |= ~src[w] & ~(out_eq1[w] & in_eq2[w] & by_src[1] & ~by_src[2])
             self._local_sg = full & ~bad & self.every_weak_component_has_source()
         return self._local_sg
 

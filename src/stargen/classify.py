@@ -71,7 +71,7 @@ def classify_star_generating(d: Digraph) -> ClassificationReport:
     Violations are verdicts with witnesses, never errors.  Witnesses are
     the first violation in vertex order.
     """
-    return _classify(d, range(d.n), _weak_masks(d), _source_mask(d))
+    return _classify(d, _weak_masks(d), _source_mask(d))
 
 
 def classify_components(d: Digraph) -> list[tuple[frozenset[int], ClassificationReport]]:
@@ -81,23 +81,21 @@ def classify_components(d: Digraph) -> list[tuple[frozenset[int], Classification
     predators and sources in D, and each component is classified in place.
     """
     src = _source_mask(d)
-    results = []
-    for c in _weak_masks(d):
-        vertices = list(bits(c))
-        results.append((frozenset(vertices), _classify(d, vertices, [c], src)))
-    return results
+    return [(frozenset(bits(c)), _classify(d, [c], src)) for c in _weak_masks(d)]
 
 
-def _classify(d: Digraph, vertices, comps: list[int], sources: int) -> ClassificationReport:
-    """Classify the subdigraph of d on ``vertices``, in ascending order;
-    ``comps`` are its weak-component masks, ordered by smallest member, and
-    ``sources`` is the bitmask of D's sources.
+def _classify(d: Digraph, comps: list[int], sources: int) -> ClassificationReport:
+    """Classify the subdigraph of d on the union of ``comps``, its
+    weak-component masks ordered by smallest member, checking its vertices
+    in ascending order; ``sources`` is the bitmask of D's sources.
     """
     out_rows = d.out_rows
     in_rows = d.in_rows
+    # the masks are disjoint, so their sum is their union
+    union = sum(comps)
 
     outdeg = _HOLDS
-    for v in vertices:
+    for v in bits(union):
         if not out_rows[v]:
             outdeg = Verdict(False, {"vertex": v, "problem": "no prey"})
             break
@@ -114,8 +112,7 @@ def _classify(d: Digraph, vertices, comps: list[int], sources: int) -> Classific
             },
         )
 
-    # bitmask of the sources in the masks; they are disjoint, so their sum is their union
-    src = sources & sum(comps)
+    src = sources & union
     src_sorted = list(bits(src))
 
     # each source's prey must have exactly two predators; a source must exist
@@ -148,7 +145,7 @@ def _classify(d: Digraph, vertices, comps: list[int], sources: int) -> Classific
 
     # non-source vertices: one prey, two predators, exactly one a source
     s3 = _HOLDS
-    for u in vertices:
+    for u in bits(union):
         if src >> u & 1:
             continue
         if out_rows[u].bit_count() != 1:

@@ -2,7 +2,7 @@
 enumerate and generate constructions, and drive the claim verifier.
 
 Exit codes: 0 success / verified, 1 usage or input error, 2 verification
-found counterexamples.
+found counterexamples, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -334,6 +334,9 @@ def run(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def main() -> None:

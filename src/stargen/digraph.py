@@ -184,8 +184,6 @@ def m_step_digraph(d: Digraph, m: int) -> Digraph:
     square, so m may be arbitrarily large.
     """
     _check_steps(m, 1)
-    if m == 1:
-        return d
     return Digraph(d.n, _row_power(d.out_rows, m))
 
 

@@ -102,7 +102,7 @@ class ClaimContext:
             # no arc leaves a weak component, so each is classified in place
             src = self.source_mask
             self._all_weak_sg = all(
-                _classify._classify(self.d, list(_digraph.bits(c)), [c], src).star_generating
+                _classify._classify(self.d, [c], src).star_generating
                 for c in self.weak_masks
             )
         return self._all_weak_sg
@@ -128,10 +128,6 @@ class ClaimContext:
             for comp in self.weak_masks:
                 subs.append([row if comp >> u & 1 else 0 for u, row in enumerate(host)])
         return subs
-
-    def sub_powers(self, m: int) -> list[list[int]]:
-        """The m-step prey rows of every subdigraph, in ``subdigraphs`` order."""
-        return [_digraph._row_power(s, m) for s in self.subdigraphs()]
 
 
 # --- atoms ----------------------------------------------------------------
@@ -236,7 +232,7 @@ def _sub_monotone(c: ClaimContext, m: int) -> str | None:
     missing = [(u, v) for u in range(n) for v in range(u + 1, n) if not g[u] >> v & 1]
     if not missing:
         return None
-    for prey in c.sub_powers(m):
+    for prey in (_digraph._row_power(sub, m) for sub in c.subdigraphs()):
         for u, v in missing:
             if prey[u] & prey[v]:
                 return (

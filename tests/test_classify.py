@@ -184,6 +184,21 @@ class TestClassifyComponents:
         assert bad.s1.witness == {"problem": "no source"}
 
 
+class TestS3ImpliesS1AndS2:
+    def test_every_component_to_order_four(self):
+        # the lemma behind PlaneContext.all_weak_star_generating's one S3 term:
+        # a source's prey is no source, so S3 gives it two predators, one a source
+        found = 0
+        for n in range(1, 5):
+            for d in all_digraphs(n):
+                for comp, report in classify_components(d):
+                    if report.s3:
+                        found += 1
+                        assert report.s2, (d, comp)
+                        assert report.s1 or report.s1.witness == {"problem": "no source"}, (d, comp)
+        assert found == 182
+
+
 class TestDisjointCycleUnion:
     def test_fig2_d2_minus_source(self):
         sub, _ = induced_subdigraph(FIGS["fig2_D2"], {1, 2, 3})

@@ -396,22 +396,34 @@ class TestVerify:
         assert report.read_text() == "earlier\n"
 
     @pytest.mark.parametrize("exc", [KeyboardInterrupt, RuntimeError])
-    def test_interrupted_verify_leaves_no_report(self, exc, tmp_path, monkeypatch):
-        # the report used to be removed only when an input was refused
+    def test_interrupted_verify_leaves_no_report(self, exc, tmp_path, monkeypatch, capsys):
+        # the report used to be removed only when an input was refused, and an
+        # interrupt used to escape as a traceback; other errors still propagate
         def stop(*args, **kwargs):
             raise exc("stopped")
+
+        def stopped_run():
+            if exc is not KeyboardInterrupt:
+                with pytest.raises(exc, match="stopped"):
+                    run(argv)
+                return
+            # an escaped interrupt would end the whole pytest session
+            try:
+                code = run(argv)
+            except KeyboardInterrupt:
+                pytest.fail("the interrupt escaped run")
+            assert code == 130
+            _assert_one_error_line(capsys, "interrupted")
 
         monkeypatch.setattr(verify, "verify_claims", stop)
         report = tmp_path / "r.jsonl"
         argv = ["verify", "--claim", "lemma_3_4", "--n-max", "3", "--m", "1"]
         argv += ["--report", str(report)]
-        with pytest.raises(exc, match="stopped"):
-            run(argv)
+        stopped_run()
         assert not report.exists()
         # a report that was there before the call is kept as it was
         report.write_text("earlier\n")
-        with pytest.raises(exc, match="stopped"):
-            run(argv)
+        stopped_run()
         assert report.read_text() == "earlier\n"
 
     def test_consecutive_runs_share_no_arguments(self, tmp_path, capsys):

@@ -17,7 +17,7 @@ from stargen import (
     verify_claim,
     verify_claims,
 )
-from stargen import Digraph, classify, digraph, generate, m_step_digraph, verify
+from stargen import Digraph, classify, digraph, generate, verify
 from stargen.competition import Graph, components
 from stargen.digraph import MAX_TEXT_ORDER, bits, sources, weak_components
 from stargen.generate import all_digraphs
@@ -561,17 +561,6 @@ class TestSubMonotone:
         assert SUB_MONOTONE.check(ctx, 1) is None
         ctx._graphs[1] = Graph(3, [0, 0, 0])
         assert SUB_MONOTONE.check(ctx, 1) == _missing_edge(1, 2, 1)
-
-    def test_sub_powers_match_m_step_digraph(self):
-        # each subdigraph's rows are squared afresh at every m, as in m_step_digraph
-        for d in list(all_digraphs(3))[::7]:
-            ctx = ClaimContext(d)
-            for m in (3, 1, 2, 4, 9):
-                expected = [
-                    list(m_step_digraph(Digraph(d.n, rows), m).out_rows)
-                    for rows in ctx.subdigraphs()
-                ]
-                assert ctx.sub_powers(m) == expected, (d, m)
 
     def test_lemma_3_4_report_n4(self):
         report = verify_claim("lemma_3_4", 4, range(1, 7))
