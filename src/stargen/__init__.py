@@ -52,8 +52,6 @@ from .verify import (
     CATALOG,
     VerificationReport,
     replay_counterexample,
-    valid_m_values,
-    verify_claim,
     verify_claims,
 )
 
@@ -99,8 +97,6 @@ __all__ = [
     "star_decomposition",
     "star_generating_from_partition",
     "step_neighbors",
-    "valid_m_values",
-    "verify_claim",
     "verify_claims",
     "weak_components",
 ]

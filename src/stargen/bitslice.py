@@ -511,19 +511,19 @@ class PlaneContext:
 
     def pendant(self, m: int) -> int:
         """A vertex sharing prey with a source has one prey, and that source
-        is its only neighbor in C^m.
+        is its only neighbor in C^m: u is adjacent to v, and below 2 on the
+        degree counter ``star_ok`` builds.
         """
         g1, g = self.graph(1), self.graph(m)
         src = self.sources
         out_eq1 = self._out_degree_one()
-        n = self.n
+        full = self.full
         bad = 0
-        for u in range(n):
-            for v in range(n):
-                if u != v:
-                    only_v = g[u][v] & ~_any(g[u][x] for x in range(n) if x != v)
-                    bad |= src[v] & g1[u][v] & ~(out_eq1[u] & only_v)
-        return self.full & ~bad
+        for u, row in enumerate(g):
+            single = out_eq1[u] & ~_at_least(row, 2, full)[2]
+            for v, e in enumerate(row):  # g1's zero diagonal leaves v = u out
+                bad |= src[v] & g1[u][v] & ~(single & e)
+        return full & ~bad
 
     def _subdigraphs(self):
         """(mask, arc planes) of each subdigraph of ``verify.ClaimContext.subdigraphs``.

@@ -8,7 +8,7 @@ from typing import Iterable, Iterator
 from .digraph import (
     Digraph,
     InputError,
-    _check_steps,
+    _check_count,
     _checked_rows,
     _component_masks,
     _dot,
@@ -29,7 +29,7 @@ _SINGLETONS = tuple(frozenset((v,)) for v in range(64))
 class Graph:
     """Immutable simple graph on 0..n-1; ``rows[v]`` is the bitmask of neighbors.
 
-    ``InputError`` is raised unless there are n rows, each in [0, 2**n).
+    ``InputError`` is raised unless n is an int >= 0 and there are n int rows in [0, 2**n).
     Rows must also be symmetric and loop-free; that is the caller's
     contract, not checked here (``graph_from_edges`` builds checked rows).
     The constructor also finds the components as frozensets, by smallest member.
@@ -66,8 +66,7 @@ class Graph:
 
 
 def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    if n < 1:
-        raise InputError(f"vertex count must be positive, got {n}")
+    _check_count(n, 1, "vertex count")
     rows = [0] * n
     for pair in edges:
         u, v = pair
@@ -89,7 +88,7 @@ def competition_graph(d: Digraph, m: int) -> Graph:
     filled in as a clique (a lone predator adds no edge), which costs work
     in proportion to those sets rather than to all pairs of vertices.
     """
-    _check_steps(m, 1)
+    _check_count(m, 1)
     rows = [0] * d.n
     for clique in set(_row_power(d.in_rows, m)):
         rest = clique

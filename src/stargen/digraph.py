@@ -9,6 +9,8 @@ not representable.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 
@@ -36,12 +38,29 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_count(value, least: int, noun: str = "step count") -> None:
+    """``InputError`` unless the step or vertex count ``value`` is an int (not a bool) >= least."""
+    if type(value) is not int:
+        raise InputError(f"{noun} must be an int, got {value!r}")
+    if value < least:
+        raise InputError(f"{noun} must be {'positive' if least else 'nonnegative'}, got {value}")
+
+
 def _checked_rows(n: int, rows: Iterable[int], noun: str) -> tuple[int, ...]:
-    """``rows`` as a tuple; ``InputError`` unless there are n, each in [0, 2**n)."""
+    """``rows`` as a tuple; ``InputError`` unless n is an int >= 0 and there
+    are n rows, each an int in [0, 2**n).  One OR decides a row's type and
+    range: a float or str row raises ``TypeError``, and the union is negative,
+    or reaches 2**n, exactly when some row is or does.
+    """
+    _check_count(n, 0, "vertex count")
     rows = tuple(rows)
     if len(rows) != n:
         raise InputError(f"expected {n} {noun}, got {len(rows)}")
-    if rows and (min(rows) < 0 or max(rows) >> n):
+    try:
+        union = reduce(or_, rows, 0)
+    except TypeError:
+        raise InputError(f"{noun} must be ints, got {rows!r}") from None
+    if union >> n:  # a negative union shifts to -1
         raise InputError(f"{noun} must lie in [0, 2**{n}), got {min(rows)}..{max(rows)}")
     return rows
 
@@ -50,9 +69,9 @@ class Digraph:
     """Immutable digraph; vertices are 0..n-1.
 
     ``out_rows[i]`` is the bitmask of out-neighbors of i and ``in_rows[i]``
-    that of its in-neighbors; ``InputError`` is raised unless there are n
-    out-rows, each in [0, 2**n).  Both are built by the constructor and
-    never mutated after it, so instances are safe to share across threads.
+    that of its in-neighbors, both built by the constructor and never
+    mutated after it, so instances are safe to share across threads.
+    ``InputError`` unless n is an int >= 0 and there are n int out-rows in [0, 2**n).
     """
 
     __slots__ = ("n", "out_rows", "in_rows")
@@ -105,8 +124,7 @@ class Digraph:
 
 def from_arc_list(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     """Build a digraph from ordered vertex pairs; duplicates collapse."""
-    if n < 1:
-        raise InputError(f"vertex count must be positive, got {n}")
+    _check_count(n, 1, "vertex count")
     rows = [0] * n
     for pair in arcs:
         u, v = pair
@@ -162,14 +180,6 @@ def _row_power(rows, m: int) -> list[int]:
     return _power(list(rows), m, _row_product)
 
 
-def _check_steps(m, least: int) -> None:
-    """``InputError`` unless the step count m is an int (not a bool) >= least (0 or 1)."""
-    if type(m) is not int:
-        raise InputError(f"step count must be an int, got {m!r}")
-    if m < least:
-        raise InputError(f"step count must be {'positive' if least else 'nonnegative'}, got {m}")
-
-
 def compose(a: Digraph, b: Digraph) -> Digraph:
     """Relational product: arc (u, v) iff some w has (u, w) in a and (w, v) in b."""
     if a.n != b.n:
@@ -183,7 +193,7 @@ def m_step_digraph(d: Digraph, m: int) -> Digraph:
     Uses exponentiation by squaring, which stops at the first repeated
     square, so m may be arbitrarily large.
     """
-    _check_steps(m, 1)
+    _check_count(m, 1)
     return Digraph(d.n, _row_power(d.out_rows, m))
 
 
@@ -194,7 +204,7 @@ def step_neighbors(d: Digraph, v: int, m: int, direction: str = "prey") -> froze
     """
     if not 0 <= v < d.n:
         raise InputError(f"vertex {v} out of range for n={d.n}")
-    _check_steps(m, 0)
+    _check_count(m, 0)
     if direction == "prey":
         rows = d.out_rows
     elif direction == "predator":

@@ -8,7 +8,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterator
 
-from .digraph import Digraph, InputError, bits, from_arc_list
+from .digraph import Digraph, InputError, _check_count, bits, from_arc_list
 
 
 def partitions(total: int) -> Iterator[tuple[int, ...]]:
@@ -112,7 +112,7 @@ def _out_rows(n: int, index: int) -> list[int]:
 
 def digraph_at(n: int, index: int) -> Digraph:
     """The index-th digraph of the stream (lexicographic by out-row tuple)."""
-    if not 0 <= index < (2**n - 1) ** n:
+    if not 0 <= index < digraph_space_size(n):
         raise InputError(f"index {index} out of range for n={n}")
     return Digraph(n, _out_rows(n, index))
 
@@ -123,9 +123,8 @@ def all_digraphs(n: int) -> Iterator[Digraph]:
     Out-row tuples count lexicographically, each digraph appearing exactly
     once, the index-th as ``digraph_at(n, index)``.
     """
-    if n < 1:
-        raise InputError(f"vertex count must be positive, got {n}")
-    for index in range((2**n - 1) ** n):
+    _check_count(n, 1, "vertex count")
+    for index in range(digraph_space_size(n)):
         yield Digraph(n, _out_rows(n, index))
 
 

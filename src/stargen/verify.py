@@ -51,7 +51,8 @@ from .digraph import Digraph, InputError
 class ClaimContext:
     """One digraph under scrutiny, with memos of what the atoms reread at
     every m: D's powers and competition graphs, and whether every weak
-    component is star-generating.  Every context reads D's sources and weak
+    component is star-generating.  Each D^m is ``m_step_digraph(D, m)``,
+    squared from D alone.  Every context reads D's sources and weak
     components, so it builds them with itself, as bitmasks only:
     ``source_mask`` (the vertices of in-degree 0) and ``weak_masks``
     (ordered by smallest member).  The atoms on them are popcounts, shifts
@@ -76,13 +77,7 @@ class ClaimContext:
     def power(self, m: int) -> Digraph:
         p = self._powers.get(m)
         if p is None:
-            # step from D^(m-1) when it is cached, else square from scratch
-            prev = self._powers.get(m - 1)
-            if prev is not None:
-                p = _digraph.compose(prev, self.d)
-            else:
-                p = _digraph.m_step_digraph(self.d, m)
-            self._powers[m] = p
+            p = self._powers[m] = _digraph.m_step_digraph(self.d, m)
         return p
 
     def graph(self, m: int) -> _competition.Graph:
@@ -468,14 +463,6 @@ CATALOG: dict[str, Claim] = {
 }
 
 
-def valid_m_values(claim_id: str, candidates: Iterable[int]) -> frozenset[int]:
-    """The subset of ``candidates`` some direction of the claim accepts."""
-    claim = _lookup(claim_id)
-    if claim.min_m is None:
-        return frozenset()
-    return frozenset(m for m in candidates if m >= claim.min_m)
-
-
 def _lookup(claim_id: str) -> Claim:
     try:
         return CATALOG[claim_id]
@@ -488,16 +475,19 @@ def _lookup(claim_id: str) -> Claim:
 
 @dataclass
 class VerificationReport:
+    """One claim's outcome.  ``hits_by_direction`` is the one tally of hypothesis
+    hits: direction -> m (None when m-independent) -> hits, below the m range
+    too.  ``hypothesis_hits`` sums it inside each direction's m range.
+    """
+
     claim_id: str
     mode: str
     n_max: int
     m_values: tuple[int, ...]
     digraphs_examined: int = 0
-    hypothesis_hits: int = 0  # summed over hits_by_direction inside each direction's m range
     counterexamples: list[dict] = field(default_factory=list)
     boundary_instances: list[dict] = field(default_factory=list)
     elapsed: float = 0.0
-    # direction -> m (None when m-independent) -> hypothesis hits, below the m range too
     hits_by_direction: dict[str, dict[int | None, int]] = field(init=False)
 
     def __post_init__(self) -> None:
@@ -510,11 +500,14 @@ class VerificationReport:
     def verified(self) -> bool:
         return not self.counterexamples
 
+    @property
+    def hypothesis_hits(self) -> int:
+        dirs = CATALOG[self.claim_id].directions
+        return sum(n for d in dirs for m, n in self.hits_by_direction[d.name].items() if d.counts(m))
+
     def add_hits(self, direction: Direction, m: int | None, count: int) -> None:
-        """Add hits of ``direction`` at m; only those in its range count in ``hypothesis_hits``."""
+        """Add hits of ``direction`` at m; an m-independent direction files them under None."""
         self.hits_by_direction[direction.name][None if direction.min_m is None else m] += count
-        if direction.counts(m):
-            self.hypothesis_hits += count
 
     def add_entry(self, direction: Direction, n: int, arcs, m: int | None, detail: str, **extra):
         """File a failure of ``direction`` at m as a counterexample, or as a
@@ -669,9 +662,10 @@ def _verify_grid(m_list, n_max: int, report: VerificationReport) -> None:
 CENSUS_REPLAY_ORDER = 6
 
 
-def _census_check(n: int) -> tuple[bool, str | None]:
+def _census_check(n: int) -> str | None:
     """Count isomorphism classes of single-source star-generating digraphs
-    of order n by brute force and compare against the enumerator.
+    of order n by brute force and compare against the enumerator: None
+    where they agree, else the failure detail, as an atom's check returns.
 
     The brute force flags the hypothesis of the ``thm_3_2`` direction on
     bit planes of its capped stream.  Each flagged digraph is read back from
@@ -699,19 +693,19 @@ def _census_check(n: int) -> tuple[bool, str | None]:
         for d in _generate.enumerate_single_source_star_generating(n)
     }
     if len(found) != expected:
-        return False, f"order {n}: {len(found)} classes, expected {expected}"
+        return f"order {n}: {len(found)} classes, expected {expected}"
     if reps != found:
-        return False, f"order {n}: enumerated representatives do not cover the classes"
-    return True, None
+        return f"order {n}: enumerated representatives do not cover the classes"
+    return None
 
 
 def _verify_census(n_max: int, report: VerificationReport) -> None:
     (direction,) = CATALOG[report.claim_id].directions
     for n in range(2, n_max + 1):
         report.add_hits(direction, None, 1)
-        ok, detail = _census_check(n)
+        detail = _census_check(n)
         report.digraphs_examined += _generate.digraph_space_size(n)
-        if not ok:
+        if detail is not None:
             report.add_entry(direction, n, None, None, detail)
 
 
@@ -733,7 +727,7 @@ def verify_claims(
     their reports say "exhaustive".
     """
     if isinstance(claim_ids, str):
-        raise InputError(f"claim ids must be a list, got {claim_ids!r}; verify_claim runs one")
+        raise InputError(f"claim ids must be a list, got {claim_ids!r}; wrap one id in a list")
     try:
         claim_ids = list(dict.fromkeys(claim_ids))
     except TypeError:  # not iterable, or an id that cannot be looked up, such as a list
@@ -809,18 +803,6 @@ def verify_claims(
     return [reports[cid] for cid in claim_ids]
 
 
-def verify_claim(
-    claim_id: str,
-    n_max: int,
-    m_set: Iterable[int],
-    *,
-    seed: int | None = None,
-    sample_count: int | None = None,
-) -> VerificationReport:
-    """Run one claim over the bounded digraph space; see ``verify_claims``."""
-    return verify_claims([claim_id], n_max, m_set, seed=seed, sample_count=sample_count)[0]
-
-
 def replay_counterexample(entry: dict) -> bool:
     """Re-evaluate a report entry from its serialized digraph.
 
@@ -862,8 +844,7 @@ def replay_counterexample(entry: dict) -> bool:
                 f"census order {order}: a replay scans the capped stream of its order, "
                 f"up to order {CENSUS_REPLAY_ORDER}"
             )
-        ok, _ = _census_check(order)
-        return not ok
+        return _census_check(order) is not None
     if claim.kind == "grid":
         k, l = ints
         problems = _grid_problems(_generate.lemma_kl_digraph(k, l), k, l, [] if m is None else [m])

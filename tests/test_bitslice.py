@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from stargen import CATALOG, replay_counterexample, verify_claim, verify_claims
+from stargen import CATALOG, replay_counterexample, verify_claims
 from stargen import bitslice, verify
 from stargen.competition import Graph
 from stargen.digraph import Digraph, InputError, bits
@@ -581,7 +581,7 @@ class TestFalseClaim:
             planes, scalar = _both_paths(["bogus_planed"], [1, 2], bitslice.batches(n), _whole(n))
             assert planes == scalar
             failures += len(scalar[0]["counterexamples"])
-        report = verify_claim("bogus_planed", 3, [1, 2])
+        report = verify_claims(["bogus_planed"], 3, [1, 2])[0]
         assert len(report.counterexamples) == failures > 0
         for entry in report.counterexamples:
             assert entry["detail"].startswith("competition graph has ")
@@ -649,14 +649,14 @@ class TestFalseClaim:
         lying_claim = Claim("bogus_lying", "digraph", (Direction("forward", 1, (), (lying,)),))
         monkeypatch.setitem(CATALOG, "bogus_lying", lying_claim)
         with pytest.raises(RuntimeError, match="bit planes flag"):
-            verify_claim("bogus_lying", 2, [1])
+            verify_claims(["bogus_lying"], 2, [1])[0]
 
     def test_census_plane_the_scalar_checks_contradict_raises(self, monkeypatch):
         lying = Atom(SG.check, lambda p, m: p.full, SG.cap)
         census = Claim("thm_3_2", "census", (Direction("count", None, (ONE_SOURCE, lying), ()),))
         monkeypatch.setitem(CATALOG, "thm_3_2", census)
         with pytest.raises(RuntimeError, match="bit planes flag"):
-            verify_claim("thm_3_2", 3, [])
+            verify_claims(["thm_3_2"], 3, [])[0]
 
 
 class TestOrderFive:

@@ -354,7 +354,18 @@ class TestBruteForceKernels:
 class TestGraphRows:
     @pytest.mark.parametrize(
         "n, rows",
-        [(2, [0b100, 0]), (2, [0, -1]), (2, [0]), (2, [0, 0, 0]), (0, [1])],
+        [
+            (2, [0b100, 0]),
+            (2, [0, -1]),
+            (2, [0]),
+            (2, [0, 0, 0]),
+            (0, [1]),
+            # each used to raise TypeError or build
+            (2.0, [2, 1]),
+            (2, [1.5, 0]),
+            (2, ["1", 0]),
+            (True, [0]),
+        ],
     )
     def test_malformed_rows_rejected(self, n, rows):
         with pytest.raises(InputError):

@@ -12,6 +12,7 @@ from stargen import (
     compose,
     figure_digraphs,
     from_arc_list,
+    graph_from_edges,
     has_min_outdegree_one,
     induced_subdigraph,
     lemma_kl_digraph,
@@ -53,12 +54,25 @@ class TestRowValidation:
             (2, [0b100, 1], r"out-rows must lie in \[0, 2\*\*2\)"),
             (3, [1], "expected 3 out-rows, got 1"),
             (2, [-1, 1], r"out-rows must lie in \[0, 2\*\*2\)"),
+            # each used to raise TypeError, fail later, misreport or build
+            (2.0, [1, 1], r"^vertex count must be an int, got 2\.0$"),
+            (2, [1.5, 1], r"^out-rows must be ints"),
+            (2, ["1", 1], r"^out-rows must be ints"),
+            (2, [0.5, 1], r"^out-rows must be ints"),
+            ("2", [1, 1], r"^vertex count must be an int, got '2'$"),
+            (True, [1], r"^vertex count must be an int, got True$"),
         ],
     )
     def test_malformed_rows_rejected(self, n, rows, message):
         # a row bit at or above n used to surface as an IndexError deep in classify
         with pytest.raises(InputError, match=message):
             Digraph(n, rows)
+
+    @pytest.mark.parametrize("build", [from_arc_list, graph_from_edges])
+    def test_vertex_count_must_be_an_int(self, build):
+        # used to raise TypeError from [0] * n
+        with pytest.raises(InputError, match=r"^vertex count must be an int, got 2\.0$"):
+            build(2.0, [])
 
     def test_full_rows_accepted(self):
         assert Digraph(2, [0b11, 0b11]).arc_count() == 4
