@@ -104,8 +104,9 @@ def batches(
     one of the predator sets whose size lies in ``degrees``, and the bits
     of ``full`` are the digraphs with every in-degree in that set.
     """
-    if first < 0:  # divmod would read the digits of a negative k from the end
-        raise _digraph.InputError(f"first batch must be non-negative, got {first}")
+    # divmod would read the digits of a negative k from the end
+    if type(first) is not int or first < 0:
+        raise _digraph.InputError(f"first batch must be an int and non-negative, got {first!r}")
     values = range(1, 2**n) if degrees is None else _predator_sets(n, degrees)
     base = len(values)
     t = _trailing_digits(base, n)

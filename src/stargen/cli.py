@@ -143,20 +143,13 @@ def _partition(parts) -> tuple[str, _digraph.Digraph]:
     return "partition_" + "_".join(map(str, parts)), _generate.star_generating_from_partition(parts)
 
 
-def _check_order(n: int) -> None:
-    """Refuse to build a digraph of order n above ``MAX_TEXT_ORDER``, as the readers do."""
-    if n > _digraph.MAX_TEXT_ORDER:
-        raise InputError(f"order {n} exceeds the limit of {_digraph.MAX_TEXT_ORDER}")
-
-
 # Most digraphs a listing may hold: all are built before the first is written.
 MAX_LISTED = 100_000
 
 
 def _cmd_enumerate(args) -> int:
-    if args.n < 2:
-        raise InputError(f"order must be at least 2, got {args.n}")
-    _check_order(args.n)
+    _digraph._check_count(args.n, 2, "order")
+    _digraph._check_order(args.n)
     count = _generate._partition_count(args.n - 1)
     if args.count_only:
         _write_output(f"{count}\n", args.output)
@@ -169,18 +162,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if (args.partition is None) == (args.lemma_kl is None):
-        raise InputError("choose exactly one of --partition or --lemma-kl")
     if args.partition is not None:
         try:
             parts = tuple(int(p) for p in args.partition.split(","))
         except ValueError:
             raise InputError(f"cannot parse partition {args.partition!r}") from None
-        _check_order(sum(parts) + 1)
+        _digraph._check_order(sum(parts) + 1)
         named = _partition(parts)
     else:
         k, l = args.lemma_kl
-        _check_order(k + l + 1)
+        _digraph._check_order(k + l + 1)
         named = (f"kl_{k}_{l}", _generate.lemma_kl_digraph(k, l))
     _write_output(_render_digraphs([named], args.format), args.output)
     return 0
@@ -188,14 +179,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_figures(args) -> int:
     figures = _generate.figure_digraphs()
-    if args.name is not None:
-        if args.name not in figures:
-            raise InputError(
-                f"unknown figure {args.name!r}; choose from {sorted(figures)}"
-            )
-        selected = [args.name]
-    else:
-        selected = sorted(figures)
+    selected = sorted(figures) if args.name is None else [args.name]
     named = [(name, figures[name]) for name in selected]
     _write_output(_render_digraphs(named, args.format, _generate.figure_labels()), args.output)
     return 0
@@ -293,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("generate", help="emit a partition-based or (k,l) construction")
-    p.add_argument("--partition", help="comma-separated nonincreasing parts, e.g. 2,1")
-    p.add_argument("--lemma-kl", nargs=2, type=int, metavar=("K", "L"))
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--partition", help="comma-separated nonincreasing parts, e.g. 2,1")
+    mode.add_argument("--lemma-kl", nargs=2, type=int, metavar=("K", "L"))
     p.add_argument("--format", choices=("edges", "dot"), default="edges")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_generate)
@@ -314,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("figures", help="dump the built-in worked-example digraphs")
-    p.add_argument("--name")
+    p.add_argument("--name", choices=sorted(_generate._FIGURES))
     p.add_argument("--format", choices=("edges", "dot"), default="edges")
     p.add_argument("--output")
     p.set_defaults(func=_cmd_figures)

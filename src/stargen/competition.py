@@ -70,7 +70,7 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     rows = [0] * n
     for pair in edges:
         u, v = pair
-        if not (0 <= u < n and 0 <= v < n):
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge {(u, v)} out of range for n={n}")
         if u == v:
             raise InputError(f"self-edge {(u, v)} not allowed")

@@ -39,11 +39,23 @@ def bits(mask: int) -> Iterator[int]:
 
 
 def _check_count(value, least: int, noun: str = "step count") -> None:
-    """``InputError`` unless the step or vertex count ``value`` is an int (not a bool) >= least."""
+    """``InputError`` unless the count ``value`` (an order, a step or sample
+    count, a partition total or part, k or l) is an int, not a bool, >= least;
+    the message says "nonnegative" at 0, "positive" at 1, "at least {least}" above.
+    """
     if type(value) is not int:
         raise InputError(f"{noun} must be an int, got {value!r}")
     if value < least:
-        raise InputError(f"{noun} must be {'positive' if least else 'nonnegative'}, got {value}")
+        bound = {0: "nonnegative", 1: "positive"}.get(least, f"at least {least}")
+        raise InputError(f"{noun} must be {bound}, got {value}")
+
+
+def _check_index(value, n: int, noun: str = "vertex", stop: int | None = None) -> None:
+    """``InputError`` unless ``value`` is an int (not a bool) in [0, stop);
+    stop defaults to the order n, as for a vertex.
+    """
+    if type(value) is not int or not 0 <= value < (n if stop is None else stop):
+        raise InputError(f"{noun} {value!r} out of range for n={n}")
 
 
 def _checked_rows(n: int, rows: Iterable[int], noun: str) -> tuple[int, ...]:
@@ -128,7 +140,8 @@ def from_arc_list(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     rows = [0] * n
     for pair in arcs:
         u, v = pair
-        if not (0 <= u < n and 0 <= v < n):
+        # inline, not _check_index: this runs once per arc
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
             raise InputError(f"arc {(u, v)} out of range for n={n}")
         rows[u] |= 1 << v
     return Digraph(n, rows)
@@ -202,8 +215,7 @@ def step_neighbors(d: Digraph, v: int, m: int, direction: str = "prey") -> froze
 
     m = 0 gives {v} (the empty walk).
     """
-    if not 0 <= v < d.n:
-        raise InputError(f"vertex {v} out of range for n={d.n}")
+    _check_index(v, d.n)
     _check_count(m, 0)
     if direction == "prey":
         rows = d.out_rows
@@ -264,10 +276,10 @@ def weak_components(d: Digraph) -> list[frozenset[int]]:
 
 def induced_subdigraph(d: Digraph, keep: Iterable[int]) -> tuple[Digraph, list[int]]:
     """Subdigraph induced on ``keep``, plus the new-index -> old-vertex map."""
-    old = sorted(set(keep))
-    for v in old:
-        if not 0 <= v < d.n:
-            raise InputError(f"vertex {v} out of range for n={d.n}")
+    keep = set(keep)
+    for v in keep:
+        _check_index(v, d.n)
+    old = sorted(keep)
     new_of = {o: i for i, o in enumerate(old)}
     rows = []
     for o in old:
@@ -287,6 +299,12 @@ def induced_subdigraph(d: Digraph, keep: Iterable[int]) -> tuple[Digraph, list[i
 # is at least quadratic in n, and the header alone would otherwise size the
 # row list, so a stray header like 1000000000 exhausts memory.
 MAX_TEXT_ORDER = 1024
+
+
+def _check_order(n: int, noun: str = "order") -> None:
+    """``InputError`` if the order n, about to be built, exceeds ``MAX_TEXT_ORDER``."""
+    if n > MAX_TEXT_ORDER:
+        raise InputError(f"{noun} {n} exceeds the limit of {MAX_TEXT_ORDER}")
 
 
 def _parse_pairs(text: str, noun: str) -> tuple[int, list[tuple[int, int]]]:
@@ -313,8 +331,7 @@ def _parse_pairs(text: str, noun: str) -> tuple[int, list[tuple[int, int]]]:
             raise InputError(f"line {lineno}: cannot parse {raw!r}") from None
     if n is None:
         raise InputError(f"empty {noun} file")
-    if n > MAX_TEXT_ORDER:
-        raise InputError(f"vertex count {n} exceeds the limit of {MAX_TEXT_ORDER}")
+    _check_order(n, "vertex count")
     return n, pairs
 
 

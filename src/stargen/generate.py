@@ -8,13 +8,12 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterator
 
-from .digraph import Digraph, InputError, _check_count, bits, from_arc_list
+from .digraph import Digraph, InputError, _check_count, _check_index, bits, from_arc_list
 
 
 def partitions(total: int) -> Iterator[tuple[int, ...]]:
     """All partitions of ``total`` as nonincreasing tuples, reverse-lex order."""
-    if total < 1:
-        raise InputError(f"partition total must be positive, got {total}")
+    _check_count(total, 1, "partition total")
     yield from _partitions(total, total)
 
 
@@ -51,8 +50,10 @@ def star_generating_from_partition(parts: tuple[int, ...]) -> Digraph:
     1..n-1 carry vertex-disjoint directed cycles whose lengths are the
     parts, laid out in part order on consecutive indices.
     """
-    if not parts or any(p < 1 for p in parts) or list(parts) != sorted(parts, reverse=True):
-        raise InputError(f"parts must be a nonincreasing positive sequence, got {parts}")
+    for p in parts:
+        _check_count(p, 1, "part")
+    if not parts or list(parts) != sorted(parts, reverse=True):
+        raise InputError(f"parts must be a non-empty nonincreasing sequence, got {parts}")
     n = sum(parts) + 1
     arcs = [(0, v) for v in range(1, n)]
     base = 1
@@ -68,8 +69,7 @@ def enumerate_single_source_star_generating(n: int) -> Iterator[Digraph]:
     star-generating digraphs of order n; the count is the number of
     partitions of n-1.
     """
-    if n < 2:
-        raise InputError(f"order must be at least 2, got {n}")
+    _check_count(n, 2, "order")
     for parts in partitions(n - 1):
         yield star_generating_from_partition(parts)
 
@@ -81,8 +81,8 @@ def lemma_kl_digraph(k: int, l: int) -> Digraph:
     Vertices: sources 0..k-1, a loop vertex k they all feed, and a directed
     cycle on k+1..k+l (a loop when l = 1) entered from source k-1.
     """
-    if k < 1 or l < 1:
-        raise InputError(f"k and l must be positive, got ({k}, {l})")
+    _check_count(k, 1, "k")
+    _check_count(l, 1, "l")
     u = k
     w = [k + 1 + i for i in range(l)]
     arcs = [(v, u) for v in range(k)]
@@ -95,6 +95,7 @@ def lemma_kl_digraph(k: int, l: int) -> Digraph:
 
 def digraph_space_size(n: int) -> int:
     """Number of labeled digraphs on n vertices with every outdegree >= 1."""
+    _check_count(n, 0, "vertex count")
     return (2**n - 1) ** n
 
 
@@ -112,8 +113,7 @@ def _out_rows(n: int, index: int) -> list[int]:
 
 def digraph_at(n: int, index: int) -> Digraph:
     """The index-th digraph of the stream (lexicographic by out-row tuple)."""
-    if not 0 <= index < digraph_space_size(n):
-        raise InputError(f"index {index} out of range for n={n}")
+    _check_index(index, n, "index", digraph_space_size(n))
     return Digraph(n, _out_rows(n, index))
 
 

@@ -737,22 +737,20 @@ def verify_claims(
         m_values = list(m_set)
     except TypeError:
         raise InputError(f"m_set must be a list of ints, got {m_set!r}") from None
-    counts = [("n_max", n_max)] + [("m", m) for m in m_values]
-    counts += [(k, v) for k, v in (("sample count", sample_count), ("seed", seed)) if v is not None]
-    for name, value in counts:
-        if type(value) is not int:  # a bool is an int, but not a count
-            raise InputError(f"{name} must be an int, got {value!r}")
+    _digraph._check_count(n_max, 1, "n_max")
+    for m in m_values:
+        _digraph._check_count(m, 1, "m")
+    if sample_count is not None:
+        _digraph._check_count(sample_count, 1, "sample count")
+    if seed is not None and type(seed) is not int:  # any int is a seed, but not a bool
+        raise InputError(f"seed must be an int, got {seed!r}")
     m_list = sorted(set(m_values))
-    if any(m < 1 for m in m_list):
-        raise InputError("m values must be positive")
     for claim in claims:
         below = [m for m in m_list if claim.min_m is not None and m < claim.min_m]
         if below:
             raise InputError(f"claim {claim.id} requires m >= {claim.min_m}; got {below}")
     special = [c for c in claims if c.kind != "digraph"]
     scan_ids = [c.id for c in claims if c.kind == "digraph"]
-    if n_max < 1:
-        raise InputError(f"n_max must be positive, got {n_max}")
     if n_max < 2 and any(c.kind == "census" for c in claims):
         raise InputError("thm_3_2 needs n_max >= 2")
     if not m_list and any(c.min_m is not None for c in claims):
@@ -762,10 +760,7 @@ def verify_claims(
     if sample_count is not None:
         if not scan_ids:
             raise InputError(f"sample count {sample_count}: no requested claim samples")
-        if sample_count < 1:
-            raise InputError(f"sample count must be at least 1, got {sample_count}")
-        if n_max > _digraph.MAX_TEXT_ORDER:  # a draw builds (2**n - 1)**n
-            raise InputError(f"sampled n_max {n_max} exceeds {_digraph.MAX_TEXT_ORDER}")
+        _digraph._check_order(n_max, "sampled n_max")  # a draw builds (2**n - 1)**n
 
     started = time.perf_counter()
     reports = {}
@@ -822,10 +817,7 @@ def replay_counterexample(entry: dict) -> bool:
         raise InputError(f"malformed counterexample entry: {entry!r}")
     # the (k, l) construction has k + l + 1 vertices
     order = ints[0] + ints[1] + 1 if claim.kind == "grid" else ints[0]
-    if order > _digraph.MAX_TEXT_ORDER:
-        raise InputError(
-            f"counterexample order {order} exceeds the limit of {_digraph.MAX_TEXT_ORDER}"
-        )
+    _digraph._check_order(order, "counterexample order")
     # an m-dependent direction needs an int m (below its minimum in a boundary
     # entry), an m-independent one a null m; the grid takes either
     if claim.kind != "grid" and (m is None) != (direction.min_m is None):

@@ -281,8 +281,9 @@ class TestCappedStream:
     def test_negative_first_batch_refused(self):
         # order 3 has one batch, but first=-2 used to yield three, and at
         # order 5 first=-1 a copy of the last batch: divmod of a negative k
-        # read the digits from the end
-        for n, first, stop in [(3, -2, 1), (5, -1, 0)]:
+        # read the digits from the end; 1.5 used to raise TypeError from
+        # range(), and True to start at batch 1
+        for n, first, stop in [(3, -2, 1), (5, -1, 0), (3, 1.5, None), (3, True, None)]:
             for degrees in [None, *CAPPED_COUNTS]:
                 with pytest.raises(InputError, match=f"non-negative, got {first}$"):
                     list(bitslice.batches(n, degrees, first=first, stop=stop))

@@ -249,7 +249,7 @@ class TestFigures:
 
     def test_unknown_name(self, capsys):
         assert run(["figures", "--name", "fig9"]) == 1
-        assert "unknown figure" in capsys.readouterr().err
+        assert "invalid choice: 'fig9'" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -296,7 +296,7 @@ class TestVerify:
         argv += ["--count", count, "--seed", "1"]
         assert run(argv) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: sample count must be at least 1, got {count}\n"
+        assert captured.err == f"error: sample count must be positive, got {count}\n"
         assert captured.out == ""
 
     def test_grid_rejects_a_nonpositive_n_max(self, capsys):

@@ -253,6 +253,9 @@ class TestGraphFormats:
         [
             (0, [], "vertex count must be positive, got 0"),
             (2, [(0, 2)], r"edge \(0, 2\) out of range for n=2"),
+            # used to raise TypeError from 1 << 1.5, or to build the edge (1, 2)
+            (3, [(0, 1.5)], r"^edge \(0, 1\.5\) out of range for n=3$"),
+            (3, [(True, 2)], r"^edge \(True, 2\) out of range for n=3$"),
         ],
     )
     def test_bad_order_or_edge(self, n, edges, message):

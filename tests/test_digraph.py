@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,10 @@ class TestFromArcList:
     def test_out_of_range_names_pair(self):
         with pytest.raises(InputError, match=r"\(0, 5\)"):
             from_arc_list(3, [(0, 5)])
+        # a float used to raise TypeError from 1 << 1.5, and a bool to build an arc
+        for pair in [(0, 1.5), (True, 2), (1, False)]:
+            with pytest.raises(InputError, match=rf"^arc {re.escape(str(pair))} out of range"):
+                from_arc_list(3, [pair])
         with pytest.raises(InputError):
             from_arc_list(0, [])
 
@@ -136,6 +142,10 @@ class TestStepNeighbors:
     def test_bad_arguments(self):
         with pytest.raises(InputError):
             step_neighbors(FIGS["fig4_D"], 7, 1)
+        # a float used to raise TypeError, and True to stand for vertex 1
+        for v in (1.5, True):
+            with pytest.raises(InputError, match=f"^vertex {v} out of range for n=3$"):
+                step_neighbors(FIGS["fig4_D"], v, 1)
         with pytest.raises(InputError):
             step_neighbors(FIGS["fig4_D"], 0, -1)
         with pytest.raises(InputError):
@@ -330,6 +340,10 @@ class TestInducedSubdigraph:
     def test_out_of_range_vertex(self):
         with pytest.raises(InputError, match="vertex 3 out of range for n=3"):
             induced_subdigraph(FIGS["fig1_D2"], {0, 3})
+        # a float used to raise TypeError, and True to stand for vertex 1
+        for v in (0.5, True):
+            with pytest.raises(InputError, match=f"^vertex {v} out of range for n=3$"):
+                induced_subdigraph(FIGS["fig1_D2"], [v])
 
 
 class TestEdgeListFormat:

@@ -72,7 +72,8 @@ class TestStarGeneratingFromPartition:
         assert are_isomorphic(star_generating_from_partition((2, 1)), FIGS["fig2_D2"])
 
     def test_rejects_bad_parts(self):
-        for bad in ((), (0,), (1, 2), (-1,)):
+        # (2.0, 1) used to raise TypeError, and (True,) to build a digraph
+        for bad in ((), (0,), (1, 2), (-1,), (2.0, 1), (True,)):
             with pytest.raises(InputError):
                 star_generating_from_partition(bad)
 
@@ -221,6 +222,34 @@ class TestAllDigraphs:
             list(all_digraphs(0))
         with pytest.raises(InputError):
             digraph_at(3, 343)
+        # used to report "out-rows must be ints, got (1.0, 2.5)"
+        with pytest.raises(InputError, match=r"^index 1\.5 out of range for n=2$"):
+            digraph_at(2, 1.5)
+
+
+class TestCountChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: digraph_space_size(2.0), "vertex count must be an int, got 2.0"),
+            (lambda: digraph_space_size(True), "vertex count must be an int, got True"),
+            (lambda: digraph_space_size(-1), "vertex count must be nonnegative, got -1"),
+            (lambda: list(partitions(2.0)), "partition total must be an int, got 2.0"),
+            (lambda: lemma_kl_digraph(1.0, 1), "k must be an int, got 1.0"),
+            (lambda: lemma_kl_digraph(1, 0), "l must be positive, got 0"),
+            (
+                lambda: list(enumerate_single_source_star_generating(3.0)),
+                "order must be an int, got 3.0",
+            ),
+        ],
+        ids=["space-float", "space-bool", "space-negative", "partitions", "k", "l", "enumerate"],
+    )
+    def test_counts_checked_where_they_enter(self, call, message):
+        # digraph_space_size(2.0) used to return 9.0 and (True) 1, and the
+        # others to raise TypeError from range()
+        with pytest.raises(InputError) as info:
+            call()
+        assert str(info.value) == message
 
 
 class TestCanonicalForm:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -143,7 +144,7 @@ class TestErrors:
 
     def test_sampled_order_over_the_limit(self):
         # a draw builds (2**n - 1)**n, so the bound comes before any draw
-        with pytest.raises(InputError, match=f"exceeds {MAX_TEXT_ORDER}"):
+        with pytest.raises(InputError, match=f"exceeds the limit of {MAX_TEXT_ORDER}"):
             verify_claims(["prop_2_1"], MAX_TEXT_ORDER + 1, [1], seed=1, sample_count=1)[0]
 
     def test_nonpositive_m_rejected(self):
@@ -153,7 +154,7 @@ class TestErrors:
     @pytest.mark.parametrize("count", [0, -5])
     def test_sample_count_below_one_rejected(self, count):
         # a sampled scan of nothing used to report the claim verified
-        with pytest.raises(InputError, match="sample count must be at least 1"):
+        with pytest.raises(InputError, match="sample count must be positive"):
             verify_claims(["prop_2_1"], 3, [1], seed=1, sample_count=count)[0]
 
     @pytest.mark.parametrize(
@@ -908,3 +909,33 @@ class TestClosedForms:
                 del fresh["claim"], fresh["elapsed"]
                 del committed[rep.claim_id]["elapsed"]
                 assert fresh == committed[rep.claim_id], rep.claim_id
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_census_representatives_label_n_factorial(self, n):
+        # each representative R has n!/|Aut(R)| labelings, and together they
+        # are the n! labeled single-source star-generating digraphs that
+        # thm_1_3 "if" counts; automorphisms are counted here, not by generate
+        def automorphisms(d):
+            arcs = set(d.arcs())
+            return sum(
+                {(p[u], p[v]) for u, v in arcs} == arcs
+                for p in itertools.permutations(range(d.n))
+            )
+
+        reps = list(generate.enumerate_single_source_star_generating(n))
+        labelings = [math.factorial(n) // automorphisms(r) for r in reps]
+        assert sum(labelings) == math.factorial(n)
+
+    def test_m1_only_if_hits(self):
+        # at m = 1, "only_if" holds on (n - 1)! * n**(n - 1) digraphs of each
+        # order n >= 2, and the n! star-generating ones among them are "if"'s
+        # hits; the rest are boundary instances below the m range
+        (report,) = verify_claims(["thm_1_3"], 5, [1])
+        only_if = {n: math.factorial(n - 1) * n ** (n - 1) for n in range(2, 6)}
+        assert list(only_if.values()) == [2, 18, 384, 15_000]
+        assert report.hits_by_direction == {"if": {1: 152}, "only_if": {1: 15_404}}
+        boundary = Counter(e["n"] for e in report.boundary_instances)
+        assert boundary == {n: only_if[n] - math.factorial(n) for n in range(3, 6)}
+        assert len(report.boundary_instances) == 15_404 - 152 == 15_252
+        # at n_max 4 the same rule gives the 372 that CI checks
+        assert sum(boundary[n] for n in (3, 4)) == 372
