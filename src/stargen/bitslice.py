@@ -29,10 +29,14 @@ stream indices of one order, repeats included.
 memoizes the powers and competition graphs, the C^m and weak component
 summaries, the local star-generating plane and the subdigraph verdicts,
 and every atom of the claim catalog reads its ``plane`` from it.  The
-subdigraph check (Lemma 3.4) derives each subdigraph's arc planes from the
-batch's and sweeps its ``m_values`` one subdigraph at a time, stepping its
-power by one product per m: it holds one power chain and the C^m edge
-planes of the m values still to come, |m values| x C(n, 2) planes.
+subdigraph check (Lemma 3.4) sweeps its ``m_values`` one subdigraph at a
+time.  On the out-row stream a one-arc deletion D - uv whose u is a
+trailing digit is a digraph of the same batch, a fixed number of bits
+below D, so its C^m edge planes are the batch's, shifted; every other
+subdigraph derives its arc planes from the batch's and steps its power by
+one product per m.  The check holds one power chain and the C^m edge and
+non-edge planes of the m values still to come, 2 x |m values| x C(n, 2)
+planes.
 """
 
 from __future__ import annotations
@@ -104,15 +108,23 @@ def batches(
     one of the predator sets whose size lies in ``degrees``, and the bits
     of ``full`` are the digraphs with every in-degree in that set.
     """
+    _digraph._check_count(n, 1, "order")
     # divmod would read the digits of a negative k from the end
     if type(first) is not int or first < 0:
         raise _digraph.InputError(f"first batch must be an int and non-negative, got {first!r}")
+    if stop is not None:
+        _digraph._check_count(stop, 0, "stop batch")
     values = range(1, 2**n) if degrees is None else _predator_sets(n, degrees)
     base = len(values)
     t = _trailing_digits(base, n)
     size = base**t
     ones = (1 << size) - 1
     trailing = _trailing_planes(values, n, t)
+    # out-row u's digit has run base**(n - 1 - u) inside a batch when trailing;
+    # dropping an arc from an in-column may leave the capped stream
+    runs = None
+    if degrees is None:
+        runs = (None,) * (n - t) + tuple(base**p for p in range(t - 1, -1, -1))
     count = base ** (n - t)
     for k in range(first, count if stop is None else min(stop, count)):
         # the leading digits are those of k: plane w of each is all-one
@@ -124,16 +136,21 @@ def batches(
         arcs = tuple(reversed(leading)) + trailing
         if degrees is not None:  # arc plane (u, w) is plane u of column w
             arcs = tuple(zip(*arcs))
-        yield PlaneContext(n, arcs, _all((_any(row) for row in arcs), ones))
+        yield PlaneContext(n, arcs, _all((_any(row) for row in arcs), ones), runs)
 
 
 def draws(n: int, indices: Sequence[int]) -> PlaneContext:
     """The batch whose bit b is the order-n digraph at stream index ``indices[b]``."""
+    _digraph._check_count(n, 1, "order")
+    total = _generate.digraph_space_size(n)
     # draw b's out-rows are field b of one binary string, which arc plane
     # (u, w) reads with stride n*n
     width = n * n
     fields = []
     for index in reversed(indices):
+        # the test inline, and the call only to refuse: this runs once per draw
+        if type(index) is not int or not 0 <= index < total:
+            _digraph._check_index(index, n, "index", total)
         packed = 0
         for v, row in enumerate(_generate._out_rows(n, index)):
             packed |= row << v * n
@@ -231,6 +248,9 @@ class PlaneContext:
     consecutive m, and the power the next m steps from, are held at a time.
     ``m_values``, empty unless the scan sets it, lists its rounds' m:
     ``sub_monotone`` sweeps them at once and holds their C^m until then.
+    ``runs``, given by the out-row stream only, holds per vertex u the run
+    of u's out-row digit inside the batch, or None where that digit is a
+    leading one: then D - uv is bit ``2**v * runs[u]`` below D, in the batch.
     """
 
     __slots__ = (
@@ -248,12 +268,14 @@ class PlaneContext:
         "_local_sg",
         "_arc_bytes",
         "m_values",
+        "runs",
     )
 
-    def __init__(self, n: int, arcs, full: int):
+    def __init__(self, n: int, arcs, full: int, runs=None):
         self.n = n
         self.full = full
         self.arcs = arcs
+        self.runs = runs or (None,) * n
         self.in_degrees = self._in_counts(arcs)
         self.sources = [full ^ ge[1] for ge in self.in_degrees]
         # item j: the plane of digraphs with exactly j sources
@@ -527,34 +549,49 @@ class PlaneContext:
         return full & ~bad
 
     def _subdigraphs(self):
-        """(mask, arc planes) of each subdigraph of ``verify.ClaimContext.subdigraphs``.
+        """(mask, shift, arc planes) of each subdigraph of
+        ``verify.ClaimContext.subdigraphs``.
 
         The mask marks the digraphs that have the subdigraph: D - uv where
         u has another prey, and, where D is not weakly connected, the weak
         component of each root r with every arc outside it dropped.  A
         component with several roots is yielded once per root.
+
+        Where u's out-row is a trailing digit of ``runs``, dropping v lowers
+        that digit, u's row less one, by 2**v with no borrow, since u keeps
+        another prey: D - uv is the digraph ``shift = 2**v * runs[u]`` bits
+        below D, so its C^m edge planes are the batch's shifted up by
+        ``shift``, and its arc planes are None.  Every other subdigraph has
+        shift None and its own arc planes.
         """
         a = self.arcs
         full = self.full
-        for u, row in enumerate(a):
+        for u, (row, run) in enumerate(zip(a, self.runs)):
             several = _at_least(row, 2, full)[2]
             for v, x in enumerate(row):
                 if x & several:
-                    yield x & several, a[:u] + (row[:v] + (0,) + row[v + 1 :],) + a[u + 1 :]
+                    if run is None:
+                        sub = a[:u] + (row[:v] + (0,) + row[v + 1 :],) + a[u + 1 :]
+                        yield x & several, None, sub
+                    else:
+                        yield x & several, run << v, None
         split = full ^ self.weakly_connected()
         if split:
             r = self._weak_components()[3]
             for root in range(self.n):
-                yield split, tuple(tuple(x & r[u][root] for x in row) for u, row in enumerate(a))
+                sub = tuple(tuple(x & r[u][root] for x in row) for u, row in enumerate(a))
+                yield split, None, sub
 
     def sub_monotone(self, m: int) -> int:
         """Every edge of a subdigraph's C^m is an edge of C^m(D).
 
         The first call sweeps m and the later ``m_values`` in one walk of
-        the subdigraphs.  Each keeps one power, stepped by one product to
-        the next m or squared after a gap, and dropped before the next.
-        At each m only digraphs whose C^m misses some pair, and that have
-        not failed, are tested; a subdigraph none of them has is skipped.
+        the subdigraphs.  A subdigraph in the batch reads its C^m as the
+        batch's C^m shifted by its ``shift``; any other keeps one power,
+        stepped by one product to the next m or squared after a gap, and
+        dropped before the next.  At each m only digraphs whose C^m misses
+        some pair, and that have not failed, are tested; a subdigraph none
+        of them has is skipped.
         """
         if m not in self._sub_bad:
             full = self.full
@@ -568,21 +605,28 @@ class PlaneContext:
                 # round that needs its own power steps to it again
                 for key in [key for key in self._powers if m < key < k]:
                     del self._powers[key]
-            todo = [full & ~_all((g[x][y] for x, y in pairs), full) for g in graphs]
+            # per k, the plane of each pair's non-edge, and of any non-edge
+            gaps = [[full & ~g[x][y] for x, y in pairs] for g in graphs]
+            todo = [_any(row) for row in gaps]
             bad = [0] * len(ks)
-            for mask, sub in self._subdigraphs():
+            for mask, shift, sub in self._subdigraphs():
                 prey = at = None
                 for i, k in enumerate(ks):
                     test = mask & todo[i] & ~bad[i]
                     if test:
-                        prey = _product(prey, sub) if at == k - 1 else _power(sub, k)
-                        at = k
-                        for x, y in pairs:
-                            miss = test & ~graphs[i][x][y]
+                        g = graphs[i]
+                        if shift is None:
+                            prey = _product(prey, sub) if at == k - 1 else _power(sub, k)
+                            at = k
+                        for (x, y), gap in zip(pairs, gaps[i]):
+                            miss = test & gap
                             if miss:
-                                e = 0
-                                for s, t in zip(prey[x], prey[y]):
-                                    e |= s & t
+                                if shift is None:
+                                    e = 0
+                                    for s, t in zip(prey[x], prey[y]):
+                                        e |= s & t
+                                else:
+                                    e = g[x][y] << shift
                                 bad[i] |= miss & e
             self._sub_bad.update(zip(ks, bad))
         return self.full & ~self._sub_bad[m]

@@ -69,7 +69,10 @@ def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     _check_count(n, 1, "vertex count")
     rows = [0] * n
     for pair in edges:
-        u, v = pair
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise InputError(f"edge {pair!r} is not a pair of vertices") from None
         if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
             raise InputError(f"edge {(u, v)} out of range for n={n}")
         if u == v:

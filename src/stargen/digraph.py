@@ -139,7 +139,10 @@ def from_arc_list(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
     _check_count(n, 1, "vertex count")
     rows = [0] * n
     for pair in arcs:
-        u, v = pair
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise InputError(f"arc {pair!r} is not a pair of vertices") from None
         # inline, not _check_index: this runs once per arc
         if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
             raise InputError(f"arc {(u, v)} out of range for n={n}")

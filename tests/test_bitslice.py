@@ -9,7 +9,7 @@ import pytest
 from stargen import CATALOG, replay_counterexample, verify_claims
 from stargen import bitslice, verify
 from stargen.competition import Graph
-from stargen.digraph import Digraph, InputError, bits
+from stargen.digraph import Digraph, InputError, _row_power, bits
 from stargen.generate import digraph_at, digraph_space_size
 from stargen.verify import (
     CONNECTED,
@@ -177,8 +177,9 @@ class TestBatches:
         assert products == {2: 5, 3: 5, 4: 5}
 
     def test_sub_monotone_steps_each_subdigraph_once_per_m(self, monkeypatch):
-        # one sweep over m 1..6: D's powers, and each subdigraph's power
-        # stepped by one product per m where some digraph still needs it
+        # one sweep over m 1..6: D's powers, and each weak component's power
+        # stepped by one product per m where some digraph still needs it;
+        # below order 5 every one-arc deletion is in the batch and steps none
         products = Counter()
         product = bitslice._product
 
@@ -188,7 +189,7 @@ class TestBatches:
 
         monkeypatch.setattr(bitslice, "_product", counting_product)
         verify_claims(["lemma_3_4"], 4, range(1, 7))
-        assert products == {1: 5, 2: 15, 3: 65, 4: 105}
+        assert products == {1: 5, 2: 15, 3: 20, 4: 25}
         # the sweep at m = 1 holds the later C^m, but no power between
         (p,) = bitslice.batches(3)
         p.m_values = tuple(range(1, 7))
@@ -277,6 +278,29 @@ class TestCappedStream:
                 assert (resumed.arcs, resumed.full) == (p.arcs, p.full), (sorted(degrees), k)
                 count += 1
             assert list(bitslice.batches(n, degrees, first=count, stop=count + 5)) == []
+
+    def test_bad_order_stop_or_index_refused(self):
+        # each used to raise a bare TypeError or ZeroDivisionError, to yield
+        # a batch, or, for an index past the stream, to build a digraph
+        for kwargs, message in [
+            (dict(n=2.0), "^order must be an int, got 2.0$"),
+            (dict(n=0), "^order must be positive, got 0$"),
+            (dict(n=2, stop=1.5), "^stop batch must be an int, got 1.5$"),
+            (dict(n=2, stop=-1), "^stop batch must be nonnegative, got -1$"),
+        ]:
+            with pytest.raises(InputError, match=message):
+                list(bitslice.batches(**kwargs))
+        for n, indices, message in [
+            (0, [], "^order must be positive, got 0$"),
+            (2, [1.5], r"^index 1\.5 out of range for n=2$"),
+            (2, [0, 10**6], "^index 1000000 out of range for n=2$"),
+            (2, [9], "^index 9 out of range for n=2$"),
+            (2, [-1], "^index -1 out of range for n=2$"),
+            (2, [True], "^index True out of range for n=2$"),
+        ]:
+            with pytest.raises(InputError, match=message):
+                bitslice.draws(n, indices)
+        assert bitslice.draws(2, [8]).digraph(0) == digraph_at(2, 8)
 
     def test_negative_first_batch_refused(self):
         # order 3 has one batch, but first=-2 used to yield three, and at
@@ -432,11 +456,14 @@ class TestAtomPlanes:
 
     def test_sub_monotone_plane_on_forced_failures(self):
         # natural data never fails Lemma 3.4, so the host's C^m is emptied
-        # through both memos: every subdigraph edge is then missing from it
+        # through both memos: every subdigraph edge is then missing from it.
+        # A batch of the stream would read its deletions' C^m from the same
+        # emptied memo, so the whole stream runs as draws, whose subdigraphs
+        # step their own powers
         failures = 0
         for n in range(1, 4):
             total = digraph_space_size(n)
-            (p,) = bitslice.batches(n)
+            p = bitslice.draws(n, range(total))
             for m in (1, 2, 3, 4, 5, 2**60):
                 p._graphs[m] = [[0] * n for _ in range(n)]
                 plane = SUB_MONOTONE.plane(p, m)
@@ -455,7 +482,7 @@ class TestAtomPlanes:
         m_values = (1, 2, 3, 4, 5, 2**60)
         failures = 0
         for n in range(1, 4):
-            (p,) = bitslice.batches(n)
+            p = bitslice.draws(n, range(digraph_space_size(n)))
             p.m_values = m_values
             for m in m_values:
                 p._graphs[m] = [[0] * n for _ in range(n)]
@@ -475,11 +502,13 @@ class TestAtomPlanes:
         # with C^m(D) forced to K_4 minus {0, 1}, a digraph fails where a
         # subdigraph's 0 and 1 share an m-step prey, which some first do
         # at m = 3: a power stepped instead of squared across a gap, or
-        # taken from a wrong m, shows here, against one call per m
+        # taken from a wrong m, shows here, against one call per m; draws,
+        # since a batch of the stream reads its deletions from the forced memo
         n = 4
         rng = random.Random(4)
+        stream = range(digraph_space_size(n))
         for m_values in [(1, 2**60), (1, 3, 2**60), (1, 2, 3, 4, 5, 2**60)]:
-            (sweep,), (lone,) = bitslice.batches(n), bitslice.batches(n)
+            sweep, lone = bitslice.draws(n, stream), bitslice.draws(n, stream)
             sweep.m_values = m_values
             rows = [sum(1 << y for y in range(n) if y != x and {x, y} != {0, 1}) for x in range(n)]
             for p in (sweep, lone):
@@ -494,6 +523,94 @@ class TestAtomPlanes:
                     ctx._graphs[m] = Graph(n, rows)
                     holds = SUB_MONOTONE.check(ctx, m) is None
                     assert bool(plane >> b & 1) is holds, (ctx.d, m)
+
+    def test_in_batch_deletions_read_the_batch_planes(self):
+        # D - uv, u's out-row a trailing digit of the out-row stream, is the
+        # digraph 2**v * runs[u] bits below D: the batch's C^m shifted that
+        # far equals the one stepped from the deletion's own arc planes
+        # wherever u has another prey, at every order-4 batch and below and
+        # at the first and last of order 5, whose two leading rows are not read
+        count = digraph_space_size(5) // 31**3
+        contexts = [next(bitslice.batches(n)) for n in range(1, 5)]
+        contexts += [next(bitslice.batches(5, first=k)) for k in (0, count - 1)]
+        m_values = (1, 2, 3, 4, 5, 6, 2**60)
+        assert [p.runs for p in contexts] == [
+            tuple((2**n - 1) ** (n - 1 - u) for u in range(n)) for n in range(1, 5)
+        ] + [(None, None, 31**2, 31, 1)] * 2
+        for p in contexts:
+            n, a = p.n, p.arcs
+            expected = []
+            for u, run in enumerate(p.runs):
+                if run is None:
+                    continue
+                several = bitslice._at_least(a[u], 2, p.full)[2]
+                for v in range(n):
+                    mask, shift = a[u][v] & several, run << v
+                    expected.append((mask, shift))
+                    sub = a[:u] + (a[u][:v] + (0,) + a[u][v + 1 :],) + a[u + 1 :]
+                    prey = None
+                    for m in m_values:
+                        stepped = prey is not None and m < 2**60
+                        prey = bitslice._product(prey, sub) if stepped else bitslice._power(sub, m)
+                        g = p.graph(m)
+                        for x in range(n):
+                            for y in range(x + 1, n):
+                                e = bitslice._any(s & t for s, t in zip(prey[x], prey[y]))
+                                assert mask & e == mask & g[x][y] << shift, (n, u, v, m)
+            read = [(mask, shift) for mask, shift, _ in p._subdigraphs() if shift is not None]
+            assert read == [(mask, shift) for mask, shift in expected if mask], n
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_planted_faults_flag_exactly_their_bits(self, n):
+        # one C^m edge of a few scattered hosts is cleared in the memos,
+        # an edge that some subdigraph's C^m has; no host is another's
+        # deletion partner, so the partners keep their C^m and exactly the
+        # hosts fail, on the stream's batch, on draws and on the scalar path
+        rng = random.Random(n)
+        total = digraph_space_size(n)
+        runs = next(bitslice.batches(n)).runs
+        for m in (1, 3, 2**60):
+            planted, near = {}, set()
+            for b in rng.sample(range(total), total):
+                d = digraph_at(n, b)
+                partners = {
+                    b - (runs[u] << v)
+                    for u, row in enumerate(d.out_rows)
+                    if row.bit_count() > 1
+                    for v in bits(row)
+                }
+                if b in near or partners & planted.keys():
+                    continue
+                ctx = ClaimContext(d)
+                shared = [
+                    (x, y)
+                    for sub in ctx.subdigraphs()
+                    for prey in [_row_power(sub, m)]
+                    for x in range(n)
+                    for y in range(x + 1, n)
+                    if prey[x] & prey[y]
+                ]
+                if shared:
+                    planted[b] = shared[0]
+                    near |= partners
+                if len(planted) == 6:
+                    break
+            assert len(planted) == 6
+            for q in (next(bitslice.batches(n)), bitslice.draws(n, range(total))):
+                g = q.graph(m)
+                for b, (x, y) in planted.items():
+                    g[x][y] &= ~(1 << b)
+                    g[y][x] &= ~(1 << b)
+                assert set(bits(q.full & ~SUB_MONOTONE.plane(q, m))) == set(planted), m
+            for b in set(planted) | near | set(rng.sample(range(total), 100)):
+                ctx = ClaimContext(digraph_at(n, b))
+                if b in planted:
+                    x, y = planted[b]
+                    rows = list(ctx.graph(m).rows)
+                    rows[x] &= ~(1 << y)
+                    rows[y] &= ~(1 << x)
+                    ctx._graphs[m] = Graph(n, rows)
+                assert (SUB_MONOTONE.check(ctx, m) is None) is (b not in planted), (b, m)
 
     def test_every_catalog_atom_has_a_plane(self):
         assert all(atom.plane is not None for atom in ATOMS.values())

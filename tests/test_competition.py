@@ -256,6 +256,9 @@ class TestGraphFormats:
             # used to raise TypeError from 1 << 1.5, or to build the edge (1, 2)
             (3, [(0, 1.5)], r"^edge \(0, 1\.5\) out of range for n=3$"),
             (3, [(True, 2)], r"^edge \(True, 2\) out of range for n=3$"),
+            # unpacking used to raise a bare ValueError or TypeError
+            (3, [(0, 1, 2)], r"^edge \(0, 1, 2\) is not a pair of vertices$"),
+            (3, [5], "^edge 5 is not a pair of vertices$"),
         ],
     )
     def test_bad_order_or_edge(self, n, edges, message):

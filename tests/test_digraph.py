@@ -52,6 +52,12 @@ class TestFromArcList:
         with pytest.raises(InputError):
             from_arc_list(0, [])
 
+    def test_non_pair_names_it(self):
+        # unpacking used to raise a bare ValueError or TypeError
+        for arc in [(0, 1, 2), (0,), 5]:
+            with pytest.raises(InputError, match=rf"^arc {re.escape(repr(arc))} is not a pair"):
+                from_arc_list(3, [arc])
+
 
 class TestRowValidation:
     @pytest.mark.parametrize(
