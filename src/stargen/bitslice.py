@@ -29,12 +29,14 @@ stream indices of one order, repeats included.
 memoizes the powers and competition graphs, the C^m and weak component
 summaries, the local star-generating plane and the subdigraph verdicts,
 and every atom of the claim catalog reads its ``plane`` from it.  The
-subdigraph check (Lemma 3.4) sweeps its ``m_values`` one subdigraph at a
-time.  On the out-row stream a one-arc deletion D - uv whose u is a
+subdigraph check (Lemma 3.4) sweeps its ``m_values`` for each one-arc
+deletion D - uv in turn.  On the out-row stream a deletion whose u is a
 trailing digit is a digraph of the same batch, a fixed number of bits
 below D, so its C^m edge planes are the batch's, shifted; every other
-subdigraph derives its arc planes from the batch's and steps its power by
-one product per m.  The check holds one power chain and the C^m edge and
+deletion derives its arc planes from the batch's and steps its power by
+one product per m.  The weak-component restrictions need no power of
+their own: together their C^m is C^m(D), read from D's own powers.  The
+check holds at most one deletion's power chain and the C^m edge and
 non-edge planes of the m values still to come, 2 x |m values| x C(n, 2)
 planes.
 """
@@ -110,8 +112,7 @@ def batches(
     """
     _digraph._check_count(n, 1, "order")
     # divmod would read the digits of a negative k from the end
-    if type(first) is not int or first < 0:
-        raise _digraph.InputError(f"first batch must be an int and non-negative, got {first!r}")
+    _digraph._check_count(first, 0, "first batch")
     if stop is not None:
         _digraph._check_count(stop, 0, "stop batch")
     values = range(1, 2**n) if degrees is None else _predator_sets(n, degrees)
@@ -144,9 +145,9 @@ def draws(n: int, indices: Sequence[int]) -> PlaneContext:
     _digraph._check_count(n, 1, "order")
     total = _generate.digraph_space_size(n)
     # draw b's out-rows are field b of one binary string, which arc plane
-    # (u, w) reads with stride n*n
+    # (u, w) reads with stride n*n; a zero field on top keeps it non-empty
     width = n * n
-    fields = []
+    fields = ["0" * width]
     for index in reversed(indices):
         # the test inline, and the call only to refuse: this runs once per draw
         if type(index) is not int or not 0 <= index < total:
@@ -217,6 +218,14 @@ def _closure(adj, full: int) -> list[list[int]]:
 def _minima(r, full: int) -> list[int]:
     """Planes of 'v is the smallest vertex of its component' from a closure."""
     return [full & ~_any(r[u][v] for u in range(v)) for v in range(len(r))]
+
+
+def _meet(a, b) -> int:
+    """The plane where two rows of planes share a column."""
+    acc = 0
+    for x, y in zip(a, b):
+        acc |= x & y
+    return acc
 
 
 def _any(planes) -> int:
@@ -362,10 +371,7 @@ class PlaneContext:
             g = [[0] * n for _ in range(n)]
             for u in range(n):
                 for v in range(u + 1, n):
-                    e = 0
-                    for x, y in zip(prey[u], prey[v]):
-                        e |= x & y
-                    g[u][v] = g[v][u] = e
+                    g[u][v] = g[v][u] = _meet(prey[u], prey[v])
             self._graphs[m] = g
         return g
 
@@ -383,21 +389,20 @@ class PlaneContext:
 
     def _summary(self, adj):
         """(connected, ``_at_least`` counter of the component count, every
-        component meets a source, closure) of a symmetric matrix of planes.
+        component meets a source) of a symmetric matrix of planes.
         """
         full = self.full
         r = _closure(adj, full)
         minima = _minima(r, full)
         bad = 0
         for v, first in enumerate(minima):
-            bad |= first & ~_any(x & s for x, s in zip(r[v], self.sources))
-        return _all(r[0], full), _at_least(minima, self.n, full), full & ~bad, r
+            bad |= first & ~_meet(r[v], self.sources)
+        return _all(r[0], full), _at_least(minima, self.n, full), full & ~bad
 
     def _components(self, m: int):
-        """C^m's ``_summary`` less its closure: the memo holds no closure."""
         c = self._cm.get(m)
         if c is None:
-            c = self._cm[m] = self._summary(self.graph(m))[:3]
+            c = self._cm[m] = self._summary(self.graph(m))
         return c
 
     def connected(self, m: int) -> int:
@@ -549,19 +554,15 @@ class PlaneContext:
         return full & ~bad
 
     def _subdigraphs(self):
-        """(mask, shift, arc planes) of each subdigraph of
-        ``verify.ClaimContext.subdigraphs``.
-
-        The mask marks the digraphs that have the subdigraph: D - uv where
-        u has another prey, and, where D is not weakly connected, the weak
-        component of each root r with every arc outside it dropped.  A
-        component with several roots is yielded once per root.
+        """(mask, shift, arc planes) of each one-arc deletion D - uv of
+        ``verify.ClaimContext.subdigraphs``; the mask marks the digraphs
+        where u has another prey.
 
         Where u's out-row is a trailing digit of ``runs``, dropping v lowers
         that digit, u's row less one, by 2**v with no borrow, since u keeps
         another prey: D - uv is the digraph ``shift = 2**v * runs[u]`` bits
         below D, so its C^m edge planes are the batch's shifted up by
-        ``shift``, and its arc planes are None.  Every other subdigraph has
+        ``shift``, and its arc planes are None.  Every other deletion has
         shift None and its own arc planes.
         """
         a = self.arcs
@@ -575,32 +576,36 @@ class PlaneContext:
                         yield x & several, None, sub
                     else:
                         yield x & several, run << v, None
-        split = full ^ self.weakly_connected()
-        if split:
-            r = self._weak_components()[3]
-            for root in range(self.n):
-                sub = tuple(tuple(x & r[u][root] for x in row) for u, row in enumerate(a))
-                yield split, None, sub
 
     def sub_monotone(self, m: int) -> int:
         """Every edge of a subdigraph's C^m is an edge of C^m(D).
 
         The first call sweeps m and the later ``m_values`` in one walk of
-        the subdigraphs.  A subdigraph in the batch reads its C^m as the
+        the one-arc deletions.  A deletion in the batch reads its C^m as the
         batch's C^m shifted by its ``shift``; any other keeps one power,
         stepped by one product to the next m or squared after a gap, and
         dropped before the next.  At each m only digraphs whose C^m misses
-        some pair, and that have not failed, are tested; a subdigraph none
-        of them has is skipped.
+        some pair, and that have not failed, are tested; a deletion none of
+        them has is skipped.
+
+        The weak-component restrictions of a D that is not weakly connected
+        are checked together: no arc leaves a weak component, and two
+        vertices with a common m-step prey lie in one, so the union of the
+        restrictions' C^m is C^m(D).  Its edges are read from ``power(m)``,
+        not from the memo they are checked against.
         """
         if m not in self._sub_bad:
             full = self.full
-            n = self.n
-            pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+            pairs = [(x, y) for x in range(self.n) for y in range(x + 1, self.n)]
             ks = [m] + [k for k in self.m_values if k > m]
-            graphs = []
+            split = full ^ self.weakly_connected()
+            graphs, bad = [], []
             for k in ks:
-                graphs.append(self.graph(k))
+                g = self.graph(k)
+                prey = self.power(k)
+                graphs.append(g)
+                # the split digraphs whose own C^k has an edge the memo lacks
+                bad.append(split & _any(_meet(prey[x], prey[y]) & ~g[x][y] for x, y in pairs))
                 # keep D^m and the power the next k steps from; a later
                 # round that needs its own power steps to it again
                 for key in [key for key in self._powers if m < key < k]:
@@ -608,13 +613,11 @@ class PlaneContext:
             # per k, the plane of each pair's non-edge, and of any non-edge
             gaps = [[full & ~g[x][y] for x, y in pairs] for g in graphs]
             todo = [_any(row) for row in gaps]
-            bad = [0] * len(ks)
             for mask, shift, sub in self._subdigraphs():
                 prey = at = None
                 for i, k in enumerate(ks):
                     test = mask & todo[i] & ~bad[i]
                     if test:
-                        g = graphs[i]
                         if shift is None:
                             prey = _product(prey, sub) if at == k - 1 else _power(sub, k)
                             at = k
@@ -622,11 +625,8 @@ class PlaneContext:
                             miss = test & gap
                             if miss:
                                 if shift is None:
-                                    e = 0
-                                    for s, t in zip(prey[x], prey[y]):
-                                        e |= s & t
+                                    bad[i] |= miss & _meet(prey[x], prey[y])
                                 else:
-                                    e = g[x][y] << shift
-                                bad[i] |= miss & e
+                                    bad[i] |= miss & graphs[i][x][y] << shift
             self._sub_bad.update(zip(ks, bad))
         return self.full & ~self._sub_bad[m]

@@ -177,9 +177,9 @@ class TestBatches:
         assert products == {2: 5, 3: 5, 4: 5}
 
     def test_sub_monotone_steps_each_subdigraph_once_per_m(self, monkeypatch):
-        # one sweep over m 1..6: D's powers, and each weak component's power
-        # stepped by one product per m where some digraph still needs it;
-        # below order 5 every one-arc deletion is in the batch and steps none
+        # one sweep over m 1..6 steps D's powers alone: below order 5 every
+        # one-arc deletion is in the batch and steps none, and the weak
+        # components together have D's C^m, read from D's own powers
         products = Counter()
         product = bitslice._product
 
@@ -189,7 +189,7 @@ class TestBatches:
 
         monkeypatch.setattr(bitslice, "_product", counting_product)
         verify_claims(["lemma_3_4"], 4, range(1, 7))
-        assert products == {1: 5, 2: 15, 3: 20, 4: 25}
+        assert products == {1: 5, 2: 5, 3: 5, 4: 5}
         # the sweep at m = 1 holds the later C^m, but no power between
         (p,) = bitslice.batches(3)
         p.m_values = tuple(range(1, 7))
@@ -307,10 +307,28 @@ class TestCappedStream:
         # order 5 first=-1 a copy of the last batch: divmod of a negative k
         # read the digits from the end; 1.5 used to raise TypeError from
         # range(), and True to start at batch 1
-        for n, first, stop in [(3, -2, 1), (5, -1, 0), (3, 1.5, None), (3, True, None)]:
+        for n, first, stop, message in [
+            (3, -2, 1, "nonnegative, got -2"),
+            (5, -1, 0, "nonnegative, got -1"),
+            (3, 1.5, None, r"an int, got 1\.5"),
+            (3, True, None, "an int, got True"),
+        ]:
             for degrees in [None, *CAPPED_COUNTS]:
-                with pytest.raises(InputError, match=f"non-negative, got {first}$"):
+                with pytest.raises(InputError, match=f"^first batch must be {message}$"):
                     list(bitslice.batches(n, degrees, first=first, stop=stop))
+
+    def test_no_draws_make_an_empty_batch(self):
+        # draws(n, []) used to raise a bare ValueError from int('', 2)
+        reports, rounds = _start(PLANED_CLAIMS, [1, 2, 3])
+        empty = _dicts(reports, 0)
+        for n in range(1, 5):
+            p = bitslice.draws(n, [])
+            assert p.full == 0 and p.arcs == ((0,) * n,) * n
+            for m in (1, 2, 3, 2**60):
+                for name, atom in ATOMS.items():
+                    assert atom.plane(p, m) == 0, (name, n, m)
+            verify._check_batch(bitslice.draws(n, []), rounds)
+        assert _dicts(reports, 0) == empty
 
     def test_counts_by_inclusion_exclusion(self):
         # tuples of predator sets with sizes in the set, signed over the k
@@ -453,6 +471,28 @@ class TestAtomPlanes:
                         for b, ctx in contexts.items():
                             holds = atom.check(ctx, m) is None
                             assert bool(plane >> b & 1) is holds, (name, ctx.d, m)
+
+    def test_weak_components_together_have_the_host_cm(self):
+        # the identity the plane check of the component restrictions rests
+        # on: no arc leaves a weak component, and a common m-step prey puts
+        # two vertices in one, so the union of the restrictions' C^m is C^m(D)
+        sample = random.Random(5).sample(range(digraph_space_size(5)), 3000)
+        checked = Counter()
+        for n, i in [pair for n in range(1, 5) for pair in _whole(n)] + [(5, i) for i in sample]:
+            ctx = ClaimContext(digraph_at(n, i))
+            if ctx.weakly_connected:
+                continue
+            checked[n] += 1
+            restrictions = ctx.subdigraphs()[-len(ctx.weak_masks) :]
+            for m in (1, 2, 3, 2**60):
+                union = [0] * n
+                for prey in (_row_power(sub, m) for sub in restrictions):
+                    for x in range(n):
+                        for y in range(n):
+                            if x != y and prey[x] & prey[y]:
+                                union[x] |= 1 << y
+                assert union == list(ctx.graph(m).rows), (ctx.d, m)
+        assert checked == {2: 1, 3: 25, 4: 1513, 5: 35}
 
     def test_sub_monotone_plane_on_forced_failures(self):
         # natural data never fails Lemma 3.4, so the host's C^m is emptied
