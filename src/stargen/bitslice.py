@@ -25,10 +25,12 @@ no prey; the bits of ``full`` are the digraphs with every in-degree in
 that set, each once.  Sampled scans run on ``draws``, batches of any
 stream indices of one order, repeats included.
 
-``PlaneContext`` mirrors ``verify.ClaimContext`` for one batch: it
-memoizes the powers and competition graphs, the C^m and weak component
-summaries, the local star-generating plane and the subdigraph verdicts,
-and every atom of the claim catalog reads its ``plane`` from it.  The
+``PlaneContext`` mirrors ``verify.ClaimContext`` for one batch.  It
+counts every vertex's predators and prey, and the sources and their
+number, when the batch is built; it memoizes the powers and competition
+graphs, the C^m and weak component summaries, the local star-generating
+plane and the subdigraph verdicts; and every atom of the claim catalog
+reads its ``plane`` from it.  The
 subdigraph check (Lemma 3.4) sweeps its ``m_values`` for each one-arc
 deletion D - uv in turn.  On the out-row stream a deletion whose u is a
 trailing digit is a digraph of the same batch, a fixed number of bits
@@ -252,9 +254,15 @@ class PlaneContext:
     from ``arcs``.  ``full`` is the plane of the bits that are digraphs,
     those whose out-rows in ``arcs`` are all non-empty.  Methods mirror
     ``verify.ClaimContext``, return planes masked to ``full``, and take m
-    even for properties of D alone.  A scan evaluates m in increasing order
-    and calls ``release`` after each, so only the planes of about two
-    consecutive m, and the power the next m steps from, are held at a time.
+    even for properties of D alone.  Built up front, per vertex: its
+    in-degree counter saturated at 3 (``in_degrees``), and its planes of
+    'exactly one prey' (``one_prey``) and 'no predator' (``sources``); and
+    per j the plane of 'exactly j sources' (``source_count``).  No arc
+    enters a source, so every prey is a non-source, and
+    ``non_sources_cycle_union`` reads ``one_prey`` unrestricted.  A scan
+    evaluates m in increasing order and calls ``release`` after each, so
+    only the planes of about two consecutive m, and the power the next m
+    steps from, are held at a time.
     ``m_values``, empty unless the scan sets it, lists its rounds' m:
     ``sub_monotone`` sweeps them at once and holds their C^m until then.
     ``runs``, given by the out-row stream only, holds per vertex u the run
@@ -267,6 +275,7 @@ class PlaneContext:
         "full",
         "arcs",
         "in_degrees",
+        "one_prey",
         "sources",
         "source_count",
         "_powers",
@@ -286,6 +295,8 @@ class PlaneContext:
         self.arcs = arcs
         self.runs = runs or (None,) * n
         self.in_degrees = self._in_counts(arcs)
+        # every digraph bit has a prey, so 'not two' is 'exactly one'
+        self.one_prey = [full ^ _at_least(row, 2, full)[2] for row in arcs]
         self.sources = [full ^ ge[1] for ge in self.in_degrees]
         # item j: the plane of digraphs with exactly j sources
         self.source_count = _exactly(_at_least(self.sources, n, full))
@@ -347,15 +358,6 @@ class PlaneContext:
     def _in_counts(self, power) -> list[list[int]]:
         # per vertex, its in-degree counter saturated at 3
         return [_at_least(col, 3, self.full) for col in zip(*power)]
-
-    def _out_degree_one(self, keep=None) -> list[int]:
-        # planes of 'exactly one prey' (among ``keep`` when given) per vertex
-        full = self.full
-        out = []
-        for row in self.arcs:
-            ge = _at_least(row if keep is None else (x & k for x, k in zip(row, keep)), 2, full)
-            out.append(ge[1] ^ ge[2])
-        return out
 
     def one_source(self, m: int = 0) -> int:
         return self.source_count[1]
@@ -472,11 +474,10 @@ class PlaneContext:
             full = self.full
             src = self.sources
             in_eq2 = [ge[2] & ~ge[3] for ge in self.in_degrees]
-            out_eq1 = self._out_degree_one()
             bad = 0
             for w, col in enumerate(zip(*self.arcs)):
                 by_src = _at_least((x & s for x, s in zip(col, src)), 2, full)
-                bad |= ~src[w] & ~(out_eq1[w] & in_eq2[w] & by_src[1] & ~by_src[2])
+                bad |= ~src[w] & ~(self.one_prey[w] & in_eq2[w] & by_src[1] & ~by_src[2])
             self._local_sg = full & ~bad & self.every_weak_component_has_source()
         return self._local_sg
 
@@ -485,21 +486,20 @@ class PlaneContext:
 
     def cycle_union(self, m: int = 0) -> int:
         in_eq1 = [ge[1] & ~ge[2] for ge in self.in_degrees]
-        return _all(self._out_degree_one() + in_eq1, self.full)
+        return _all(self.one_prey + in_eq1, self.full)
 
     def no_common_prey(self, m: int = 0) -> int:
         in_le1 = [self.full ^ ge[2] for ge in self.in_degrees]
-        return _all(self._out_degree_one() + in_le1, self.full)
+        return _all(self.one_prey + in_le1, self.full)
 
     def non_sources_cycle_union(self, m: int = 0) -> int:
         """Deleting the sources leaves a vertex-disjoint union of cycles."""
         full = self.full
         kept = [full ^ s for s in self.sources]
-        out_eq1 = self._out_degree_one(kept)
         bad = 0
         for u, col in enumerate(zip(*self.arcs)):
             ge = _at_least((x & k for x, k in zip(col, kept)), 2, full)
-            bad |= kept[u] & ~(out_eq1[u] & ge[1] & ~ge[2])
+            bad |= kept[u] & ~(self.one_prey[u] & ge[1] & ~ge[2])
         return full & ~bad
 
     # -- witness atoms
@@ -544,11 +544,10 @@ class PlaneContext:
         """
         g1, g = self.graph(1), self.graph(m)
         src = self.sources
-        out_eq1 = self._out_degree_one()
         full = self.full
         bad = 0
         for u, row in enumerate(g):
-            single = out_eq1[u] & ~_at_least(row, 2, full)[2]
+            single = self.one_prey[u] & ~_at_least(row, 2, full)[2]
             for v, e in enumerate(row):  # g1's zero diagonal leaves v = u out
                 bad |= src[v] & g1[u][v] & ~(single & e)
         return full & ~bad
@@ -567,8 +566,8 @@ class PlaneContext:
         """
         a = self.arcs
         full = self.full
-        for u, (row, run) in enumerate(zip(a, self.runs)):
-            several = _at_least(row, 2, full)[2]
+        for u, (row, run, one) in enumerate(zip(a, self.runs, self.one_prey)):
+            several = full ^ one
             for v, x in enumerate(row):
                 if x & several:
                     if run is None:

@@ -199,6 +199,41 @@ class TestBatches:
         p.release(3)
         assert sorted(p._sub_bad) == sorted(p._graphs) == [4, 5, 6]
 
+    def test_sub_monotone_steps_leading_deletions_once_per_m(self, monkeypatch):
+        # at order 5 rows 0 and 1 are leading digits, here holding all five
+        # prey: each of their 10 deletions leaves the batch and steps its own
+        # power once per m after the first, as D does
+        (p,) = bitslice.batches(5, first=960, stop=961)
+        assert p.runs == (None, None, 961, 31, 1)
+        assert p.arcs[0] == p.arcs[1] == (p.full,) * 5
+        p.m_values = (1, 2, 3)
+        products = Counter()
+        product = bitslice._product
+
+        def counting_product(a, b):
+            products[len(a)] += 1
+            return product(a, b)
+
+        monkeypatch.setattr(bitslice, "_product", counting_product)
+        SUB_MONOTONE.plane(p, 1)
+        assert products == {5: 2 + 10 * 2}
+
+    def test_no_arc_enters_a_source(self):
+        # a source plane is full less the union of its column, so it meets
+        # no arc plane into it on any bit; non_sources_cycle_union rests on it
+        contexts = [
+            p
+            for n in range(1, 5)
+            for degrees in (None, UP_TO_1, SG_DEGREES, UP_TO_2)
+            for p in bitslice.batches(n, degrees)
+        ]
+        rng = random.Random(5)
+        contexts.append(bitslice.draws(5, [rng.randrange(digraph_space_size(5)) for _ in range(300)]))
+        for p in contexts:
+            for u in range(p.n):
+                for w in range(p.n):
+                    assert p.arcs[u][w] & p.sources[w] == 0, (p.n, u, w)
+
     def test_bits_at_every_width(self):
         # masks above 64 bits are read byte by byte; the reference reads the
         # binary string, since shifting a 2**18-bit plane once per bit is slow

@@ -848,6 +848,36 @@ def _stirling2(n: int, k: int) -> int:
     return sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1)) // math.factorial(k)
 
 
+def _connected_sg_count(n: int) -> int:
+    """The (S, sigma, f) triples of order n whose digraph is weakly connected:
+    S a source set, sigma a permutation of the other vertices giving arcs
+    sigma(w) -> w, and f a map of them onto S giving arcs f(w) -> w.
+    """
+    count = 0
+    for k in range(1, n):
+        for s in itertools.combinations(range(n), k):
+            rest = [v for v in range(n) if v not in s]
+            for sigma in itertools.permutations(rest):
+                for f in itertools.product(s, repeat=n - k):
+                    if set(f) == set(s):
+                        arcs = list(zip(sigma, rest)) + list(zip(f, rest))
+                        count += len(weak_components(from_arc_list(n, arcs))) == 1
+    return count
+
+
+# n_max 5 always, and 6 on request
+N_MAX = [
+    5,
+    pytest.param(
+        6,
+        marks=pytest.mark.skipif(
+            os.environ.get("STARGEN_ORDER6") != "1",
+            reason="order 6 runs on request: set STARGEN_ORDER6=1",
+        ),
+    ),
+]
+
+
 class TestClosedForms:
     """Hits summed over orders <= n_max, at every m in 2..6, against closed forms.
 
@@ -861,21 +891,11 @@ class TestClosedForms:
       sources, a permutation of the other n - k vertices and a map of them
       onto the sources, n! * S(n - k, k) digraphs for each k >= 1; each
       "if" direction's hypothesis holds on the same set.
+    - ``lemma_3_1`` and ``prop_3_3``: SG holds on the weakly connected ones
+      among them, counted by building each from its triple.
     """
 
-    @pytest.mark.parametrize(
-        "n_max",
-        [
-            5,
-            pytest.param(
-                6,
-                marks=pytest.mark.skipif(
-                    os.environ.get("STARGEN_ORDER6") != "1",
-                    reason="about 30 s; set STARGEN_ORDER6=1",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("n_max", N_MAX)
     def test_hits_match_closed_forms(self, n_max):
         m_values = range(2, 7)
         reports = verify_claims(["thm_1_3", "lemma_2_6", "lemma_3_6", "thm_1_2"], n_max, m_values)
@@ -909,6 +929,24 @@ class TestClosedForms:
                 del fresh["claim"], fresh["elapsed"]
                 del committed[rep.claim_id]["elapsed"]
                 assert fresh == committed[rep.claim_id], rep.claim_id
+
+    @pytest.mark.parametrize("n_max", N_MAX)
+    def test_sg_hits_match_an_independent_count(self, n_max):
+        counts = [_connected_sg_count(n) for n in range(1, n_max + 1)]
+        assert counts[:5] == [0, 2, 6, 36, 360]
+        sg = sum(counts)
+        assert sg == {5: 404, 6: 5324}[n_max]
+        reports = verify_claims(["lemma_3_1", "prop_3_3"], n_max, [1, 2])
+        assert {r.claim_id: r.hits_by_direction for r in reports} == {
+            "lemma_3_1": {"forward": {None: sg}},
+            "prop_3_3": {"forward": {1: sg, 2: sg}},
+        }
+        assert all(r.verified for r in reports)
+        if n_max == 6:
+            committed = [json.loads(line) for line in ORDER6.read_text(encoding="utf-8").splitlines()]
+            hits = {e["claim"]: e["hits_by_direction"] for e in committed}
+            assert hits["lemma_3_1"] == {"forward": {"null": sg}}
+            assert hits["prop_3_3"] == {"forward": dict.fromkeys("23456", sg)}
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_census_representatives_label_n_factorial(self, n):
