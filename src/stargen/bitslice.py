@@ -26,21 +26,22 @@ that set, each once.  Sampled scans run on ``draws``, batches of any
 stream indices of one order, repeats included.
 
 ``PlaneContext`` mirrors ``verify.ClaimContext`` for one batch.  It
-counts every vertex's predators and prey, and the sources and their
-number, when the batch is built; it memoizes the powers and competition
-graphs, the C^m and weak component summaries, the local star-generating
-plane and the subdigraph verdicts; and every atom of the claim catalog
-reads its ``plane`` from it.  The
-subdigraph check (Lemma 3.4) sweeps its ``m_values`` for each one-arc
-deletion D - uv in turn.  On the out-row stream a deletion whose u is a
-trailing digit is a digraph of the same batch, a fixed number of bits
-below D, so its C^m edge planes are the batch's, shifted; every other
-deletion derives its arc planes from the batch's and steps its power by
-one product per m.  The weak-component restrictions need no power of
-their own: together their C^m is C^m(D), read from D's own powers.  The
-check holds at most one deletion's power chain and the C^m edge and
-non-edge planes of the m values still to come, 2 x |m values| x C(n, 2)
-planes.
+takes the batch's arc planes and ``runs``, and works out n and ``full``
+from the arc planes.  When the batch is built it counts every vertex's
+predators, its 'one prey' plane, which ``pendant`` and the deletion walk
+read, and the sources and their number; it memoizes the powers and
+competition graphs, the C^m and weak component summaries, the local
+star-generating plane and the subdigraph verdicts; and every atom of the
+claim catalog reads its ``plane`` from it.  The subdigraph check
+(Lemma 3.4) sweeps its ``m_values`` for each one-arc deletion D - uv in
+turn.  On the out-row stream a deletion whose u is a trailing digit is a
+digraph of the same batch, a fixed number of bits below D, so its C^m
+edge planes are the batch's, shifted; every other deletion derives its
+arc planes from the batch's and steps its power by one product per m.
+The weak-component restrictions need no power of their own: together
+their C^m is C^m(D), read from D's own powers.  The check holds at most
+one deletion's power chain and the C^m edge and non-edge planes of the m
+values still to come, 2 x |m values| x C(n, 2) planes.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ def batches(
         arcs = tuple(reversed(leading)) + trailing
         if degrees is not None:  # arc plane (u, w) is plane u of column w
             arcs = tuple(zip(*arcs))
-        yield PlaneContext(n, arcs, _all((_any(row) for row in arcs), ones), runs)
+        yield PlaneContext(arcs, runs)
 
 
 def draws(n: int, indices: Sequence[int]) -> PlaneContext:
@@ -148,6 +149,8 @@ def draws(n: int, indices: Sequence[int]) -> PlaneContext:
     total = _generate.digraph_space_size(n)
     # draw b's out-rows are field b of one binary string, which arc plane
     # (u, w) reads with stride n*n; a zero field on top keeps it non-empty
+    # and is bit len(indices) of every arc plane, so no bit from there up
+    # is in full
     width = n * n
     fields = ["0" * width]
     for index in reversed(indices):
@@ -162,7 +165,7 @@ def draws(n: int, indices: Sequence[int]) -> PlaneContext:
     arcs = tuple(
         tuple(int(text[width - 1 - u * n - w :: width], 2) for w in range(n)) for u in range(n)
     )
-    return PlaneContext(n, arcs, (1 << len(indices)) - 1)
+    return PlaneContext(arcs)
 
 
 # --- plane arithmetic ------------------------------------------------------
@@ -251,18 +254,22 @@ class PlaneContext:
     """Memo of bit planes for one batch of digraphs of order n.
 
     Bit b of every plane is one digraph, which ``digraph(b)`` rebuilds
-    from ``arcs``.  ``full`` is the plane of the bits that are digraphs,
-    those whose out-rows in ``arcs`` are all non-empty.  Methods mirror
+    from ``arcs``.  The constructor takes the arc planes and ``runs`` and
+    works out the rest: n is the number of rows of ``arcs``, and ``full``,
+    the plane of the bits that are digraphs, those whose out-rows are all
+    non-empty, is the AND over the rows of each row's OR.  Methods mirror
     ``verify.ClaimContext``, return planes masked to ``full``, and take m
     even for properties of D alone.  Built up front, per vertex: its
     in-degree counter saturated at 3 (``in_degrees``), and its planes of
-    'exactly one prey' (``one_prey``) and 'no predator' (``sources``); and
-    per j the plane of 'exactly j sources' (``source_count``).  No arc
-    enters a source, so every prey is a non-source, and
-    ``non_sources_cycle_union`` reads ``one_prey`` unrestricted.  A scan
-    evaluates m in increasing order and calls ``release`` after each, so
-    only the planes of about two consecutive m, and the power the next m
-    steps from, are held at a time.
+    'exactly one prey' (``one_prey``, read by ``pendant`` and the deletion
+    walk) and 'no predator' (``sources``); and per j the plane of 'exactly
+    j sources' (``source_count``).  The structure planes test in-degrees
+    only, and their docstrings prove the prey counts they imply from two
+    facts: every vertex of a digraph bit has a prey, and no arc enters a
+    source, so every prey is a non-source.  A scan evaluates m in
+    increasing order and calls ``release`` after each, so only the planes
+    of about two consecutive m, and the power the next m steps from, are
+    held at a time.
     ``m_values``, empty unless the scan sets it, lists its rounds' m:
     ``sub_monotone`` sweeps them at once and holds their C^m until then.
     ``runs``, given by the out-row stream only, holds per vertex u the run
@@ -289,9 +296,10 @@ class PlaneContext:
         "runs",
     )
 
-    def __init__(self, n: int, arcs, full: int, runs=None):
-        self.n = n
-        self.full = full
+    def __init__(self, arcs, runs=None):
+        n = self.n = len(arcs)
+        # the bits whose out-rows are all non-empty
+        full = self.full = _all(map(_any, arcs), -1)
         self.arcs = arcs
         self.runs = runs or (None,) * n
         self.in_degrees = self._in_counts(arcs)
@@ -465,41 +473,62 @@ class PlaneContext:
         """Every weak component is star-generating on its own.
 
         No arc leaves a weak component, so its sources, prey and
-        predators are those of D: S1 (less 'a source exists', checked per
-        component), S2 and S3 are conditions on single vertices of D.  S3
-        decides all three: a source's prey has a predator, so it is no source,
-        and S3 gives it two predators, exactly one of them a source.
+        predators are those of D, and one test on each non-source decides
+        S1, S2 and S3: at most two predators, at least one of them a source.
+        - S3: a non-source's prey are non-sources, and each of the n - k
+          non-sources has a prey, so at least n - k arcs run among them.
+          The test leaves each non-source at most one non-source
+          predator, so each has exactly one, and with its source predator
+          exactly two; then n - k arcs leave the n - k non-sources, so
+          each has exactly one prey.
+        - S1's 'a source exists': every weak component holds some
+          vertex's prey, a non-source, and its source predator lies in the
+          same component.
+        - The rest of S1, and S2: a source's prey is a non-source, so it
+          has two predators, exactly one of them a source.
         """
         if self._local_sg is None:
-            full = self.full
             src = self.sources
-            in_eq2 = [ge[2] & ~ge[3] for ge in self.in_degrees]
             bad = 0
             for w, col in enumerate(zip(*self.arcs)):
-                by_src = _at_least((x & s for x, s in zip(col, src)), 2, full)
-                bad |= ~src[w] & ~(self.one_prey[w] & in_eq2[w] & by_src[1] & ~by_src[2])
-            self._local_sg = full & ~bad & self.every_weak_component_has_source()
+                bad |= ~src[w] & (self.in_degrees[w][3] | ~_meet(col, src))
+            self._local_sg = self.full & ~bad
         return self._local_sg
 
     def star_generating(self, m: int = 0) -> int:
         return self.all_weak_star_generating() & self.weakly_connected()
 
     def cycle_union(self, m: int = 0) -> int:
-        in_eq1 = [ge[1] & ~ge[2] for ge in self.in_degrees]
-        return _all(self.one_prey + in_eq1, self.full)
+        """D is a vertex-disjoint union of cycles: every vertex has one
+        predator and one prey.
+
+        In-degree 1 everywhere gives n arcs, and each of the n vertices has
+        a prey, so each has exactly one.
+        """
+        return _all((ge[1] & ~ge[2] for ge in self.in_degrees), self.full)
 
     def no_common_prey(self, m: int = 0) -> int:
-        in_le1 = [self.full ^ ge[2] for ge in self.in_degrees]
-        return _all(self.one_prey + in_le1, self.full)
+        """No two vertices share a prey, and every vertex has one prey.
+
+        In-degree at most 1 everywhere gives at most n arcs, and each of
+        the n vertices has a prey, so each has exactly one.
+        """
+        return self.full & ~_any(ge[2] for ge in self.in_degrees)
 
     def non_sources_cycle_union(self, m: int = 0) -> int:
-        """Deleting the sources leaves a vertex-disjoint union of cycles."""
+        """Deleting the sources leaves a vertex-disjoint union of cycles:
+        every non-source has one non-source predator and one prey.
+
+        A non-source's prey are non-sources.  One non-source predator per
+        non-source gives the n - k non-sources n - k arcs among themselves,
+        and each has a prey, so each has exactly one.
+        """
         full = self.full
         kept = [full ^ s for s in self.sources]
         bad = 0
         for u, col in enumerate(zip(*self.arcs)):
             ge = _at_least((x & k for x, k in zip(col, kept)), 2, full)
-            bad |= kept[u] & ~(self.one_prey[u] & ge[1] & ~ge[2])
+            bad |= kept[u] & ~(ge[1] & ~ge[2])
         return full & ~bad
 
     # -- witness atoms

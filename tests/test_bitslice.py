@@ -693,6 +693,39 @@ class TestAtomPlanes:
             for d in claim.directions:
                 assert all(atom.plane is not None for atom in d.hypothesis + d.conclusion)
 
+    def test_structure_planes_imply_the_terms_they_leave_out(self):
+        # the prey counts, and ALL_WEAK_SG's source in every weak component
+        # and two predators, one a source, per non-source, follow from the
+        # planes' own tests by counting arcs (see their docstrings), so each
+        # plane lies inside what it leaves out
+        def contexts():
+            for n in range(1, 5):
+                for degrees in [None, *CAPPED_COUNTS]:
+                    yield from bitslice.batches(n, degrees)
+            for degrees in CAPPED_COUNTS:
+                yield from bitslice.batches(5, degrees)
+            for degrees in (UP_TO_1, SG_DEGREES):
+                yield from bitslice.batches(6, degrees)
+            for n in (5, 6, 7):
+                rng, total = random.Random(n), digraph_space_size(n)
+                yield bitslice.draws(n, [rng.randrange(total) for _ in range(20_000)])
+
+        names = ("ALL_WEAK_SG", "CYCLE_UNION", "NO_COMMON_PREY", "NON_SOURCES_CYCLE_UNION")
+        hits = Counter()
+        for p in contexts():
+            plane = {name: ATOMS[name].plane(p, 1) for name in names}
+            hits.update({name: x.bit_count() for name, x in plane.items()})
+            assert plane["ALL_WEAK_SG"] & ~p.every_weak_component_has_source() == 0, p.n
+            for u, col in enumerate(zip(*p.arcs)):
+                for name in ("CYCLE_UNION", "NO_COMMON_PREY"):
+                    assert plane[name] & ~p.one_prey[u] == 0, (name, p.n, u)
+                for name in ("ALL_WEAK_SG", "NON_SOURCES_CYCLE_UNION"):
+                    assert plane[name] & ~(p.one_prey[u] | p.sources[u]) == 0, (name, p.n, u)
+                by_src = bitslice._at_least((x & s for x, s in zip(col, p.sources)), 2, p.full)
+                in_eq2 = p.in_degrees[u][2] & ~p.in_degrees[u][3]
+                assert plane["ALL_WEAK_SG"] & ~p.sources[u] & ~(in_eq2 & ~by_src[2]) == 0, (p.n, u)
+        assert all(hits[name] for name in names), hits
+
 
 class TestSameReports:
     def test_exhaustive_n4(self):
