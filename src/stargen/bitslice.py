@@ -38,10 +38,9 @@ turn.  On the out-row stream a deletion whose u is a trailing digit is a
 digraph of the same batch, a fixed number of bits below D, so its C^m
 edge planes are the batch's, shifted; every other deletion derives its
 arc planes from the batch's and steps its power by one product per m.
-The weak-component restrictions need no power of their own: together
-their C^m is C^m(D), read from D's own powers.  The check holds at most
-one deletion's power chain and the C^m edge and non-edge planes of the m
-values still to come, 2 x |m values| x C(n, 2) planes.
+The check holds at most one deletion's power chain and the C^m edge and
+non-edge planes of the m values still to come, 2 x |m values| x C(n, 2)
+planes.
 """
 
 from __future__ import annotations
@@ -615,25 +614,14 @@ class PlaneContext:
         dropped before the next.  At each m only digraphs whose C^m misses
         some pair, and that have not failed, are tested; a deletion none of
         them has is skipped.
-
-        The weak-component restrictions of a D that is not weakly connected
-        are checked together: no arc leaves a weak component, and two
-        vertices with a common m-step prey lie in one, so the union of the
-        restrictions' C^m is C^m(D).  Its edges are read from ``power(m)``,
-        not from the memo they are checked against.
         """
         if m not in self._sub_bad:
             full = self.full
             pairs = [(x, y) for x in range(self.n) for y in range(x + 1, self.n)]
             ks = [m] + [k for k in self.m_values if k > m]
-            split = full ^ self.weakly_connected()
-            graphs, bad = [], []
+            graphs = []
             for k in ks:
-                g = self.graph(k)
-                prey = self.power(k)
-                graphs.append(g)
-                # the split digraphs whose own C^k has an edge the memo lacks
-                bad.append(split & _any(_meet(prey[x], prey[y]) & ~g[x][y] for x, y in pairs))
+                graphs.append(self.graph(k))
                 # keep D^m and the power the next k steps from; a later
                 # round that needs its own power steps to it again
                 for key in [key for key in self._powers if m < key < k]:
@@ -641,6 +629,7 @@ class PlaneContext:
             # per k, the plane of each pair's non-edge, and of any non-edge
             gaps = [[full & ~g[x][y] for x, y in pairs] for g in graphs]
             todo = [_any(row) for row in gaps]
+            bad = [0] * len(ks)
             for mask, shift, sub in self._subdigraphs():
                 prey = at = None
                 for i, k in enumerate(ks):

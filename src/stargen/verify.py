@@ -105,10 +105,8 @@ class ClaimContext:
     def subdigraphs(self) -> list[list[int]]:
         """Deterministic subdigraph selection for monotonicity checks.
 
-        Each subdigraph is a list of out-rows on this digraph's labels, in
-        this order: every one-arc deletion (u, v) that keeps all outdegrees
-        >= 1, by (u, v); then, when there are several weak components, each
-        component with every row outside it zeroed.
+        Each subdigraph is a list of out-rows on this digraph's labels: every
+        one-arc deletion (u, v) that keeps all outdegrees >= 1, by (u, v).
         """
         host = self.d.out_rows
         subs = []
@@ -119,9 +117,6 @@ class ClaimContext:
                 rows = list(host)
                 rows[u] = row & ~(1 << v)
                 subs.append(rows)
-        if not self.weakly_connected:
-            for comp in self.weak_masks:
-                subs.append([row if comp >> u & 1 else 0 for u, row in enumerate(host)])
         return subs
 
 

@@ -178,8 +178,7 @@ class TestBatches:
 
     def test_sub_monotone_steps_each_subdigraph_once_per_m(self, monkeypatch):
         # one sweep over m 1..6 steps D's powers alone: below order 5 every
-        # one-arc deletion is in the batch and steps none, and the weak
-        # components together have D's C^m, read from D's own powers
+        # one-arc deletion is in the batch and steps none
         products = Counter()
         product = bitslice._product
 
@@ -198,6 +197,16 @@ class TestBatches:
         assert sorted(p._powers) == [1, 6]
         p.release(3)
         assert sorted(p._sub_bad) == sorted(p._graphs) == [4, 5, 6]
+
+    def test_sub_monotone_builds_no_weak_components(self):
+        # Lemma 3.4 checks the one-arc deletions alone, so a sweep never
+        # reads D's weak components
+        for n in range(1, 5):
+            for p in bitslice.batches(n):
+                p.m_values = tuple(range(1, 7))
+                for m in p.m_values:
+                    p.sub_monotone(m)
+                assert p._weak is None, n
 
     def test_sub_monotone_steps_leading_deletions_once_per_m(self, monkeypatch):
         # at order 5 rows 0 and 1 are leading digits, here holding all five
@@ -508,9 +517,9 @@ class TestAtomPlanes:
                             assert bool(plane >> b & 1) is holds, (name, ctx.d, m)
 
     def test_weak_components_together_have_the_host_cm(self):
-        # the identity the plane check of the component restrictions rests
-        # on: no arc leaves a weak component, and a common m-step prey puts
-        # two vertices in one, so the union of the restrictions' C^m is C^m(D)
+        # why Lemma 3.4 checks no weak-component restriction: no arc leaves
+        # a weak component, and a common m-step prey puts two vertices in
+        # one, so the union of the restrictions' C^m is C^m(D)
         sample = random.Random(5).sample(range(digraph_space_size(5)), 3000)
         checked = Counter()
         for n, i in [pair for n in range(1, 5) for pair in _whole(n)] + [(5, i) for i in sample]:
@@ -518,7 +527,11 @@ class TestAtomPlanes:
             if ctx.weakly_connected:
                 continue
             checked[n] += 1
-            restrictions = ctx.subdigraphs()[-len(ctx.weak_masks) :]
+            host = ctx.d.out_rows
+            restrictions = [
+                [row if comp >> u & 1 else 0 for u, row in enumerate(host)]
+                for comp in ctx.weak_masks
+            ]
             for m in (1, 2, 3, 2**60):
                 union = [0] * n
                 for prey in (_row_power(sub, m) for sub in restrictions):
@@ -549,7 +562,7 @@ class TestAtomPlanes:
                     assert bool(plane >> b & 1) is holds, (ctx.d, m)
                     if m <= 4 and not holds:
                         failures += 1
-        assert failures == 1308
+        assert failures == 1284
 
     def test_sub_monotone_sweep_on_forced_failures(self):
         # as above, but the first call sweeps every m of the batch, across
@@ -571,7 +584,7 @@ class TestAtomPlanes:
                     if m <= 4 and not holds:
                         failures += 1
                 p.release(m)
-        assert failures == 1308
+        assert failures == 1284
 
     def test_sub_monotone_sweep_across_gaps(self):
         # with C^m(D) forced to K_4 minus {0, 1}, a digraph fails where a

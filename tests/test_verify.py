@@ -19,7 +19,7 @@ from stargen import (
     replay_counterexample,
     verify_claims,
 )
-from stargen import Digraph, classify, digraph, generate, verify
+from stargen import Digraph, bitslice, classify, digraph, generate, verify
 from stargen.competition import Graph, components
 from stargen.digraph import MAX_TEXT_ORDER, bits, sources, weak_components
 from stargen.generate import all_digraphs
@@ -499,17 +499,12 @@ class TestAtomsAgainstOracles:
                     assert (CONNECTED.check(ctx, m) is None) is (l == 1), (d, m)
 
 
-def _oracle_subdigraph_arcs(n, arcs):
-    """Arc lists of the documented subdigraphs, in order: one-arc deletions
-    by (u, v) that keep every outdegree >= 1, then the weak components
-    when there are several.
+def _oracle_subdigraph_arcs(arcs):
+    """Arc lists of the documented subdigraphs, in order: the one-arc
+    deletions by (u, v) that keep every outdegree >= 1.
     """
     outdegree = Counter(u for u, _ in arcs)
-    subs = [[a for a in arcs if a != (u, v)] for u, v in sorted(arcs) if outdegree[u] >= 2]
-    comps = oracles.weak_components(n, arcs)
-    if len(comps) > 1:
-        subs.extend([a for a in arcs if a[0] in comp] for comp in comps)
-    return subs
+    return [[a for a in arcs if a != (u, v)] for u, v in sorted(arcs) if outdegree[u] >= 2]
 
 
 def _missing_edge(a, b, m):
@@ -529,14 +524,14 @@ class TestSubMonotone:
                 for m in range(1, 5):
                     ctx._graphs[m] = Graph(n, [0] * n)
                     expected = None
-                    for sub in _oracle_subdigraph_arcs(n, arcs):
+                    for sub in _oracle_subdigraph_arcs(arcs):
                         edges = oracles.competition_edges(n, sub, m)
                         if edges:
                             expected = _missing_edge(*min(sorted(e) for e in edges), m)
                             break
                     assert SUB_MONOTONE.check(ctx, m) == expected, (arcs, m)
                     failures += expected is not None
-        assert failures == 1308
+        assert failures == 1284
 
     def test_disconnected_host_subdigraph_rows(self):
         # weak components {0, 1} and {2, 3}; only vertex 0 has two prey
@@ -544,18 +539,29 @@ class TestSubMonotone:
         assert ClaimContext(d).subdigraphs() == [
             [0b0010, 0b0001, 0b1000, 0b1000],
             [0b0001, 0b0001, 0b1000, 0b1000],
-            [0b0011, 0b0001, 0, 0],
-            [0, 0, 0b1000, 0b1000],
         ]
 
-    def test_component_subdigraph_is_the_witness(self):
-        # no vertex has two prey, so only the components {0} and {1, 2} are checked
-        d = Digraph(3, [0b001, 0b010, 0b010])
-        ctx = ClaimContext(d)
-        assert ctx.subdigraphs() == [[0b001, 0, 0], [0, 0b010, 0b010]]
-        assert SUB_MONOTONE.check(ctx, 1) is None
-        ctx._graphs[1] = Graph(3, [0, 0, 0])
-        assert SUB_MONOTONE.check(ctx, 1) == _missing_edge(1, 2, 1)
+    def test_no_witness_without_a_one_arc_deletion(self):
+        # where no vertex has two prey no arc can be deleted, so no
+        # subdigraph is checked: SUB_MONOTONE holds even with the host's C^m
+        # emptied, on planes as on contexts, on disconnected digraphs too
+        for n in range(1, 4):
+            space = range(generate.digraph_space_size(n))
+            one_prey = [
+                i
+                for i in space
+                if all(row.bit_count() == 1 for row in generate.digraph_at(n, i).out_rows)
+            ]
+            assert len(one_prey) == n**n
+            p = bitslice.draws(n, one_prey)
+            for m in range(1, 5):
+                p._graphs[m] = [[0] * n for _ in range(n)]
+                assert SUB_MONOTONE.plane(p, m) == p.full, (n, m)
+                for i in one_prey:
+                    ctx = ClaimContext(generate.digraph_at(n, i))
+                    assert ctx.subdigraphs() == []
+                    ctx._graphs[m] = Graph(n, [0] * n)
+                    assert SUB_MONOTONE.check(ctx, m) is None, (ctx.d, m)
 
     def test_lemma_3_4_report_n4(self):
         report = verify_claims(["lemma_3_4"], 4, range(1, 7))[0]
