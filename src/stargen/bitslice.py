@@ -31,16 +31,15 @@ from the arc planes.  When the batch is built it counts every vertex's
 predators, its 'one prey' plane, which ``pendant`` and the deletion walk
 read, and the sources and their number; it memoizes the powers and
 competition graphs, the C^m and weak component summaries, the local
-star-generating plane and the subdigraph verdicts; and every atom of the
-claim catalog reads its ``plane`` from it.  The subdigraph check
-(Lemma 3.4) sweeps its ``m_values`` for each one-arc deletion D - uv in
-turn.  On the out-row stream a deletion whose u is a trailing digit is a
-digraph of the same batch, a fixed number of bits below D, so its C^m
-edge planes are the batch's, shifted; every other deletion derives its
-arc planes from the batch's and steps its power by one product per m.
-The check holds at most one deletion's power chain and the C^m edge and
-non-edge planes of the m values still to come, 2 x |m values| x C(n, 2)
-planes.
+star-generating plane and the deletions' power chains; and every atom
+of the claim catalog reads its ``plane`` from it.  The subdigraph check
+(Lemma 3.4) walks the one-arc deletions D - uv at one m per call.  On
+the out-row stream a deletion whose u is a trailing digit is a digraph
+of the same batch, a fixed number of bits below D, so its C^m edge
+planes are the batch's, shifted; every other deletion derives its arc
+planes from the batch's and steps its power by one product per m.  The
+check holds that m's C^m edge and non-edge planes, 2 x C(n, 2) planes,
+and one power per deletion outside the batch.
 """
 
 from __future__ import annotations
@@ -267,10 +266,8 @@ class PlaneContext:
     facts: every vertex of a digraph bit has a prey, and no arc enters a
     source, so every prey is a non-source.  A scan evaluates m in
     increasing order and calls ``release`` after each, so only the planes
-    of about two consecutive m, and the power the next m steps from, are
-    held at a time.
-    ``m_values``, empty unless the scan sets it, lists its rounds' m:
-    ``sub_monotone`` sweeps them at once and holds their C^m until then.
+    of about two consecutive m, the power the next m steps from and one
+    power per deletion outside the batch are held at a time.
     ``runs``, given by the out-row stream only, holds per vertex u the run
     of u's out-row digit inside the batch, or None where that digit is a
     leading one: then D - uv is bit ``2**v * runs[u]`` below D, in the batch.
@@ -287,11 +284,10 @@ class PlaneContext:
         "_powers",
         "_graphs",
         "_cm",
-        "_sub_bad",
+        "_chains",
         "_weak",
         "_local_sg",
         "_arc_bytes",
-        "m_values",
         "runs",
     )
 
@@ -310,11 +306,10 @@ class PlaneContext:
         self._powers = {1: arcs}
         self._graphs = {}
         self._cm = {}  # m -> _components(m)
-        self._sub_bad = {}  # m -> plane of digraphs failing sub_monotone at m
+        self._chains = {}  # position in _subdigraphs() -> (m, the deletion's power m)
         self._weak = None
         self._local_sg = None
         self._arc_bytes = None
-        self.m_values = ()
 
     def digraph(self, b: int) -> _digraph.Digraph:
         """The digraph of bit b, read from ``arcs``; ``InputError`` for a bit
@@ -344,9 +339,10 @@ class PlaneContext:
 
     def release(self, m: int) -> None:
         """Drop the planes that only steps at m or below read, but keep
-        ``power(m)``: the next m steps from it instead of squaring.
+        ``power(m)`` and the deletions' chains: the next m steps from them
+        instead of squaring.
         """
-        for memo in (self._graphs, self._cm, self._sub_bad):
+        for memo in (self._graphs, self._cm):
             for key in [key for key in memo if key <= m]:
                 del memo[key]
         for key in [key for key in self._powers if 1 < key < m]:
@@ -597,53 +593,43 @@ class PlaneContext:
         for u, (row, run, one) in enumerate(zip(a, self.runs, self.one_prey)):
             several = full ^ one
             for v, x in enumerate(row):
-                if x & several:
+                mask = x & several
+                if mask:
                     if run is None:
                         sub = a[:u] + (row[:v] + (0,) + row[v + 1 :],) + a[u + 1 :]
-                        yield x & several, None, sub
+                        yield mask, None, sub
                     else:
-                        yield x & several, run << v, None
+                        yield mask, run << v, None
 
     def sub_monotone(self, m: int) -> int:
         """Every edge of a subdigraph's C^m is an edge of C^m(D).
 
-        The first call sweeps m and the later ``m_values`` in one walk of
-        the one-arc deletions.  A deletion in the batch reads its C^m as the
-        batch's C^m shifted by its ``shift``; any other keeps one power,
-        stepped by one product to the next m or squared after a gap, and
-        dropped before the next.  At each m only digraphs whose C^m misses
+        One walk of the one-arc deletions.  A deletion in the batch reads
+        its C^m as the batch's C^m shifted by its ``shift``; any other keeps
+        its last power in ``_chains``, stepped by one product from m - 1 and
+        squared otherwise, as ``power`` does.  Only digraphs whose C^m misses
         some pair, and that have not failed, are tested; a deletion none of
         them has is skipped.
         """
-        if m not in self._sub_bad:
-            full = self.full
-            pairs = [(x, y) for x in range(self.n) for y in range(x + 1, self.n)]
-            ks = [m] + [k for k in self.m_values if k > m]
-            graphs = []
-            for k in ks:
-                graphs.append(self.graph(k))
-                # keep D^m and the power the next k steps from; a later
-                # round that needs its own power steps to it again
-                for key in [key for key in self._powers if m < key < k]:
-                    del self._powers[key]
-            # per k, the plane of each pair's non-edge, and of any non-edge
-            gaps = [[full & ~g[x][y] for x, y in pairs] for g in graphs]
-            todo = [_any(row) for row in gaps]
-            bad = [0] * len(ks)
-            for mask, shift, sub in self._subdigraphs():
-                prey = at = None
-                for i, k in enumerate(ks):
-                    test = mask & todo[i] & ~bad[i]
-                    if test:
+        full = self.full
+        g = self.graph(m)
+        pairs = [(x, y) for x in range(self.n) for y in range(x + 1, self.n)]
+        # the plane of each pair's non-edge, and of any non-edge
+        gaps = [full & ~g[x][y] for x, y in pairs]
+        todo = _any(gaps)
+        bad = 0
+        for i, (mask, shift, sub) in enumerate(self._subdigraphs()):
+            test = mask & todo & ~bad
+            if test:
+                if shift is None:
+                    at, prey = self._chains.get(i, (None, None))
+                    prey = _product(prey, sub) if at == m - 1 else _power(sub, m)
+                    self._chains[i] = m, prey
+                for (x, y), gap in zip(pairs, gaps):
+                    miss = test & gap
+                    if miss:
                         if shift is None:
-                            prey = _product(prey, sub) if at == k - 1 else _power(sub, k)
-                            at = k
-                        for (x, y), gap in zip(pairs, gaps[i]):
-                            miss = test & gap
-                            if miss:
-                                if shift is None:
-                                    bad[i] |= miss & _meet(prey[x], prey[y])
-                                else:
-                                    bad[i] |= miss & graphs[i][x][y] << shift
-            self._sub_bad.update(zip(ks, bad))
-        return self.full & ~self._sub_bad[m]
+                            bad |= miss & _meet(prey[x], prey[y])
+                        else:
+                            bad |= miss & g[x][y] << shift
+        return full & ~bad

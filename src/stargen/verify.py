@@ -574,16 +574,14 @@ def _plane(p: _bitslice.PlaneContext, atoms: tuple[Atom, ...], m: int, held: int
 def _check_batch(p: _bitslice.PlaneContext, rounds) -> None:
     """Evaluate every direction of the rounds on a batch of digraphs at once.
 
-    Hits are popcounts of hypothesis planes, filed in the reports.  The
-    batch learns the rounds' m values first, so the subdigraph check sweeps
-    them at once, and each round's planes are released after it.  A digraph
-    whose hypothesis holds but conclusion fails is flagged at that m and
-    step; after the rounds each flagged digraph is replayed once, on one
-    ``ClaimContext`` that writes and files all its entries, which must
-    agree and share one arcs list, and is dropped before the next.
+    Hits are popcounts of hypothesis planes, filed in the reports, and
+    each round's planes are released after it.  A digraph whose hypothesis
+    holds but conclusion fails is flagged at that m and step; after the
+    rounds each flagged digraph is replayed once, on one ``ClaimContext``
+    that writes and files all its entries, which must agree and share one
+    arcs list, and is dropped before the next.
     """
     flagged = {}  # batch bit -> its (m, report, direction) failures, in round order
-    p.m_values = tuple(m for m, _ in rounds)
     for m, steps in rounds:
         for rep, direction in steps:
             held = _plane(p, direction.hypothesis, m, p.full)

@@ -177,7 +177,7 @@ class TestBatches:
         assert products == {2: 5, 3: 5, 4: 5}
 
     def test_sub_monotone_steps_each_subdigraph_once_per_m(self, monkeypatch):
-        # one sweep over m 1..6 steps D's powers alone: below order 5 every
+        # lemma_3_4 over m 1..6 steps D's powers alone: below order 5 every
         # one-arc deletion is in the batch and steps none
         products = Counter()
         product = bitslice._product
@@ -189,22 +189,21 @@ class TestBatches:
         monkeypatch.setattr(bitslice, "_product", counting_product)
         verify_claims(["lemma_3_4"], 4, range(1, 7))
         assert products == {1: 5, 2: 5, 3: 5, 4: 5}
-        # the sweep at m = 1 holds the later C^m, but no power between
+        # each call builds its own m's C^m and no later one, nor a later
+        # power, and keeps no chain
         (p,) = bitslice.batches(3)
-        p.m_values = tuple(range(1, 7))
-        p.sub_monotone(1)
-        assert sorted(p._sub_bad) == sorted(p._graphs) == [1, 2, 3, 4, 5, 6]
-        assert sorted(p._powers) == [1, 6]
-        p.release(3)
-        assert sorted(p._sub_bad) == sorted(p._graphs) == [4, 5, 6]
+        for m in range(1, 7):
+            p.sub_monotone(m)
+            assert sorted(p._graphs) == [m] and max(p._powers) == m
+            assert p._chains == {}
+            p.release(m)
 
     def test_sub_monotone_builds_no_weak_components(self):
-        # Lemma 3.4 checks the one-arc deletions alone, so a sweep never
-        # reads D's weak components
+        # Lemma 3.4 checks the one-arc deletions alone, so it never reads
+        # D's weak components
         for n in range(1, 5):
             for p in bitslice.batches(n):
-                p.m_values = tuple(range(1, 7))
-                for m in p.m_values:
+                for m in range(1, 7):
                     p.sub_monotone(m)
                 assert p._weak is None, n
 
@@ -215,7 +214,6 @@ class TestBatches:
         (p,) = bitslice.batches(5, first=960, stop=961)
         assert p.runs == (None, None, 961, 31, 1)
         assert p.arcs[0] == p.arcs[1] == (p.full,) * 5
-        p.m_values = (1, 2, 3)
         products = Counter()
         product = bitslice._product
 
@@ -224,8 +222,30 @@ class TestBatches:
             return product(a, b)
 
         monkeypatch.setattr(bitslice, "_product", counting_product)
-        SUB_MONOTONE.plane(p, 1)
+        for m in (1, 2, 3):
+            SUB_MONOTONE.plane(p, m)
         assert products == {5: 2 + 10 * 2}
+
+    def test_check_batch_holds_one_m_and_the_leading_chains(self, monkeypatch):
+        # a lemma_3_4 round builds its own C^m alone, none for the rounds
+        # to come, and keeps one power per deletion outside the batch: the
+        # 10 of this batch's two leading rows
+        (p,) = bitslice.batches(5, first=960, stop=961)
+        outside = {i for i, (_, shift, _) in enumerate(p._subdigraphs()) if shift is None}
+        assert len(outside) == 10
+        held = []
+        release = bitslice.PlaneContext.release
+
+        def spying_release(ctx, m):
+            assert set(ctx._chains) <= outside
+            held.append((sorted(ctx._graphs), len(ctx._chains)))
+            release(ctx, m)
+
+        monkeypatch.setattr(bitslice.PlaneContext, "release", spying_release)
+        reports, rounds = _start(["lemma_3_4"], range(1, 7))
+        verify._check_batch(p, rounds)
+        assert held == [([m], 10) for m in range(1, 7)]
+        assert reports[0].verified
 
     def test_no_arc_enters_a_source(self):
         # a source plane is full less the union of its column, so it meets
@@ -564,46 +584,29 @@ class TestAtomPlanes:
                         failures += 1
         assert failures == 1284
 
-    def test_sub_monotone_sweep_on_forced_failures(self):
-        # as above, but the first call sweeps every m of the batch, across
-        # the gap from 5 to 2**60, with every C^m emptied beforehand
-        m_values = (1, 2, 3, 4, 5, 2**60)
-        failures = 0
-        for n in range(1, 4):
-            p = bitslice.draws(n, range(digraph_space_size(n)))
-            p.m_values = m_values
-            for m in m_values:
-                p._graphs[m] = [[0] * n for _ in range(n)]
-            for m in m_values:
-                plane = SUB_MONOTONE.plane(p, m)
-                for b in range(digraph_space_size(n)):
-                    ctx = ClaimContext(digraph_at(n, b))
-                    ctx._graphs[m] = Graph(n, [0] * n)
-                    holds = SUB_MONOTONE.check(ctx, m) is None
-                    assert bool(plane >> b & 1) is holds, (ctx.d, m)
-                    if m <= 4 and not holds:
-                        failures += 1
-                p.release(m)
-        assert failures == 1284
-
-    def test_sub_monotone_sweep_across_gaps(self):
+    def test_sub_monotone_chains_across_gaps(self):
         # with C^m(D) forced to K_4 minus {0, 1}, a digraph fails where a
         # subdigraph's 0 and 1 share an m-step prey, which some first do
-        # at m = 3: a power stepped instead of squared across a gap, or
-        # taken from a wrong m, shows here, against one call per m; draws,
-        # since a batch of the stream reads its deletions from the forced memo
+        # at m = 3.  One batch called at each m in turn steps its chains,
+        # or squares them across a gap; a fresh batch per m squares from
+        # scratch: a power stepped instead of squared, or taken from a
+        # wrong m, shows here.  Draws, since a batch of the stream reads
+        # its deletions from the forced memo
         n = 4
         rng = random.Random(4)
         stream = range(digraph_space_size(n))
+        rows = [sum(1 << y for y in range(n) if y != x and {x, y} != {0, 1}) for x in range(n)]
+
+        def forced(p, m):
+            p._graphs[m] = [[p.full * (row >> y & 1) for y in range(n)] for row in rows]
+            return SUB_MONOTONE.plane(p, m)
+
         for m_values in [(1, 2**60), (1, 3, 2**60), (1, 2, 3, 4, 5, 2**60)]:
-            sweep, lone = bitslice.draws(n, stream), bitslice.draws(n, stream)
-            sweep.m_values = m_values
-            rows = [sum(1 << y for y in range(n) if y != x and {x, y} != {0, 1}) for x in range(n)]
-            for p in (sweep, lone):
-                for m in m_values:
-                    p._graphs[m] = [[p.full * (row >> y & 1) for y in range(n)] for row in rows]
-            planes = [SUB_MONOTONE.plane(sweep, m) for m in m_values]
-            assert planes == [SUB_MONOTONE.plane(lone, m) for m in m_values]
+            chained, planes = bitslice.draws(n, stream), []
+            for m in m_values:
+                planes.append(forced(chained, m))
+                chained.release(m)
+            assert planes == [forced(bitslice.draws(n, stream), m) for m in m_values]
             assert planes[0] != planes[-1]
             for b in rng.sample(range(digraph_space_size(n)), 300):
                 ctx = ClaimContext(digraph_at(n, b))
