@@ -36,10 +36,13 @@ of the claim catalog reads its ``plane`` from it.  The subdigraph check
 (Lemma 3.4) walks the one-arc deletions D - uv at one m per call.  On
 the out-row stream a deletion whose u is a trailing digit is a digraph
 of the same batch, a fixed number of bits below D, so its C^m edge
-planes are the batch's, shifted; every other deletion derives its arc
-planes from the batch's and steps its power by one product per m.  The
+planes are the batch's, shifted; every other deletion, an arc of a
+leading row, derives its arc planes from the batch's and keeps its power
+between rounds, stepped by one product per m.  Every deletion of a
+draws batch leaves it, so there each power is squared and dropped.  The
 check holds that m's C^m edge and non-edge planes, 2 x C(n, 2) planes,
-and one power per deletion outside the batch.
+and one power per leading-row deletion of a stream batch (at most 10 at
+order 5, 18 at order 6) or one power on draws.
 """
 
 from __future__ import annotations
@@ -266,8 +269,8 @@ class PlaneContext:
     facts: every vertex of a digraph bit has a prey, and no arc enters a
     source, so every prey is a non-source.  A scan evaluates m in
     increasing order and calls ``release`` after each, so only the planes
-    of about two consecutive m, the power the next m steps from and one
-    power per deletion outside the batch are held at a time.
+    of about two consecutive m, the power the next m steps from and, on a
+    stream batch, one power per leading-row deletion are held at a time.
     ``runs``, given by the out-row stream only, holds per vertex u the run
     of u's out-row digit inside the batch, or None where that digit is a
     leading one: then D - uv is bit ``2**v * runs[u]`` below D, in the batch.
@@ -306,7 +309,9 @@ class PlaneContext:
         self._powers = {1: arcs}
         self._graphs = {}
         self._cm = {}  # m -> _components(m)
-        self._chains = {}  # position in _subdigraphs() -> (m, the deletion's power m)
+        # position in _subdigraphs() -> (m, the deletion's power m), on a stream
+        # batch only: a draws batch's deletions all leave it
+        self._chains = {} if runs else None
         self._weak = None
         self._local_sg = None
         self._arc_bytes = None
@@ -605,13 +610,17 @@ class PlaneContext:
         """Every edge of a subdigraph's C^m is an edge of C^m(D).
 
         One walk of the one-arc deletions.  A deletion in the batch reads
-        its C^m as the batch's C^m shifted by its ``shift``; any other keeps
-        its last power in ``_chains``, stepped by one product from m - 1 and
-        squared otherwise, as ``power`` does.  Only digraphs whose C^m misses
+        its C^m as the batch's C^m shifted by its ``shift``.  On a stream
+        batch any other, a leading-row arc, keeps its last power in
+        ``_chains``, stepped by one product from m - 1 and squared
+        otherwise, as ``power`` does.  Every deletion of a draws batch
+        leaves it, up to n**2 of them, so it keeps no chain and squares
+        each power, holding one at a time.  Only digraphs whose C^m misses
         some pair, and that have not failed, are tested; a deletion none of
         them has is skipped.
         """
         full = self.full
+        chains = self._chains
         g = self.graph(m)
         pairs = [(x, y) for x in range(self.n) for y in range(x + 1, self.n)]
         # the plane of each pair's non-edge, and of any non-edge
@@ -622,9 +631,10 @@ class PlaneContext:
             test = mask & todo & ~bad
             if test:
                 if shift is None:
-                    at, prey = self._chains.get(i, (None, None))
+                    at, prey = (chains or {}).get(i, (None, None))
                     prey = _product(prey, sub) if at == m - 1 else _power(sub, m)
-                    self._chains[i] = m, prey
+                    if chains is not None:
+                        chains[i] = m, prey
                 for (x, y), gap in zip(pairs, gaps):
                     miss = test & gap
                     if miss:

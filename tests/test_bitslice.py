@@ -229,23 +229,27 @@ class TestBatches:
     def test_check_batch_holds_one_m_and_the_leading_chains(self, monkeypatch):
         # a lemma_3_4 round builds its own C^m alone, none for the rounds
         # to come, and keeps one power per deletion outside the batch: the
-        # 10 of this batch's two leading rows
+        # 10 of this stream batch's two leading rows.  Every deletion of a
+        # draws batch leaves it, so draws keep no chain at all
         (p,) = bitslice.batches(5, first=960, stop=961)
-        outside = {i for i, (_, shift, _) in enumerate(p._subdigraphs()) if shift is None}
+        outside = [i for i, (_, shift, _) in enumerate(p._subdigraphs()) if shift is None]
         assert len(outside) == 10
+        rng = random.Random(5)
+        sample = bitslice.draws(5, [rng.randrange(digraph_space_size(5)) for _ in range(2000)])
         held = []
         release = bitslice.PlaneContext.release
 
         def spying_release(ctx, m):
-            assert set(ctx._chains) <= outside
-            held.append((sorted(ctx._graphs), len(ctx._chains)))
+            chains = None if ctx._chains is None else sorted(ctx._chains)
+            held.append((sorted(ctx._graphs), chains))
             release(ctx, m)
 
         monkeypatch.setattr(bitslice.PlaneContext, "release", spying_release)
-        reports, rounds = _start(["lemma_3_4"], range(1, 7))
-        verify._check_batch(p, rounds)
-        assert held == [([m], 10) for m in range(1, 7)]
-        assert reports[0].verified
+        for batch in (p, sample):
+            reports, rounds = _start(["lemma_3_4"], range(1, 7))
+            verify._check_batch(batch, rounds)
+            assert reports[0].verified
+        assert held == [([m], outside) for m in range(1, 7)] + [([m], None) for m in range(1, 7)]
 
     def test_no_arc_enters_a_source(self):
         # a source plane is full less the union of its column, so it meets
@@ -585,35 +589,45 @@ class TestAtomPlanes:
         assert failures == 1284
 
     def test_sub_monotone_chains_across_gaps(self):
-        # with C^m(D) forced to K_4 minus {0, 1}, a digraph fails where a
-        # subdigraph's 0 and 1 share an m-step prey, which some first do
-        # at m = 3.  One batch called at each m in turn steps its chains,
-        # or squares them across a gap; a fresh batch per m squares from
-        # scratch: a power stepped instead of squared, or taken from a
-        # wrong m, shows here.  Draws, since a batch of the stream reads
-        # its deletions from the forced memo
-        n = 4
+        # batch 960 of order 5 has the full out-rows 0 and 1 as leading
+        # digits, so its 10 deletions outside it keep chains.  With C^m(D)
+        # forced to K_5 minus {3, 4}, the shifted planes of the deletions
+        # in the batch have no edge {3, 4}, and a digraph fails exactly
+        # where some D - uv, u 0 or 1, gives 3 and 4 a common m-step prey.
+        # One batch called at each m in turn steps its chains, or squares
+        # them across a gap; a fresh batch per m squares from scratch: a
+        # power stepped instead of squared, or taken from a wrong m, shows
+        n = 5
         rng = random.Random(4)
-        stream = range(digraph_space_size(n))
-        rows = [sum(1 << y for y in range(n) if y != x and {x, y} != {0, 1}) for x in range(n)]
+        rows = [sum(1 << y for y in range(n) if y != x and {x, y} != {3, 4}) for x in range(n)]
+
+        def batch():
+            (p,) = bitslice.batches(n, first=960, stop=961)
+            return p
 
         def forced(p, m):
             p._graphs[m] = [[p.full * (row >> y & 1) for y in range(n)] for row in rows]
             return SUB_MONOTONE.plane(p, m)
 
+        size = batch().full.bit_length()
         for m_values in [(1, 2**60), (1, 3, 2**60), (1, 2, 3, 4, 5, 2**60)]:
-            chained, planes = bitslice.draws(n, stream), []
+            chained, planes = batch(), []
             for m in m_values:
                 planes.append(forced(chained, m))
+                assert len(chained._chains) == 10
                 chained.release(m)
-            assert planes == [forced(bitslice.draws(n, stream), m) for m in m_values]
+            assert planes == [forced(batch(), m) for m in m_values]
             assert planes[0] != planes[-1]
-            for b in rng.sample(range(digraph_space_size(n)), 300):
-                ctx = ClaimContext(digraph_at(n, b))
+            for b in rng.sample(range(size), 100):
+                out = chained.digraph(b).out_rows
+                subs = [
+                    ClaimContext(Digraph(n, out[:u] + (out[u] & ~(1 << v),) + out[u + 1 :]))
+                    for u in (0, 1)
+                    for v in range(n)
+                ]
                 for m, plane in zip(m_values, planes):
-                    ctx._graphs[m] = Graph(n, rows)
-                    holds = SUB_MONOTONE.check(ctx, m) is None
-                    assert bool(plane >> b & 1) is holds, (ctx.d, m)
+                    fails = any(sub.graph(m).has_edge(3, 4) for sub in subs)
+                    assert bool(plane >> b & 1) is not fails, (out, m)
 
     def test_in_batch_deletions_read_the_batch_planes(self):
         # D - uv, u's out-row a trailing digit of the out-row stream, is the
