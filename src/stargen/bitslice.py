@@ -30,19 +30,17 @@ takes the batch's arc planes and ``runs``, and works out n and ``full``
 from the arc planes.  When the batch is built it counts every vertex's
 predators, its 'one prey' plane, which ``pendant`` and the deletion walk
 read, and the sources and their number; it memoizes the powers and
-competition graphs, the C^m and weak component summaries, the local
-star-generating plane and the deletions' power chains; and every atom
-of the claim catalog reads its ``plane`` from it.  The subdigraph check
-(Lemma 3.4) walks the one-arc deletions D - uv at one m per call.  On
-the out-row stream a deletion whose u is a trailing digit is a digraph
-of the same batch, a fixed number of bits below D, so its C^m edge
-planes are the batch's, shifted; every other deletion, an arc of a
-leading row, derives its arc planes from the batch's and keeps its power
-between rounds, stepped by one product per m.  Every deletion of a
-draws batch leaves it, so there each power is squared and dropped.  The
-check holds that m's C^m edge and non-edge planes, 2 x C(n, 2) planes,
-and one power per leading-row deletion of a stream batch (at most 10 at
-order 5, 18 at order 6) or one power on draws.
+competition graphs, the C^m and weak component summaries and the local
+star-generating plane; and every atom of the claim catalog reads its
+``plane`` from it.  The subdigraph check (Lemma 3.4) walks one-arc
+deletions D - uv at one m per call.  On the out-row stream it walks only
+those whose u is a trailing digit: each is a digraph of the same batch, a
+fixed number of bits below D, so its C^m edge planes are the batch's,
+shifted.  A deletion from a leading row is checked on a relabeled copy
+of D, in another batch (see ``sub_monotone``).  On draws and capped
+batches every deletion builds its own power and drops it.  The check
+holds that m's C^m edge and non-edge planes, 2 x C(n, 2) planes, and at
+most one deletion's power.
 """
 
 from __future__ import annotations
@@ -269,11 +267,11 @@ class PlaneContext:
     facts: every vertex of a digraph bit has a prey, and no arc enters a
     source, so every prey is a non-source.  A scan evaluates m in
     increasing order and calls ``release`` after each, so only the planes
-    of about two consecutive m, the power the next m steps from and, on a
-    stream batch, one power per leading-row deletion are held at a time.
-    ``runs``, given by the out-row stream only, holds per vertex u the run
-    of u's out-row digit inside the batch, or None where that digit is a
-    leading one: then D - uv is bit ``2**v * runs[u]`` below D, in the batch.
+    of about two consecutive m and the power the next m steps from are
+    held at a time.  ``runs``, given by the out-row stream only, holds per
+    vertex u the run of u's out-row digit inside the batch, or None where
+    that digit is a leading one; where it is a run, D - uv is bit
+    ``2**v * runs[u]`` below D, in the batch.
     """
 
     __slots__ = (
@@ -287,7 +285,6 @@ class PlaneContext:
         "_powers",
         "_graphs",
         "_cm",
-        "_chains",
         "_weak",
         "_local_sg",
         "_arc_bytes",
@@ -299,7 +296,7 @@ class PlaneContext:
         # the bits whose out-rows are all non-empty
         full = self.full = _all(map(_any, arcs), -1)
         self.arcs = arcs
-        self.runs = runs or (None,) * n
+        self.runs = runs
         self.in_degrees = self._in_counts(arcs)
         # every digraph bit has a prey, so 'not two' is 'exactly one'
         self.one_prey = [full ^ _at_least(row, 2, full)[2] for row in arcs]
@@ -309,9 +306,6 @@ class PlaneContext:
         self._powers = {1: arcs}
         self._graphs = {}
         self._cm = {}  # m -> _components(m)
-        # position in _subdigraphs() -> (m, the deletion's power m), on a stream
-        # batch only: a draws batch's deletions all leave it
-        self._chains = {} if runs else None
         self._weak = None
         self._local_sg = None
         self._arc_bytes = None
@@ -344,8 +338,7 @@ class PlaneContext:
 
     def release(self, m: int) -> None:
         """Drop the planes that only steps at m or below read, but keep
-        ``power(m)`` and the deletions' chains: the next m steps from them
-        instead of squaring.
+        ``power(m)``: the next m steps from it instead of squaring.
         """
         for memo in (self._graphs, self._cm):
             for key in [key for key in memo if key <= m]:
@@ -582,64 +575,72 @@ class PlaneContext:
         return full & ~bad
 
     def _subdigraphs(self):
-        """(mask, shift, arc planes) of each one-arc deletion D - uv of
-        ``verify.ClaimContext.subdigraphs``; the mask marks the digraphs
-        where u has another prey.
+        """(mask, shift, arc planes) of the one-arc deletions D - uv that
+        ``sub_monotone`` checks, those of ``verify.ClaimContext.subdigraphs``
+        whose row u it walks; the mask marks the digraphs where u has
+        another prey.
 
-        Where u's out-row is a trailing digit of ``runs``, dropping v lowers
-        that digit, u's row less one, by 2**v with no borrow, since u keeps
-        another prey: D - uv is the digraph ``shift = 2**v * runs[u]`` bits
-        below D, so its C^m edge planes are the batch's shifted up by
-        ``shift``, and its arc planes are None.  Every other deletion has
-        shift None and its own arc planes.
+        On the out-row stream (``runs`` given) it walks the rows whose
+        out-row is a trailing digit.  Dropping v lowers that digit, u's row
+        less one, by 2**v with no borrow, since u keeps another prey: D - uv
+        is the digraph ``shift = 2**v * runs[u]`` bits below D, so its C^m
+        edge planes are the batch's shifted up by ``shift``, and its arc
+        planes are None.  On draws and capped batches (``runs`` None) it
+        walks every row, and each deletion has shift None and its own arc
+        planes.
         """
         a = self.arcs
         full = self.full
-        for u, (row, run, one) in enumerate(zip(a, self.runs, self.one_prey)):
+        runs = self.runs
+        for u, (row, one) in enumerate(zip(a, self.one_prey)):
+            if runs is not None and runs[u] is None:
+                continue  # a leading row: see sub_monotone
             several = full ^ one
             for v, x in enumerate(row):
                 mask = x & several
                 if mask:
-                    if run is None:
+                    if runs is None:
                         sub = a[:u] + (row[:v] + (0,) + row[v + 1 :],) + a[u + 1 :]
                         yield mask, None, sub
                     else:
-                        yield mask, run << v, None
+                        yield mask, runs[u] << v, None
 
     def sub_monotone(self, m: int) -> int:
         """Every edge of a subdigraph's C^m is an edge of C^m(D).
 
-        One walk of the one-arc deletions.  A deletion in the batch reads
-        its C^m as the batch's C^m shifted by its ``shift``.  On a stream
-        batch any other, a leading-row arc, keeps its last power in
-        ``_chains``, stepped by one product from m - 1 and squared
-        otherwise, as ``power`` does.  Every deletion of a draws batch
-        leaves it, up to n**2 of them, so it keeps no chain and squares
-        each power, holding one at a time.  Only digraphs whose C^m misses
+        One walk of ``_subdigraphs()``.  A deletion in the batch reads its
+        C^m as the batch's C^m shifted by its ``shift``; any other builds
+        ``_power(sub, m)`` and drops it.  Only digraphs whose C^m misses
         some pair, and that have not failed, are tested; a deletion none of
         them has is skipped.
+
+        On the out-row stream the deletions from leading rows are skipped,
+        and a whole order still checks every deletion up to relabeling.
+        Take any D and arc uv whose u has another prey, and let pi swap u
+        and n - 1.  pi D is a digraph of the same stream, and
+        pi(D - uv) = pi D - (n - 1)pi(v).  Row n - 1 is a trailing digit of
+        every batch (t >= 1), so that deletion of pi D is walked.  C^m
+        commutes with relabeling, so its C^m lies inside C^m(pi D) iff
+        C^m(D - uv) lies inside C^m(D).  A digraph that fails only through
+        a leading row is not flagged itself, but its copy pi D is, so an
+        order has a failure here iff it has one among all deletions.
         """
         full = self.full
-        chains = self._chains
         g = self.graph(m)
         pairs = [(x, y) for x in range(self.n) for y in range(x + 1, self.n)]
         # the plane of each pair's non-edge, and of any non-edge
         gaps = [full & ~g[x][y] for x, y in pairs]
         todo = _any(gaps)
         bad = 0
-        for i, (mask, shift, sub) in enumerate(self._subdigraphs()):
+        for mask, shift, sub in self._subdigraphs():
             test = mask & todo & ~bad
             if test:
-                if shift is None:
-                    at, prey = (chains or {}).get(i, (None, None))
-                    prey = _product(prey, sub) if at == m - 1 else _power(sub, m)
-                    if chains is not None:
-                        chains[i] = m, prey
+                prey = None if sub is None else _power(sub, m)
                 for (x, y), gap in zip(pairs, gaps):
                     miss = test & gap
                     if miss:
-                        if shift is None:
-                            bad |= miss & _meet(prey[x], prey[y])
-                        else:
+                        if prey is None:
                             bad |= miss & g[x][y] << shift
+                        else:
+                            bad |= miss & _meet(prey[x], prey[y])
         return full & ~bad

@@ -1,5 +1,6 @@
 """The bit-plane engine against the scalar ClaimContext path it must reproduce."""
 
+import itertools
 import random
 from collections import Counter
 from math import comb
@@ -108,6 +109,14 @@ def _decode(p, b):
     return tuple(sum((p.arcs[u][w] >> b & 1) << w for w in range(p.n)) for u in range(p.n))
 
 
+def _relabel(rows, perm):
+    """The out-rows of a digraph with vertex x renamed ``perm[x]``."""
+    out = [0] * len(rows)
+    for x, row in enumerate(rows):
+        out[perm[x]] = sum(1 << perm[y] for y in bits(row))
+    return tuple(out)
+
+
 def _batch_size(n, base):
     """Bits per batch of an order-n stream whose digits take ``base`` values."""
     return base ** bitslice._trailing_digits(base, n)
@@ -189,13 +198,11 @@ class TestBatches:
         monkeypatch.setattr(bitslice, "_product", counting_product)
         verify_claims(["lemma_3_4"], 4, range(1, 7))
         assert products == {1: 5, 2: 5, 3: 5, 4: 5}
-        # each call builds its own m's C^m and no later one, nor a later
-        # power, and keeps no chain
+        # each call builds its own m's C^m and no later one, nor a later power
         (p,) = bitslice.batches(3)
         for m in range(1, 7):
             p.sub_monotone(m)
             assert sorted(p._graphs) == [m] and max(p._powers) == m
-            assert p._chains == {}
             p.release(m)
 
     def test_sub_monotone_builds_no_weak_components(self):
@@ -207,13 +214,15 @@ class TestBatches:
                     p.sub_monotone(m)
                 assert p._weak is None, n
 
-    def test_sub_monotone_steps_leading_deletions_once_per_m(self, monkeypatch):
+    def test_sub_monotone_builds_no_leading_deletion_power(self, monkeypatch):
         # at order 5 rows 0 and 1 are leading digits, here holding all five
-        # prey: each of their 10 deletions leaves the batch and steps its own
-        # power once per m after the first, as D does
+        # prey: their 10 deletions are checked on relabeled copies in other
+        # batches, so m 1..3 build D's own powers alone, one product each
+        # after the first
         (p,) = bitslice.batches(5, first=960, stop=961)
         assert p.runs == (None, None, 961, 31, 1)
         assert p.arcs[0] == p.arcs[1] == (p.full,) * 5
+        assert all(shift is not None for _, shift, _ in p._subdigraphs())
         products = Counter()
         product = bitslice._product
 
@@ -224,24 +233,19 @@ class TestBatches:
         monkeypatch.setattr(bitslice, "_product", counting_product)
         for m in (1, 2, 3):
             SUB_MONOTONE.plane(p, m)
-        assert products == {5: 2 + 10 * 2}
+        assert products == {5: 2}
 
-    def test_check_batch_holds_one_m_and_the_leading_chains(self, monkeypatch):
+    def test_check_batch_holds_one_m(self, monkeypatch):
         # a lemma_3_4 round builds its own C^m alone, none for the rounds
-        # to come, and keeps one power per deletion outside the batch: the
-        # 10 of this stream batch's two leading rows.  Every deletion of a
-        # draws batch leaves it, so draws keep no chain at all
+        # to come, on a stream batch with leading rows and on draws
         (p,) = bitslice.batches(5, first=960, stop=961)
-        outside = [i for i, (_, shift, _) in enumerate(p._subdigraphs()) if shift is None]
-        assert len(outside) == 10
         rng = random.Random(5)
         sample = bitslice.draws(5, [rng.randrange(digraph_space_size(5)) for _ in range(2000)])
         held = []
         release = bitslice.PlaneContext.release
 
         def spying_release(ctx, m):
-            chains = None if ctx._chains is None else sorted(ctx._chains)
-            held.append((sorted(ctx._graphs), chains))
+            held.append(sorted(ctx._graphs))
             release(ctx, m)
 
         monkeypatch.setattr(bitslice.PlaneContext, "release", spying_release)
@@ -249,7 +253,7 @@ class TestBatches:
             reports, rounds = _start(["lemma_3_4"], range(1, 7))
             verify._check_batch(batch, rounds)
             assert reports[0].verified
-        assert held == [([m], outside) for m in range(1, 7)] + [([m], None) for m in range(1, 7)]
+        assert held == [[m] for m in range(1, 7)] * 2
 
     def test_no_arc_enters_a_source(self):
         # a source plane is full less the union of its column, so it meets
@@ -527,18 +531,93 @@ class TestCappedStream:
 
 
 class TestAtomPlanes:
-    def test_every_plane_equals_its_test(self):
-        for degrees in [None, *CAPPED_COUNTS]:
-            for n in range(1, 4):
-                (p,) = bitslice.batches(n, degrees)
-                contexts = {b: ClaimContext(p.digraph(b)) for b in bits(p.full)}
-                for m in (1, 2, 3, 4, 5, 2**60):
-                    for name, atom in ATOMS.items():
-                        plane = atom.plane(p, m)
-                        assert plane & ~p.full == 0, (name, n, m)
-                        for b, ctx in contexts.items():
-                            holds = atom.check(ctx, m) is None
-                            assert bool(plane >> b & 1) is holds, (name, ctx.d, m)
+    def test_every_plane_equals_its_test(self, monkeypatch):
+        # below order 5 the real CAP_BITS leaves no leading digit, so caps
+        # 49 and 7 give order 3 one or two leading rows or columns, whose
+        # arc planes are all-one or all-zero
+        real = bitslice.CAP_BITS
+        for cap, orders in [(real, range(1, 4)), (49, [3]), (7, [3])]:
+            monkeypatch.setattr(bitslice, "CAP_BITS", cap)
+            for degrees in [None, *CAPPED_COUNTS]:
+                for n in orders:
+                    contexts = list(bitslice.batches(n, degrees))
+                    assert (len(contexts) > 1) is (cap < real), (cap, degrees)
+                    for p in contexts:
+                        scalar = {b: ClaimContext(p.digraph(b)) for b in bits(p.full)}
+                        for m in (1, 2, 3, 4, 5, 2**60):
+                            for name, atom in ATOMS.items():
+                                plane = atom.plane(p, m)
+                                assert plane & ~p.full == 0, (name, n, m)
+                                for b, ctx in scalar.items():
+                                    holds = atom.check(ctx, m) is None
+                                    assert bool(plane >> b & 1) is holds, (name, ctx.d, m)
+
+    @pytest.mark.parametrize("cap, leading", [(7, 2), (49, 1)])
+    def test_stream_deletions_cover_every_deletion_up_to_relabeling(
+        self, monkeypatch, cap, leading
+    ):
+        # the out-row stream walks only trailing rows' deletions (D, u, v);
+        # closed under the 3! relabelings they are every one-arc deletion
+        # that ClaimContext.subdigraphs lists over the order-3 stream
+        monkeypatch.setattr(bitslice, "CAP_BITS", cap)
+        n = 3
+        checked = set()
+        for p in bitslice.batches(n):
+            assert p.runs[:leading] == (None,) * leading and None not in p.runs[leading:]
+            for mask, shift, sub in p._subdigraphs():
+                assert sub is None
+                v = (shift & -shift).bit_length() - 1
+                u = p.runs.index(shift >> v)
+                checked |= {(p.digraph(b).out_rows, u, v) for b in bits(mask)}
+        assert len(checked) == 9 * (n - leading) * 7 ** (n - 1)
+        closed = {
+            (_relabel(rows, perm), perm[u], perm[v])
+            for rows, u, v in checked
+            for perm in itertools.permutations(range(n))
+        }
+        every = set()
+        for _, i in _whole(n):
+            host = digraph_at(n, i).out_rows
+            for sub in ClaimContext(digraph_at(n, i)).subdigraphs():
+                (u,) = [x for x in range(n) if sub[x] != host[x]]
+                every.add((host, u, (host[u] ^ sub[u]).bit_length() - 1))
+        assert len(every) == 1323
+        assert closed == every
+
+    def test_a_fault_a_leading_row_alone_shows_is_found_on_a_copy(self, monkeypatch):
+        # D* = 0->{1, 2}, 1->{1}, 2->{2} fails Lemma 3.4 only through a
+        # deletion at its two-prey vertex.  With C^m emptied on D*'s three
+        # relabeled copies, on the planes and in the replay, the scan finds
+        # the two copies whose two-prey vertex is a trailing row, 1 or 2,
+        # and not D*, whose two-prey row 0 is the one leading row at cap 49
+        monkeypatch.setattr(bitslice, "CAP_BITS", 49)
+        n = 3
+        star = (0b110, 0b010, 0b100)
+        copies = {_relabel(star, perm) for perm in itertools.permutations(range(n))}
+        assert len(copies) == 3
+        graph, scalar_graph = bitslice.PlaneContext.graph, ClaimContext.graph
+
+        def faulty_graph(p, m):
+            g = graph(p, m)
+            if p.n == n:
+                hit = sum(1 << b for b in bits(p.full) if _decode(p, b) in copies)
+                for row in g:
+                    for y in range(n):
+                        row[y] &= ~hit
+            return g
+
+        def faulty_scalar_graph(ctx, m):
+            if ctx.d.out_rows in copies:
+                return Graph(n, [0] * n)
+            return scalar_graph(ctx, m)
+
+        monkeypatch.setattr(bitslice.PlaneContext, "graph", faulty_graph)
+        monkeypatch.setattr(ClaimContext, "graph", faulty_scalar_graph)
+        (rep,) = verify_claims(["lemma_3_4"], n, [1, 2, 3])
+        assert not rep.verified
+        found = {tuple(map(tuple, entry["arcs"])) for entry in rep.counterexamples}
+        assert found == {tuple(Digraph(n, rows).arcs()) for rows in copies - {star}}
+        assert len(rep.counterexamples) == 2 * 3  # each at m 1, 2 and 3
 
     def test_weak_components_together_have_the_host_cm(self):
         # why Lemma 3.4 checks no weak-component restriction: no arc leaves
@@ -571,7 +650,7 @@ class TestAtomPlanes:
         # through both memos: every subdigraph edge is then missing from it.
         # A batch of the stream would read its deletions' C^m from the same
         # emptied memo, so the whole stream runs as draws, whose subdigraphs
-        # step their own powers
+        # build their own powers
         failures = 0
         for n in range(1, 4):
             total = digraph_space_size(n)
@@ -587,47 +666,6 @@ class TestAtomPlanes:
                     if m <= 4 and not holds:
                         failures += 1
         assert failures == 1284
-
-    def test_sub_monotone_chains_across_gaps(self):
-        # batch 960 of order 5 has the full out-rows 0 and 1 as leading
-        # digits, so its 10 deletions outside it keep chains.  With C^m(D)
-        # forced to K_5 minus {3, 4}, the shifted planes of the deletions
-        # in the batch have no edge {3, 4}, and a digraph fails exactly
-        # where some D - uv, u 0 or 1, gives 3 and 4 a common m-step prey.
-        # One batch called at each m in turn steps its chains, or squares
-        # them across a gap; a fresh batch per m squares from scratch: a
-        # power stepped instead of squared, or taken from a wrong m, shows
-        n = 5
-        rng = random.Random(4)
-        rows = [sum(1 << y for y in range(n) if y != x and {x, y} != {3, 4}) for x in range(n)]
-
-        def batch():
-            (p,) = bitslice.batches(n, first=960, stop=961)
-            return p
-
-        def forced(p, m):
-            p._graphs[m] = [[p.full * (row >> y & 1) for y in range(n)] for row in rows]
-            return SUB_MONOTONE.plane(p, m)
-
-        size = batch().full.bit_length()
-        for m_values in [(1, 2**60), (1, 3, 2**60), (1, 2, 3, 4, 5, 2**60)]:
-            chained, planes = batch(), []
-            for m in m_values:
-                planes.append(forced(chained, m))
-                assert len(chained._chains) == 10
-                chained.release(m)
-            assert planes == [forced(batch(), m) for m in m_values]
-            assert planes[0] != planes[-1]
-            for b in rng.sample(range(size), 100):
-                out = chained.digraph(b).out_rows
-                subs = [
-                    ClaimContext(Digraph(n, out[:u] + (out[u] & ~(1 << v),) + out[u + 1 :]))
-                    for u in (0, 1)
-                    for v in range(n)
-                ]
-                for m, plane in zip(m_values, planes):
-                    fails = any(sub.graph(m).has_edge(3, 4) for sub in subs)
-                    assert bool(plane >> b & 1) is not fails, (out, m)
 
     def test_in_batch_deletions_read_the_batch_planes(self):
         # D - uv, u's out-row a trailing digit of the out-row stream, is the
