@@ -37,8 +37,8 @@ deletions D - uv at one m per call.  On the out-row stream it walks only
 those whose u is a trailing digit: each is a digraph of the same batch, a
 fixed number of bits below D, so its C^m edge planes are the batch's,
 shifted.  A deletion from a leading row is checked on a relabeled copy
-of D, in another batch (see ``sub_monotone``).  On draws and capped
-batches every deletion builds its own power and drops it.  The check
+of D (see ``sub_monotone``).  On draws and capped batches every deletion
+builds its own power and drops it.  The check
 holds that m's C^m edge and non-edge planes, 2 x C(n, 2) planes, and at
 most one deletion's power.
 """

@@ -216,9 +216,8 @@ class TestBatches:
 
     def test_sub_monotone_builds_no_leading_deletion_power(self, monkeypatch):
         # at order 5 rows 0 and 1 are leading digits, here holding all five
-        # prey: their 10 deletions are checked on relabeled copies in other
-        # batches, so m 1..3 build D's own powers alone, one product each
-        # after the first
+        # prey: their 10 deletions are checked on relabeled copies, so
+        # m 1..3 build D's own powers alone, one product each after the first
         (p,) = bitslice.batches(5, first=960, stop=961)
         assert p.runs == (None, None, 961, 31, 1)
         assert p.arcs[0] == p.arcs[1] == (p.full,) * 5
